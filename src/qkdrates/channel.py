@@ -11,6 +11,9 @@ __all__ = [
     "db_to_transmission",
     "arm_alpha",
     "arm_alpha_from_loss_db",
+    "span_loss_db",
+    "receiver_arm_loss_db",
+    "checked_transmission",
     "dark_click_prob",
 ]
 
@@ -57,8 +60,7 @@ class ArmLoss:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        checked_transmission(self.alpha, "alpha")
 
     def __float__(self) -> float:
         return self.alpha
@@ -78,14 +80,35 @@ def db_to_transmission(loss_db: float) -> float:
     return 10.0 ** (-loss_db / 10.0)
 
 
+def span_loss_db(p: ChannelParams, abscissa: float, mode: str, pieces: int) -> float:
+    """Loss in dB of one of `pieces` equal spans of an abscissa in km
+    ("distance" mode) or in dB (any other mode)."""
+    span = abscissa / pieces
+    return p.sigma * span if mode == "distance" else span
+
+
+def receiver_arm_loss_db(p: ChannelParams, arms: int) -> float:
+    """Receiver-unit loss in dB charged to each of `arms` receiving arms."""
+    return p.receiver_loss_db if p.receiver_loss_per_arm else p.receiver_loss_db / arms
+
+
+def checked_transmission(value, name: str = "arm transmission") -> float:
+    """The value as a float, after checking that it lies in [0, 1]."""
+    a = float(value)
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {a}")
+    return a
+
+
 def arm_alpha(p: ChannelParams, length: float) -> ArmLoss:
     """Detection probability for one photon sent down one arm of given length.
 
     Combines detector efficiency, the fixed receiver-unit loss, and fiber
     transmission: alpha = eta * 10^(-receiver_loss_db/10) * T_F(length).
     """
-    alpha = p.eta * db_to_transmission(p.receiver_loss_db) * fiber_transmission(p.sigma, length)
-    return ArmLoss(alpha)
+    if length < 0:
+        raise ValueError(f"length must be non-negative, got {length}")
+    return arm_alpha_from_loss_db(p, span_loss_db(p, length, "distance", 1))
 
 
 def arm_alpha_from_loss_db(p: ChannelParams, loss_db: float, receiver_loss_db=None) -> ArmLoss:

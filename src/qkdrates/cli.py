@@ -17,6 +17,7 @@ from . import fockoracle, security
 from .channel import ChannelParams, dark_click_prob
 from .protocols import (
     SweepSpec,
+    _free_source,
     cutoff_distance,
     optimize_source_param,
     point_rate,
@@ -24,10 +25,10 @@ from .protocols import (
 )
 from .ratecore import collision_bound
 from .sources import (
+    BB84_DETECTORS,
     ClickStats,
-    Pdc,
-    Poisson,
     SourceSpec,
+    check_source,
     parse_source,
     pdc_coefficients,
     source_to_dict,
@@ -75,6 +76,18 @@ class ConfigError(ValueError):
     """Raised for malformed configuration files."""
 
 
+_JSON_KINDS = {bool: "true or false", int: "an integer", dict: "a JSON object"}
+
+
+def _typed(block: dict, key: str, default, kind: type):
+    """block[key], or default if absent, checked to be of the JSON kind;
+    true and false do not count as integers."""
+    value = block.get(key, default)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{key} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def _parse_channel(cfg: dict) -> ChannelParams:
     try:
         return ChannelParams(
@@ -83,7 +96,7 @@ def _parse_channel(cfg: dict) -> ChannelParams:
             receiver_loss_db=float(cfg.get("receiver_loss_db", 0.0)),
             d=float(cfg.get("dark_count_prob", 0.0)),
             mu=float(cfg.get("baseline_error_fraction", 0.0)),
-            receiver_loss_per_arm=bool(cfg.get("receiver_loss_per_arm", True)),
+            receiver_loss_per_arm=_typed(cfg, "receiver_loss_per_arm", True, bool),
         )
     except ValueError as err:
         raise ConfigError(f"bad channel block: {err}") from err
@@ -102,17 +115,15 @@ def _channel_dict(p: ChannelParams) -> dict:
     return out
 
 
-def _parse_curve_source(obj) -> SourceSpec | None:
-    if obj == "optimize":
-        return None
-    if not isinstance(obj, dict) or "type" not in obj:
+def _parse_curve_source(obj, protocol: str) -> SourceSpec | None:
+    if obj != "optimize" and (not isinstance(obj, dict) or "type" not in obj):
         raise ConfigError(f"source must be 'optimize' or an object with 'type', got {obj!r}")
-    cfg = {"source": obj["type"]}
-    cfg.update({k: v for k, v in obj.items() if k != "type"})
     try:
-        return parse_source(cfg)
+        src = None if obj == "optimize" else parse_source({**obj, "source": obj["type"]})
+        check_source(protocol, src)
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    return src
 
 
 def _curve_source_dict(src: SourceSpec | None):
@@ -130,7 +141,7 @@ def parse_config(raw: dict) -> RunConfig:
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    channel = _parse_channel(raw.get("channel", {}))
+    channel = _parse_channel(_typed(raw, "channel", {}, dict))
 
     if "curves" in raw:
         curve_objs = raw["curves"]
@@ -154,7 +165,7 @@ def parse_config(raw: dict) -> RunConfig:
             CurveSpec(
                 label=str(obj.get("label", obj["protocol"])),
                 protocol=obj["protocol"],
-                source=_parse_curve_source(obj.get("source", "optimize")),
+                source=_parse_curve_source(obj.get("source", "optimize"), obj["protocol"]),
             )
         )
     labels = [c.label for c in curves]
@@ -167,7 +178,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("config needs exactly one of 'point' or 'sweep'")
 
     if has_sweep:
-        sw = raw["sweep"]
+        sw = _typed(raw, "sweep", None, dict)
         mode = sw.get("mode", "distance")
         unit = "km" if mode == "distance" else "db"
         try:
@@ -176,7 +187,7 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError(f"sweep block missing {err} for mode {mode!r}") from err
         point = None
     else:
-        pt = raw["point"]
+        pt = _typed(raw, "point", None, dict)
         if "distance_km" in pt:
             mode, point = "distance", float(pt["distance_km"])
         elif "total_loss_db" in pt:
@@ -185,18 +196,18 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError("point block needs 'distance_km' or 'total_loss_db'")
         grid = None
 
-    sec_cfg = raw.get("security", {})
+    sec_cfg = _typed(raw, "security", {}, dict)
     try:
         sec = security.SecurityParams(
-            s=int(sec_cfg.get("s_bits", 30)), t=int(sec_cfg.get("t_bits", 30))
+            s=_typed(sec_cfg, "s_bits", 30, int), t=_typed(sec_cfg, "t_bits", 30, int)
         )
     except ValueError as err:
         raise ConfigError(f"bad security block: {err}") from err
-    n_tot = int(sec_cfg.get("n_tot_pulses", _DEFAULT_N_TOT))
+    n_tot = _typed(sec_cfg, "n_tot_pulses", _DEFAULT_N_TOT, int)
     if n_tot <= 0:
         raise ConfigError("n_tot_pulses must be positive")
 
-    cut = raw.get("cutoff", {})
+    cut = _typed(raw, "cutoff", {}, dict)
     cutoff_search = (
         float(cut.get("search_low_km", _DEFAULT_CUTOFF_SEARCH[0])),
         float(cut.get("search_high_km", _DEFAULT_CUTOFF_SEARCH[1])),
@@ -289,13 +300,8 @@ def _stats_dict(stats) -> dict:
 
 
 def _point_report(config: RunConfig, curve: CurveSpec) -> dict:
-    if curve.source is None:
-        opt = optimize_source_param(curve.protocol, config.channel, config.point, config.mode)
-        src = Poisson(opt.param) if curve.protocol == "bb84" else Pdc(opt.param)
-        optimal = opt.param
-    else:
-        src, optimal = curve.source, None
-    pt = point_rate(curve.protocol, src, config.channel, config.point, config.mode)
+    pt = point_rate(curve.protocol, curve.source, config.channel, config.point, config.mode)
+    src = curve.source if curve.source is not None else _free_source(curve.protocol, pt.optimal_param)
     report = {
         "protocol": curve.protocol,
         "mode": config.mode,
@@ -304,12 +310,15 @@ def _point_report(config: RunConfig, curve: CurveSpec) -> dict:
         "rate_bits_per_pulse": pt.rate,
         "rate_raw": pt.rate_raw,
     }
-    if optimal is not None:
-        report["optimal_param"] = optimal
+    if pt.optimal_param is not None:
+        report["optimal_param"] = pt.optimal_param
     if pt.note:
         report["note"] = pt.note
     if pt.stats is not None:
         report["stats"] = _stats_dict(pt.stats)
+    if pt.rate == 0.0:
+        report.setdefault("note", "no secure key at this point")
+    else:
         p_sift = pt.stats.p_click if isinstance(pt.stats, ClickStats) else pt.stats.p_coin
         n_rec = int(config.n_tot * p_sift / 2.0)
         if n_rec > 0 and pt.stats.e < 0.5:
@@ -324,8 +333,6 @@ def _point_report(config: RunConfig, curve: CurveSpec) -> dict:
                 "eve_info_bits": budget.eve_info,
                 "markov_leak_probability": security.markov_leak_probability(budget.eve_info, 1.0),
             }
-    if pt.rate == 0.0:
-        report.setdefault("note", "no secure key at this point")
     return report
 
 
@@ -345,7 +352,7 @@ def _sweep_rows(config: RunConfig) -> list:
 
 def _sweep_csv(config: RunConfig, rows: list) -> str:
     lines = ["curve,abscissa,rate_raw,rate_clamped,optimal_param,p_true_or_signal,p_false_or_dark,e"]
-    p_dark = dark_click_prob(config.channel.d, 4)
+    p_dark = dark_click_prob(config.channel.d, BB84_DETECTORS)
     for label, pt in rows:
         if pt.stats is None:
             true_col = false_col = e_col = ""
@@ -408,6 +415,12 @@ def _emit_json(doc, out_path: str | None) -> None:
 # --- verification suites ---------------------------------------------------
 
 
+def _property(name: str, tolerance: float, holds: bool, **measured) -> dict:
+    """One checked property of a suite report: its tolerance, the measured
+    extreme under a named key, and whether the property holds."""
+    return {"name": name, "tolerance": tolerance, **measured, "pass": holds}
+
+
 def _suite_attack_bound() -> dict:
     worst_gap = 0.0
     for k in range(1, 50):
@@ -431,18 +444,10 @@ def _suite_attack_bound() -> dict:
     return {
         "suite": "attack-bound",
         "properties": [
-            {
-                "name": "constrained maximum matches 1/2 + 2e - 2e^2",
-                "tolerance": 1e-6,
-                "max_deviation": worst_gap,
-                "pass": worst_gap <= 1e-6,
-            },
-            {
-                "name": "no grid point exceeds the collision bound",
-                "tolerance": 1e-9,
-                "max_deviation": max(worst_violation, 0.0),
-                "pass": worst_violation <= 1e-9,
-            },
+            _property("constrained maximum matches 1/2 + 2e - 2e^2", 1e-6, worst_gap <= 1e-6,
+                      max_deviation=worst_gap),
+            _property("no grid point exceeds the collision bound", 1e-9, worst_violation <= 1e-9,
+                      max_deviation=max(worst_violation, 0.0)),
         ],
     }
 
@@ -478,18 +483,10 @@ def _suite_pdc_oracle() -> dict:
     return {
         "suite": "pdc-oracle",
         "properties": [
-            {
-                "name": "closed-form coefficients match brute force",
-                "tolerance": 1e-6,
-                "max_deviation": worst_coeff,
-                "pass": worst_coeff <= 1e-6,
-            },
-            {
-                "name": "(1,1) sector decomposes as A psi+ + D I/4",
-                "tolerance": 1e-10,
-                "max_deviation": worst_residual,
-                "pass": worst_residual <= 1e-10,
-            },
+            _property("closed-form coefficients match brute force", 1e-6, worst_coeff <= 1e-6,
+                      max_deviation=worst_coeff),
+            _property("(1,1) sector decomposes as A psi+ + D I/4", 1e-10, worst_residual <= 1e-10,
+                      max_deviation=worst_residual),
         ],
         "grid": table,
     }
@@ -518,12 +515,8 @@ def _suite_dephasing() -> dict:
     return {
         "suite": "dephasing",
         "properties": [
-            {
-                "name": "sector dephasing leaves detection statistics unchanged",
-                "tolerance": 1e-12,
-                "max_deviation": worst,
-                "pass": worst <= 1e-12,
-            }
+            _property("sector dephasing leaves detection statistics unchanged", 1e-12, worst <= 1e-12,
+                      max_deviation=worst)
         ],
         "states": detail,
     }
@@ -541,12 +534,8 @@ def _suite_privacy_amp() -> dict:
     return {
         "suite": "privacy-amp",
         "properties": [
-            {
-                "name": "H(K|G) >= r - 2^r pc^n / ln 2, exhaustive n <= 6",
-                "tolerance": 0.0,
-                "min_margin": min_margin,
-                "pass": all_hold,
-            }
+            _property("H(K|G) >= r - 2^r pc^n / ln 2, exhaustive n <= 6", 0.0, all_hold,
+                      min_margin=min_margin)
         ],
     }
 
@@ -562,12 +551,8 @@ def _suite_multi_photon() -> dict:
     return {
         "suite": "multi-photon",
         "properties": [
-            {
-                "name": "dual-fire ratio bound >= 1 for i, j in 2..10",
-                "tolerance": 0.0,
-                "min_value": worst,
-                "pass": worst >= 1.0,
-            }
+            _property("dual-fire ratio bound >= 1 for i, j in 2..10", 0.0, worst >= 1.0,
+                      min_value=worst)
         ],
         "single_photon_anomaly": {
             "note": "the bound degenerates to 0 whenever either side holds one photon;"
@@ -712,9 +697,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ArmLoss
+from .channel import ArmLoss, checked_transmission
 from .sources import PdcCoefficients
 
 __all__ = [
@@ -195,10 +195,7 @@ def apply_loss_and_trace(state: FockVector, alpha: ArmLoss | float) -> list:
         state: Input FockVector with empty loss modes.
         alpha: Shared arm transmission.
     """
-    a = float(alpha)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"arm transmission must lie in [0, 1], got {a}")
-    groups = _loss_groups(state, a)
+    groups = _loss_groups(state, checked_transmission(alpha))
     matrices: dict = {}
     bases: dict = {}
     for vec in groups.values():
@@ -256,21 +253,29 @@ def extract_pdc_coefficients(
     C = w10
 
     if (1, 1) in by_sector:
-        rho = by_sector[(1, 1)].matrix
-        trace = np.trace(rho).real
-        # basis order (xx, xy, yx, yy); psi+ = (|xy> + |yx>) / sqrt(2)
-        overlap = 0.5 * (rho[1, 1] + rho[2, 2] + rho[1, 2] + rho[2, 1]).real
-        A = (4.0 * overlap - trace) / 3.0
-        D = trace - A
-        psi_plus = np.zeros(4)
-        psi_plus[1] = psi_plus[2] = _HALF_SQRT2
-        model = A * np.outer(psi_plus, psi_plus) + 0.25 * D * np.eye(4)
-        residual = float(np.linalg.norm(rho - model))
+        A, D, residual = _fit_pair_sector(by_sector[(1, 1)].matrix)
         if residual > residual_tol:
             raise ValueError(f"(1, 1) sector is not A psi+ + D I/4: residual {residual}")
     else:
         A = D = 0.0
     return PdcCoefficients(A=max(A, 0.0), B=B, C=C, D=max(D, 0.0))
+
+
+def _fit_pair_sector(rho: np.ndarray) -> tuple:
+    """Fit rho_11 = A |psi+><psi+| + D I/4; returns (A, D, residual).
+
+    A comes from the psi+ overlap and D from the trace; the residual is the
+    Frobenius norm of what the two-parameter form leaves unexplained.
+    """
+    trace = np.trace(rho).real
+    # basis order (xx, xy, yx, yy); psi+ = (|xy> + |yx>) / sqrt(2)
+    overlap = 0.5 * (rho[1, 1] + rho[2, 2] + rho[1, 2] + rho[2, 1]).real
+    A = (4.0 * overlap - trace) / 3.0
+    D = trace - A
+    psi_plus = np.zeros(4)
+    psi_plus[1] = psi_plus[2] = _HALF_SQRT2
+    model = A * np.outer(psi_plus, psi_plus) + 0.25 * D * np.eye(4)
+    return A, D, float(np.linalg.norm(rho - model))
 
 
 def pair_sector_residual(sectors: list) -> float:
@@ -281,14 +286,7 @@ def pair_sector_residual(sectors: list) -> float:
     """
     for s in sectors:
         if (s.i, s.j) == (1, 1):
-            rho = s.matrix
-            trace = np.trace(rho).real
-            overlap = 0.5 * (rho[1, 1] + rho[2, 2] + rho[1, 2] + rho[2, 1]).real
-            A = (4.0 * overlap - trace) / 3.0
-            psi_plus = np.zeros(4)
-            psi_plus[1] = psi_plus[2] = _HALF_SQRT2
-            model = A * np.outer(psi_plus, psi_plus) + 0.25 * (trace - A) * np.eye(4)
-            return float(np.linalg.norm(rho - model))
+            return _fit_pair_sector(s.matrix)[2]
     return 0.0
 
 
@@ -355,10 +353,7 @@ def dephasing_invariance_check(state: FockVector, alpha: ArmLoss | float) -> flo
     coherences, so the difference must vanish; the return value is the
     maximum absolute probability difference over the 36 joint classes.
     """
-    a = float(alpha)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"arm transmission must lie in [0, 1], got {a}")
-    groups = _loss_groups(state, a)
+    groups = _loss_groups(state, checked_transmission(alpha))
     plain = _outcome_probabilities(groups, dephase=False)
     dephased = _outcome_probabilities(groups, dephase=True)
     return float(np.max(np.abs(plain - dephased)))

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .channel import ArmLoss, ChannelParams, arm_alpha, arm_alpha_from_loss_db
+from .channel import ChannelParams, receiver_arm_loss_db, span_loss_db
 from .ratecore import (
     DEFAULT_EC_TABLE,
     EcBenchmarkTable,
@@ -17,15 +17,15 @@ from .ratecore import (
     tau_multiphoton,
 )
 from .sources import (
+    PROTOCOLS,
     ClickStats,
     CoincidenceStats,
-    IdealEpr,
-    IdealSingle,
     Pdc,
     Poisson,
     SourceSpec,
     SwapChain,
     bb84_stats,
+    check_source,
     ekert_ideal_stats,
     pdc_stats,
     swap_stats_from_segment,
@@ -46,7 +46,6 @@ __all__ = [
     "sweep",
 ]
 
-PROTOCOLS = ("bb84", "ekert")
 SWEEP_MODES = ("distance", "total-loss")
 
 NBAR_BOX = (1e-4, 2.0)
@@ -101,8 +100,7 @@ class SweepSpec:
     table: EcBenchmarkTable = field(default=DEFAULT_EC_TABLE)
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}")
+        check_source(self.protocol, self.source)
         if self.mode not in SWEEP_MODES:
             raise ValueError(f"unknown sweep mode {self.mode!r}; expected one of {SWEEP_MODES}")
         if not self.start < self.stop:
@@ -161,17 +159,6 @@ def rate_ekert(
     return raw
 
 
-def _receiver_db(p: ChannelParams, arms: int) -> float:
-    return p.receiver_loss_db if p.receiver_loss_per_arm else p.receiver_loss_db / arms
-
-
-def _segment_transmission_for_swap(src: SwapChain, p: ChannelParams, abscissa: float, mode: str) -> float:
-    segments = 2 * src.n_swaps + 2
-    if mode == "distance":
-        return 10.0 ** (-p.sigma * (abscissa / segments) / 10.0)
-    return 10.0 ** (-(abscissa / segments) / 10.0)
-
-
 def point_stats(
     protocol: str, src: SourceSpec, p: ChannelParams, abscissa: float, mode: str = "distance"
 ) -> ClickStats | CoincidenceStats:
@@ -179,46 +166,41 @@ def point_stats(
 
     In distance mode the abscissa is the Alice-to-Bob separation in km, with
     two-arm sources placed midway. In total-loss mode it is the summed
-    channel loss in dB, split equally over the arms.
+    channel loss in dB. Either is split equally over the arms or segments.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+    check_source(protocol, src)
     if mode not in SWEEP_MODES:
         raise ValueError(f"unknown sweep mode {mode!r}; expected one of {SWEEP_MODES}")
     if abscissa < 0:
         raise ValueError("abscissa must be non-negative")
-    if protocol == "bb84":
-        if not isinstance(src, (IdealSingle, Poisson)):
-            raise ValueError(f"source {src.tag!r} is not a single-path source")
-        if mode == "distance":
-            alpha = arm_alpha(p, abscissa)
-        else:
-            alpha = arm_alpha_from_loss_db(p, abscissa)
-        return bb84_stats(src, alpha, p)
     if isinstance(src, SwapChain):
-        seg = _segment_transmission_for_swap(src, p, abscissa, mode)
-        return swap_stats_from_segment(src, seg, p)
-    rec = _receiver_db(p, 2)
-    if mode == "distance":
-        half = ArmLoss(p.eta * (10.0 ** (-rec / 10.0)) * (10.0 ** (-p.sigma * (abscissa / 2.0) / 10.0)))
-    else:
-        half = arm_alpha_from_loss_db(p, abscissa / 2.0, rec)
-    if isinstance(src, IdealEpr):
-        return ekert_ideal_stats(half, p)
+        segment_db = span_loss_db(p, abscissa, mode, src.segments)
+        return swap_stats_from_segment(src, 10.0 ** (-segment_db / 10.0), p)
+    arms = 1 if protocol == "bb84" else 2
+    loss_db = span_loss_db(p, abscissa, mode, arms)
+    alpha = p.eta * 10.0 ** (-receiver_arm_loss_db(p, arms) / 10.0) * 10.0 ** (-loss_db / 10.0)
+    if protocol == "bb84":
+        return bb84_stats(src, alpha, p)
     if isinstance(src, Pdc):
-        return pdc_stats(src.chi, half, p)
-    raise ValueError(f"source {src.tag!r} is not a two-arm source")
+        return pdc_stats(src.chi, alpha, p)
+    return ekert_ideal_stats(alpha, p)
 
 
 def point_rate(
     protocol: str,
-    src: SourceSpec,
+    src: SourceSpec | None,
     p: ChannelParams,
     abscissa: float,
     mode: str = "distance",
     table: EcBenchmarkTable = DEFAULT_EC_TABLE,
 ) -> RatePoint:
-    """Evaluate one curve point for a fixed source."""
+    """Evaluate one curve point for a fixed source, or with src None at the
+    optimized free source, whose parameter it carries as optimal_param (the
+    box midpoint where no parameter gives a positive rate)."""
+    if src is None:
+        opt = optimize_source_param(protocol, p, abscissa, mode, table)
+        best = point_rate(protocol, _free_source(protocol, opt.param), p, abscissa, mode, table)
+        return replace(best, optimal_param=opt.param)
     try:
         stats = point_stats(protocol, src, p, abscissa, mode)
     except ValueError as err:
@@ -282,19 +264,6 @@ def optimize_source_param(
     return OptimizeResult(param=param, rate=rate)
 
 
-def _rate_at(
-    protocol: str,
-    src: SourceSpec | None,
-    p: ChannelParams,
-    abscissa: float,
-    mode: str,
-    table: EcBenchmarkTable,
-) -> float:
-    if src is None:
-        return optimize_source_param(protocol, p, abscissa, mode, table).rate
-    return point_rate(protocol, src, p, abscissa, mode, table).rate
-
-
 def cutoff_distance(
     protocol: str,
     p: ChannelParams,
@@ -317,16 +286,23 @@ def cutoff_distance(
     Returns:
         The positive-rate end of the final bracket.
     """
+    def rate_at(km: float) -> float:
+        if src is None:
+            # The optimizer's own rate, 0 on zero_rate; point_rate(None)
+            # would re-evaluate the box midpoint instead.
+            return optimize_source_param(protocol, p, km, "distance", table).rate
+        return point_rate(protocol, src, p, km, "distance", table).rate
+
     lo, hi = search
     if not 0 <= lo < hi:
         raise ValueError("search bracket must satisfy 0 <= low < high")
-    if _rate_at(protocol, src, p, lo, "distance", table) <= 0.0:
+    if rate_at(lo) <= 0.0:
         raise ValueError(f"rate is zero at the lower search edge {lo} km; no cutoff to bracket")
-    if _rate_at(protocol, src, p, hi, "distance", table) > 0.0:
+    if rate_at(hi) > 0.0:
         raise ValueError(f"rate is still positive at the upper search edge {hi} km; widen the bracket")
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        if _rate_at(protocol, src, p, mid, "distance", table) > 0.0:
+        if rate_at(mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -340,19 +316,7 @@ def sweep(spec: SweepSpec) -> list[RatePoint]:
     become zero-rate points carrying a diagnostic note rather than aborting
     the sweep.
     """
-    points = []
-    for x in spec.grid():
-        if spec.source is None:
-            opt = optimize_source_param(spec.protocol, spec.params, x, spec.mode, spec.table)
-            fixed = point_rate(
-                spec.protocol,
-                _free_source(spec.protocol, opt.param),
-                spec.params,
-                x,
-                spec.mode,
-                spec.table,
-            )
-            points.append(replace(fixed, optimal_param=opt.param))
-        else:
-            points.append(point_rate(spec.protocol, spec.source, spec.params, x, spec.mode, spec.table))
-    return points
+    return [
+        point_rate(spec.protocol, spec.source, spec.params, x, spec.mode, spec.table)
+        for x in spec.grid()
+    ]

@@ -11,9 +11,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ArmLoss, ChannelParams, dark_click_prob, db_to_transmission, fiber_transmission
+from .channel import (
+    ArmLoss,
+    ChannelParams,
+    checked_transmission,
+    dark_click_prob,
+    db_to_transmission,
+    fiber_transmission,
+    receiver_arm_loss_db,
+)
 
 __all__ = [
+    "PROTOCOLS",
+    "BB84_DETECTORS",
     "IdealSingle",
     "Poisson",
     "IdealEpr",
@@ -22,6 +32,7 @@ __all__ = [
     "SourceSpec",
     "parse_source",
     "source_to_dict",
+    "check_source",
     "ClickStats",
     "CoincidenceStats",
     "PdcCoefficients",
@@ -32,6 +43,8 @@ __all__ = [
     "swap_stats",
     "swap_stats_from_segment",
 ]
+
+BB84_DETECTORS = 4
 
 _WEIGHT_TOL = 1e-9
 
@@ -93,6 +106,11 @@ class SwapChain:
         if self.n_swaps < 1:
             raise ValueError("swap chain needs at least one swap")
 
+    @property
+    def segments(self) -> int:
+        """Equal fiber segments between Alice and Bob: 2 n_swaps + 2."""
+        return 2 * self.n_swaps + 2
+
 
 SourceSpec = IdealSingle | Poisson | IdealEpr | Pdc | SwapChain
 
@@ -103,6 +121,10 @@ _SOURCE_TAGS = {
     "pdc": Pdc,
     "swap": SwapChain,
 }
+
+# The sources each protocol can use: single-path for bb84, two-arm for ekert.
+_PROTOCOL_SOURCES = {"bb84": (IdealSingle, Poisson), "ekert": (IdealEpr, Pdc, SwapChain)}
+PROTOCOLS = tuple(_PROTOCOL_SOURCES)
 
 
 def parse_source(cfg: dict) -> SourceSpec:
@@ -121,8 +143,20 @@ def parse_source(cfg: dict) -> SourceSpec:
     if tag == "swap":
         if "n_swaps" not in cfg:
             raise ValueError("swap source requires 'n_swaps'")
-        return SwapChain(int(cfg["n_swaps"]), bool(cfg.get("literal_exponent", False)))
+        literal = cfg.get("literal_exponent", False)
+        if not isinstance(literal, bool):
+            raise ValueError(f"literal_exponent must be true or false, got {literal!r}")
+        return SwapChain(int(cfg["n_swaps"]), literal)
     return _SOURCE_TAGS[tag]()
+
+
+def check_source(protocol: str, src: SourceSpec | None) -> None:
+    """Reject an unknown protocol, or a source it cannot use; None (the free
+    source the optimizer picks) suits either protocol."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+    if src is not None and not isinstance(src, _PROTOCOL_SOURCES[protocol]):
+        raise ValueError(f"source {src.tag!r} does not serve protocol {protocol!r}")
 
 
 def source_to_dict(src: SourceSpec) -> dict:
@@ -213,11 +247,17 @@ class PdcCoefficients:
         return 1.0 - self.A - self.B - 2.0 * self.C - self.D
 
 
-def _alpha_value(alpha) -> float:
-    a = float(alpha)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"arm transmission must lie in [0, 1], got {a}")
-    return a
+def _sifted_error(signal: float, noise: float, mu: float, events: str = "coincidence") -> float:
+    """Error fraction among sifted events: a noise event (dark count or
+    accidental coincidence) errs half the time, a signal event at rate mu."""
+    total = signal + noise
+    if total == 0.0:
+        raise ValueError(f"degenerate statistics: {events} probability is zero")
+    return (noise / 2.0 + mu * signal) / total
+
+
+def _coincidence_stats(p_true: float, p_false: float, p: ChannelParams) -> CoincidenceStats:
+    return CoincidenceStats(p_true=p_true, p_false=p_false, e=_sifted_error(p_true, p_false, p.mu))
 
 
 def bb84_stats(src: SourceSpec, alpha: ArmLoss | float, p: ChannelParams) -> ClickStats:
@@ -232,20 +272,17 @@ def bb84_stats(src: SourceSpec, alpha: ArmLoss | float, p: ChannelParams) -> Cli
         ClickStats with the click probability, error fraction, and the
         untagged fraction beta.
     """
-    a = _alpha_value(alpha)
+    check_source("bb84", src)
+    a = checked_transmission(alpha)
     if isinstance(src, IdealSingle):
         p_signal = a
         p_m = 0.0
-    elif isinstance(src, Poisson):
+    else:
         p_signal = 1.0 - math.exp(-a * src.nbar)
         p_m = 1.0 - (1.0 + src.nbar) * math.exp(-src.nbar)
-    else:
-        raise ValueError(f"source {src.tag!r} does not produce single-path click statistics")
-    p_dark = dark_click_prob(p.d, 4)
+    p_dark = dark_click_prob(p.d, BB84_DETECTORS)
+    e = _sifted_error(p_signal, p_dark, p.mu, "click")
     p_click = p_signal + p_dark
-    if p_click == 0.0:
-        raise ValueError("degenerate statistics: click probability is zero")
-    e = (p_dark / 2.0 + p.mu * p_signal) / p_click
     beta = (p_click - p_m) / p_click
     return ClickStats(p_click=p_click, e=e, beta=beta)
 
@@ -257,15 +294,9 @@ def ekert_ideal_stats(alpha_half: ArmLoss | float, p: ChannelParams) -> Coincide
     (per-arm constants already folded in). False coincidences pair a
     surviving photon with a dark count or two dark counts with each other.
     """
-    a = _alpha_value(alpha_half)
+    a = checked_transmission(alpha_half)
     d = p.d
-    p_true = a * a
-    p_false = 8.0 * a * d + 16.0 * d * d
-    p_coin = p_true + p_false
-    if p_coin == 0.0:
-        raise ValueError("degenerate statistics: coincidence probability is zero")
-    e = (p_false / 2.0 + p.mu * p_true) / p_coin
-    return CoincidenceStats(p_true=p_true, p_false=p_false, e=e)
+    return _coincidence_stats(a * a, 8.0 * a * d + 16.0 * d * d, p)
 
 
 def pdc_coefficients(chi: float, alpha_half: ArmLoss | float) -> PdcCoefficients:
@@ -281,7 +312,7 @@ def pdc_coefficients(chi: float, alpha_half: ArmLoss | float) -> PdcCoefficients
     """
     if chi <= 0:
         raise ValueError("pump parameter must be positive")
-    a = _alpha_value(alpha_half)
+    a = checked_transmission(alpha_half)
     t2 = math.tanh(chi) ** 2
     c4 = math.cosh(chi) ** 4
     z = t2 * (1.0 - a) ** 2
@@ -303,13 +334,7 @@ def pdc_stats(chi: float, alpha_half: ArmLoss | float, p: ChannelParams) -> Coin
     """
     c = pdc_coefficients(chi, alpha_half)
     d = p.d
-    p_true = c.A
-    p_false = 16.0 * d * d * c.B + 8.0 * d * c.C + c.D
-    p_coin = p_true + p_false
-    if p_coin == 0.0:
-        raise ValueError("degenerate statistics: coincidence probability is zero")
-    e = (p_false / 2.0 + p.mu * p_true) / p_coin
-    return CoincidenceStats(p_true=p_true, p_false=p_false, e=e)
+    return _coincidence_stats(c.A, 16.0 * d * d * c.B + 8.0 * d * c.C + c.D, p)
 
 
 def swap_stats_from_segment(
@@ -324,12 +349,9 @@ def swap_stats_from_segment(
     unpolarized remainder feeds the false-coincidence rate alongside the
     dark-count terms.
     """
-    if not 0.0 <= segment_transmission <= 1.0:
-        raise ValueError("segment transmission must lie in [0, 1]")
     d = p.d
-    rec_db = p.receiver_loss_db if p.receiver_loss_per_arm else p.receiver_loss_db / 2.0
-    alpha_bell = p.eta * segment_transmission
-    alpha_end = alpha_bell * db_to_transmission(rec_db)
+    alpha_bell = p.eta * checked_transmission(segment_transmission, "segment transmission")
+    alpha_end = alpha_bell * db_to_transmission(receiver_arm_loss_db(p, 2))
     p_swap_true = alpha_bell * alpha_bell / 2.0
     p_swap_false = 6.0 * alpha_bell * d + 12.0 * d * d
     p_swap = p_swap_true + p_swap_false
@@ -343,11 +365,7 @@ def swap_stats_from_segment(
     g_n = g**n
     p_true = p_bell * g_n * alpha_end * alpha_end
     p_false = p_bell * (8.0 * alpha_end * d + 16.0 * d * d + (1.0 - g_n) * alpha_end * alpha_end)
-    p_coin = p_true + p_false
-    if p_coin == 0.0:
-        raise ValueError("degenerate statistics: coincidence probability is zero")
-    e = (p_false / 2.0 + p.mu * p_true) / p_coin
-    return CoincidenceStats(p_true=p_true, p_false=p_false, e=e)
+    return _coincidence_stats(p_true, p_false, p)
 
 
 def swap_stats(n_swaps: int | SwapChain, total_length: float, p: ChannelParams) -> CoincidenceStats:
@@ -360,6 +378,5 @@ def swap_stats(n_swaps: int | SwapChain, total_length: float, p: ChannelParams) 
         p: Channel parameters.
     """
     src = n_swaps if isinstance(n_swaps, SwapChain) else SwapChain(int(n_swaps))
-    segments = 2 * src.n_swaps + 2
-    seg_t = fiber_transmission(p.sigma, total_length / segments)
+    seg_t = fiber_transmission(p.sigma, total_length / src.segments)
     return swap_stats_from_segment(src, seg_t, p)

@@ -1,7 +1,9 @@
 """Tests for the command-line interface and configuration handling."""
 
+import importlib.util
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,19 @@ def write_config(tmp_path, cfg, name="config.json"):
 
 def shipped_config(name):
     return str(resources.files("qkdrates") / "configs" / name)
+
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
+
+
+def bench_check():
+    """The benchmark's output comparator, bench/check.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_check", REFERENCE_DIR.parent / "check.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestConfigParsing:
@@ -91,6 +106,49 @@ class TestConfigParsing:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"channel": {**BASE_CHANNEL, "receiver_loss_per_arm": "false"}},
+            {"source": {"type": "swap", "n_swaps": 1, "literal_exponent": "false"}},
+            {"security": {"s_bits": 1.9}},
+            {"security": {"t_bits": 1.9}},
+            {"security": {"n_tot_pulses": 1.9}},
+            {"security": {"s_bits": True}},
+            {"channel": [1]},
+            {"security": "strict"},
+            {"cutoff": [1.0, 400.0]},
+            {"point": 100.0},
+        ],
+        ids=[
+            "receiver_loss_per_arm-string",
+            "literal_exponent-string",
+            "s_bits-float",
+            "t_bits-float",
+            "n_tot_pulses-float",
+            "s_bits-bool",
+            "channel-list",
+            "security-string",
+            "cutoff-list",
+            "point-number",
+        ],
+    )
+    def test_mistyped_values_exit_2(self, tmp_path, capsys, override):
+        cfg = {
+            "protocol": "ekert",
+            "source": {"type": "ideal-epr"},
+            "channel": BASE_CHANNEL,
+            "point": {"distance_km": 100.0},
+            **override,
+        }
+        assert main(["rate", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_mistyped_sweep_block_exits_2(self, tmp_path, capsys):
+        cfg = {"protocol": "ekert", "channel": BASE_CHANNEL, "sweep": [0.0, 10.0, 5.0]}
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_duplicate_labels(self):
         with pytest.raises(ConfigError):
             parse_config(
@@ -130,6 +188,40 @@ class TestRateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["rate_bits_per_pulse"] == 0.0
         assert "note" in report
+
+    def test_zero_rate_point_has_no_key_budget(self, tmp_path, capsys):
+        cfg = {
+            "protocol": "bb84",
+            "source": {"type": "poisson", "nbar": 0.5},
+            "channel": BASE_CHANNEL,
+            "point": {"distance_km": 40.0},
+        }
+        assert main(["rate", "--config", write_config(tmp_path, cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["rate_bits_per_pulse"] == 0.0
+        assert report["stats"]["beta"] < 0.0
+        assert "key_budget" not in report
+
+    @pytest.mark.parametrize(
+        "protocol, source",
+        [
+            ("b92", {"type": "ideal-single"}),
+            ("b92", "optimize"),
+            ("bb84", {"type": "ideal-epr"}),
+            ("ekert", {"type": "poisson", "nbar": 0.1}),
+        ],
+    )
+    def test_protocol_source_mismatch_exits_2(self, tmp_path, capsys, protocol, source):
+        cfg = {
+            "protocol": protocol,
+            "source": source,
+            "channel": BASE_CHANNEL,
+            "point": {"distance_km": 10.0},
+        }
+        assert main(["rate", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -183,6 +275,27 @@ class TestSweepCommand:
         rows = json.loads(out.read_text())
         assert len(rows) == 3
         assert all(row["curve"] == "bb84" for row in rows)
+
+    def test_mismatched_curve_exits_2(self, tmp_path, capsys):
+        cfg = {
+            "curves": [
+                {"label": "fine", "protocol": "ekert", "source": {"type": "ideal-epr"}},
+                {"label": "mismatch", "protocol": "bb84", "source": {"type": "ideal-epr"}},
+            ],
+            "channel": BASE_CHANNEL,
+            "sweep": {"mode": "distance", "start_km": 0.0, "stop_km": 20.0, "step_km": 10.0},
+        }
+        out = tmp_path / "curve.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "does not serve protocol 'bb84'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["fig3a_fiber", "fig3b_freespace", "fig5_swaps"])
+    def test_shipped_sweep_matches_reference(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        assert main(["sweep", "--config", shipped_config(f"{name}.json"), "--out", str(out)]) == 0
+        reference = (REFERENCE_DIR / f"{name}.csv").read_text()
+        assert bench_check().compare_sweep_csv(out.read_text(), reference) == []
 
     def test_swap_bundle_runs(self, tmp_path):
         out = tmp_path / "fig5.csv"

@@ -83,11 +83,23 @@ class TestRateEkert:
 
 
 class TestPointStats:
-    def test_distance_and_loss_modes_agree(self):
+    @pytest.mark.parametrize(
+        "protocol, src",
+        [
+            ("bb84", IdealSingle()),
+            ("bb84", Poisson(0.1)),
+            ("ekert", IdealEpr()),
+            ("ekert", Pdc(0.2)),
+            ("ekert", SwapChain(1)),
+            ("ekert", SwapChain(2)),
+        ],
+        ids=["ideal-single", "poisson", "ideal-epr", "pdc", "swap1", "swap2"],
+    )
+    def test_distance_and_loss_modes_agree(self, protocol, src):
         p = ChannelParams(sigma=0.2, eta=0.18, receiver_loss_db=1.0, d=5e-5)
-        by_km = point_stats("ekert", IdealEpr(), p, 100.0, "distance")
-        by_db = point_stats("ekert", IdealEpr(), p, 0.2 * 100.0, "total-loss")
-        assert by_km.p_true == pytest.approx(by_db.p_true, rel=1e-12)
+        by_km = point_stats(protocol, src, p, 100.0, "distance")
+        by_db = point_stats(protocol, src, p, 0.2 * 100.0, "total-loss")
+        assert dataclasses.astuple(by_km) == pytest.approx(dataclasses.astuple(by_db), rel=1e-12)
 
     def test_bb84_spans_the_full_length(self):
         p = ChannelParams(sigma=0.2, eta=1.0)
@@ -150,6 +162,16 @@ class TestOptimizer:
         result = optimize_source_param("ekert", FIBER, 400.0)
         assert result.zero_rate
         assert result.rate == 0.0
+
+    @pytest.mark.parametrize("protocol, free", [("bb84", Poisson), ("ekert", Pdc)])
+    def test_point_rate_without_source_is_the_optimum(self, protocol, free):
+        opt = optimize_source_param(protocol, FIBER, 10.0)
+        assert opt.rate > 0.0
+        pt = point_rate(protocol, None, FIBER, 10.0)
+        assert pt.optimal_param == opt.param
+        assert pt == dataclasses.replace(
+            point_rate(protocol, free(opt.param), FIBER, 10.0), optimal_param=opt.param
+        )
 
 
 class TestCutoff:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "ChannelParams",
-    "ArmLoss",
     "fiber_transmission",
     "db_to_transmission",
     "arm_alpha",
@@ -53,19 +52,6 @@ class ChannelParams:
             raise ValueError("baseline error fraction must lie in [0, 0.5)")
 
 
-@dataclass(frozen=True)
-class ArmLoss:
-    """End-to-end single-photon detection probability over one arm."""
-
-    alpha: float
-
-    def __post_init__(self):
-        checked_transmission(self.alpha, "alpha")
-
-    def __float__(self) -> float:
-        return self.alpha
-
-
 def fiber_transmission(sigma: float, length: float) -> float:
     """Fiber transmission 10^(-sigma L / 10) over a length in km."""
     if length < 0:
@@ -100,7 +86,7 @@ def checked_transmission(value, name: str = "arm transmission") -> float:
     return a
 
 
-def arm_alpha(p: ChannelParams, length: float) -> ArmLoss:
+def arm_alpha(p: ChannelParams, length: float) -> float:
     """Detection probability for one photon sent down one arm of given length.
 
     Combines detector efficiency, the fixed receiver-unit loss, and fiber
@@ -111,7 +97,7 @@ def arm_alpha(p: ChannelParams, length: float) -> ArmLoss:
     return arm_alpha_from_loss_db(p, span_loss_db(p, length, "distance", 1))
 
 
-def arm_alpha_from_loss_db(p: ChannelParams, loss_db: float, receiver_loss_db=None) -> ArmLoss:
+def arm_alpha_from_loss_db(p: ChannelParams, loss_db: float, receiver_loss_db=None) -> float:
     """Arm detection probability for a channel quoted as total loss in dB.
 
     Used in free-space mode, where the abscissa is loss rather than distance.
@@ -121,7 +107,7 @@ def arm_alpha_from_loss_db(p: ChannelParams, loss_db: float, receiver_loss_db=No
     if loss_db < 0:
         raise ValueError(f"loss must be non-negative, got {loss_db}")
     rec = p.receiver_loss_db if receiver_loss_db is None else receiver_loss_db
-    return ArmLoss(p.eta * db_to_transmission(rec) * db_to_transmission(loss_db))
+    return checked_transmission(p.eta * db_to_transmission(rec) * db_to_transmission(loss_db))
 
 
 def dark_click_prob(d: float, detectors: int) -> float:

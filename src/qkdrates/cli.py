@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 from . import fockoracle, security
 from .channel import ChannelParams, dark_click_prob
@@ -29,9 +29,12 @@ from .sources import (
     ClickStats,
     SourceSpec,
     check_source,
+    json_value,
     parse_source,
     pdc_coefficients,
+    read_block,
     source_to_dict,
+    write_block,
 )
 
 __all__ = [
@@ -44,9 +47,6 @@ __all__ = [
     "VERIFY_SUITES",
     "main",
 ]
-
-_DEFAULT_N_TOT = 10**9
-_DEFAULT_CUTOFF_SEARCH = (1.0, 500.0)
 
 
 @dataclass(frozen=True)
@@ -76,54 +76,54 @@ class ConfigError(ValueError):
     """Raised for malformed configuration files."""
 
 
-_JSON_KINDS = {bool: "true or false", int: "an integer", dict: "a JSON object"}
+# Key tables, (JSON key, attribute, JSON kind, default) per row, read by
+# sources.read_block and written by sources.write_block; MISSING marks a
+# required key. A source's own parameters are read by parse_source.
+_CURVE_KEYS = (
+    ("label", "label", str, None),
+    ("protocol", "protocol", str, None),
+    ("source", "source", object, "optimize"),
+)
+# A single-curve config gives the curve keys at the top level.
+_CONFIG_KEYS = _CURVE_KEYS + (
+    ("curves", "curves", list, None),
+    ("channel", "channel", dict, {}),
+    ("point", "point", dict, None),
+    ("sweep", "sweep", dict, None),
+    ("security", "security", dict, {}),
+    ("cutoff", "cutoff", dict, {}),
+)
+_CHANNEL_KEYS = (
+    ("sigma_db_per_km", "sigma", float, ChannelParams.sigma),
+    ("detector_efficiency", "eta", float, ChannelParams.eta),
+    ("receiver_loss_db", "receiver_loss_db", float, ChannelParams.receiver_loss_db),
+    ("dark_count_prob", "d", float, ChannelParams.d),
+    ("baseline_error_fraction", "mu", float, ChannelParams.mu),
+    ("receiver_loss_per_arm", "receiver_loss_per_arm", bool, ChannelParams.receiver_loss_per_arm),
+)
+# n_tot_pulses sizes the key budget; it sits in the security block beside the margins.
+_SECURITY_KEYS = (
+    ("s_bits", "s", int, security.SecurityParams.s),
+    ("t_bits", "t", int, security.SecurityParams.t),
+    ("n_tot_pulses", "n_tot", int, 10**9),
+)
+_CUTOFF_KEYS = (
+    ("search_low_km", "low", float, 1.0),
+    ("search_high_km", "high", float, 500.0),
+)
+# A point gives its abscissa under the key of its mode.
+_POINT_KEYS = {
+    "distance": (("distance_km", "x", float, MISSING),),
+    "total-loss": (("total_loss_db", "x", float, MISSING),),
+}
 
 
-def _typed(block: dict, key: str, default, kind: type):
-    """block[key], or default if absent, checked to be of the JSON kind;
-    true and false do not count as integers."""
-    value = block.get(key, default)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigError(f"{key} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return value
-
-
-def _parse_channel(cfg: dict) -> ChannelParams:
-    try:
-        return ChannelParams(
-            sigma=float(cfg.get("sigma_db_per_km", 0.2)),
-            eta=float(cfg.get("detector_efficiency", 1.0)),
-            receiver_loss_db=float(cfg.get("receiver_loss_db", 0.0)),
-            d=float(cfg.get("dark_count_prob", 0.0)),
-            mu=float(cfg.get("baseline_error_fraction", 0.0)),
-            receiver_loss_per_arm=_typed(cfg, "receiver_loss_per_arm", True, bool),
-        )
-    except ValueError as err:
-        raise ConfigError(f"bad channel block: {err}") from err
-
-
-def _channel_dict(p: ChannelParams) -> dict:
-    out = {
-        "sigma_db_per_km": p.sigma,
-        "detector_efficiency": p.eta,
-        "receiver_loss_db": p.receiver_loss_db,
-        "dark_count_prob": p.d,
-        "baseline_error_fraction": p.mu,
-    }
-    if not p.receiver_loss_per_arm:
-        out["receiver_loss_per_arm"] = False
-    return out
-
-
-def _parse_curve_source(obj, protocol: str) -> SourceSpec | None:
-    if obj != "optimize" and (not isinstance(obj, dict) or "type" not in obj):
-        raise ConfigError(f"source must be 'optimize' or an object with 'type', got {obj!r}")
-    try:
-        src = None if obj == "optimize" else parse_source({**obj, "source": obj["type"]})
-        check_source(protocol, src)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    return src
+def _sweep_keys(mode: str) -> tuple:
+    """The sweep block's key table: the grid is in km in distance mode, in dB otherwise."""
+    unit = "km" if mode == "distance" else "db"
+    return (("mode", "mode", str, "distance"),) + tuple(
+        (f"{k}_{unit}", k, float, MISSING) for k in ("start", "stop", "step")
+    )
 
 
 def _curve_source_dict(src: SourceSpec | None):
@@ -139,128 +139,89 @@ def parse_config(raw: dict) -> RunConfig:
     Raises:
         ConfigError: On any structural problem.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    channel = _parse_channel(_typed(raw, "channel", {}, dict))
+    try:
+        return _parse_config(raw)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
-    if "curves" in raw:
-        curve_objs = raw["curves"]
-    elif "protocol" in raw:
-        curve_objs = [
-            {
-                "label": raw.get("label", raw["protocol"]),
-                "protocol": raw["protocol"],
-                "source": raw.get("source", "optimize"),
-            }
+
+def _parse_config(raw) -> RunConfig:
+    top = read_block(json_value(raw, dict, "config root"), _CONFIG_KEYS, "top-level")
+    if top["curves"] is not None:
+        curve_blocks = [
+            read_block(json_value(obj, dict, "curve"), _CURVE_KEYS, "curve")
+            for obj in top["curves"]
         ]
+    elif top["protocol"] is not None:
+        curve_blocks = [top]
     else:
-        raise ConfigError("config needs either 'curves' or a top-level 'protocol'")
-    if not curve_objs:
-        raise ConfigError("'curves' must not be empty")
+        raise ValueError("config needs either 'curves' or a top-level 'protocol'")
+    if not curve_blocks:
+        raise ValueError("'curves' must not be empty")
     curves = []
-    for obj in curve_objs:
-        if "protocol" not in obj:
-            raise ConfigError(f"curve missing 'protocol': {obj!r}")
-        curves.append(
-            CurveSpec(
-                label=str(obj.get("label", obj["protocol"])),
-                protocol=obj["protocol"],
-                source=_parse_curve_source(obj.get("source", "optimize"), obj["protocol"]),
-            )
-        )
+    for c in curve_blocks:
+        src = None
+        if c["source"] != "optimize":
+            spec = dict(json_value(c["source"], dict, "source"))
+            src = parse_source({"source": spec.pop("type", None), **spec})
+        check_source(c["protocol"], src)
+        label = c["protocol"] if c["label"] is None else c["label"]
+        curves.append(CurveSpec(label=label, protocol=c["protocol"], source=src))
     labels = [c.label for c in curves]
     if len(set(labels)) != len(labels):
-        raise ConfigError("curve labels must be unique")
+        raise ValueError("curve labels must be unique")
 
-    has_point = "point" in raw
-    has_sweep = "sweep" in raw
-    if has_point == has_sweep:
-        raise ConfigError("config needs exactly one of 'point' or 'sweep'")
-
-    if has_sweep:
-        sw = _typed(raw, "sweep", None, dict)
-        mode = sw.get("mode", "distance")
-        unit = "km" if mode == "distance" else "db"
-        try:
-            grid = tuple(float(sw[f"{k}_{unit}"]) for k in ("start", "stop", "step"))
-        except KeyError as err:
-            raise ConfigError(f"sweep block missing {err} for mode {mode!r}") from err
+    if (top["point"] is None) == (top["sweep"] is None):
+        raise ValueError("config needs exactly one of 'point' or 'sweep'")
+    if top["sweep"] is not None:
+        mode = json_value(top["sweep"].get("mode", "distance"), str, "mode")
+        sw = read_block(top["sweep"], _sweep_keys(mode), f"{mode} sweep")
+        grid = (sw["start"], sw["stop"], sw["step"])
         point = None
     else:
-        pt = _typed(raw, "point", None, dict)
-        if "distance_km" in pt:
-            mode, point = "distance", float(pt["distance_km"])
-        elif "total_loss_db" in pt:
-            mode, point = "total-loss", float(pt["total_loss_db"])
-        else:
-            raise ConfigError("point block needs 'distance_km' or 'total_loss_db'")
+        mode = "distance" if "distance_km" in top["point"] else "total-loss"
+        point = read_block(top["point"], _POINT_KEYS[mode], "point")["x"]
         grid = None
 
-    sec_cfg = _typed(raw, "security", {}, dict)
-    try:
-        sec = security.SecurityParams(
-            s=_typed(sec_cfg, "s_bits", 30, int), t=_typed(sec_cfg, "t_bits", 30, int)
-        )
-    except ValueError as err:
-        raise ConfigError(f"bad security block: {err}") from err
-    n_tot = _typed(sec_cfg, "n_tot_pulses", _DEFAULT_N_TOT, int)
+    margins = read_block(top["security"], _SECURITY_KEYS, "security")
+    n_tot = margins.pop("n_tot")
     if n_tot <= 0:
-        raise ConfigError("n_tot_pulses must be positive")
-
-    cut = _typed(raw, "cutoff", {}, dict)
-    cutoff_search = (
-        float(cut.get("search_low_km", _DEFAULT_CUTOFF_SEARCH[0])),
-        float(cut.get("search_high_km", _DEFAULT_CUTOFF_SEARCH[1])),
-    )
-
+        raise ValueError("n_tot_pulses must be positive")
+    cutoff = read_block(top["cutoff"], _CUTOFF_KEYS, "cutoff")
     config = RunConfig(
         curves=tuple(curves),
-        channel=channel,
+        channel=ChannelParams(**read_block(top["channel"], _CHANNEL_KEYS, "channel")),
         mode=mode,
         point=point,
         grid=grid,
-        security=sec,
+        security=security.SecurityParams(**margins),
         n_tot=n_tot,
-        cutoff_search=cutoff_search,
+        cutoff_search=(cutoff["low"], cutoff["high"]),
     )
     if config.grid is not None:
-        try:
-            _sweep_spec(config, config.curves[0])
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        _sweep_spec(config, config.curves[0])
     return config
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    """Serialize a RunConfig back to its canonical mapping."""
+    """Serialize a RunConfig back to its canonical mapping: every value that
+    differs from its default."""
     out: dict = {
-        "channel": _channel_dict(config.channel),
+        "channel": write_block(vars(config.channel), _CHANNEL_KEYS),
         "curves": [
             {"label": c.label, "protocol": c.protocol, "source": _curve_source_dict(c.source)}
             for c in config.curves
         ],
     }
     if config.grid is not None:
-        unit = "km" if config.mode == "distance" else "db"
         start, stop, step = config.grid
-        out["sweep"] = {
-            "mode": config.mode,
-            f"start_{unit}": start,
-            f"stop_{unit}": stop,
-            f"step_{unit}": step,
-        }
+        grid = {"mode": config.mode, "start": start, "stop": stop, "step": step}
+        out["sweep"] = write_block(grid, _sweep_keys(config.mode))
     else:
-        key = "distance_km" if config.mode == "distance" else "total_loss_db"
-        out["point"] = {key: config.point}
-    out["security"] = {
-        "s_bits": config.security.s,
-        "t_bits": config.security.t,
-        "n_tot_pulses": config.n_tot,
-    }
-    out["cutoff"] = {
-        "search_low_km": config.cutoff_search[0],
-        "search_high_km": config.cutoff_search[1],
-    }
+        out["point"] = write_block({"x": config.point}, _POINT_KEYS[config.mode])
+    out["security"] = write_block({**vars(config.security), "n_tot": config.n_tot}, _SECURITY_KEYS)
+    low, high = config.cutoff_search
+    out["cutoff"] = write_block({"low": low, "high": high}, _CUTOFF_KEYS)
     return out
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ArmLoss, checked_transmission
+from .channel import checked_transmission
 from .sources import PdcCoefficients
 
 __all__ = [
@@ -183,7 +183,7 @@ def _sector_basis(i: int, j: int) -> tuple:
     )
 
 
-def apply_loss_and_trace(state: FockVector, alpha: ArmLoss | float) -> list:
+def apply_loss_and_trace(state: FockVector, alpha: float) -> list:
     """Push the state through equal per-arm loss and trace the loss modes.
 
     Every signal mode passes a beamsplitter of transmission alpha; the
@@ -343,7 +343,7 @@ def _outcome_probabilities(groups: dict, dephase: bool) -> np.ndarray:
     return probs
 
 
-def dephasing_invariance_check(state: FockVector, alpha: ArmLoss | float) -> float:
+def dephasing_invariance_check(state: FockVector, alpha: float) -> float:
     """Largest detection-statistics shift caused by sector dephasing.
 
     Computes the joint distribution over both receivers' outcome classes

@@ -13,7 +13,7 @@ from .ratecore import (
     EcBenchmarkTable,
     binary_entropy,
     ec_efficiency,
-    tau,
+    tau,  # unused here; bench/tests checks that tracing wraps this binding
     tau_multiphoton,
 )
 from .sources import (
@@ -34,6 +34,7 @@ from .sources import (
 __all__ = [
     "PROTOCOLS",
     "SWEEP_MODES",
+    "MAX_SWEEP_ROWS",
     "RatePoint",
     "SweepSpec",
     "OptimizeResult",
@@ -47,6 +48,10 @@ __all__ = [
 ]
 
 SWEEP_MODES = ("distance", "total-loss")
+
+# Bound on the rows of one sweep curve, so that a grid cannot allocate without
+# limit; the largest grid of any shipped config or benchmark workload has 300.
+MAX_SWEEP_ROWS = 100_000
 
 NBAR_BOX = (1e-4, 2.0)
 CHI_BOX = (1e-3, 1.5)
@@ -103,10 +108,14 @@ class SweepSpec:
         check_source(self.protocol, self.source)
         if self.mode not in SWEEP_MODES:
             raise ValueError(f"unknown sweep mode {self.mode!r}; expected one of {SWEEP_MODES}")
+        if not all(math.isfinite(v) for v in (self.start, self.stop, self.step)):
+            raise ValueError("sweep start, stop and step must be finite")
         if not self.start < self.stop:
             raise ValueError("sweep start must be below stop")
         if self.step <= 0:
             raise ValueError("sweep step must be positive")
+        if not (self.stop - self.start) / self.step + 1e-9 < MAX_SWEEP_ROWS:
+            raise ValueError(f"sweep grid exceeds {MAX_SWEEP_ROWS} rows")
 
     def grid(self) -> list[float]:
         count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
@@ -121,6 +130,16 @@ class OptimizeResult(NamedTuple):
     zero_rate: bool = False
 
 
+def _key_rate(p_sift: float, e: float, beta: float, table: EcBenchmarkTable, clamp: bool) -> float:
+    """The key-rate formula of rate_bb84; rate_ekert is its beta = 1 case."""
+    if beta <= 0.0 or e >= 0.5 * beta:
+        return 0.0
+    raw = 0.5 * p_sift * (tau_multiphoton(e, beta) - ec_efficiency(e, table) * binary_entropy(e))
+    if clamp and raw < 0.0:
+        return 0.0
+    return raw
+
+
 def rate_bb84(
     stats: ClickStats, table: EcBenchmarkTable = DEFAULT_EC_TABLE, clamp: bool = True
 ) -> float:
@@ -132,14 +151,7 @@ def rate_bb84(
     fraction has consumed the secure margin); otherwise negative values are
     clamped to 0 unless clamp is false.
     """
-    if stats.beta <= 0.0 or stats.e >= 0.5 * stats.beta:
-        return 0.0
-    secure = tau_multiphoton(stats.e, stats.beta)
-    ec = ec_efficiency(stats.e, table) * binary_entropy(stats.e)
-    raw = 0.5 * stats.p_click * (secure - ec)
-    if clamp and raw < 0.0:
-        return 0.0
-    return raw
+    return _key_rate(stats.p_click, stats.e, stats.beta, table, clamp)
 
 
 def rate_ekert(
@@ -147,16 +159,12 @@ def rate_ekert(
 ) -> float:
     """Secret bits per clock pulse for a two-receiver coincidence protocol.
 
-    R = (p_coin / 2) * (tau(e) - f(e) * h(e)). No beta factor appears:
-    splitting a pair destroys the coincidence, so multi-photon emissions
-    carry no analog of the splitting attack.
+    R = (p_coin / 2) * (tau(e) - f(e) * h(e)), the one-way formula at
+    beta = 1. No beta factor appears: splitting a pair destroys the
+    coincidence, so multi-photon emissions carry no analog of the splitting
+    attack.
     """
-    if stats.e >= 0.5:
-        return 0.0
-    raw = 0.5 * stats.p_coin * (tau(stats.e) - ec_efficiency(stats.e, table) * binary_entropy(stats.e))
-    if clamp and raw < 0.0:
-        return 0.0
-    return raw
+    return _key_rate(stats.p_coin, stats.e, 1.0, table, clamp)
 
 
 def point_stats(

@@ -9,10 +9,11 @@ sources.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+import typing
+from dataclasses import MISSING, dataclass, fields
 
 from .channel import (
-    ArmLoss,
     ChannelParams,
     checked_transmission,
     dark_click_prob,
@@ -30,6 +31,9 @@ __all__ = [
     "Pdc",
     "SwapChain",
     "SourceSpec",
+    "json_value",
+    "read_block",
+    "write_block",
     "parse_source",
     "source_to_dict",
     "check_source",
@@ -127,27 +131,66 @@ _PROTOCOL_SOURCES = {"bb84": (IdealSingle, Poisson), "ekert": (IdealEpr, Pdc, Sw
 PROTOCOLS = tuple(_PROTOCOL_SOURCES)
 
 
+_JSON_KINDS = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a finite number",
+    str: "a string",
+    dict: "a JSON object",
+    list: "an array",
+}
+
+
+def json_value(value, kind: type, name: str):
+    """The value if it is of the JSON kind, a number as a float for a float
+    kind. true and false are neither integers nor numbers, and a number must
+    be finite as a float: NaN, Infinity and larger integers are rejected."""
+    if kind in (int, float):
+        number = isinstance(value, (int, kind)) and not isinstance(value, bool)
+        if number and abs(value) <= sys.float_info.max:
+            return float(value) if kind is float else value
+    elif isinstance(value, kind):
+        return value
+    raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
+
+
+def read_block(block: dict, table: tuple, where: str) -> dict:
+    """{attribute: value} of a config block read through its key table; a key
+    the table does not list, or an absent required key, is an error."""
+    unknown = sorted(set(block) - {key for key, _, _, _ in table})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {unknown}")
+    out = {}
+    for key, attr, kind, default in table:
+        if key in block:
+            out[attr] = json_value(block[key], kind, key)
+        elif default is MISSING:
+            raise ValueError(f"{where} requires {key!r}")
+        else:
+            out[attr] = default
+    return out
+
+
+def write_block(values: dict, table: tuple) -> dict:
+    """The config block of {attribute: value}: every value that differs
+    from its row's default, under its JSON key."""
+    return {key: values[attr] for key, attr, _, default in table if values[attr] != default}
+
+
+# A source's config keys are its dataclass fields.
+_SOURCE_KEYS = {
+    tag: tuple((f.name, f.name, typing.get_type_hints(cls)[f.name], f.default) for f in fields(cls))
+    for tag, cls in _SOURCE_TAGS.items()
+}
+
+
 def parse_source(cfg: dict) -> SourceSpec:
     """Build a source spec from a config mapping with a ``source`` tag."""
     tag = cfg.get("source")
-    if tag not in _SOURCE_TAGS:
+    if not isinstance(tag, str) or tag not in _SOURCE_TAGS:
         raise ValueError(f"unknown source tag {tag!r}; expected one of {sorted(_SOURCE_TAGS)}")
-    if tag == "poisson":
-        if "nbar" not in cfg:
-            raise ValueError("poisson source requires 'nbar'")
-        return Poisson(float(cfg["nbar"]))
-    if tag == "pdc":
-        if "chi" not in cfg:
-            raise ValueError("pdc source requires 'chi'")
-        return Pdc(float(cfg["chi"]))
-    if tag == "swap":
-        if "n_swaps" not in cfg:
-            raise ValueError("swap source requires 'n_swaps'")
-        literal = cfg.get("literal_exponent", False)
-        if not isinstance(literal, bool):
-            raise ValueError(f"literal_exponent must be true or false, got {literal!r}")
-        return SwapChain(int(cfg["n_swaps"]), literal)
-    return _SOURCE_TAGS[tag]()
+    params = {key: value for key, value in cfg.items() if key != "source"}
+    return _SOURCE_TAGS[tag](**read_block(params, _SOURCE_KEYS[tag], f"{tag} source"))
 
 
 def check_source(protocol: str, src: SourceSpec | None) -> None:
@@ -161,16 +204,7 @@ def check_source(protocol: str, src: SourceSpec | None) -> None:
 
 def source_to_dict(src: SourceSpec) -> dict:
     """Serialize a source spec back to its config mapping."""
-    out = {"source": src.tag}
-    if isinstance(src, Poisson):
-        out["nbar"] = src.nbar
-    elif isinstance(src, Pdc):
-        out["chi"] = src.chi
-    elif isinstance(src, SwapChain):
-        out["n_swaps"] = src.n_swaps
-        if src.literal_exponent:
-            out["literal_exponent"] = True
-    return out
+    return {"source": src.tag, **write_block(vars(src), _SOURCE_KEYS[src.tag])}
 
 
 @dataclass(frozen=True)
@@ -260,7 +294,7 @@ def _coincidence_stats(p_true: float, p_false: float, p: ChannelParams) -> Coinc
     return CoincidenceStats(p_true=p_true, p_false=p_false, e=_sifted_error(p_true, p_false, p.mu))
 
 
-def bb84_stats(src: SourceSpec, alpha: ArmLoss | float, p: ChannelParams) -> ClickStats:
+def bb84_stats(src: SourceSpec, alpha: float, p: ChannelParams) -> ClickStats:
     """Click statistics for a one-way protocol with a four-detector receiver.
 
     Args:
@@ -287,7 +321,7 @@ def bb84_stats(src: SourceSpec, alpha: ArmLoss | float, p: ChannelParams) -> Cli
     return ClickStats(p_click=p_click, e=e, beta=beta)
 
 
-def ekert_ideal_stats(alpha_half: ArmLoss | float, p: ChannelParams) -> CoincidenceStats:
+def ekert_ideal_stats(alpha_half: float, p: ChannelParams) -> CoincidenceStats:
     """Coincidence statistics for an ideal pair source midway between arms.
 
     Each photon of the pair reaches its receiver with probability alpha_half
@@ -299,7 +333,7 @@ def ekert_ideal_stats(alpha_half: ArmLoss | float, p: ChannelParams) -> Coincide
     return _coincidence_stats(a * a, 8.0 * a * d + 16.0 * d * d, p)
 
 
-def pdc_coefficients(chi: float, alpha_half: ArmLoss | float) -> PdcCoefficients:
+def pdc_coefficients(chi: float, alpha_half: float) -> PdcCoefficients:
     """Closed-form component weights of the lossy down-conversion state.
 
     With z = tanh^2(chi) (1 - alpha)^2 the weights are geometric-series sums
@@ -324,7 +358,7 @@ def pdc_coefficients(chi: float, alpha_half: ArmLoss | float) -> PdcCoefficients
     return PdcCoefficients(A=A, B=B, C=C, D=D)
 
 
-def pdc_stats(chi: float, alpha_half: ArmLoss | float, p: ChannelParams) -> CoincidenceStats:
+def pdc_stats(chi: float, alpha_half: float, p: ChannelParams) -> CoincidenceStats:
     """Coincidence statistics for a down-conversion source midway between arms.
 
     True coincidences come from the shared-pair component A; accidental

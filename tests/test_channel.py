@@ -5,10 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qkdrates.channel import (
-    ArmLoss,
     ChannelParams,
     arm_alpha,
     arm_alpha_from_loss_db,
+    checked_transmission,
     dark_click_prob,
     db_to_transmission,
     fiber_transmission,
@@ -59,10 +59,10 @@ class TestArmAlpha:
 
     def test_arm_loss_is_probability(self):
         with pytest.raises(ValueError):
-            ArmLoss(1.5)
+            checked_transmission(1.5)
         with pytest.raises(ValueError):
-            ArmLoss(-0.1)
-        assert float(ArmLoss(0.25)) == 0.25
+            checked_transmission(-0.1)
+        assert checked_transmission(0.25) == 0.25
 
 
 class TestDarkClicks:

@@ -23,6 +23,7 @@ BASE_CHANNEL = {
     "dark_count_prob": 5e-05,
     "baseline_error_fraction": 0.01,
 }
+SIGMA_FREE_CHANNEL = {k: v for k, v in BASE_CHANNEL.items() if k != "sigma_db_per_km"}
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -119,6 +120,17 @@ class TestConfigParsing:
             {"security": "strict"},
             {"cutoff": [1.0, 400.0]},
             {"point": 100.0},
+            {"point": {"distance_km": float("nan")}},
+            {"channel": {**BASE_CHANNEL, "sigma_db_per_km": "0.2"}},
+            {"channel": {**BASE_CHANNEL, "sigma_db_per_km": 10**400}},
+            {"cutoff": {"search_high_km": float("nan")}},
+            {"source": {"type": "swap", "n_swaps": 1.9}},
+            {"protocol": "bb84", "source": {"type": "poisson", "nbar": "0.1"}},
+            {"curves": 5},
+            {"curves": [5]},
+            {"label": [1]},
+            {"channel": {**SIGMA_FREE_CHANNEL, "sigma_db_per_kn": 0.3}},
+            {"cutof": {"search_high_km": 400.0}},
         ],
         ids=[
             "receiver_loss_per_arm-string",
@@ -131,6 +143,17 @@ class TestConfigParsing:
             "security-string",
             "cutoff-list",
             "point-number",
+            "distance_km-nan",
+            "sigma_db_per_km-string",
+            "sigma_db_per_km-400-digits",
+            "search_high_km-nan",
+            "n_swaps-float",
+            "nbar-string",
+            "curves-number",
+            "curves-number-entry",
+            "label-list",
+            "channel-misspelt-key",
+            "unknown-top-level-key",
         ],
     )
     def test_mistyped_values_exit_2(self, tmp_path, capsys, override):
@@ -142,7 +165,7 @@ class TestConfigParsing:
             **override,
         }
         assert main(["rate", "--config", write_config(tmp_path, cfg)]) == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_mistyped_sweep_block_exits_2(self, tmp_path, capsys):
         cfg = {"protocol": "ekert", "channel": BASE_CHANNEL, "sweep": [0.0, 10.0, 5.0]}
@@ -288,6 +311,26 @@ class TestSweepCommand:
         out = tmp_path / "curve.csv"
         assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
         assert "does not serve protocol 'bb84'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"start_km": 0, "stop_km": 1e300, "step_km": 1e-300},
+            {"start_km": 0, "stop_km": 100_000, "step_km": 1},
+        ],
+        ids=["overflowing", "over-cap"],
+    )
+    def test_unbounded_grid_exits_2(self, tmp_path, capsys, grid):
+        cfg = {
+            "protocol": "ekert",
+            "source": {"type": "ideal-epr"},
+            "channel": BASE_CHANNEL,
+            "sweep": {"mode": "distance", **grid},
+        }
+        out = tmp_path / "curve.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["fig3a_fiber", "fig3b_freespace", "fig5_swaps"])

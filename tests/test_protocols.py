@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qkdrates.channel import ChannelParams
 from qkdrates.protocols import (
+    MAX_SWEEP_ROWS,
     RatePoint,
     SweepSpec,
     cutoff_distance,
@@ -244,6 +245,22 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(
                 protocol="e91", params=FIBER, source=None, start=0.0, stop=5.0, step=1.0
+            )
+
+    @pytest.mark.parametrize(
+        "start, stop, step",
+        [
+            (0.0, 1e300, 1e-300),
+            (0.0, float(MAX_SWEEP_ROWS), 1.0),
+            (0.0, 5.0, math.inf),
+            (0.0, math.inf, 1.0),
+        ],
+        ids=["overflowing", "over-cap", "infinite-step", "infinite-stop"],
+    )
+    def test_unbounded_grid_rejected(self, start, stop, step):
+        with pytest.raises(ValueError):
+            SweepSpec(
+                protocol="ekert", params=FIBER, source=None, start=start, stop=stop, step=step
             )
 
     def test_rate_point_rejects_negative_clamped_rate(self):

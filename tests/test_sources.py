@@ -210,9 +210,34 @@ class TestSourceParsing:
             parse_source({"source": "laser"})
 
     def test_missing_parameter(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="poisson source requires 'nbar'"):
             parse_source({"source": "poisson"})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pdc source requires 'chi'"):
             parse_source({"source": "pdc"})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="swap source requires 'n_swaps'"):
             parse_source({"source": "swap"})
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"source": "poisson", "nbar": "0.1"},
+            {"source": "pdc", "chi": "0.2"},
+            {"source": "swap", "n_swaps": "2"},
+            {"source": "swap", "n_swaps": 1.9},
+            {"source": "swap", "n_swaps": 2.0},
+            {"source": "poisson", "nbar": float("nan")},
+            {"source": "pdc", "chi": 0.2, "nbar": 0.1},
+        ],
+        ids=[
+            "nbar-string",
+            "chi-string",
+            "n_swaps-string",
+            "n_swaps-fraction",
+            "n_swaps-float",
+            "nbar-nan",
+            "unknown-key",
+        ],
+    )
+    def test_mistyped_parameter(self, cfg):
+        with pytest.raises(ValueError):
+            parse_source(cfg)

@@ -148,6 +148,9 @@ def parse_config(raw: dict) -> RunConfig:
 def _parse_config(raw) -> RunConfig:
     top = read_block(json_value(raw, dict, "config root"), _CONFIG_KEYS, "top-level")
     if top["curves"] is not None:
+        stray = sorted(set(raw) & {key for key, _, _, _ in _CURVE_KEYS})
+        if stray:
+            raise ValueError(f"top-level {stray} cannot be given beside 'curves'")
         curve_blocks = [
             read_block(json_value(obj, dict, "curve"), _CURVE_KEYS, "curve")
             for obj in top["curves"]
@@ -181,6 +184,8 @@ def _parse_config(raw) -> RunConfig:
     else:
         mode = "distance" if "distance_km" in top["point"] else "total-loss"
         point = read_block(top["point"], _POINT_KEYS[mode], "point")["x"]
+        if point < 0:
+            raise ValueError("point abscissa must be non-negative")
         grid = None
 
     margins = read_block(top["security"], _SECURITY_KEYS, "security")

@@ -40,6 +40,10 @@ RESOURCE_CAP = 8
 
 _HALF_SQRT2 = 1.0 / math.sqrt(2.0)
 
+# extract_pdc_coefficients' tolerances on the one-photon sectors and on the (1, 1) fit.
+_PAIR_TOL = 1e-12
+_RESIDUAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FockVector:
@@ -112,7 +116,7 @@ def truncation_tail(chi: float, n_max: int) -> float:
     return q ** (n_max + 1) * ((n_max + 2) - (n_max + 1) * q)
 
 
-def build_pdc_state(chi: float, n_max: int, cap: int = RESOURCE_CAP) -> FockVector:
+def build_pdc_state(chi: float, n_max: int) -> FockVector:
     """Pair state truncated at n_max total pairs.
 
     The exact state is exp[tanh(chi) (a_x+ b_y+ + a_y+ b_x+)] |0> / cosh^2(chi),
@@ -121,15 +125,14 @@ def build_pdc_state(chi: float, n_max: int, cap: int = RESOURCE_CAP) -> FockVect
 
     Args:
         chi: Pump parameter, positive.
-        n_max: Pair-count truncation, at least 1.
-        cap: Resource guard; n_max beyond it raises.
+        n_max: Pair-count truncation, 1..RESOURCE_CAP; beyond the cap raises.
     """
     if chi <= 0:
         raise ValueError("pump parameter must be positive")
     if n_max < 1:
         raise ValueError("need at least one pair")
-    if n_max > cap:
-        raise ValueError(f"n_max={n_max} exceeds the resource cap {cap}")
+    if n_max > RESOURCE_CAP:
+        raise ValueError(f"n_max={n_max} exceeds the resource cap {RESOURCE_CAP}")
     pref = 1.0 / math.cosh(chi) ** 2
     t = math.tanh(chi)
     amps = {}
@@ -223,16 +226,14 @@ def sector_weights(sectors: list) -> dict:
     return {(s.i, s.j): s.weight for s in sectors}
 
 
-def extract_pdc_coefficients(
-    sectors: list, pair_tol: float = 1e-12, residual_tol: float = 1e-10
-) -> PdcCoefficients:
+def extract_pdc_coefficients(sectors: list) -> PdcCoefficients:
     """Read the closed-form coefficients off brute-force sector densities.
 
     B is the vacuum-sector weight and C the one-photon-sector weight, after
     checking that the (1, 0) and (0, 1) sectors agree and are unpolarized.
     The (1, 1) sector must decompose as A |psi+><psi+| + D I/4; A is
     recovered from the psi+ overlap and the residual of the decomposition is
-    required to vanish within residual_tol.
+    required to vanish within 1e-10.
 
     Raises:
         ValueError: If any structural check fails, which would falsify the
@@ -243,18 +244,18 @@ def extract_pdc_coefficients(
 
     w10 = by_sector[(1, 0)].weight if (1, 0) in by_sector else 0.0
     w01 = by_sector[(0, 1)].weight if (0, 1) in by_sector else 0.0
-    if abs(w10 - w01) > pair_tol:
+    if abs(w10 - w01) > _PAIR_TOL:
         raise ValueError(f"one-photon sectors disagree: {w10} vs {w01}")
     for sector in ((1, 0), (0, 1)):
         if sector in by_sector:
             m = by_sector[sector].matrix
-            if np.max(np.abs(m - 0.5 * np.trace(m).real * np.eye(2))) > pair_tol:
+            if np.max(np.abs(m - 0.5 * np.trace(m).real * np.eye(2))) > _PAIR_TOL:
                 raise ValueError(f"sector {sector} is not unpolarized")
     C = w10
 
     if (1, 1) in by_sector:
         A, D, residual = _fit_pair_sector(by_sector[(1, 1)].matrix)
-        if residual > residual_tol:
+        if residual > _RESIDUAL_TOL:
             raise ValueError(f"(1, 1) sector is not A psi+ + D I/4: residual {residual}")
     else:
         A = D = 0.0

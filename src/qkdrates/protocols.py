@@ -4,13 +4,17 @@ optimization, cutoff-distance search, and sweep curve generation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .channel import ChannelParams, receiver_arm_loss_db, span_loss_db
+from .channel import (
+    ChannelParams,
+    arm_alpha_from_loss_db,
+    db_to_transmission,
+    receiver_arm_loss_db,
+    span_loss_db,
+)
 from .ratecore import (
-    DEFAULT_EC_TABLE,
-    EcBenchmarkTable,
     binary_entropy,
     ec_efficiency,
     tau,  # unused here; bench/tests checks that tracing wraps this binding
@@ -59,6 +63,7 @@ CHI_BOX = (1e-3, 1.5)
 _COARSE_POINTS = 64
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REL_TOL = 1e-4
+_CUTOFF_RESOLUTION_KM = 0.5
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,6 @@ class SweepSpec:
     stop: float
     step: float
     mode: str = "distance"
-    table: EcBenchmarkTable = field(default=DEFAULT_EC_TABLE)
 
     def __post_init__(self):
         check_source(self.protocol, self.source)
@@ -110,6 +114,8 @@ class SweepSpec:
             raise ValueError(f"unknown sweep mode {self.mode!r}; expected one of {SWEEP_MODES}")
         if not all(math.isfinite(v) for v in (self.start, self.stop, self.step)):
             raise ValueError("sweep start, stop and step must be finite")
+        if self.start < 0:
+            raise ValueError("sweep start must be non-negative")
         if not self.start < self.stop:
             raise ValueError("sweep start must be below stop")
         if self.step <= 0:
@@ -130,19 +136,17 @@ class OptimizeResult(NamedTuple):
     zero_rate: bool = False
 
 
-def _key_rate(p_sift: float, e: float, beta: float, table: EcBenchmarkTable, clamp: bool) -> float:
+def _key_rate(p_sift: float, e: float, beta: float, clamp: bool) -> float:
     """The key-rate formula of rate_bb84; rate_ekert is its beta = 1 case."""
     if beta <= 0.0 or e >= 0.5 * beta:
         return 0.0
-    raw = 0.5 * p_sift * (tau_multiphoton(e, beta) - ec_efficiency(e, table) * binary_entropy(e))
+    raw = 0.5 * p_sift * (tau_multiphoton(e, beta) - ec_efficiency(e) * binary_entropy(e))
     if clamp and raw < 0.0:
         return 0.0
     return raw
 
 
-def rate_bb84(
-    stats: ClickStats, table: EcBenchmarkTable = DEFAULT_EC_TABLE, clamp: bool = True
-) -> float:
+def rate_bb84(stats: ClickStats, clamp: bool = True) -> float:
     """Secret bits per clock pulse for a one-way single-receiver protocol.
 
     R = (p_click / 2) * (beta * tau(e / beta) - f(e) * h(e)), where the
@@ -151,12 +155,10 @@ def rate_bb84(
     fraction has consumed the secure margin); otherwise negative values are
     clamped to 0 unless clamp is false.
     """
-    return _key_rate(stats.p_click, stats.e, stats.beta, table, clamp)
+    return _key_rate(stats.p_click, stats.e, stats.beta, clamp)
 
 
-def rate_ekert(
-    stats: CoincidenceStats, table: EcBenchmarkTable = DEFAULT_EC_TABLE, clamp: bool = True
-) -> float:
+def rate_ekert(stats: CoincidenceStats, clamp: bool = True) -> float:
     """Secret bits per clock pulse for a two-receiver coincidence protocol.
 
     R = (p_coin / 2) * (tau(e) - f(e) * h(e)), the one-way formula at
@@ -164,7 +166,7 @@ def rate_ekert(
     coincidence, so multi-photon emissions carry no analog of the splitting
     attack.
     """
-    return _key_rate(stats.p_coin, stats.e, 1.0, table, clamp)
+    return _key_rate(stats.p_coin, stats.e, 1.0, clamp)
 
 
 def point_stats(
@@ -183,10 +185,10 @@ def point_stats(
         raise ValueError("abscissa must be non-negative")
     if isinstance(src, SwapChain):
         segment_db = span_loss_db(p, abscissa, mode, src.segments)
-        return swap_stats_from_segment(src, 10.0 ** (-segment_db / 10.0), p)
+        return swap_stats_from_segment(src, db_to_transmission(segment_db), p)
     arms = 1 if protocol == "bb84" else 2
     loss_db = span_loss_db(p, abscissa, mode, arms)
-    alpha = p.eta * 10.0 ** (-receiver_arm_loss_db(p, arms) / 10.0) * 10.0 ** (-loss_db / 10.0)
+    alpha = arm_alpha_from_loss_db(p, loss_db, receiver_arm_loss_db(p, arms))
     if protocol == "bb84":
         return bb84_stats(src, alpha, p)
     if isinstance(src, Pdc):
@@ -200,23 +202,24 @@ def point_rate(
     p: ChannelParams,
     abscissa: float,
     mode: str = "distance",
-    table: EcBenchmarkTable = DEFAULT_EC_TABLE,
 ) -> RatePoint:
     """Evaluate one curve point for a fixed source, or with src None at the
     optimized free source, whose parameter it carries as optimal_param (the
-    box midpoint where no parameter gives a positive rate)."""
+    box midpoint where no parameter gives a positive rate). A point whose
+    statistics cannot be computed, or overflow, is a zero-rate point whose
+    note is the error."""
     if src is None:
-        opt = optimize_source_param(protocol, p, abscissa, mode, table)
-        best = point_rate(protocol, _free_source(protocol, opt.param), p, abscissa, mode, table)
+        opt = optimize_source_param(protocol, p, abscissa, mode)
+        best = point_rate(protocol, _free_source(protocol, opt.param), p, abscissa, mode)
         return replace(best, optimal_param=opt.param)
     try:
         stats = point_stats(protocol, src, p, abscissa, mode)
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         return RatePoint(abscissa=abscissa, rate=0.0, rate_raw=0.0, note=str(err))
     if protocol == "bb84":
-        raw = rate_bb84(stats, table, clamp=False)
+        raw = rate_bb84(stats, clamp=False)
     else:
-        raw = rate_ekert(stats, table, clamp=False)
+        raw = rate_ekert(stats, clamp=False)
     return RatePoint(abscissa=abscissa, rate=max(0.0, raw), rate_raw=raw, stats=stats)
 
 
@@ -229,7 +232,6 @@ def optimize_source_param(
     p: ChannelParams,
     abscissa: float,
     mode: str = "distance",
-    table: EcBenchmarkTable = DEFAULT_EC_TABLE,
 ) -> OptimizeResult:
     """Maximize the clamped rate over the free source parameter.
 
@@ -243,7 +245,7 @@ def optimize_source_param(
     lo, hi = NBAR_BOX if protocol == "bb84" else CHI_BOX
 
     def objective(param: float) -> float:
-        return point_rate(protocol, _free_source(protocol, param), p, abscissa, mode, table).rate
+        return point_rate(protocol, _free_source(protocol, param), p, abscissa, mode).rate
 
     log_lo, log_hi = math.log(lo), math.log(hi)
     grid = [math.exp(log_lo + i * (log_hi - log_lo) / (_COARSE_POINTS - 1)) for i in range(_COARSE_POINTS)]
@@ -277,10 +279,9 @@ def cutoff_distance(
     p: ChannelParams,
     search: tuple[float, float],
     src: SourceSpec | None = None,
-    table: EcBenchmarkTable = DEFAULT_EC_TABLE,
-    resolution: float = 0.5,
 ) -> float:
-    """Largest distance with positive optimized rate, by bisection.
+    """Largest distance with positive optimized rate, by bisection down to a
+    bracket of 0.5 km.
 
     Args:
         protocol: Protocol tag.
@@ -288,8 +289,6 @@ def cutoff_distance(
         search: (low, high) bracket in km; the rate must be positive at low
             and zero at high.
         src: Fixed source, or None to optimize the free parameter per point.
-        table: Error-correction benchmark table.
-        resolution: Bracket width at which bisection stops, in km.
 
     Returns:
         The positive-rate end of the final bracket.
@@ -298,8 +297,8 @@ def cutoff_distance(
         if src is None:
             # The optimizer's own rate, 0 on zero_rate; point_rate(None)
             # would re-evaluate the box midpoint instead.
-            return optimize_source_param(protocol, p, km, "distance", table).rate
-        return point_rate(protocol, src, p, km, "distance", table).rate
+            return optimize_source_param(protocol, p, km, "distance").rate
+        return point_rate(protocol, src, p, km, "distance").rate
 
     lo, hi = search
     if not 0 <= lo < hi:
@@ -308,7 +307,7 @@ def cutoff_distance(
         raise ValueError(f"rate is zero at the lower search edge {lo} km; no cutoff to bracket")
     if rate_at(hi) > 0.0:
         raise ValueError(f"rate is still positive at the upper search edge {hi} km; widen the bracket")
-    while hi - lo > resolution:
+    while hi - lo > _CUTOFF_RESOLUTION_KM:
         mid = 0.5 * (lo + hi)
         if rate_at(mid) > 0.0:
             lo = mid
@@ -325,6 +324,5 @@ def sweep(spec: SweepSpec) -> list[RatePoint]:
     the sweep.
     """
     return [
-        point_rate(spec.protocol, spec.source, spec.params, x, spec.mode, spec.table)
-        for x in spec.grid()
+        point_rate(spec.protocol, spec.source, spec.params, x, spec.mode) for x in spec.grid()
     ]

@@ -7,7 +7,6 @@ fraction tau derived from it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -72,17 +71,6 @@ class EcBenchmarkTable:
         if any(f < 1.0 for _, f in self.entries):
             raise ValueError("efficiency must be >= 1 everywhere")
 
-    @classmethod
-    def from_csv(cls, path) -> "EcBenchmarkTable":
-        """Load a table from a two-column CSV file with header ``e,f``."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["e", "f"]:
-                raise ValueError("expected CSV header 'e,f'")
-            entries = tuple((float(row[0]), float(row[1])) for row in reader if row)
-        return cls(entries)
-
     def efficiency(self, e: float) -> float:
         """Interpolated f(e), clamped to the endpoints outside the table."""
         entries = self.entries
@@ -117,19 +105,19 @@ def binary_entropy(e: float) -> float:
     return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
 
 
-def ec_efficiency(e: float, table: EcBenchmarkTable = DEFAULT_EC_TABLE) -> float:
-    """Error-correction efficiency f(e) from a benchmark table.
+def ec_efficiency(e: float) -> float:
+    """Error-correction efficiency f(e) from the embedded benchmark table.
 
     Args:
         e: Error fraction in [0, 0.5).
-        table: Benchmark table; defaults to the embedded four-point table.
 
     Returns:
-        Piecewise-linear interpolation of f over the table, endpoint-clamped.
+        Piecewise-linear interpolation of f over DEFAULT_EC_TABLE,
+        endpoint-clamped.
     """
     if e < 0.0 or e >= 0.5:
         raise ValueError(f"error fraction must lie in [0, 0.5), got {e}")
-    return table.efficiency(e)
+    return DEFAULT_EC_TABLE.efficiency(e)
 
 
 def disturbance(rec: DisturbanceRecord) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ratecore import DEFAULT_EC_TABLE, EcBenchmarkTable, binary_entropy, ec_efficiency, tau
+from .ratecore import binary_entropy, ec_efficiency, tau
 
 __all__ = [
     "SecurityParams",
@@ -93,13 +93,13 @@ class AttackParams:
             raise ValueError("probe norms cannot both vanish")
 
 
-def ec_leak_bits(n_rec: int, e: float, table: EcBenchmarkTable = DEFAULT_EC_TABLE) -> int:
+def ec_leak_bits(n_rec: int, e: float) -> int:
     """Bits leaked by error correction: ceil(f(e) * n_rec * h(e))."""
     if n_rec < 0:
         raise ValueError("reconciled key length must be non-negative")
     if e == 0.0 or n_rec == 0:
         return 0
-    return math.ceil(ec_efficiency(e, table) * n_rec * binary_entropy(e))
+    return math.ceil(ec_efficiency(e) * n_rec * binary_entropy(e))
 
 
 def final_key_length(n_rec: int, eps: float, kappa: int, sec: SecurityParams) -> KeyBudget:
@@ -258,24 +258,19 @@ def _toeplitz_matrices(n: int, r: int, seeds: np.ndarray) -> np.ndarray:
     return seeds[:, (n - 1) + rows - cols]
 
 
-def pa_entropy_bound_check(
-    n: int, per_bit_pc: float, r: int, sample_seeds: int = 10_000, rng_seed: int = 0
-) -> tuple[float, float, bool]:
+def pa_entropy_bound_check(n: int, per_bit_pc: float, r: int) -> tuple[float, float, bool]:
     """Check the hashed-key entropy bound H(K|G) >= r - 2^r pc^n / ln 2.
 
     Builds the i.i.d. input distribution whose single-bit collision
     probability is per_bit_pc, hashes all n-bit inputs through the family of
-    binary Toeplitz matrices (every seed for n <= 6, a fixed-seed random
-    sample for larger n), and averages the exact output entropy over the
-    family.
+    binary Toeplitz matrices (every seed for n <= 6, for larger n a sample
+    of 10,000 seeds from random.Random(0), fixed for reproducibility), and
+    averages the exact output entropy over the family.
 
     Args:
         n: Input block length, 1..12.
         per_bit_pc: Single-bit collision probability in [1/2, 1].
         r: Output length in bits, 0..n.
-        sample_seeds: Sample size used when exhaustive enumeration is too
-            large (n > 6).
-        rng_seed: Seed for the sampling path, fixed for reproducibility.
 
     Returns:
         (lhs, rhs, holds) where lhs is the average conditional entropy
@@ -302,9 +297,9 @@ def pa_entropy_bound_check(
         all_seeds = np.arange(1 << seed_len, dtype=np.uint32)
         seeds = ((all_seeds[:, None] >> np.arange(seed_len)[None, :]) & 1).astype(np.uint8)
     else:
-        gen = random.Random(rng_seed)
+        gen = random.Random(0)
         seeds = np.array(
-            [[gen.randrange(2) for _ in range(seed_len)] for _ in range(sample_seeds)],
+            [[gen.randrange(2) for _ in range(seed_len)] for _ in range(10_000)],
             dtype=np.uint8,
         )
 

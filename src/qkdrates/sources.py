@@ -18,7 +18,6 @@ from .channel import (
     checked_transmission,
     dark_click_prob,
     db_to_transmission,
-    fiber_transmission,
     receiver_arm_loss_db,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "ekert_ideal_stats",
     "pdc_coefficients",
     "pdc_stats",
-    "swap_stats",
     "swap_stats_from_segment",
 ]
 
@@ -401,16 +399,3 @@ def swap_stats_from_segment(
     p_false = p_bell * (8.0 * alpha_end * d + 16.0 * d * d + (1.0 - g_n) * alpha_end * alpha_end)
     return _coincidence_stats(p_true, p_false, p)
 
-
-def swap_stats(n_swaps: int | SwapChain, total_length: float, p: ChannelParams) -> CoincidenceStats:
-    """Swap-chain coincidence statistics over a total source-to-source span.
-
-    Args:
-        n_swaps: Number of swaps, or a full SwapChain spec.
-        total_length: Alice-to-Bob distance in km, divided into
-            2 n_swaps + 2 equal fiber segments.
-        p: Channel parameters.
-    """
-    src = n_swaps if isinstance(n_swaps, SwapChain) else SwapChain(int(n_swaps))
-    seg_t = fiber_transmission(p.sigma, total_length / src.segments)
-    return swap_stats_from_segment(src, seg_t, p)

@@ -131,6 +131,9 @@ class TestConfigParsing:
             {"label": [1]},
             {"channel": {**SIGMA_FREE_CHANNEL, "sigma_db_per_kn": 0.3}},
             {"cutof": {"search_high_km": 400.0}},
+            {"point": {"distance_km": -1.0}},
+            {"point": {"total_loss_db": -3.0}},
+            {"curves": [{"protocol": "ekert", "source": {"type": "ideal-epr"}}]},
         ],
         ids=[
             "receiver_loss_per_arm-string",
@@ -154,6 +157,9 @@ class TestConfigParsing:
             "label-list",
             "channel-misspelt-key",
             "unknown-top-level-key",
+            "distance_km-negative",
+            "total_loss_db-negative",
+            "curves-beside-top-level-curve",
         ],
     )
     def test_mistyped_values_exit_2(self, tmp_path, capsys, override):
@@ -246,6 +252,30 @@ class TestRateCommand:
         assert captured.out == ""
         assert "error" in captured.err
 
+    @pytest.mark.parametrize(
+        "source, note",
+        [
+            ({"type": "pdc", "chi": 1e300}, "math range error"),
+            ({"type": "swap", "n_swaps": 10**308}, "int too large to convert to float"),
+        ],
+        ids=["chi-overflow", "n_swaps-overflow"],
+    )
+    def test_overflowing_source_is_a_zero_rate_point(self, tmp_path, capsys, source, note):
+        cfg = {
+            "protocol": "ekert",
+            "source": source,
+            "channel": BASE_CHANNEL,
+            "point": {"distance_km": 10.0},
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["rate", "--config", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["rate_bits_per_pulse"] == 0.0
+        assert report["note"] == note
+        assert "stats" not in report
+        assert main(["cutoff", "--config", path]) == 2
+        assert "rate is zero at the lower search edge" in capsys.readouterr().err
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -318,8 +348,9 @@ class TestSweepCommand:
         [
             {"start_km": 0, "stop_km": 1e300, "step_km": 1e-300},
             {"start_km": 0, "stop_km": 100_000, "step_km": 1},
+            {"start_km": -10, "stop_km": 10, "step_km": 5},
         ],
-        ids=["overflowing", "over-cap"],
+        ids=["overflowing", "over-cap", "negative-start"],
     )
     def test_unbounded_grid_exits_2(self, tmp_path, capsys, grid):
         cfg = {

@@ -54,7 +54,6 @@ class TestBuildState:
             build_pdc_state(0.2, 0)
         with pytest.raises(ValueError):
             build_pdc_state(-0.1, 4)
-        build_pdc_state(0.2, 9, cap=9)
 
 
 class TestLossAndSectors:

@@ -181,11 +181,6 @@ class TestCutoff:
         bb84_cut = cutoff_distance("bb84", FIBER, (1.0, 400.0), src=IdealSingle())
         assert bb84_cut < ekert_cut
 
-    def test_resolution(self):
-        cut = cutoff_distance("ekert", FIBER, (1.0, 400.0), src=IdealEpr(), resolution=4.0)
-        fine = cutoff_distance("ekert", FIBER, (1.0, 400.0), src=IdealEpr(), resolution=0.5)
-        assert abs(cut - fine) <= 4.0
-
     def test_no_dark_counts_means_no_cutoff(self):
         clean = ChannelParams(sigma=0.2, eta=0.18, receiver_loss_db=1.0, d=0.0, mu=0.01)
         with pytest.raises(ValueError, match="still positive"):
@@ -254,8 +249,9 @@ class TestSweep:
             (0.0, float(MAX_SWEEP_ROWS), 1.0),
             (0.0, 5.0, math.inf),
             (0.0, math.inf, 1.0),
+            (-10.0, 10.0, 5.0),
         ],
-        ids=["overflowing", "over-cap", "infinite-step", "infinite-stop"],
+        ids=["overflowing", "over-cap", "infinite-step", "infinite-stop", "negative-start"],
     )
     def test_unbounded_grid_rejected(self, start, stop, step):
         with pytest.raises(ValueError):

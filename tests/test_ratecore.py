@@ -67,20 +67,6 @@ class TestEcEfficiency:
         with pytest.raises(ValueError):
             ec_efficiency(0.5)
 
-    def test_custom_table_from_csv(self, tmp_path):
-        path = tmp_path / "bench.csv"
-        path.write_text("e,f\n0.02,1.1\n0.2,1.5\n")
-        table = EcBenchmarkTable.from_csv(path)
-        assert table.efficiency(0.02) == 1.1
-        assert table.efficiency(0.11) == pytest.approx(1.3, rel=1e-14)
-        assert ec_efficiency(0.01, table) == 1.1
-
-    def test_csv_header_required(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("error,eff\n0.02,1.1\n")
-        with pytest.raises(ValueError):
-            EcBenchmarkTable.from_csv(path)
-
     def test_table_validation(self):
         with pytest.raises(ValueError):
             EcBenchmarkTable(entries=((0.1, 1.2), (0.05, 1.3)))

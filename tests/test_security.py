@@ -230,7 +230,7 @@ class TestPaEntropyOracle:
         assert holds
 
     def test_sampled_path_for_larger_blocks(self):
-        lhs, rhs, holds = pa_entropy_bound_check(8, 0.75, 3, sample_seeds=200)
+        lhs, rhs, holds = pa_entropy_bound_check(8, 0.75, 3)
         assert holds
         assert 0.0 <= lhs <= 3.0
 

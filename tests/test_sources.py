@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdrates.channel import ChannelParams
+from qkdrates.protocols import point_stats
 from qkdrates.sources import (
     IdealEpr,
     IdealSingle,
@@ -19,7 +20,6 @@ from qkdrates.sources import (
     pdc_coefficients,
     pdc_stats,
     source_to_dict,
-    swap_stats,
     swap_stats_from_segment,
 )
 
@@ -170,7 +170,7 @@ class TestSwapChain:
 
     def test_total_length_splits_into_segments(self):
         p = ChannelParams(sigma=0.2, eta=0.18, receiver_loss_db=1.0, d=5e-5)
-        direct = swap_stats(2, 120.0, p)
+        direct = point_stats("ekert", SwapChain(2), p, 120.0)
         seg = 10.0 ** (-0.2 * (120.0 / 6.0) / 10.0)
         assert swap_stats_from_segment(SwapChain(2), seg, p).p_true == direct.p_true
 

@@ -1,5 +1,5 @@
 """Command-line front end: point rates, curve sweeps, parameter
-optimization, cutoff search, and the verification suites.
+optimization and cutoff search.
 
 Configuration is a single JSON file with explicit units in key names; see
 the shipped examples under ``qkdrates/configs``.
@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import MISSING, dataclass
 
-from . import fockoracle, security
+from . import security
 from .channel import ChannelParams, dark_click_prob
 from .protocols import (
     SweepSpec,
@@ -23,7 +22,6 @@ from .protocols import (
     point_rate,
     sweep,
 )
-from .ratecore import collision_bound
 from .sources import (
     BB84_DETECTORS,
     ClickStats,
@@ -31,11 +29,11 @@ from .sources import (
     check_source,
     json_value,
     parse_source,
-    pdc_coefficients,
     read_block,
     source_to_dict,
     write_block,
 )
+from .verify import VERIFY_SUITES
 
 __all__ = [
     "CurveSpec",
@@ -320,30 +318,15 @@ def _sweep_csv(config: RunConfig, rows: list) -> str:
     lines = ["curve,abscissa,rate_raw,rate_clamped,optimal_param,p_true_or_signal,p_false_or_dark,e"]
     p_dark = dark_click_prob(config.channel.d, BB84_DETECTORS)
     for label, pt in rows:
+        # (signal, noise, e); a point without statistics leaves the columns empty
         if pt.stats is None:
-            true_col = false_col = e_col = ""
+            columns = (None, None, None)
         elif isinstance(pt.stats, ClickStats):
-            true_col = _fmt(pt.stats.p_click - p_dark)
-            false_col = _fmt(p_dark)
-            e_col = _fmt(pt.stats.e)
+            columns = (pt.stats.p_click - p_dark, p_dark, pt.stats.e)
         else:
-            true_col = _fmt(pt.stats.p_true)
-            false_col = _fmt(pt.stats.p_false)
-            e_col = _fmt(pt.stats.e)
-        lines.append(
-            ",".join(
-                [
-                    label,
-                    _fmt(pt.abscissa),
-                    _fmt(pt.rate_raw),
-                    _fmt(pt.rate),
-                    _fmt(pt.optimal_param),
-                    true_col,
-                    false_col,
-                    e_col,
-                ]
-            )
-        )
+            columns = (pt.stats.p_true, pt.stats.p_false, pt.stats.e)
+        values = (pt.abscissa, pt.rate_raw, pt.rate, pt.optimal_param, *columns)
+        lines.append(",".join([label, *map(_fmt, values)]))
     return "\n".join(lines) + "\n"
 
 
@@ -375,166 +358,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_json(doc, out_path: str | None) -> None:
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
-
-
-# --- verification suites ---------------------------------------------------
-
-
-def _property(name: str, tolerance: float, holds: bool, **measured) -> dict:
-    """One checked property of a suite report: its tolerance, the measured
-    extreme under a named key, and whether the property holds."""
-    return {"name": name, "tolerance": tolerance, **measured, "pass": holds}
-
-
-def _suite_attack_bound() -> dict:
-    worst_gap = 0.0
-    for k in range(1, 50):
-        eps = k / 100.0
-        _, value = security.maximize_attack_collision(eps)
-        worst_gap = max(worst_gap, abs(value - collision_bound(eps)))
-    worst_violation = -math.inf
-    ratios = [10.0 ** (-3.0 + 6.0 * i / 49.0) for i in range(50)]
-    angles = [math.pi * i / 49.0 for i in range(50)]
-    for ratio in ratios:
-        for phi1 in angles:
-            for phi2 in angles:
-                a = security.AttackParams(
-                    n_xx=ratio / (1.0 + ratio),
-                    n_xy=1.0 / (1.0 + ratio),
-                    phi_xx_yy=phi1,
-                    phi_xy_yx=phi2,
-                )
-                excess = security.attack_collision(a) - collision_bound(security.attack_epsilon(a))
-                worst_violation = max(worst_violation, excess)
-    return {
-        "suite": "attack-bound",
-        "properties": [
-            _property("constrained maximum matches 1/2 + 2e - 2e^2", 1e-6, worst_gap <= 1e-6,
-                      max_deviation=worst_gap),
-            _property("no grid point exceeds the collision bound", 1e-9, worst_violation <= 1e-9,
-                      max_deviation=max(worst_violation, 0.0)),
-        ],
-    }
-
-
-def _suite_pdc_oracle() -> dict:
-    worst_coeff = 0.0
-    worst_residual = 0.0
-    table = []
-    for chi in (0.05, 0.1, 0.2, 0.3):
-        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
-            closed = pdc_coefficients(chi, alpha)
-            sectors = fockoracle.apply_loss_and_trace(
-                fockoracle.build_pdc_state(chi, 8), alpha
-            )
-            oracle = fockoracle.extract_pdc_coefficients(sectors)
-            deviation = max(
-                abs(closed.A - oracle.A),
-                abs(closed.B - oracle.B),
-                abs(closed.C - oracle.C),
-                abs(closed.D - oracle.D),
-            )
-            worst_coeff = max(worst_coeff, deviation)
-            worst_residual = max(worst_residual, fockoracle.pair_sector_residual(sectors))
-            table.append(
-                {
-                    "chi": chi,
-                    "alpha": alpha,
-                    "closed_form": [closed.A, closed.B, closed.C, closed.D],
-                    "oracle": [oracle.A, oracle.B, oracle.C, oracle.D],
-                    "deviation": deviation,
-                }
-            )
-    return {
-        "suite": "pdc-oracle",
-        "properties": [
-            _property("closed-form coefficients match brute force", 1e-6, worst_coeff <= 1e-6,
-                      max_deviation=worst_coeff),
-            _property("(1,1) sector decomposes as A psi+ + D I/4", 1e-10, worst_residual <= 1e-10,
-                      max_deviation=worst_residual),
-        ],
-        "grid": table,
-    }
-
-
-def _suite_dephasing() -> dict:
-    half = 1.0 / math.sqrt(2.0)
-    superposition = fockoracle.FockVector(
-        amps={(0,) * 8: half, (1, 0, 0, 0, 0, 0, 0, 0): half}, n_max=1
-    )
-    diagonal = fockoracle.FockVector(amps={(1, 0, 0, 1, 0, 0, 0, 0): 1.0}, n_max=1)
-    cases = [
-        ("pdc chi=0.3 alpha=0.5", fockoracle.build_pdc_state(0.3, 4), 0.5),
-        ("pdc chi=0.3 alpha=1.0", fockoracle.build_pdc_state(0.3, 4), 1.0),
-        ("pdc chi=0.2 alpha=0.7", fockoracle.build_pdc_state(0.2, 3), 0.7),
-        ("single-mode number superposition", superposition, 1.0),
-        ("single-mode number superposition, lossy", superposition, 0.6),
-        ("number-diagonal ket", diagonal, 0.8),
-    ]
-    worst = 0.0
-    detail = []
-    for name, state, alpha in cases:
-        deviation = fockoracle.dephasing_invariance_check(state, alpha)
-        worst = max(worst, deviation)
-        detail.append({"state": name, "deviation": deviation})
-    return {
-        "suite": "dephasing",
-        "properties": [
-            _property("sector dephasing leaves detection statistics unchanged", 1e-12, worst <= 1e-12,
-                      max_deviation=worst)
-        ],
-        "states": detail,
-    }
-
-
-def _suite_privacy_amp() -> dict:
-    min_margin = math.inf
-    all_hold = True
-    for n in range(1, 7):
-        for pc in (0.5, 0.595, 0.75, 0.875, 1.0):
-            for r in range(n + 1):
-                lhs, rhs, holds = security.pa_entropy_bound_check(n, pc, r)
-                all_hold = all_hold and holds
-                min_margin = min(min_margin, lhs - rhs)
-    return {
-        "suite": "privacy-amp",
-        "properties": [
-            _property("H(K|G) >= r - 2^r pc^n / ln 2, exhaustive n <= 6", 0.0, all_hold,
-                      min_margin=min_margin)
-        ],
-    }
-
-
-def _suite_multi_photon() -> dict:
-    worst = math.inf
-    for i in range(2, 11):
-        for j in range(2, 11):
-            worst = min(worst, security.multiphoton_ratio_bound(i, j))
-    anomaly = [
-        {"i": 1, "j": j, "value": security.multiphoton_ratio_bound(1, j)} for j in range(1, 11)
-    ]
-    return {
-        "suite": "multi-photon",
-        "properties": [
-            _property("dual-fire ratio bound >= 1 for i, j in 2..10", 0.0, worst >= 1.0,
-                      min_value=worst)
-        ],
-        "single_photon_anomaly": {
-            "note": "the bound degenerates to 0 whenever either side holds one photon;"
-            " reported for information, not asserted",
-            "values": anomaly,
-        },
-    }
-
-
-VERIFY_SUITES = {
-    "attack-bound": _suite_attack_bound,
-    "pdc-oracle": _suite_pdc_oracle,
-    "dephasing": _suite_dephasing,
-    "privacy-amp": _suite_privacy_amp,
-    "multi-photon": _suite_multi_photon,
-}
+    _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", out_path)
 
 
 def run_verify_suite(name: str) -> dict:
@@ -630,19 +454,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_config=True):
+    def add(name, run, help_text, needs_config=True):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         if needs_config:
             p.add_argument("--config", required=True, help="path to a JSON run configuration")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         return p
 
-    add("rate", "evaluate the secure rate and key budget at one point")
-    p_sweep = add("sweep", "evaluate rate curves over an abscissa grid")
+    add("rate", _cmd_rate, "evaluate the secure rate and key budget at one point")
+    p_sweep = add("sweep", _cmd_sweep, "evaluate rate curves over an abscissa grid")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    add("optimize", "find the optimal source parameter at one point")
-    add("cutoff", "bisect for the largest distance with positive rate")
-    p_verify = add("verify", "run a verification suite", needs_config=False)
+    add("optimize", _cmd_optimize, "find the optimal source parameter at one point")
+    add("cutoff", _cmd_cutoff, "bisect for the largest distance with positive rate")
+    p_verify = add("verify", _cmd_verify, "run a verification suite", needs_config=False)
     p_verify.add_argument(
         "--suite",
         required=True,
@@ -654,15 +479,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "rate": _cmd_rate,
-        "sweep": _cmd_sweep,
-        "optimize": _cmd_optimize,
-        "cutoff": _cmd_cutoff,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

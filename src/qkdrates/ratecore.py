@@ -1,8 +1,8 @@
 """Scalar information-theoretic primitives for key-rate analysis.
 
-Binary entropy, benchmark error-correction efficiency, the disturbance
-measure, the individual-attack collision-probability bound, and the secure
-fraction tau derived from it.
+Binary entropy, benchmark error-correction efficiency, the
+individual-attack collision-probability bound, and the secure fraction tau
+derived from it.
 """
 
 from __future__ import annotations
@@ -11,42 +11,14 @@ import math
 from dataclasses import dataclass, field
 
 __all__ = [
-    "DisturbanceRecord",
     "EcBenchmarkTable",
     "DEFAULT_EC_TABLE",
     "binary_entropy",
     "ec_efficiency",
-    "disturbance",
     "collision_bound",
     "tau",
     "tau_multiphoton",
 ]
-
-
-@dataclass(frozen=True)
-class DisturbanceRecord:
-    """Counts entering the disturbance measure of a reconciled key.
-
-    Attributes:
-        n_rec: Number of reconciled bits.
-        n_err: Number of error bits among them.
-        n_dual: Number of ambiguous dual-fire events (multiple detectors in
-            one receiver firing within a clock cycle).
-        w_dual: Weight assigned to each dual-fire event (default 1/2).
-    """
-
-    n_rec: int
-    n_err: int
-    n_dual: int = 0
-    w_dual: float = 0.5
-
-    def __post_init__(self):
-        if self.n_rec < 0 or self.n_err < 0 or self.n_dual < 0:
-            raise ValueError("counts must be non-negative")
-        if self.n_err > self.n_rec:
-            raise ValueError("n_err cannot exceed n_rec")
-        if self.w_dual < 0:
-            raise ValueError("w_dual must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -118,13 +90,6 @@ def ec_efficiency(e: float) -> float:
     if e < 0.0 or e >= 0.5:
         raise ValueError(f"error fraction must lie in [0, 0.5), got {e}")
     return DEFAULT_EC_TABLE.efficiency(e)
-
-
-def disturbance(rec: DisturbanceRecord) -> float:
-    """Weighted disturbance (n_err + w_dual * n_dual) / n_rec."""
-    if rec.n_rec == 0:
-        raise ValueError("n_rec must be positive")
-    return (rec.n_err + rec.w_dual * rec.n_dual) / rec.n_rec
 
 
 def collision_bound(eps: float) -> float:

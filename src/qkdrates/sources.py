@@ -214,7 +214,8 @@ class ClickStats:
         e: Error fraction among sifted clicks.
         beta: Fraction of reconciled bits not attributable to multi-photon
             pulses. May come out non-positive at high loss, which signals
-            that no secure bits remain (the photon-splitting collapse).
+            that no secure bits remain (the photon-splitting collapse), but
+            must be finite.
     """
 
     p_click: float
@@ -226,6 +227,8 @@ class ClickStats:
             raise ValueError("p_click must lie in [0, 1]")
         if not 0.0 <= self.e <= 1.0:
             raise ValueError("error fraction must lie in [0, 1]")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if self.beta > 1.0 + _WEIGHT_TOL:
             raise ValueError("beta cannot exceed 1")
 

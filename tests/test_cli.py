@@ -2,11 +2,13 @@
 
 import importlib.util
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from qkdrates import cli, verify
 from qkdrates.cli import (
     ConfigError,
     config_to_dict,
@@ -15,6 +17,7 @@ from qkdrates.cli import (
     parse_config,
     run_verify_suite,
 )
+from qkdrates.protocols import OptimizeResult
 
 BASE_CHANNEL = {
     "sigma_db_per_km": 0.2,
@@ -39,10 +42,10 @@ def shipped_config(name):
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
-def bench_check():
-    """The benchmark's output comparator, bench/check.py, loaded by path."""
+def bench_module(name):
+    """A module of the benchmark, such as bench/check.py, loaded by path and read only."""
     spec = importlib.util.spec_from_file_location(
-        "bench_check", REFERENCE_DIR.parent / "check.py"
+        f"bench_{name}", REFERENCE_DIR.parent / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -276,6 +279,49 @@ class TestRateCommand:
         assert main(["cutoff", "--config", path]) == 2
         assert "rate is zero at the lower search edge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, abscissae",
+        [
+            (["rate"], {"point": {"distance_km": 1e308}}),
+            (
+                ["sweep", "--format", "json"],
+                {"sweep": {"mode": "distance", "start_km": 1e308, "stop_km": 1.1e308, "step_km": 1e307}},
+            ),
+        ],
+        ids=["rate", "sweep"],
+    )
+    def test_non_finite_beta_is_a_zero_rate_point(self, tmp_path, capsys, argv, abscissae):
+        # a subnormal click probability makes beta = (p_click - p_m) / p_click overflow
+        cfg = {
+            "protocol": "bb84",
+            "source": {"type": "poisson", "nbar": 0.5},
+            "channel": {"dark_count_prob": 5e-324},
+            **abscissae,
+        }
+
+        def reject(constant):
+            raise AssertionError(f"JSON output carries {constant}")
+
+        assert main([*argv, "--config", write_config(tmp_path, cfg)]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        for point in doc if isinstance(doc, list) else [doc]:
+            assert point["rate_raw"] == 0.0
+            assert "stats" not in point
+            assert point["note"] == "beta must be finite, got -inf"
+
+    def test_non_finite_output_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "optimize_source_param", lambda *args: OptimizeResult(0.1, math.nan))
+        cfg = {
+            "protocol": "bb84",
+            "source": "optimize",
+            "channel": BASE_CHANNEL,
+            "point": {"distance_km": 10.0},
+        }
+        assert main(["optimize", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -369,7 +415,7 @@ class TestSweepCommand:
         out = tmp_path / f"{name}.csv"
         assert main(["sweep", "--config", shipped_config(f"{name}.json"), "--out", str(out)]) == 0
         reference = (REFERENCE_DIR / f"{name}.csv").read_text()
-        assert bench_check().compare_sweep_csv(out.read_text(), reference) == []
+        assert bench_module("check").compare_sweep_csv(out.read_text(), reference) == []
 
     def test_swap_bundle_runs(self, tmp_path):
         out = tmp_path / "fig5.csv"
@@ -421,3 +467,18 @@ class TestVerifyCommand:
     def test_run_verify_suite_rejects_unknown(self):
         with pytest.raises(ConfigError):
             run_verify_suite("nonsense")
+
+    def test_all_matches_reference(self):
+        # bench/run.py traces cli.VERIFY_SUITES; it must be the dict the suites live in
+        assert cli.VERIFY_SUITES is verify.VERIFY_SUITES
+        reference = json.loads((REFERENCE_DIR / "verify.json").read_text())
+        assert bench_module("check").compare_tree(run_verify_suite("all"), reference) == []
+
+    def test_suites_call_traced_functions_through_their_modules(self):
+        # the tracer rebinds these names only inside the modules it knows, so a
+        # copy bound in qkdrates.verify would escape the per-layer counts
+        tracing = bench_module("tracing")
+        namespaces = tracing.namespaces()
+        traced = [getattr(namespaces[module], func) for module, func, _ in tracing.LAYERS]
+        bound = [name for name, value in vars(verify).items() if any(value is fn for fn in traced)]
+        assert bound == []

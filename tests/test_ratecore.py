@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from qkdrates.ratecore import (
     DEFAULT_EC_TABLE,
-    DisturbanceRecord,
     EcBenchmarkTable,
     binary_entropy,
     collision_bound,
-    disturbance,
     ec_efficiency,
     tau,
     tau_multiphoton,
@@ -78,24 +76,6 @@ class TestEcEfficiency:
     @given(st.floats(min_value=0.0, max_value=0.499))
     def test_at_least_shannon(self, e):
         assert ec_efficiency(e) >= 1.0
-
-
-class TestDisturbance:
-    def test_weighted_count(self):
-        rec = DisturbanceRecord(n_rec=200, n_err=10, n_dual=4)
-        assert disturbance(rec) == 0.06
-
-    def test_dual_weight(self):
-        rec = DisturbanceRecord(n_rec=100, n_err=0, n_dual=10, w_dual=1.0)
-        assert disturbance(rec) == 0.1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DisturbanceRecord(n_rec=10, n_err=11)
-        with pytest.raises(ValueError):
-            DisturbanceRecord(n_rec=-1, n_err=0)
-        with pytest.raises(ValueError):
-            disturbance(DisturbanceRecord(n_rec=0, n_err=0))
 
 
 class TestCollisionBound:

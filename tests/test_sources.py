@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qkdrates.channel import ChannelParams
 from qkdrates.protocols import point_stats
 from qkdrates.sources import (
+    ClickStats,
     IdealEpr,
     IdealSingle,
     Pdc,
@@ -52,6 +53,11 @@ class TestBb84Stats:
     def test_degenerate_statistics(self):
         with pytest.raises(ValueError):
             bb84_stats(IdealSingle(), 0.0, ChannelParams())
+
+    @pytest.mark.parametrize("beta", [-math.inf, math.inf, math.nan])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            ClickStats(p_click=2e-323, e=0.5, beta=beta)
 
     def test_two_arm_sources_rejected(self):
         with pytest.raises(ValueError):

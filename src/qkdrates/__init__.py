@@ -28,8 +28,6 @@ from .protocols import (
     sweep,
 )
 from .ratecore import (
-    DEFAULT_EC_TABLE,
-    EcBenchmarkTable,
     binary_entropy,
     collision_bound,
     ec_efficiency,
@@ -78,8 +76,6 @@ __all__ = [
     "dark_click_prob",
     "db_to_transmission",
     "fiber_transmission",
-    "DEFAULT_EC_TABLE",
-    "EcBenchmarkTable",
     "binary_entropy",
     "collision_bound",
     "ec_efficiency",

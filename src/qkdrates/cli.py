@@ -15,6 +15,7 @@ from dataclasses import MISSING, dataclass
 from . import security
 from .channel import ChannelParams, dark_click_prob
 from .protocols import (
+    RatePoint,
     SweepSpec,
     _free_source,
     cutoff_distance,
@@ -25,6 +26,7 @@ from .protocols import (
 from .sources import (
     BB84_DETECTORS,
     ClickStats,
+    CoincidenceStats,
     SourceSpec,
     check_source,
     json_value,
@@ -164,6 +166,8 @@ def _parse_config(raw) -> RunConfig:
         src = None
         if c["source"] != "optimize":
             spec = dict(json_value(c["source"], dict, "source"))
+            if "source" in spec:
+                raise ValueError("a source block names its kind under 'type', not 'source'")
             src = parse_source({"source": spec.pop("type", None), **spec})
         check_source(c["protocol"], src)
         label = c["protocol"] if c["label"] is None else c["label"]
@@ -253,14 +257,24 @@ def _sweep_spec(config: RunConfig, curve: CurveSpec) -> SweepSpec:
 
 
 def _stats_dict(stats) -> dict:
-    if isinstance(stats, ClickStats):
-        return {"p_click": stats.p_click, "e": stats.e, "beta": stats.beta}
-    return {
-        "p_true": stats.p_true,
-        "p_false": stats.p_false,
-        "p_coin": stats.p_coin,
-        "e": stats.e,
-    }
+    """The statistics' fields, plus p_coin for coincidence statistics."""
+    out = dict(vars(stats))
+    if isinstance(stats, CoincidenceStats):
+        out["p_coin"] = stats.p_coin
+    return out
+
+
+def _point_fields(pt: RatePoint) -> dict:
+    """The JSON fields that the rate report and a sweep entry share; the
+    optional ones appear only when set."""
+    fields = {"abscissa": pt.abscissa, "rate_raw": pt.rate_raw}
+    if pt.optimal_param is not None:
+        fields["optimal_param"] = pt.optimal_param
+    if pt.stats is not None:
+        fields["stats"] = _stats_dict(pt.stats)
+    if pt.note:
+        fields["note"] = pt.note
+    return fields
 
 
 def _point_report(config: RunConfig, curve: CurveSpec) -> dict:
@@ -269,17 +283,10 @@ def _point_report(config: RunConfig, curve: CurveSpec) -> dict:
     report = {
         "protocol": curve.protocol,
         "mode": config.mode,
-        "abscissa": config.point,
         "source": _curve_source_dict(src),
         "rate_bits_per_pulse": pt.rate,
-        "rate_raw": pt.rate_raw,
+        **_point_fields(pt),
     }
-    if pt.optimal_param is not None:
-        report["optimal_param"] = pt.optimal_param
-    if pt.note:
-        report["note"] = pt.note
-    if pt.stats is not None:
-        report["stats"] = _stats_dict(pt.stats)
     if pt.rate == 0.0:
         report.setdefault("note", "no secure key at this point")
     else:
@@ -331,30 +338,18 @@ def _sweep_csv(config: RunConfig, rows: list) -> str:
 
 
 def _sweep_json(rows: list) -> list:
-    out = []
-    for label, pt in rows:
-        entry = {
-            "curve": label,
-            "abscissa": pt.abscissa,
-            "rate": pt.rate,
-            "rate_raw": pt.rate_raw,
-        }
-        if pt.optimal_param is not None:
-            entry["optimal_param"] = pt.optimal_param
-        if pt.stats is not None:
-            entry["stats"] = _stats_dict(pt.stats)
-        if pt.note:
-            entry["note"] = pt.note
-        out.append(entry)
-    return out
+    return [{"curve": label, "rate": pt.rate, **_point_fields(pt)} for label, pt in rows]
 
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as err:
+        raise ValueError(f"cannot write output {out_path}: {err}") from err
 
 
 def _emit_json(doc, out_path: str | None) -> None:
@@ -362,9 +357,10 @@ def _emit_json(doc, out_path: str | None) -> None:
 
 
 def run_verify_suite(name: str) -> dict:
-    """Run one named verification suite, or all of them."""
+    """Run one named verification suite, or all of them; each report's
+    ``suite`` is its VERIFY_SUITES name."""
     if name == "all":
-        reports = [fn() for fn in VERIFY_SUITES.values()]
+        reports = [{"suite": suite, **run()} for suite, run in VERIFY_SUITES.items()]
         return {
             "suite": "all",
             "reports": reports,
@@ -374,7 +370,7 @@ def run_verify_suite(name: str) -> dict:
         raise ConfigError(
             f"unknown suite {name!r}; expected one of {sorted(VERIFY_SUITES)} or 'all'"
         )
-    report = VERIFY_SUITES[name]()
+    report = {"suite": name, **VERIFY_SUITES[name]()}
     report["pass"] = all(p["pass"] for p in report["properties"])
     return report
 

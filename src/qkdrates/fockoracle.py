@@ -52,11 +52,9 @@ class FockVector:
     Attributes:
         amps: Occupation tuple -> complex amplitude. The squared-amplitude
             sum may fall short of 1 by the truncation tail.
-        n_max: Pair-count cap the state was built with.
     """
 
     amps: dict
-    n_max: int
 
     def __post_init__(self):
         for occ in self.amps:
@@ -81,19 +79,17 @@ class SectorDensity:
     Attributes:
         i: Photons kept in arm a.
         j: Photons kept in arm b.
-        basis: Occupation 4-tuples (k_ax, k_ay, k_bx, k_by) indexing the
-            matrix, ordered x-heavy first on each side.
-        matrix: Unnormalized density matrix; its trace is the sector weight.
+        matrix: Unnormalized density matrix over the _sector_basis(i, j)
+            occupations; its trace is the sector weight.
     """
 
     i: int
     j: int
-    basis: tuple
     matrix: np.ndarray
 
     def __post_init__(self):
         dim = (self.i + 1) * (self.j + 1)
-        if self.matrix.shape != (dim, dim) or len(self.basis) != dim:
+        if self.matrix.shape != (dim, dim):
             raise ValueError(f"sector ({self.i}, {self.j}) needs a {dim} x {dim} matrix")
         if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-12:
             raise ValueError("sector density must be Hermitian")
@@ -139,7 +135,7 @@ def build_pdc_state(chi: float, n_max: int) -> FockVector:
     for n in range(n_max + 1):
         for m in range(n_max + 1 - n):
             amps[(n, m, m, n, 0, 0, 0, 0)] = pref * t ** (n + m)
-    return FockVector(amps=amps, n_max=n_max)
+    return FockVector(amps=amps)
 
 
 @lru_cache(maxsize=None)
@@ -179,6 +175,7 @@ def _loss_groups(state: FockVector, alpha: float) -> dict:
 
 
 def _sector_basis(i: int, j: int) -> tuple:
+    """Occupation 4-tuples (k_ax, k_ay, k_bx, k_by) of sector (i, j), x-heavy first on each side."""
     return tuple(
         (kax, i - kax, kbx, j - kbx)
         for kax in range(i, -1, -1)
@@ -216,8 +213,7 @@ def apply_loss_and_trace(state: FockVector, alpha: float) -> list:
                 v[index[sig]] = amp
             matrices[sector] += np.outer(v, v.conj())
     return [
-        SectorDensity(i=i, j=j, basis=_sector_basis(i, j), matrix=matrices[(i, j)])
-        for i, j in sorted(matrices)
+        SectorDensity(i=i, j=j, matrix=matrices[(i, j)]) for i, j in sorted(matrices)
     ]
 
 

@@ -72,7 +72,6 @@ class RatePoint:
 
     Attributes:
         abscissa: Distance in km or total loss in dB, per the sweep mode.
-        rate: Clamped secret bits per clock pulse, never negative.
         rate_raw: Unclamped formula value; negative once error correction
             costs more than the secure fraction yields.
         optimal_param: Optimizing nbar or chi when the source was optimized.
@@ -81,15 +80,15 @@ class RatePoint:
     """
 
     abscissa: float
-    rate: float
     rate_raw: float
     optimal_param: float | None = None
     stats: ClickStats | CoincidenceStats | None = None
     note: str = ""
 
-    def __post_init__(self):
-        if self.rate < 0.0:
-            raise ValueError("clamped rate cannot be negative")
+    @property
+    def rate(self) -> float:
+        """Clamped secret bits per clock pulse, never negative."""
+        return max(0.0, self.rate_raw)
 
 
 @dataclass(frozen=True)
@@ -215,12 +214,12 @@ def point_rate(
     try:
         stats = point_stats(protocol, src, p, abscissa, mode)
     except (ValueError, OverflowError) as err:
-        return RatePoint(abscissa=abscissa, rate=0.0, rate_raw=0.0, note=str(err))
+        return RatePoint(abscissa=abscissa, rate_raw=0.0, note=str(err))
     if protocol == "bb84":
         raw = rate_bb84(stats, clamp=False)
     else:
         raw = rate_ekert(stats, clamp=False)
-    return RatePoint(abscissa=abscissa, rate=max(0.0, raw), rate_raw=raw, stats=stats)
+    return RatePoint(abscissa=abscissa, rate_raw=raw, stats=stats)
 
 
 def _free_source(protocol: str, param: float) -> SourceSpec:

@@ -8,11 +8,8 @@ derived from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 __all__ = [
-    "EcBenchmarkTable",
-    "DEFAULT_EC_TABLE",
     "binary_entropy",
     "ec_efficiency",
     "collision_bound",
@@ -20,43 +17,11 @@ __all__ = [
     "tau_multiphoton",
 ]
 
-
-@dataclass(frozen=True)
-class EcBenchmarkTable:
-    """Benchmark (error rate, efficiency) pairs for an error-correction code.
-
-    The efficiency f(e) >= 1 measures how far the code operates above the
-    Shannon limit; intermediate values are linearly interpolated and values
-    outside the benchmark range are clamped to the nearest endpoint.
-    """
-
-    entries: tuple[tuple[float, float], ...] = field(
-        default_factory=lambda: ((0.01, 1.16), (0.05, 1.16), (0.1, 1.22), (0.15, 1.35))
-    )
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("benchmark table must be non-empty")
-        es = [e for e, _ in self.entries]
-        if any(b <= a for a, b in zip(es, es[1:])):
-            raise ValueError("benchmark abscissae must be strictly increasing")
-        if any(f < 1.0 for _, f in self.entries):
-            raise ValueError("efficiency must be >= 1 everywhere")
-
-    def efficiency(self, e: float) -> float:
-        """Interpolated f(e), clamped to the endpoints outside the table."""
-        entries = self.entries
-        if e <= entries[0][0]:
-            return entries[0][1]
-        if e >= entries[-1][0]:
-            return entries[-1][1]
-        for (e0, f0), (e1, f1) in zip(entries, entries[1:]):
-            if e0 <= e <= e1:
-                return f0 + (f1 - f0) * (e - e0) / (e1 - e0)
-        raise AssertionError("unreachable")
-
-
-DEFAULT_EC_TABLE = EcBenchmarkTable()
+# Benchmark (error rate, efficiency) pairs of the error-correction code. The
+# efficiency f(e) >= 1 measures how far the code operates above the Shannon
+# limit; ec_efficiency interpolates linearly between the pairs and clamps to
+# the nearest endpoint outside them.
+_EC_TABLE = ((0.01, 1.16), (0.05, 1.16), (0.1, 1.22), (0.15, 1.35))
 
 
 def binary_entropy(e: float) -> float:
@@ -84,12 +49,19 @@ def ec_efficiency(e: float) -> float:
         e: Error fraction in [0, 0.5).
 
     Returns:
-        Piecewise-linear interpolation of f over DEFAULT_EC_TABLE,
+        Piecewise-linear interpolation of f over the benchmark table,
         endpoint-clamped.
     """
     if e < 0.0 or e >= 0.5:
         raise ValueError(f"error fraction must lie in [0, 0.5), got {e}")
-    return DEFAULT_EC_TABLE.efficiency(e)
+    if e <= _EC_TABLE[0][0]:
+        return _EC_TABLE[0][1]
+    if e >= _EC_TABLE[-1][0]:
+        return _EC_TABLE[-1][1]
+    for (e0, f0), (e1, f1) in zip(_EC_TABLE, _EC_TABLE[1:]):
+        if e0 <= e <= e1:
+            return f0 + (f1 - f0) * (e - e0) / (e1 - e0)
+    raise AssertionError("unreachable")
 
 
 def collision_bound(eps: float) -> float:

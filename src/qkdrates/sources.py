@@ -116,13 +116,7 @@ class SwapChain:
 
 SourceSpec = IdealSingle | Poisson | IdealEpr | Pdc | SwapChain
 
-_SOURCE_TAGS = {
-    "ideal-single": IdealSingle,
-    "poisson": Poisson,
-    "ideal-epr": IdealEpr,
-    "pdc": Pdc,
-    "swap": SwapChain,
-}
+_SOURCE_TAGS = {cls.tag: cls for cls in typing.get_args(SourceSpec)}
 
 # The sources each protocol can use: single-path for bb84, two-arm for ekert.
 _PROTOCOL_SOURCES = {"bb84": (IdealSingle, Poisson), "ekert": (IdealEpr, Pdc, SwapChain)}

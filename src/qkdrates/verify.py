@@ -3,7 +3,8 @@ they certify.
 
 Each suite returns a JSON-ready report whose ``properties`` each carry a
 tolerance, the measured extreme and a ``pass`` flag. ``VERIFY_SUITES`` maps
-suite names to the functions that build these reports.
+suite names to the functions that build these reports;
+``cli.run_verify_suite`` adds the name to a report as its ``suite``.
 
 The suites call the certified functions through their modules
 (``ratecore.collision_bound``, ``sources.pdc_coefficients``,
@@ -51,7 +52,6 @@ def _suite_attack_bound() -> dict:
                 )
                 worst_violation = max(worst_violation, excess)
     return {
-        "suite": "attack-bound",
         "properties": [
             _property("constrained maximum matches 1/2 + 2e - 2e^2", 1e-6, worst_gap <= 1e-6,
                       max_deviation=worst_gap),
@@ -87,7 +87,6 @@ def _suite_pdc_oracle() -> dict:
                 }
             )
     return {
-        "suite": "pdc-oracle",
         "properties": [
             _property("closed-form coefficients match brute force", 1e-6, worst_coeff <= 1e-6,
                       max_deviation=worst_coeff),
@@ -100,10 +99,8 @@ def _suite_pdc_oracle() -> dict:
 
 def _suite_dephasing() -> dict:
     half = 1.0 / math.sqrt(2.0)
-    superposition = fockoracle.FockVector(
-        amps={(0,) * 8: half, (1, 0, 0, 0, 0, 0, 0, 0): half}, n_max=1
-    )
-    diagonal = fockoracle.FockVector(amps={(1, 0, 0, 1, 0, 0, 0, 0): 1.0}, n_max=1)
+    superposition = fockoracle.FockVector(amps={(0,) * 8: half, (1, 0, 0, 0, 0, 0, 0, 0): half})
+    diagonal = fockoracle.FockVector(amps={(1, 0, 0, 1, 0, 0, 0, 0): 1.0})
     cases = [
         ("pdc chi=0.3 alpha=0.5", fockoracle.build_pdc_state(0.3, 4), 0.5),
         ("pdc chi=0.3 alpha=1.0", fockoracle.build_pdc_state(0.3, 4), 1.0),
@@ -119,7 +116,6 @@ def _suite_dephasing() -> dict:
         worst = max(worst, deviation)
         detail.append({"state": name, "deviation": deviation})
     return {
-        "suite": "dephasing",
         "properties": [
             _property("sector dephasing leaves detection statistics unchanged", 1e-12, worst <= 1e-12,
                       max_deviation=worst)
@@ -138,7 +134,6 @@ def _suite_privacy_amp() -> dict:
                 all_hold = all_hold and holds
                 min_margin = min(min_margin, lhs - rhs)
     return {
-        "suite": "privacy-amp",
         "properties": [
             _property("H(K|G) >= r - 2^r pc^n / ln 2, exhaustive n <= 6", 0.0, all_hold,
                       min_margin=min_margin)
@@ -155,7 +150,6 @@ def _suite_multi_photon() -> dict:
         {"i": 1, "j": j, "value": security.multiphoton_ratio_bound(1, j)} for j in range(1, 11)
     ]
     return {
-        "suite": "multi-photon",
         "properties": [
             _property("dual-fire ratio bound >= 1 for i, j in 2..10", 0.0, worst >= 1.0,
                       min_value=worst)

@@ -28,6 +28,19 @@ BASE_CHANNEL = {
 }
 SIGMA_FREE_CHANNEL = {k: v for k, v in BASE_CHANNEL.items() if k != "sigma_db_per_km"}
 
+# The JSON fields every rate report and every sweep entry carry, and those of a key budget.
+REPORT_KEYS = {"protocol", "mode", "abscissa", "source", "rate_bits_per_pulse", "rate_raw"}
+ENTRY_KEYS = {"curve", "abscissa", "rate", "rate_raw"}
+KEY_BUDGET_KEYS = {
+    "n_tot_pulses",
+    "n_rec_bits",
+    "secure_fraction",
+    "ec_leak_bits",
+    "final_key_bits",
+    "eve_info_bits",
+    "markov_leak_probability",
+}
+
 
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
@@ -137,6 +150,8 @@ class TestConfigParsing:
             {"point": {"distance_km": -1.0}},
             {"point": {"total_loss_db": -3.0}},
             {"curves": [{"protocol": "ekert", "source": {"type": "ideal-epr"}}]},
+            {"source": {"type": "ideal-epr", "source": "pdc", "chi": 0.1}},
+            {"source": {"source": "pdc", "chi": 0.1}},
         ],
         ids=[
             "receiver_loss_per_arm-string",
@@ -163,6 +178,8 @@ class TestConfigParsing:
             "distance_km-negative",
             "total_loss_db-negative",
             "curves-beside-top-level-curve",
+            "source-key-beside-type",
+            "source-key-without-type",
         ],
     )
     def test_mistyped_values_exit_2(self, tmp_path, capsys, override):
@@ -337,6 +354,82 @@ class TestRateCommand:
         }
         assert main(["rate", "--config", write_config(tmp_path, cfg)]) == 2
         capsys.readouterr()
+
+
+class TestJsonFields:
+    @pytest.mark.parametrize(
+        "curve, x, report_extra, entry_extra, stats_keys",
+        [
+            (
+                {"protocol": "ekert", "source": {"type": "ideal-epr"}, "channel": BASE_CHANNEL},
+                10.0,
+                {"stats", "key_budget"},
+                {"stats"},
+                {"p_true", "p_false", "p_coin", "e"},
+            ),
+            (
+                {"protocol": "bb84", "source": "optimize", "channel": BASE_CHANNEL},
+                10.0,
+                {"optimal_param", "stats", "key_budget"},
+                {"optimal_param", "stats"},
+                {"p_click", "e", "beta"},
+            ),
+            (
+                {"protocol": "ekert", "source": {"type": "ideal-epr"}, "channel": BASE_CHANNEL},
+                300.0,
+                {"stats", "note"},
+                {"stats"},
+                {"p_true", "p_false", "p_coin", "e"},
+            ),
+            (
+                {
+                    "protocol": "bb84",
+                    "source": {"type": "poisson", "nbar": 0.5},
+                    "channel": {"dark_count_prob": 5e-324},
+                },
+                1e308,
+                {"note"},
+                {"note"},
+                set(),
+            ),
+        ],
+        ids=["fixed-positive", "optimized", "zero-rate", "no-stats"],
+    )
+    def test_key_sets(self, tmp_path, capsys, curve, x, report_extra, entry_extra, stats_keys):
+        point_path = write_config(tmp_path, {**curve, "point": {"distance_km": x}}, "point.json")
+        grid = {"mode": "distance", "start_km": x, "stop_km": 1.5 * x, "step_km": x}
+        sweep_path = write_config(tmp_path, {**curve, "sweep": grid}, "sweep.json")
+        assert main(["rate", "--config", point_path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert main(["sweep", "--format", "json", "--config", sweep_path]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        assert set(report) == REPORT_KEYS | report_extra
+        assert [set(entry) for entry in entries] == [ENTRY_KEYS | entry_extra]
+        for point in (report, *entries):
+            assert set(point.get("stats", {})) == stats_keys
+        if "key_budget" in report_extra:
+            assert set(report["key_budget"]) == KEY_BUDGET_KEYS
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["rate", "sweep", "verify"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_exits_2(self, tmp_path, capsys, command, target):
+        curve = {"protocol": "ekert", "source": {"type": "ideal-epr"}, "channel": BASE_CHANNEL}
+        if command == "rate":
+            cfg = {**curve, "point": {"distance_km": 10.0}}
+            argv = ["rate", "--config", write_config(tmp_path, cfg)]
+        elif command == "sweep":
+            grid = {"mode": "distance", "start_km": 0, "stop_km": 20, "step_km": 10}
+            cfg = {**curve, "sweep": grid}
+            argv = ["sweep", "--config", write_config(tmp_path, cfg)]
+        else:
+            argv = ["verify", "--suite", "multi-photon"]
+        out = tmp_path / "missing" / "out" if target == "missing-directory" else tmp_path
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write output {out}: ")
 
 
 class TestSweepCommand:

@@ -85,7 +85,7 @@ class TestLossAndSectors:
         assert weights[(1, 0)] == pytest.approx(weights[(0, 1)], abs=1e-15)
 
     def test_input_must_have_empty_loss_modes(self):
-        bad = FockVector(amps={(0, 0, 0, 0, 1, 0, 0, 0): 1.0}, n_max=1)
+        bad = FockVector(amps={(0, 0, 0, 0, 1, 0, 0, 0): 1.0})
         with pytest.raises(ValueError):
             apply_loss_and_trace(bad, 0.5)
 
@@ -127,9 +127,7 @@ class TestCoefficientExtraction:
 
 class TestDephasing:
     def test_number_superposition_is_invisible_to_counters(self):
-        state = FockVector(
-            amps={(0,) * 8: HALF, (1, 0, 0, 0, 0, 0, 0, 0): HALF}, n_max=1
-        )
+        state = FockVector(amps={(0,) * 8: HALF, (1, 0, 0, 0, 0, 0, 0, 0): HALF})
         assert dephasing_invariance_check(state, 1.0) <= 1e-15
         assert dephasing_invariance_check(state, 0.6) <= 1e-15
 
@@ -138,13 +136,13 @@ class TestDephasing:
         assert deviation < 1e-12
 
     def test_number_diagonal_state_is_exactly_invariant(self):
-        state = FockVector(amps={(1, 0, 0, 1, 0, 0, 0, 0): 1.0}, n_max=1)
+        state = FockVector(amps={(1, 0, 0, 1, 0, 0, 0, 0): 1.0})
         assert dephasing_invariance_check(state, 0.8) == 0.0
 
 
 class TestFockVectorValidation:
     def test_occupation_shape(self):
         with pytest.raises(ValueError):
-            FockVector(amps={(1, 0, 0): 1.0}, n_max=1)
+            FockVector(amps={(1, 0, 0): 1.0})
         with pytest.raises(ValueError):
-            FockVector(amps={(1, 0, 0, -1, 0, 0, 0, 0): 1.0}, n_max=1)
+            FockVector(amps={(1, 0, 0, -1, 0, 0, 0, 0): 1.0})

@@ -259,9 +259,9 @@ class TestSweep:
                 protocol="ekert", params=FIBER, source=None, start=start, stop=stop, step=step
             )
 
-    def test_rate_point_rejects_negative_clamped_rate(self):
-        with pytest.raises(ValueError):
-            RatePoint(abscissa=0.0, rate=-1e-6, rate_raw=-1e-6)
+    def test_rate_point_clamps_its_raw_rate(self):
+        assert RatePoint(abscissa=0.0, rate_raw=-1e-6).rate == 0.0
+        assert RatePoint(abscissa=0.0, rate_raw=3.5e-7).rate == 3.5e-7
 
     @given(st.floats(min_value=0.0, max_value=200.0))
     @settings(max_examples=50, deadline=None)

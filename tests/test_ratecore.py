@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdrates.ratecore import (
-    DEFAULT_EC_TABLE,
-    EcBenchmarkTable,
     binary_entropy,
     collision_bound,
     ec_efficiency,
@@ -65,13 +63,14 @@ class TestEcEfficiency:
         with pytest.raises(ValueError):
             ec_efficiency(0.5)
 
-    def test_table_validation(self):
-        with pytest.raises(ValueError):
-            EcBenchmarkTable(entries=((0.1, 1.2), (0.05, 1.3)))
-        with pytest.raises(ValueError):
-            EcBenchmarkTable(entries=((0.1, 0.9),))
-        with pytest.raises(ValueError):
-            EcBenchmarkTable(entries=())
+    @given(
+        st.floats(min_value=0.0, max_value=0.5, exclude_max=True),
+        st.floats(min_value=0.0, max_value=0.5, exclude_max=True),
+    )
+    @settings(max_examples=300)
+    def test_non_decreasing(self, a, b):
+        lo, hi = sorted((a, b))
+        assert ec_efficiency(lo) <= ec_efficiency(hi)
 
     @given(st.floats(min_value=0.0, max_value=0.499))
     def test_at_least_shannon(self, e):
@@ -141,7 +140,3 @@ class TestTauMultiphoton:
     @settings(max_examples=200)
     def test_never_exceeds_single_photon_tau(self, e, beta):
         assert tau_multiphoton(e, beta) <= tau(min(e, 0.5)) + 1e-12
-
-
-def test_default_table_is_frozen():
-    assert DEFAULT_EC_TABLE.entries == ((0.01, 1.16), (0.05, 1.16), (0.1, 1.22), (0.15, 1.35))

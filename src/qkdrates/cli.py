@@ -290,11 +290,15 @@ def _point_report(config: RunConfig, curve: CurveSpec) -> dict:
     if pt.rate == 0.0:
         report.setdefault("note", "no secure key at this point")
     else:
-        p_sift = pt.stats.p_click if isinstance(pt.stats, ClickStats) else pt.stats.p_coin
+        if isinstance(pt.stats, ClickStats):
+            p_sift, beta = pt.stats.p_click, pt.stats.beta
+        else:
+            p_sift, beta = pt.stats.p_coin, 1.0
         n_rec = int(config.n_tot * p_sift / 2.0)
         if n_rec > 0 and pt.stats.e < 0.5:
             kappa = security.ec_leak_bits(n_rec, pt.stats.e)
-            budget = security.final_key_length(n_rec, pt.stats.e, kappa, config.security)
+            # sized from the secure fraction of the rate, beta tau(e / beta)
+            budget = security.final_key_length(n_rec, pt.stats.e, kappa, config.security, beta)
             report["key_budget"] = {
                 "n_tot_pulses": config.n_tot,
                 "n_rec_bits": budget.n_rec,

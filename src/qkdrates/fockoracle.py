@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -57,6 +57,8 @@ class FockVector:
     amps: dict
 
     def __post_init__(self):
+        if not self.amps:
+            raise ValueError("a state needs at least one occupation tuple")
         for occ in self.amps:
             if len(occ) != 8 or any(k < 0 for k in occ):
                 raise ValueError(f"occupation tuples must be 8 non-negative counts, got {occ}")
@@ -79,8 +81,10 @@ class SectorDensity:
     Attributes:
         i: Photons kept in arm a.
         j: Photons kept in arm b.
-        matrix: Unnormalized density matrix over the _sector_basis(i, j)
-            occupations; its trace is the sector weight.
+        matrix: Unnormalized density matrix over the occupations
+            (k_ax, i - k_ax, k_bx, j - k_bx), k_ax running from i down to 0
+            and, within it, k_bx from j down to 0 (x-heavy first on each
+            side); its trace is the sector weight.
     """
 
     i: int
@@ -139,48 +143,40 @@ def build_pdc_state(chi: float, n_max: int) -> FockVector:
 
 
 @lru_cache(maxsize=None)
-def _split_amplitudes(n: int, alpha: float) -> tuple:
-    """Beamsplitter amplitudes: |n> -> sum_k sqrt(C(n,k) a^k (1-a)^(n-k)) |k, n-k>."""
-    return tuple(
-        (k, math.sqrt(math.comb(n, k) * alpha**k * (1.0 - alpha) ** (n - k)))
-        for k in range(n + 1)
+def _split_amplitudes(n: int, alpha: float) -> np.ndarray:
+    """Beamsplitter amplitudes: |n> -> sum_k sqrt(C(n,k) a^k (1-a)^(n-k)) |k, n-k>,
+    indexed by the transmitted count k."""
+    amps = np.array(
+        [math.sqrt(math.comb(n, k) * alpha**k * (1.0 - alpha) ** (n - k)) for k in range(n + 1)]
     )
+    amps.flags.writeable = False
+    return amps
 
 
-def _loss_groups(state: FockVector, alpha: float) -> dict:
-    """Post-loss amplitudes grouped by the (traced-out) loss occupation.
+def _loss_expansion(state: FockVector, alpha: float) -> tuple:
+    """The state after loss, as arrays (loss code, kept signal 4-tuple, amplitude).
 
-    Returns a map loss-tuple -> {kept signal 4-tuple -> amplitude}. Kets
-    with different loss tuples can never interfere after the trace, so each
-    group contributes an independent pure component.
+    Every signal mode passes a beamsplitter of transmission alpha. Entry k
+    is the ket whose kept occupation (k_ax, k_ay, k_bx, k_by) is kept[k] and
+    whose loss occupation is numbered code[k]; entries whose beamsplitter
+    factor is zero are dropped. Kept plus lost photons give back the input
+    ket, so no two entries share both. Kets with different loss codes can
+    never interfere once the loss modes are traced out: each code labels an
+    independent pure component.
     """
-    groups: dict = defaultdict(lambda: defaultdict(complex))
+    radix = 1 + max((max(occ[:4]) for occ in state.amps), default=0)
+    powers = radix ** np.arange(3, -1, -1)
+    codes, kept, amps = [], [], []
     for occ, amp in state.amps.items():
         if any(occ[4:]):
             raise ValueError("input state must start with empty loss modes")
-        splits = [_split_amplitudes(occ[k], alpha) for k in range(4)]
-        for kax, fax in splits[0]:
-            for kay, fay in splits[1]:
-                f_a = fax * fay
-                if f_a == 0.0:
-                    continue
-                for kbx, fbx in splits[2]:
-                    for kby, fby in splits[3]:
-                        factor = f_a * fbx * fby
-                        if factor == 0.0:
-                            continue
-                        lost = (occ[0] - kax, occ[1] - kay, occ[2] - kbx, occ[3] - kby)
-                        groups[lost][(kax, kay, kbx, kby)] += amp * factor
-    return groups
-
-
-def _sector_basis(i: int, j: int) -> tuple:
-    """Occupation 4-tuples (k_ax, k_ay, k_bx, k_by) of sector (i, j), x-heavy first on each side."""
-    return tuple(
-        (kax, i - kax, kbx, j - kbx)
-        for kax in range(i, -1, -1)
-        for kbx in range(j, -1, -1)
-    )
+        factor = reduce(np.multiply.outer, [_split_amplitudes(n, alpha) for n in occ[:4]]).ravel()
+        nonzero = factor != 0.0
+        ks = np.indices([n + 1 for n in occ[:4]]).reshape(4, -1).T[nonzero]
+        codes.append((np.array(occ[:4]) - ks) @ powers)
+        kept.append(ks)
+        amps.append(amp * factor[nonzero])
+    return np.concatenate(codes), np.concatenate(kept), np.concatenate(amps)
 
 
 def apply_loss_and_trace(state: FockVector, alpha: float) -> list:
@@ -191,30 +187,34 @@ def apply_loss_and_trace(state: FockVector, alpha: float) -> list:
     traced out. The result is the list of kept-photon SectorDensity blocks,
     ordered by (i, j).
 
+    Each sector's density matrix is V^T conj(V), where row g of V holds the
+    sector's amplitudes of one loss occupation: the sum of the pure
+    components that the trace leaves. The matrices are real when every
+    amplitude of the state is.
+
     Args:
         state: Input FockVector with empty loss modes.
         alpha: Shared arm transmission.
     """
-    groups = _loss_groups(state, checked_transmission(alpha))
-    matrices: dict = {}
-    bases: dict = {}
-    for vec in groups.values():
-        per_sector: dict = defaultdict(list)
-        for sig, amp in vec.items():
-            per_sector[(sig[0] + sig[1], sig[2] + sig[3])].append((sig, amp))
-        for sector, entries in per_sector.items():
-            if sector not in matrices:
-                basis = _sector_basis(*sector)
-                bases[sector] = {occ: idx for idx, occ in enumerate(basis)}
-                matrices[sector] = np.zeros((len(basis), len(basis)), dtype=complex)
-            index = bases[sector]
-            v = np.zeros(len(index), dtype=complex)
-            for sig, amp in entries:
-                v[index[sig]] = amp
-            matrices[sector] += np.outer(v, v.conj())
-    return [
-        SectorDensity(i=i, j=j, matrix=matrices[(i, j)]) for i, j in sorted(matrices)
-    ]
+    codes, kept, amps = _loss_expansion(state, checked_transmission(alpha))
+    i = kept[:, 0] + kept[:, 1]
+    j = kept[:, 2] + kept[:, 3]
+    sector = i * (1 + int(j.max())) + j
+    # number the loss occupations within each sector: sorting by (sector, loss
+    # code) makes each sector's distinct codes a contiguous run
+    _, row = np.unique(sector * (1 + int(codes.max())) + codes, return_inverse=True)
+    order = np.argsort(row, kind="stable")
+    bounds = np.flatnonzero(np.diff(sector[order])) + 1
+    out = []
+    for run in np.split(order, bounds):
+        si, sj = int(i[run[0]]), int(j[run[0]])
+        rows = row[run] - row[run].min()
+        # column of (k_ax, si - k_ax, k_bx, sj - k_bx) in the sector basis
+        cols = (si - kept[run, 0]) * (sj + 1) + (sj - kept[run, 2])
+        v = np.zeros((int(rows.max()) + 1, (si + 1) * (sj + 1)), dtype=amps.dtype)
+        v[rows, cols] = amps[run]
+        out.append(SectorDensity(i=si, j=sj, matrix=v.T @ v.conj()))
+    return out
 
 
 def sector_weights(sectors: list) -> dict:
@@ -294,8 +294,9 @@ def _receiver_expansion(kx: int, ky: int) -> tuple:
     The receiver splits each photon 50/50 between a native-basis analyzer
     and a rotated one: a_x+ -> x+/sqrt(2) + u+/2 + v+/2 and
     a_y+ -> y+/sqrt(2) + u+/2 - v+/2 (an isometry into the four detector
-    modes x, y, u, v). Returns ((n_x, n_y, n_u, n_v), amplitude) pairs for
-    the normalized input ket |kx, ky>.
+    modes x, y, u, v). Returns, for the normalized input ket |kx, ky>, the
+    detector occupations (n_x, n_y, n_u, n_v) as rows, their _classify
+    outcome classes and their amplitudes, as read-only arrays.
     """
     x_term = {(1, 0, 0, 0): _HALF_SQRT2, (0, 0, 1, 0): 0.5, (0, 0, 0, 1): 0.5}
     y_term = {(0, 1, 0, 0): _HALF_SQRT2, (0, 0, 1, 0): 0.5, (0, 0, 0, 1): -0.5}
@@ -308,10 +309,15 @@ def _receiver_expansion(kx: int, ky: int) -> tuple:
                 nxt[key] += coeff * factor
         poly = nxt
     norm = math.sqrt(math.factorial(kx) * math.factorial(ky))
-    return tuple(
-        (occ, coeff * math.sqrt(math.prod(math.factorial(n) for n in occ)) / norm)
-        for occ, coeff in poly.items()
+    occs = np.array(list(poly))
+    classes = np.array([_classify(occ) for occ in poly])
+    amps = np.array(
+        [coeff * math.sqrt(math.prod(math.factorial(n) for n in occ)) / norm
+         for occ, coeff in poly.items()]
     )
+    for arr in (occs, classes, amps):
+        arr.flags.writeable = False
+    return occs, classes, amps
 
 
 def _classify(occ: tuple) -> int:
@@ -325,19 +331,39 @@ def _classify(occ: tuple) -> int:
     return 5
 
 
-def _outcome_probabilities(groups: dict, dephase: bool) -> np.ndarray:
-    probs = np.zeros(36)
-    for vec in groups.values():
-        acc: dict = defaultdict(complex)
-        for (kax, kay, kbx, kby), amp in vec.items():
-            tag = (kax + kay, kbx + kby) if dephase else None
-            for a_occ, a_amp in _receiver_expansion(kax, kay):
-                base = amp * a_amp
-                for b_occ, b_amp in _receiver_expansion(kbx, kby):
-                    acc[(tag, a_occ, b_occ)] += base * b_amp
-        for (_, a_occ, b_occ), total in acc.items():
-            probs[6 * _classify(a_occ) + _classify(b_occ)] += abs(total) ** 2
-    return probs
+def _outcome_probabilities(codes: np.ndarray, kept: np.ndarray, amps: np.ndarray,
+                           dephase: bool) -> np.ndarray:
+    """Joint distribution over both receivers' 36 outcome classes.
+
+    Takes a _loss_expansion. Entries that share a loss code form one pure
+    component, and their amplitudes add per joint detector occupation;
+    with dephase set, they add only within one kept-photon sector.
+    """
+    i = kept[:, 0] + kept[:, 1]
+    j = kept[:, 2] + kept[:, 3]
+    radix = 1 + int(max(i.max(), j.max()))  # bounds every count on one receiver
+    powers = radix ** np.arange(3, -1, -1)
+    side = radix**4  # one receiver's detector occupations are coded below side
+    component = np.unique(codes, return_inverse=True)[1]
+    # the sector tag is the last digit of a key, so dephasing never reorders the sums
+    tag = i * radix + j if dephase else np.zeros_like(i)
+    _, first, which = np.unique(kept @ powers, return_index=True, return_inverse=True)
+    keys, terms, classes = [], [], []
+    for t, (kax, kay, kbx, kby) in enumerate(kept[first].tolist()):
+        sel = which == t
+        a_occ, a_cls, a_amp = _receiver_expansion(kax, kay)
+        b_occ, b_cls, b_amp = _receiver_expansion(kbx, kby)
+        joint = np.add.outer((a_occ @ powers) * side, b_occ @ powers).ravel()
+        rows = np.add.outer(component[sel] * side**2, joint) * radix**2 + tag[sel, None]
+        keys.append(rows.ravel())
+        terms.append(np.multiply.outer(np.multiply.outer(amps[sel], a_amp), b_amp).ravel())
+        classes.append(np.tile(np.add.outer(6 * a_cls, b_cls).ravel(), len(rows)))
+    unique_keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    terms = np.concatenate(terms)
+    total = np.bincount(slot, weights=terms.real) + 1j * np.bincount(slot, weights=terms.imag)
+    key_class = np.empty(len(unique_keys), dtype=int)
+    key_class[slot] = np.concatenate(classes)
+    return np.bincount(key_class, weights=np.abs(total) ** 2, minlength=36)
 
 
 def dephasing_invariance_check(state: FockVector, alpha: float) -> float:
@@ -350,7 +376,7 @@ def dephasing_invariance_check(state: FockVector, alpha: float) -> float:
     coherences, so the difference must vanish; the return value is the
     maximum absolute probability difference over the 36 joint classes.
     """
-    groups = _loss_groups(state, checked_transmission(alpha))
-    plain = _outcome_probabilities(groups, dephase=False)
-    dephased = _outcome_probabilities(groups, dephase=True)
+    expansion = _loss_expansion(state, checked_transmission(alpha))
+    plain = _outcome_probabilities(*expansion, dephase=False)
+    dephased = _outcome_probabilities(*expansion, dephase=True)
     return float(np.max(np.abs(plain - dephased)))

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .ratecore import binary_entropy, ec_efficiency, tau
+from .ratecore import binary_entropy, ec_efficiency, tau, tau_multiphoton
 
 __all__ = [
     "SecurityParams",
@@ -102,14 +103,22 @@ def ec_leak_bits(n_rec: int, e: float) -> int:
     return math.ceil(ec_efficiency(e) * n_rec * binary_entropy(e))
 
 
-def final_key_length(n_rec: int, eps: float, kappa: int, sec: SecurityParams) -> KeyBudget:
-    """Size the final key: r = max(0, floor(n_rec * tau(eps) - kappa - s - t)).
+def final_key_length(
+    n_rec: int, eps: float, kappa: int, sec: SecurityParams, beta: float = 1.0
+) -> KeyBudget:
+    """Size the final key: r = max(0, floor(n_rec * tau - kappa - s - t)).
+
+    The secure fraction tau is the one the rate formulas use:
+    beta * tau(eps / beta) (ratecore.tau_multiphoton), which is tau(eps)
+    when every reconciled bit is single-photon (beta = 1).
 
     Args:
         n_rec: Reconciled key length in bits.
         eps: Disturbance used for the collision bound, in [0, 1/2].
         kappa: Bits leaked during error correction.
         sec: Security margins s and t.
+        beta: Fraction of reconciled bits not attributable to multi-photon
+            pulses, in (0, 1]; the rest count as known to Eve.
 
     Returns:
         KeyBudget with the secure fraction, final length, and the bound on
@@ -119,7 +128,8 @@ def final_key_length(n_rec: int, eps: float, kappa: int, sec: SecurityParams) ->
         raise ValueError("reconciled key length must be positive")
     if kappa < 0:
         raise ValueError("error-correction leakage must be non-negative")
-    t_bits = tau(eps)
+    # beta = 1 calls tau directly, so the single-photon call costs what it always did
+    t_bits = tau(eps) if beta == 1.0 else tau_multiphoton(eps, beta)
     r = max(0, math.floor(n_rec * t_bits - kappa - sec.s - sec.t))
     return KeyBudget(
         n_rec=n_rec, tau_bits=t_bits, kappa=kappa, r=r, eve_info=eve_info_bound(r, sec)
@@ -145,25 +155,39 @@ def markov_leak_probability(i_e: float, threshold: float) -> float:
     return min(1.0, i_e / threshold)
 
 
+def _epsilon_from(x, y, c1, c2):
+    """Disturbance of the attack with norms x, y and overlap cosines c1, c2.
+
+    Plain arithmetic, so it takes floats or broadcastable numpy arrays.
+    """
+    return (x * (1.0 - c1) + y * (3.0 - c2)) / (4.0 * (x + y))
+
+
+def _collision_from(x, y, c1, c2):
+    """Collision probability of the attack with norms x, y and overlap
+    cosines c1, c2, as floats or broadcastable numpy arrays.
+
+    Each basis-dependent term drops out where its numerator vanishes; there
+    its denominator may vanish too, so that division is masked, not taken.
+    """
+    x, y, c1, c2 = (np.asarray(v, dtype=float) for v in (x, y, c1, c2))
+    total = x + y
+    value = 0.75 - (x * c1 * c1 + y * c2 * c2) / (4.0 * total)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in (1.0, -1.0):
+            num = x * y * (1.0 + s * c1) * (1.0 + s * c2)
+            den = 2.0 * total * (x * (1.0 + s * c1) + y * (1.0 + s * c2))
+            value = value + np.where(num != 0.0, num / den, 0.0)
+    return value
+
+
 def attack_epsilon(a: AttackParams) -> float:
     """Disturbance caused by an attack-family member.
 
     eps = [n_xx (1 - cos phi_xx_yy) + n_xy (3 - cos phi_xy_yx)]
           / (4 (n_xx + n_xy)).
     """
-    c1 = math.cos(a.phi_xx_yy)
-    c2 = math.cos(a.phi_xy_yx)
-    return (a.n_xx * (1.0 - c1) + a.n_xy * (3.0 - c2)) / (4.0 * (a.n_xx + a.n_xy))
-
-
-def _collision_from(x: float, y: float, c1: float, c2: float) -> float:
-    total = x + y
-    value = 0.75 - (x * c1 * c1 + y * c2 * c2) / (4.0 * total)
-    for s in (1.0, -1.0):
-        num = x * y * (1.0 + s * c1) * (1.0 + s * c2)
-        if num != 0.0:
-            value += num / (2.0 * total * (x * (1.0 + s * c1) + y * (1.0 + s * c2)))
-    return value
+    return _epsilon_from(a.n_xx, a.n_xy, math.cos(a.phi_xx_yy), math.cos(a.phi_xy_yx))
 
 
 def attack_collision(a: AttackParams) -> float:
@@ -172,26 +196,37 @@ def attack_collision(a: AttackParams) -> float:
     Closed form in the two norms and two overlap angles; the two
     basis-dependent terms drop out when their numerators vanish.
     """
-    return _collision_from(a.n_xx, a.n_xy, math.cos(a.phi_xx_yy), math.cos(a.phi_xy_yx))
+    return float(
+        _collision_from(a.n_xx, a.n_xy, math.cos(a.phi_xx_yy), math.cos(a.phi_xy_yx))
+    )
 
 
-def _feasible_ratio(eps: float, c1: float, c2: float) -> float | None:
-    """Norm ratio n_xx / n_xy putting the attack at disturbance eps."""
+def _grid_collision(eps: float, c1: np.ndarray, c2: np.ndarray) -> tuple:
+    """Attack collision probability over a (c1, c2) grid at disturbance eps.
+
+    The disturbance constraint pins the norm ratio n_xx / n_xy to
+    (3 - c2 - 4 eps) / (c1 + 4 eps - 1); grid points where no non-negative
+    ratio exists are infeasible. Returns the collision probabilities, -inf
+    at infeasible points, and the n_xx share ratio / (1 + ratio) of a unit
+    total norm.
+    """
     den = c1 + 4.0 * eps - 1.0
-    if den <= 0.0:
-        return None
     num = 3.0 - c2 - 4.0 * eps
-    if num < 0.0:
-        return None
-    return num / den
+    feasible = (den > 0.0) & (num >= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+        x = np.where(feasible, ratio / (1.0 + ratio), 0.5)
+    return np.where(feasible, _collision_from(x, 1.0 - x, c1, c2), -np.inf), x
 
 
 def maximize_attack_collision(eps: float) -> tuple[AttackParams, float]:
     """Maximize the attack collision probability at fixed disturbance.
 
     Grid search over the two overlap angles (the norm ratio is pinned by the
-    disturbance constraint), followed by three zoom refinements. The result
-    must reproduce the closed-form bound 1/2 + 2 eps - 2 eps^2.
+    disturbance constraint), followed by three zoom refinements. Ties go to
+    the first point in c1-major order, and a zoom level replaces the best
+    point only if it beats it strictly. The result must reproduce the
+    closed-form bound 1/2 + 2 eps - 2 eps^2.
 
     Args:
         eps: Target disturbance in (0, 1/2).
@@ -202,35 +237,26 @@ def maximize_attack_collision(eps: float) -> tuple[AttackParams, float]:
     if not 0.0 < eps < 0.5:
         raise ValueError("disturbance must lie strictly between 0 and 1/2")
 
-    def evaluate(c1: float, c2: float) -> float | None:
-        ratio = _feasible_ratio(eps, c1, c2)
-        if ratio is None:
-            return None
-        x = ratio / (1.0 + ratio)
-        return _collision_from(x, 1.0 - x, c1, c2)
-
-    c1_lo = max(-1.0, 1.0 - 4.0 * eps) + 1e-12
-    c1_hi = 1.0
+    c1_floor = max(-1.0, 1.0 - 4.0 * eps) + 1e-12
+    c1_lo, c1_hi = c1_floor, 1.0
     c2_lo, c2_hi = -1.0, 1.0
-    best = (-1.0, 1.0, 1.0)
+    best = None  # (value, c1, c2, n_xx share); c1 = c2 = 1 is always feasible
     for level in range(4):
         n_pts = 61 if level == 0 else 21
         c1_grid = np.linspace(c1_lo, c1_hi, n_pts)
         c2_grid = np.linspace(c2_lo, c2_hi, n_pts)
-        for c1 in c1_grid:
-            for c2 in c2_grid:
-                value = evaluate(float(c1), float(c2))
-                if value is not None and value > best[0]:
-                    best = (value, float(c1), float(c2))
+        values, shares = _grid_collision(eps, c1_grid[:, None], c2_grid[None, :])
+        k1, k2 = np.unravel_index(np.argmax(values), values.shape)
+        if best is None or values[k1, k2] > best[0]:
+            best = (float(values[k1, k2]), float(c1_grid[k1]), float(c2_grid[k2]),
+                    float(shares[k1, k2]))
         span1 = (c1_hi - c1_lo) / (n_pts - 1)
         span2 = (c2_hi - c2_lo) / (n_pts - 1)
-        c1_lo = max(max(-1.0, 1.0 - 4.0 * eps) + 1e-12, best[1] - span1)
+        c1_lo = max(c1_floor, best[1] - span1)
         c1_hi = min(1.0, best[1] + span1)
         c2_lo = max(-1.0, best[2] - span2)
         c2_hi = min(1.0, best[2] + span2)
-    value, c1, c2 = best
-    ratio = _feasible_ratio(eps, c1, c2)
-    x = ratio / (1.0 + ratio)
+    value, c1, c2, x = best
     params = AttackParams(n_xx=x, n_xy=1.0 - x, phi_xx_yy=math.acos(c1), phi_xy_yx=math.acos(c2))
     return params, value
 
@@ -249,13 +275,58 @@ def multiphoton_ratio_bound(i: int, j: int) -> float:
     return float((2 ** (i - 1) - 1) * (2 ** (j - 1) - 1))
 
 
+# Block lengths whose hash family is every seed; longer blocks sample seeds.
+_EXHAUSTIVE_N = 6
+# Seeds per block of hashed keys; a block of keys, or of its offset
+# histogram, stays well under a mebibyte for the exhaustive blocks.
+_SEED_BLOCK = 512
+
+
 def _toeplitz_matrices(n: int, r: int, seeds: np.ndarray) -> np.ndarray:
     """Stack of r x n binary Toeplitz matrices from seed rows of n + r - 1 bits."""
-    if r == 0:
-        return np.zeros((seeds.shape[0], 0, n), dtype=np.uint8)
     rows = np.arange(r)[:, None]
     cols = np.arange(n)[None, :]
     return seeds[:, (n - 1) + rows - cols]
+
+
+def _input_bits(n: int) -> np.ndarray:
+    """Rows of the n bits of every n-bit input, least significant first."""
+    xs = np.arange(1 << n, dtype=np.uint32)
+    return ((xs[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
+
+
+def _hash_key_blocks(n: int, r: int):
+    """Yield the r-bit hash of every n-bit input under each seed of the
+    family, as (seeds, 2^n) key arrays of at most _SEED_BLOCK seeds.
+
+    The family is every seed for n <= _EXHAUSTIVE_N and, for larger n,
+    10,000 seeds sampled from random.Random(0), fixed for reproducibility.
+    """
+    seed_len = n + r - 1
+    if n <= _EXHAUSTIVE_N:
+        all_seeds = np.arange(1 << seed_len, dtype=np.uint32)
+        seeds = ((all_seeds[:, None] >> np.arange(seed_len)[None, :]) & 1).astype(np.uint8)
+    else:
+        gen = random.Random(0)
+        seeds = np.array(
+            [[gen.randrange(2) for _ in range(seed_len)] for _ in range(10_000)],
+            dtype=np.uint8,
+        )
+    bits = _input_bits(n)
+    weights = 1 << np.arange(r, dtype=np.uint32)
+    key_type = np.uint8 if r <= 8 else np.uint16
+    for start in range(0, seeds.shape[0], _SEED_BLOCK):
+        block = _toeplitz_matrices(n, r, seeds[start : start + _SEED_BLOCK])
+        outputs = (bits @ block.transpose(0, 2, 1).astype(np.uint32)) % 2
+        yield (outputs @ weights).astype(key_type)
+
+
+@lru_cache(maxsize=None)
+def _exhaustive_key_blocks(n: int, r: int) -> tuple:
+    """_hash_key_blocks of an exhaustive family (n <= _EXHAUSTIVE_N), kept
+    so that each per-bit collision probability reuses them; all of them
+    together take about 0.3 MiB."""
+    return tuple(_hash_key_blocks(n, r))
 
 
 def pa_entropy_bound_check(n: int, per_bit_pc: float, r: int) -> tuple[float, float, bool]:
@@ -287,31 +358,17 @@ def pa_entropy_bound_check(n: int, per_bit_pc: float, r: int) -> tuple[float, fl
         return 0.0, rhs, True
 
     p = 0.5 * (1.0 + math.sqrt(2.0 * per_bit_pc - 1.0))
-    xs = np.arange(1 << n, dtype=np.uint32)
-    bits = ((xs[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
-    ones = bits.sum(axis=1)
+    ones = _input_bits(n).sum(axis=1)
     probs = p**ones * (1.0 - p) ** (n - ones) if p < 1.0 else (ones == n).astype(float)
 
-    seed_len = n + r - 1
-    if n <= 6:
-        all_seeds = np.arange(1 << seed_len, dtype=np.uint32)
-        seeds = ((all_seeds[:, None] >> np.arange(seed_len)[None, :]) & 1).astype(np.uint8)
-    else:
-        gen = random.Random(0)
-        seeds = np.array(
-            [[gen.randrange(2) for _ in range(seed_len)] for _ in range(10_000)],
-            dtype=np.uint8,
-        )
-
-    weights = 1 << np.arange(r, dtype=np.uint32)
+    blocks = _exhaustive_key_blocks(n, r) if n <= _EXHAUSTIVE_N else _hash_key_blocks(n, r)
     entropies = []
-    for start in range(0, seeds.shape[0], 512):
-        block = _toeplitz_matrices(n, r, seeds[start : start + 512])
-        outputs = (bits @ block.transpose(0, 2, 1).astype(np.uint32)) % 2
-        keys = outputs @ weights
-        for row in range(block.shape[0]):
-            q = np.bincount(keys[row], weights=probs, minlength=1 << r)
-            nz = q[q > 0]
-            entropies.append(-float(np.sum(nz * np.log2(nz))))
+    for keys in blocks:
+        # one histogram per seed: seed k's keys land in bins k 2^r .. (k+1) 2^r - 1
+        n_seeds = keys.shape[0]
+        offset = keys + (np.arange(n_seeds, dtype=np.int64)[:, None] << r)
+        q = np.bincount(offset.ravel(), weights=np.tile(probs, n_seeds), minlength=n_seeds << r)
+        log_q = np.log2(q, out=np.zeros_like(q), where=q > 0)
+        entropies.extend((-(q * log_q).reshape(n_seeds, 1 << r).sum(axis=1)).tolist())
     lhs = math.fsum(entropies) / len(entropies)
     return lhs, rhs, lhs >= rhs - 1e-12

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import fockoracle, ratecore, security, sources
 
 __all__ = ["VERIFY_SUITES"]
@@ -35,22 +37,17 @@ def _suite_attack_bound() -> dict:
         eps = k / 100.0
         _, value = security.maximize_attack_collision(eps)
         worst_gap = max(worst_gap, abs(value - ratecore.collision_bound(eps)))
+    # every (ratio, phi1, phi2) point of a 50^3 grid, one norm ratio at a time
     worst_violation = -math.inf
-    ratios = [10.0 ** (-3.0 + 6.0 * i / 49.0) for i in range(50)]
-    angles = [math.pi * i / 49.0 for i in range(50)]
-    for ratio in ratios:
-        for phi1 in angles:
-            for phi2 in angles:
-                a = security.AttackParams(
-                    n_xx=ratio / (1.0 + ratio),
-                    n_xy=1.0 / (1.0 + ratio),
-                    phi_xx_yy=phi1,
-                    phi_xy_yx=phi2,
-                )
-                excess = security.attack_collision(a) - ratecore.collision_bound(
-                    security.attack_epsilon(a)
-                )
-                worst_violation = max(worst_violation, excess)
+    cosines = np.array([math.cos(math.pi * i / 49.0) for i in range(50)])
+    c1, c2 = cosines[:, None], cosines[None, :]
+    for i in range(50):
+        ratio = 10.0 ** (-3.0 + 6.0 * i / 49.0)
+        x, y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
+        collision = security._collision_from(x, y, c1, c2)
+        eps = security._epsilon_from(x, y, c1, c2)
+        bound = np.fromiter(map(ratecore.collision_bound, eps.ravel().tolist()), float)
+        worst_violation = max(worst_violation, float(np.max(collision.ravel() - bound)))
     return {
         "properties": [
             _property("constrained maximum matches 1/2 + 2e - 2e^2", 1e-6, worst_gap <= 1e-6,

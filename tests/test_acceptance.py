@@ -11,10 +11,16 @@ from importlib import resources
 
 from qkdrates.channel import ChannelParams, arm_alpha
 from qkdrates.cli import main, run_verify_suite
-from qkdrates.protocols import cutoff_distance, optimize_source_param, point_stats, rate_bb84
+from qkdrates.protocols import (
+    cutoff_distance,
+    optimize_source_param,
+    point_rate,
+    point_stats,
+    rate_bb84,
+)
 from qkdrates.ratecore import binary_entropy, tau
 from qkdrates.security import multiphoton_ratio_bound
-from qkdrates.sources import IdealEpr, IdealSingle
+from qkdrates.sources import IdealEpr, IdealSingle, SwapChain
 
 FIBER = ChannelParams(sigma=0.2, eta=0.18, receiver_loss_db=1.0, d=5e-05, mu=0.01)
 SEARCH = (1.0, 400.0)
@@ -183,3 +189,22 @@ def test_criterion_10_sweep_determinism(tmp_path):
     )
     assert elapsed < 30.0
     assert identical
+
+
+def test_criterion_11_swap_chain_reach():
+    t0 = time.perf_counter()
+    chains = [IdealEpr()] + [SwapChain(n_swaps=n) for n in (1, 2, 3)]
+    cutoffs = [cutoff_distance("ekert", FIBER, (1.0, 1000.0), src=src) for src in chains]
+    rates = [point_rate("ekert", src, FIBER, 100.0).rate for src in chains]
+    elapsed = time.perf_counter() - t0
+    further = all(a < b for a, b in zip(cutoffs, cutoffs[1:]))
+    slower = all(a > b for a, b in zip(rates, rates[1:])) and rates[-1] > 0.0
+    report(
+        11,
+        further and slower and elapsed < 10.0,
+        f"cutoffs {' < '.join(f'{km:.1f}' for km in cutoffs)} km and rates at 100 km "
+        f"{' > '.join(f'{r:.1e}' for r in rates)} for 0..3 swaps, {elapsed:.2f} s",
+    )
+    assert elapsed < 10.0
+    assert further
+    assert slower

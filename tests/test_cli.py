@@ -18,6 +18,7 @@ from qkdrates.cli import (
     run_verify_suite,
 )
 from qkdrates.protocols import OptimizeResult
+from qkdrates.ratecore import tau_multiphoton
 
 BASE_CHANNEL = {
     "sigma_db_per_km": 0.2,
@@ -237,6 +238,26 @@ class TestRateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["rate_bits_per_pulse"] == 0.0
         assert "note" in report
+
+    def test_poisson_key_budget_uses_the_rate_secure_fraction(self, tmp_path, capsys):
+        # the rate counts multi-photon bits as known to Eve, beta tau(e / beta);
+        # a budget sized from tau(e) would promise more key than the rate allows
+        cfg = {
+            "protocol": "bb84",
+            "source": {"type": "poisson", "nbar": 0.1},
+            "channel": BASE_CHANNEL,
+            "point": {"distance_km": 10.0},
+        }
+        assert main(["rate", "--config", write_config(tmp_path, cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        stats, budget = report["stats"], report["key_budget"]
+        assert report["rate_bits_per_pulse"] > 0.0
+        assert stats["beta"] < 1.0
+        assert budget["secure_fraction"] == tau_multiphoton(stats["e"], stats["beta"])
+        assert budget["final_key_bits"] == math.floor(
+            budget["n_rec_bits"] * budget["secure_fraction"] - budget["ec_leak_bits"] - 60
+        )
+        assert 0 < budget["final_key_bits"] <= budget["n_tot_pulses"] * report["rate_bits_per_pulse"]
 
     def test_zero_rate_point_has_no_key_budget(self, tmp_path, capsys):
         cfg = {

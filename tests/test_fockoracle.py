@@ -1,12 +1,17 @@
 """Unit tests for the truncated occupation-number oracle."""
 
+import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from qkdrates.fockoracle import (
     FockVector,
+    _loss_expansion,
+    _outcome_probabilities,
+    _receiver_expansion,
     apply_loss_and_trace,
     build_pdc_state,
     dephasing_invariance_check,
@@ -94,6 +99,86 @@ class TestLossAndSectors:
             apply_loss_and_trace(build_pdc_state(0.2, 2), 1.5)
 
 
+def reference_loss_groups(state, alpha):
+    """Per-ket reference of the loss channel: kept ket -> amplitude, grouped
+    by the loss occupation that the trace removes."""
+    groups = defaultdict(lambda: defaultdict(complex))
+    for occ, amp in state.amps.items():
+        for kept in itertools.product(*(range(n + 1) for n in occ[:4])):
+            factor = math.prod(
+                math.sqrt(math.comb(n, k) * alpha**k * (1.0 - alpha) ** (n - k))
+                for n, k in zip(occ[:4], kept)
+            )
+            if factor != 0.0:
+                lost = tuple(n - k for n, k in zip(occ[:4], kept))
+                groups[lost][kept] += amp * factor
+    return groups
+
+
+def reference_loss_and_trace(state, alpha):
+    """One outer product per loss occupation and sector, summed."""
+    matrices = {}
+    for vec in reference_loss_groups(state, alpha).values():
+        for (i, j) in {(k[0] + k[1], k[2] + k[3]) for k in vec}:
+            basis = [(kax, i - kax, kbx, j - kbx) for kax in range(i, -1, -1) for kbx in range(j, -1, -1)]
+            v = np.array([vec.get(occ, 0.0) for occ in basis], dtype=complex)
+            matrices[(i, j)] = matrices.get((i, j), 0.0) + np.outer(v, v.conj())
+    return matrices
+
+
+def reference_outcome_probabilities(state, alpha, dephase):
+    """The 36 joint outcome classes, one dict entry per (sector tag, detector occupations)."""
+    probs = np.zeros(36)
+    for vec in reference_loss_groups(state, alpha).values():
+        acc = defaultdict(complex)
+        for (kax, kay, kbx, kby), amp in vec.items():
+            tag = (kax + kay, kbx + kby) if dephase else None
+            a_occ, a_cls, a_amp = _receiver_expansion(kax, kay)
+            b_occ, b_cls, b_amp = _receiver_expansion(kbx, kby)
+            for oa, ca, xa in zip(a_occ.tolist(), a_cls.tolist(), a_amp.tolist()):
+                for ob, cb, xb in zip(b_occ.tolist(), b_cls.tolist(), b_amp.tolist()):
+                    acc[(tag, tuple(oa), tuple(ob), 6 * ca + cb)] += amp * xa * xb
+        for key, total in acc.items():
+            probs[key[-1]] += abs(total) ** 2
+    return probs
+
+
+EQUIVALENCE_STATES = {
+    "pdc": build_pdc_state(0.3, 3),
+    "complex": FockVector(
+        amps={
+            (1, 0, 0, 1, 0, 0, 0, 0): 0.6,
+            (0, 1, 1, 0, 0, 0, 0, 0): 0.48j,
+            (2, 1, 0, 3, 0, 0, 0, 0): 0.3 - 0.4j,
+            (0, 0, 2, 0, 0, 0, 0, 0): -0.2 + 0.1j,
+        }
+    ),
+    "vacuum": FockVector(amps={(0,) * 8: 1.0}),
+}
+
+
+class TestLossEquivalence:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_STATES))
+    def test_matches_per_ket_reference(self, name, alpha):
+        state = EQUIVALENCE_STATES[name]
+        sectors = apply_loss_and_trace(state, alpha)
+        reference = reference_loss_and_trace(state, alpha)
+        assert [(s.i, s.j) for s in sectors] == sorted(reference)
+        for s in sectors:
+            assert np.max(np.abs(s.matrix - reference[(s.i, s.j)])) <= 1e-14
+
+
+    @pytest.mark.parametrize("dephase", [False, True])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_STATES))
+    def test_outcome_classes_match_per_ket_reference(self, name, alpha, dephase):
+        state = EQUIVALENCE_STATES[name]
+        probs = _outcome_probabilities(*_loss_expansion(state, alpha), dephase=dephase)
+        assert np.max(np.abs(probs - reference_outcome_probabilities(state, alpha, dephase))) <= 1e-14
+        assert math.fsum(probs) == pytest.approx(state.norm_squared(), abs=1e-14)
+
+
 class TestCoefficientExtraction:
     def test_matches_closed_form_at_benchmark_point(self):
         sectors = apply_loss_and_trace(build_pdc_state(0.2, 8), 0.5)
@@ -141,6 +226,10 @@ class TestDephasing:
 
 
 class TestFockVectorValidation:
+    def test_empty_state_rejected(self):
+        with pytest.raises(ValueError):
+            FockVector(amps={})
+
     def test_occupation_shape(self):
         with pytest.raises(ValueError):
             FockVector(amps={(1, 0, 0): 1.0})

@@ -2,13 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdrates.ratecore import collision_bound
+from qkdrates.ratecore import collision_bound, tau, tau_multiphoton
 from qkdrates.security import (
     AttackParams,
+    _collision_from,
+    _epsilon_from,
     SecurityParams,
     attack_collision,
     attack_epsilon,
@@ -33,6 +36,18 @@ class TestKeyBudget:
         budget = final_key_length(1000, 0.05, kappa, SecurityParams(30, 30))
         assert budget.tau_bits == pytest.approx(0.7490384264667812, rel=1e-14)
         assert budget.r == 356
+
+    def test_multiphoton_fraction_scales_the_secure_fraction(self):
+        kappa = ec_leak_bits(1000, 0.05)
+        budget = final_key_length(1000, 0.05, kappa, SecurityParams(30, 30), 0.5)
+        assert budget.tau_bits == tau_multiphoton(0.05, 0.5)
+        assert budget.r == max(0, math.floor(1000 * tau_multiphoton(0.05, 0.5) - kappa - 60))
+        assert budget.r < final_key_length(1000, 0.05, kappa, SecurityParams(30, 30)).r
+
+    def test_single_photon_default(self):
+        plain = final_key_length(1000, 0.05, 333, SecurityParams(30, 30))
+        assert final_key_length(1000, 0.05, 333, SecurityParams(30, 30), 1.0) == plain
+        assert plain.tau_bits == tau(0.05)
 
     def test_saturated_disturbance(self):
         budget = final_key_length(100, 0.5, 0, SecurityParams(0, 0))
@@ -153,7 +168,78 @@ class TestAttackFamily:
         assert attack_collision(a) <= collision_bound(attack_epsilon(a)) + 1e-9
 
 
+def scalar_collision(x, y, c1, c2):
+    """The collision closed form in plain floats, each vanishing term skipped."""
+    value = 0.75 - (x * c1 * c1 + y * c2 * c2) / (4.0 * (x + y))
+    for s in (1.0, -1.0):
+        num = x * y * (1.0 + s * c1) * (1.0 + s * c2)
+        if num != 0.0:
+            value += num / (2.0 * (x + y) * (x * (1.0 + s * c1) + y * (1.0 + s * c2)))
+    return value
+
+
+# angles at and next to the ends, where cos = +-1 zeroes a numerator
+ANGLES = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(min_value=0.0, max_value=math.pi))
+NORMS = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
+
+
+class TestArrayForms:
+    @given(
+        st.lists(st.tuples(NORMS, NORMS), min_size=1, max_size=4).filter(
+            lambda norms: all(x + y > 0.0 for x, y in norms)
+        ),
+        st.lists(ANGLES, min_size=1, max_size=4),
+        st.lists(ANGLES, min_size=1, max_size=4),
+    )
+    @settings(max_examples=300)
+    def test_grid_matches_scalar_members(self, norms, phis1, phis2):
+        x = np.array([n[0] for n in norms])[:, None, None]
+        y = np.array([n[1] for n in norms])[:, None, None]
+        c1 = np.array([math.cos(p) for p in phis1])[None, :, None]
+        c2 = np.array([math.cos(p) for p in phis2])[None, None, :]
+        collision = _collision_from(x, y, c1, c2)
+        eps = _epsilon_from(x, y, c1, c2)
+        assert collision.shape == eps.shape == (len(norms), len(phis1), len(phis2))
+        for k, (n_xx, n_xy) in enumerate(norms):
+            for a, phi1 in enumerate(phis1):
+                for b, phi2 in enumerate(phis2):
+                    member = AttackParams(n_xx=n_xx, n_xy=n_xy, phi_xx_yy=phi1, phi_xy_yx=phi2)
+                    assert collision[k, a, b] == attack_collision(member)
+                    assert eps[k, a, b] == attack_epsilon(member)
+                    assert attack_collision(member) == pytest.approx(
+                        scalar_collision(n_xx, n_xy, c1[0, a, 0], c2[0, 0, b]), rel=1e-15
+                    )
+
+    def test_vanishing_denominators_are_masked(self):
+        # n_xx = 0 with c2 = -1 zeroes both the numerator and the denominator of a term
+        assert attack_collision(AttackParams(n_xx=0.0, n_xy=1.0, phi_xx_yy=0.0, phi_xy_yx=math.pi)) == 0.5
+        grid = _collision_from(0.0, 1.0, np.array([1.0, -1.0]), np.array([[1.0], [-1.0]]))
+        assert np.all(np.isfinite(grid))
+
+    def test_scalar_forms_return_floats(self):
+        member = AttackParams(n_xx=0.3, n_xy=0.7, phi_xx_yy=1.0, phi_xy_yx=2.0)
+        assert type(attack_collision(member)) is float
+        assert type(attack_epsilon(member)) is float
+
+
 class TestMaximizer:
+    # the maximizer found at each disturbance, frozen: (n_xx, n_xy, phi_xx_yy, phi_xy_yx, value)
+    FROZEN = {
+        0.1: (0.899999999999775, 0.10000000000022502, 0.643501108792451,
+              0.6435011087932843, 0.68),
+        0.25: (0.7499999999998125, 0.2500000000001875, 1.0471975511960205,
+               1.0471975511965979, 0.8750000000000001),
+        0.4: (0.59999999999985, 0.40000000000015, 1.3694384060040556,
+              1.369438406004566, 0.98),
+    }
+
+    @pytest.mark.parametrize("eps", sorted(FROZEN))
+    def test_frozen_maximizer(self, eps):
+        params, value = maximize_attack_collision(eps)
+        found = (params.n_xx, params.n_xy, params.phi_xx_yy, params.phi_xy_yx, value)
+        for got, want in zip(found, self.FROZEN[eps]):
+            assert got == pytest.approx(want, abs=1e-12)
+
     def test_matches_closed_form(self):
         for eps in (0.05, 0.25, 0.4):
             _, value = maximize_attack_collision(eps)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ratecore import binary_entropy, ec_efficiency, tau, tau_multiphoton
+from .ratecore import binary_entropy, ec_efficiency, tau_multiphoton
 
 __all__ = [
     "SecurityParams",
@@ -28,6 +28,7 @@ __all__ = [
     "markov_leak_probability",
     "attack_epsilon",
     "attack_collision",
+    "attack_family_grid",
     "maximize_attack_collision",
     "multiphoton_ratio_bound",
     "pa_entropy_bound_check",
@@ -128,8 +129,7 @@ def final_key_length(
         raise ValueError("reconciled key length must be positive")
     if kappa < 0:
         raise ValueError("error-correction leakage must be non-negative")
-    # beta = 1 calls tau directly, so the single-photon call costs what it always did
-    t_bits = tau(eps) if beta == 1.0 else tau_multiphoton(eps, beta)
+    t_bits = tau_multiphoton(eps, beta)
     r = max(0, math.floor(n_rec * t_bits - kappa - sec.s - sec.t))
     return KeyBudget(
         n_rec=n_rec, tau_bits=t_bits, kappa=kappa, r=r, eve_info=eve_info_bound(r, sec)
@@ -199,6 +199,25 @@ def attack_collision(a: AttackParams) -> float:
     return float(
         _collision_from(a.n_xx, a.n_xy, math.cos(a.phi_xx_yy), math.cos(a.phi_xy_yx))
     )
+
+
+def attack_family_grid(ratio: float, cosines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Disturbance and collision probability over a grid of attack-family
+    members sharing one norm ratio.
+
+    Args:
+        ratio: Norm ratio n_xx / n_xy, positive.
+        cosines: Overlap cosines; every pair (cos phi_xx_yy, cos phi_xy_yx)
+            drawn from cosines x cosines is one member.
+
+    Returns:
+        (eps, collision) as flat arrays over the members, cos phi_xx_yy
+        major; each element equals attack_epsilon and attack_collision of
+        that member at unit total norm.
+    """
+    x, y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
+    c1, c2 = cosines[:, None], cosines[None, :]
+    return _epsilon_from(x, y, c1, c2).ravel(), _collision_from(x, y, c1, c2).ravel()
 
 
 def _grid_collision(eps: float, c1: np.ndarray, c2: np.ndarray) -> tuple:

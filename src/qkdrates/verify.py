@@ -40,14 +40,10 @@ def _suite_attack_bound() -> dict:
     # every (ratio, phi1, phi2) point of a 50^3 grid, one norm ratio at a time
     worst_violation = -math.inf
     cosines = np.array([math.cos(math.pi * i / 49.0) for i in range(50)])
-    c1, c2 = cosines[:, None], cosines[None, :]
     for i in range(50):
-        ratio = 10.0 ** (-3.0 + 6.0 * i / 49.0)
-        x, y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
-        collision = security._collision_from(x, y, c1, c2)
-        eps = security._epsilon_from(x, y, c1, c2)
-        bound = np.fromiter(map(ratecore.collision_bound, eps.ravel().tolist()), float)
-        worst_violation = max(worst_violation, float(np.max(collision.ravel() - bound)))
+        eps, collision = security.attack_family_grid(10.0 ** (-3.0 + 6.0 * i / 49.0), cosines)
+        bound = np.fromiter(map(ratecore.collision_bound, eps.tolist()), float)
+        worst_violation = max(worst_violation, float(np.max(collision - bound)))
     return {
         "properties": [
             _property("constrained maximum matches 1/2 + 2e - 2e^2", 1e-6, worst_gap <= 1e-6,

@@ -15,6 +15,7 @@ from qkdrates.security import (
     SecurityParams,
     attack_collision,
     attack_epsilon,
+    attack_family_grid,
     ec_leak_bits,
     eve_info_bound,
     final_key_length,
@@ -209,6 +210,17 @@ class TestArrayForms:
                     assert attack_collision(member) == pytest.approx(
                         scalar_collision(n_xx, n_xy, c1[0, a, 0], c2[0, 0, b]), rel=1e-15
                     )
+
+    @given(st.floats(min_value=1e-3, max_value=1e3), st.lists(ANGLES, min_size=1, max_size=5))
+    @settings(max_examples=100)
+    def test_family_grid_lists_the_members_c1_major(self, ratio, phis):
+        eps, collision = attack_family_grid(ratio, np.array([math.cos(p) for p in phis]))
+        assert eps.shape == collision.shape == (len(phis) ** 2,)
+        x = ratio / (1.0 + ratio)
+        for k, (phi1, phi2) in enumerate((a, b) for a in phis for b in phis):
+            member = AttackParams(n_xx=x, n_xy=1.0 / (1.0 + ratio), phi_xx_yy=phi1, phi_xy_yx=phi2)
+            assert eps[k] == attack_epsilon(member)
+            assert collision[k] == attack_collision(member)
 
     def test_vanishing_denominators_are_masked(self):
         # n_xx = 0 with c2 = -1 zeroes both the numerator and the denominator of a term

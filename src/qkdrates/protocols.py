@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
+import numpy as np
+
 from .channel import (
     ChannelParams,
     arm_alpha_from_loss_db,
@@ -15,12 +17,15 @@ from .channel import (
     span_loss_db,
 )
 from .ratecore import (
+    _EC_TABLE,
     binary_entropy,
     ec_efficiency,
     tau,  # unused here; bench/tests checks that tracing wraps this binding
     tau_multiphoton,
 )
 from .sources import (
+    _WEIGHT_TOL,
+    BB84_DETECTORS,
     PROTOCOLS,
     ClickStats,
     CoincidenceStats,
@@ -64,6 +69,9 @@ _COARSE_POINTS = 64
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REL_TOL = 1e-4
 _CUTOFF_RESOLUTION_KM = 0.5
+# Sweep rows whose coarse grids are evaluated together: a block's temporaries
+# stay near 16 KiB each, where a whole 300-row grid would add megabytes.
+_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -168,6 +176,15 @@ def rate_ekert(stats: CoincidenceStats, clamp: bool = True) -> float:
     return _key_rate(stats.p_coin, stats.e, 1.0, clamp)
 
 
+def _arm_transmission(protocol: str, p: ChannelParams, abscissa: float, mode: str) -> float:
+    """Arm transmission of a single-path (bb84) or two-arm (ekert, source
+    midway) link: the abscissa's loss split over the arms, plus each arm's
+    receiver loss and detector efficiency."""
+    arms = 1 if protocol == "bb84" else 2
+    loss_db = span_loss_db(p, abscissa, mode, arms)
+    return arm_alpha_from_loss_db(p, loss_db, receiver_arm_loss_db(p, arms))
+
+
 def point_stats(
     protocol: str, src: SourceSpec, p: ChannelParams, abscissa: float, mode: str = "distance"
 ) -> ClickStats | CoincidenceStats:
@@ -185,9 +202,7 @@ def point_stats(
     if isinstance(src, SwapChain):
         segment_db = span_loss_db(p, abscissa, mode, src.segments)
         return swap_stats_from_segment(src, db_to_transmission(segment_db), p)
-    arms = 1 if protocol == "bb84" else 2
-    loss_db = span_loss_db(p, abscissa, mode, arms)
-    alpha = arm_alpha_from_loss_db(p, loss_db, receiver_arm_loss_db(p, arms))
+    alpha = _arm_transmission(protocol, p, abscissa, mode)
     if protocol == "bb84":
         return bb84_stats(src, alpha, p)
     if isinstance(src, Pdc):
@@ -208,9 +223,8 @@ def point_rate(
     statistics cannot be computed, or overflow, is a zero-rate point whose
     note is the error."""
     if src is None:
-        opt = optimize_source_param(protocol, p, abscissa, mode)
-        best = point_rate(protocol, _free_source(protocol, opt.param), p, abscissa, mode)
-        return replace(best, optimal_param=opt.param)
+        return _optimized_point(protocol, optimize_source_param(protocol, p, abscissa, mode).param,
+                                p, abscissa, mode)
     try:
         stats = point_stats(protocol, src, p, abscissa, mode)
     except (ValueError, OverflowError) as err:
@@ -224,6 +238,102 @@ def point_rate(
 
 def _free_source(protocol: str, param: float) -> SourceSpec:
     return Poisson(param) if protocol == "bb84" else Pdc(param)
+
+
+def _optimized_point(protocol: str, param: float, p: ChannelParams, abscissa: float, mode: str) -> RatePoint:
+    """point_rate at the free source of an optimal parameter, which it carries."""
+    point = point_rate(protocol, _free_source(protocol, param), p, abscissa, mode)
+    return replace(point, optimal_param=param)
+
+
+def _free_source_box(protocol: str) -> tuple[float, float]:
+    return NBAR_BOX if protocol == "bb84" else CHI_BOX
+
+
+def _coarse_grid(lo: float, hi: float) -> list[float]:
+    """The optimizer's _COARSE_POINTS log-spaced parameters over [lo, hi]."""
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    return [math.exp(log_lo + i * (log_hi - log_lo) / (_COARSE_POINTS - 1)) for i in range(_COARSE_POINTS)]
+
+
+# ec_efficiency as one lookup: e selects the first segment that reaches it,
+# the two constant ends are segments without rise, and the last knot sits one
+# ulp low so that e = 0.15 selects the constant end, as in ec_efficiency.
+# Rows: segment start e, f at the start, rise of f, run of e.
+_EC_KNOTS = np.array([e for e, _ in _EC_TABLE[:-1]] + [math.nextafter(_EC_TABLE[-1][0], 0.0)])
+_EC_SEGMENTS = np.array(
+    [(0.0, _EC_TABLE[0][1], 0.0, 1.0)]
+    + [(e0, f0, f1 - f0, e1 - e0) for (e0, f0), (e1, f1) in zip(_EC_TABLE, _EC_TABLE[1:])]
+    + [(0.0, _EC_TABLE[-1][1], 0.0, 1.0)]
+).T
+
+
+def _libm_exp(v: np.ndarray) -> np.ndarray:
+    """math.exp of each element. 1 - exp(-alpha nbar) keeps only the
+    absolute rounding of the exponential, so at small alpha nbar numpy's exp,
+    which can differ from libm's in the last bit, would move bb84_stats'
+    signal far more than its relative rounding."""
+    return np.fromiter(map(math.exp, v.ravel().tolist()), float, v.size).reshape(v.shape)
+
+
+def _free_rate_kernel(protocol: str, p: ChannelParams, alpha, param) -> np.ndarray:
+    """Clamped rate of the free source over broadcast arrays of arm
+    transmission and source parameter (Poisson nbar for bb84, PDC chi for
+    ekert).
+
+    The array form of point_rate(protocol, _free_source(protocol, param), p,
+    x, mode).rate at the abscissa x whose arm transmission is alpha: the
+    closed forms of bb84_stats, or of pdc_coefficients and pdc_stats, then
+    _sifted_error and _key_rate with binary_entropy, ec_efficiency and
+    tau_multiphoton, operation for operation. Where the scalar path raises
+    (a ClickStats, CoincidenceStats or PdcCoefficients check,
+    dark_click_prob's linear-model limit, a zero sift total, an overflowing
+    cosh) the rate is 0. An error fraction above 1/2 needs no check of its
+    own: the key rate is 0 from e >= beta / 2 on.
+    """
+    a = np.asarray(alpha, dtype=float)
+    x = np.asarray(param, dtype=float)
+    d, mu = p.d, p.mu
+    with np.errstate(all="ignore"):
+        if protocol == "bb84":
+            noise = BB84_DETECTORS * d
+            signal = 1.0 - _libm_exp(-a * x)
+            p_sift = signal + noise
+            beta = (p_sift - (1.0 - (1.0 + x) * _libm_exp(-x))) / p_sift
+            # beta <= 1 + tol also rejects a NaN or +inf beta; -inf fails beta > 0
+            ok = (x > 0.0) & (noise < 1.0) & (p_sift <= 1.0) & (beta <= 1.0 + _WEIGHT_TOL)
+        else:
+            t2 = np.tanh(x) ** 2
+            c4 = np.cosh(x) ** 4
+            one_m_a = 1.0 - a
+            one_m_z = 1.0 - t2 * one_m_a**2
+            pair_den = c4 * one_m_z**4
+            signal = 2.0 * a * a * t2 / pair_den
+            vacuum = 1.0 / (c4 * one_m_z**2)
+            single = 2.0 * a * one_m_a * t2 / (c4 * one_m_z**3)
+            double = 4.0 * a * a * one_m_a**2 * t2 * t2 / pair_den
+            noise = 16.0 * d * d * vacuum + 8.0 * d * single + double
+            p_sift = signal + noise
+            beta = 1.0
+            # PdcCoefficients' bounds; CoincidenceStats' tighter ones cover signal
+            low = np.minimum(np.minimum(vacuum, single), double)
+            high = np.maximum(np.maximum(vacuum, single), double)
+            ok = (x > 0.0) & np.isfinite(c4) & (low >= -_WEIGHT_TOL) & (high <= 1.0 + _WEIGHT_TOL)
+            ok &= 1.0 - signal - vacuum - 2.0 * single - double >= -_WEIGHT_TOL
+            ok &= (signal >= 0.0) & (signal <= 1.0) & (noise >= 0.0) & (noise <= 1.0)
+        e = (noise / 2.0 + mu * signal) / p_sift
+        live = ok & (p_sift != 0.0) & (beta > 0.0) & (e < 0.5 * beta)
+
+        scaled = e / beta
+        twice = 2.0 * scaled
+        # a live point has scaled <= 1/2, where collision_bound is the quadratic
+        # (at 1/2 both are 1)
+        secure = beta * -np.log2(0.5 + twice - twice * scaled)
+        entropy = np.where(e > 0.0, -e * np.log2(e) - (1.0 - e) * np.log2(1.0 - e), 0.0)
+        e0, f0, rise, run = _EC_SEGMENTS[:, np.searchsorted(_EC_KNOTS, e)]
+        f = f0 + rise * (e - e0) / run
+        raw = 0.5 * p_sift * (secure - f * entropy)
+        return np.where(live & (raw > 0.0), raw, 0.0)
 
 
 def optimize_source_param(
@@ -241,13 +351,12 @@ def optimize_source_param(
     rate vanishes over the whole box the result carries a zero_rate flag and
     the box midpoint.
     """
-    lo, hi = NBAR_BOX if protocol == "bb84" else CHI_BOX
+    lo, hi = _free_source_box(protocol)
 
     def objective(param: float) -> float:
         return point_rate(protocol, _free_source(protocol, param), p, abscissa, mode).rate
 
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    grid = [math.exp(log_lo + i * (log_hi - log_lo) / (_COARSE_POINTS - 1)) for i in range(_COARSE_POINTS)]
+    grid = _coarse_grid(lo, hi)
     values = [objective(g) for g in grid]
     best = max(range(_COARSE_POINTS), key=values.__getitem__)
     if values[best] == 0.0:
@@ -315,13 +424,80 @@ def cutoff_distance(
     return lo
 
 
+def _optimal_params(protocol: str, p: ChannelParams, xs: list[float], mode: str) -> list[float]:
+    """optimize_source_param(protocol, p, x, mode).param for every abscissa,
+    with all rows optimized in lockstep on _free_rate_kernel.
+
+    Each row takes optimize_source_param's steps: the coarse grid (evaluated
+    _ROW_BLOCK rows at a time), the bracket around its first maximum, the
+    golden-section updates until its own bracket is below _REL_TOL, and the
+    fallback to the grid point when the bracket midpoint rates lower. A row
+    whose rate is 0 over the whole grid, or whose arm transmission cannot be
+    computed, gets the box midpoint. The kernel's numpy tanh, cosh and log2
+    can differ from libm's in the last bit, so where two probes of a row
+    rate the same to rounding, the row may take the other branch and end
+    elsewhere inside _REL_TOL.
+    """
+    lo, hi = _free_source_box(protocol)
+    params = [0.5 * (lo + hi)] * len(xs)
+    rows, alphas = [], []
+    for i, x in enumerate(xs):
+        try:
+            alphas.append(_arm_transmission(protocol, p, x, mode))
+        except (ValueError, OverflowError):
+            continue  # point_stats raises the same error at every parameter
+        rows.append(i)
+    grid = np.array(_coarse_grid(lo, hi))
+    best = np.empty(len(rows), dtype=int)
+    top = np.empty(len(rows))
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        values = _free_rate_kernel(protocol, p, np.array(alphas[block])[:, None], grid)
+        best[block] = values.argmax(axis=1)
+        top[block] = values.max(axis=1)
+    found = np.flatnonzero(top > 0.0)
+    if not found.size:
+        return params
+    alpha, best, top = np.array(alphas)[found], best[found], top[found]
+
+    def rate(param: np.ndarray) -> np.ndarray:
+        return _free_rate_kernel(protocol, p, alpha, param)
+
+    log_grid = np.array([math.log(g) for g in grid.tolist()])
+    a = log_grid[np.maximum(best - 1, 0)]
+    b = log_grid[np.minimum(best + 1, _COARSE_POINTS - 1)]
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = rate(np.exp(np.stack([x1, x2])))
+    active = b - a > _REL_TOL
+    while active.any():
+        up = f1 < f2
+        a = np.where(active & up, x1, a)
+        b = np.where(active & ~up, x2, b)
+        probe = np.where(up, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
+        f = rate(np.exp(probe))
+        x1, x2 = np.where(up, x2, probe), np.where(up, probe, x1)
+        f1, f2 = np.where(up, f2, f), np.where(up, f, f1)
+        active = b - a > _REL_TOL
+    # math.exp, as optimize_source_param takes it, fixes the reported parameter
+    param = np.array([math.exp(v) for v in (0.5 * (a + b)).tolist()])
+    param = np.where(rate(param) < top, grid[best], param)
+    for i, v in zip(found.tolist(), param.tolist()):
+        params[rows[i]] = v
+    return params
+
+
 def sweep(spec: SweepSpec) -> list[RatePoint]:
     """Evaluate a full rate curve, one RatePoint per grid abscissa.
 
     Points are independent; un-evaluable points (degenerate statistics)
     become zero-rate points carrying a diagnostic note rather than aborting
-    the sweep.
+    the sweep. A free source is optimized for all rows at once (see
+    _optimal_params); each row is then the point_rate of its optimal
+    source, as point_rate(src=None) gives for one abscissa.
     """
-    return [
-        point_rate(spec.protocol, spec.source, spec.params, x, spec.mode) for x in spec.grid()
-    ]
+    xs = spec.grid()
+    if spec.source is not None:
+        return [point_rate(spec.protocol, spec.source, spec.params, x, spec.mode) for x in xs]
+    params = _optimal_params(spec.protocol, spec.params, xs, spec.mode)
+    return [_optimized_point(spec.protocol, v, spec.params, x, spec.mode) for x, v in zip(xs, params)]

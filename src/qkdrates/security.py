@@ -296,9 +296,10 @@ def multiphoton_ratio_bound(i: int, j: int) -> float:
 
 # Block lengths whose hash family is every seed; longer blocks sample seeds.
 _EXHAUSTIVE_N = 6
-# Seeds per block of hashed keys; a block of keys, or of its offset
-# histogram, stays well under a mebibyte for the exhaustive blocks.
-_SEED_BLOCK = 512
+# Hashed inputs per block of keys: a block of n-bit keys covers
+# _BLOCK_INPUTS >> n seeds, so the block, and its offset histogram, stays
+# well under a mebibyte for every n.
+_BLOCK_INPUTS = 1 << 15
 
 
 def _toeplitz_matrices(n: int, r: int, seeds: np.ndarray) -> np.ndarray:
@@ -314,30 +315,38 @@ def _input_bits(n: int) -> np.ndarray:
     return ((xs[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
 
 
-def _hash_key_blocks(n: int, r: int):
-    """Yield the r-bit hash of every n-bit input under each seed of the
-    family, as (seeds, 2^n) key arrays of at most _SEED_BLOCK seeds.
-
-    The family is every seed for n <= _EXHAUSTIVE_N and, for larger n,
-    10,000 seeds sampled from random.Random(0), fixed for reproducibility.
-    """
+def _family_seeds(n: int, r: int) -> np.ndarray:
+    """Seed rows of n + r - 1 bits: every seed for n <= _EXHAUSTIVE_N and,
+    for larger n, 10,000 seeds sampled from random.Random(0), fixed for
+    reproducibility."""
     seed_len = n + r - 1
     if n <= _EXHAUSTIVE_N:
         all_seeds = np.arange(1 << seed_len, dtype=np.uint32)
-        seeds = ((all_seeds[:, None] >> np.arange(seed_len)[None, :]) & 1).astype(np.uint8)
-    else:
-        gen = random.Random(0)
-        seeds = np.array(
-            [[gen.randrange(2) for _ in range(seed_len)] for _ in range(10_000)],
-            dtype=np.uint8,
-        )
-    bits = _input_bits(n)
-    weights = 1 << np.arange(r, dtype=np.uint32)
+        return ((all_seeds[:, None] >> np.arange(seed_len)[None, :]) & 1).astype(np.uint8)
+    gen = random.Random(0)
+    draws = bytes(gen.randrange(2) for _ in range(10_000 * seed_len))
+    return np.frombuffer(draws, dtype=np.uint8).reshape(10_000, seed_len)
+
+
+def _hash_key_blocks(n: int, r: int):
+    """Yield the r-bit hash of every n-bit input under each seed of the
+    family, as (seeds, 2^n) key arrays of at most _BLOCK_INPUTS >> n seeds.
+
+    Bit j of a key is the parity of the input ANDed with Toeplitz row j
+    read as an n-bit mask, so no (seeds, 2^n, r) product is formed.
+    """
+    seeds = _family_seeds(n, r)
+    inputs = np.arange(1 << n, dtype=np.uint16)
     key_type = np.uint8 if r <= 8 else np.uint16
-    for start in range(0, seeds.shape[0], _SEED_BLOCK):
-        block = _toeplitz_matrices(n, r, seeds[start : start + _SEED_BLOCK])
-        outputs = (bits @ block.transpose(0, 2, 1).astype(np.uint32)) % 2
-        yield (outputs @ weights).astype(key_type)
+    per_block = max(1, _BLOCK_INPUTS >> n)
+    for start in range(0, seeds.shape[0], per_block):
+        rows = _toeplitz_matrices(n, r, seeds[start : start + per_block])
+        masks = (rows @ (1 << np.arange(n))).astype(np.uint16)
+        keys = np.zeros((masks.shape[0], 1 << n), dtype=key_type)
+        for j in range(r):
+            parity = np.bitwise_count(inputs & masks[:, j, None]) & 1
+            keys |= parity.astype(key_type) << j
+        yield keys
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ from qkdrates.cli import (
     parse_config,
     run_verify_suite,
 )
-from qkdrates.protocols import OptimizeResult
+from qkdrates.protocols import OptimizeResult, point_rate, sweep
 from qkdrates.ratecore import tau_multiphoton
 
 BASE_CHANNEL = {
@@ -530,6 +530,22 @@ class TestSweepCommand:
         assert main(["sweep", "--config", shipped_config(f"{name}.json"), "--out", str(out)]) == 0
         reference = (REFERENCE_DIR / f"{name}.csv").read_text()
         assert bench_module("check").compare_sweep_csv(out.read_text(), reference) == []
+
+    @pytest.mark.parametrize("name", ["fig3a_fiber", "fig3b_freespace"])
+    def test_optimized_rows_match_point_rate(self, name):
+        # sweep optimizes all rows in lockstep; point_rate(src=None) runs the
+        # scalar optimizer for one abscissa
+        config = load_config(shipped_config(f"{name}.json"))
+        rtol = bench_module("check").RTOL
+        optimized = [curve for curve in config.curves if curve.source is None]
+        assert {curve.protocol for curve in optimized} == {"bb84", "ekert"}
+        for curve in optimized:
+            spec = cli._sweep_spec(config, curve)
+            for pt in sweep(spec):
+                ref = point_rate(curve.protocol, None, config.channel, pt.abscissa, config.mode)
+                where = f"{curve.label} @ {pt.abscissa}"
+                assert (pt.rate > 0.0) == (ref.rate > 0.0), where
+                assert pt.optimal_param == pytest.approx(ref.optimal_param, rel=rtol, abs=0.0), where
 
     def test_swap_bundle_runs(self, tmp_path):
         out = tmp_path / "fig5.csv"

@@ -2,14 +2,18 @@
 
 import dataclasses
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdrates.channel import ChannelParams
 from qkdrates.protocols import (
+    CHI_BOX,
     MAX_SWEEP_ROWS,
+    NBAR_BOX,
     RatePoint,
     SweepSpec,
     cutoff_distance,
@@ -19,6 +23,8 @@ from qkdrates.protocols import (
     rate_bb84,
     rate_ekert,
     sweep,
+    _arm_transmission,
+    _free_rate_kernel,
 )
 from qkdrates.sources import (
     ClickStats,
@@ -175,6 +181,63 @@ class TestOptimizer:
         )
 
 
+
+# Devices for the kernel: the reference fiber, lossless detectors (arm
+# transmission up to 1) with and without dark counts, dark counts at and just
+# under the four-detector linear-model limit (4 d = 1), dark counts that push
+# p_false above 1, and a baseline error near 1/2.
+KERNEL_DEVICES = [
+    FIBER,
+    ChannelParams(sigma=0.2, eta=1.0, d=5e-5, mu=0.01),
+    ChannelParams(sigma=0.2, eta=1.0),
+    ChannelParams(sigma=0.2, eta=1.0, d=0.2499, mu=0.01),
+    ChannelParams(sigma=0.2, eta=1.0, d=0.25),
+    ChannelParams(sigma=0.2, eta=0.5, d=0.3),
+    ChannelParams(sigma=0.2, eta=1.0, d=1e-6, mu=0.4999),
+]
+# Per mode, the abscissa at which a lossless arm transmits about 1e-9.
+KERNEL_REACH = {
+    ("bb84", "distance"): 450.0,
+    ("bb84", "total-loss"): 90.0,
+    ("ekert", "distance"): 900.0,
+    ("ekert", "total-loss"): 180.0,
+}
+
+
+class TestFreeRateKernel:
+    """_free_rate_kernel against point_rate at the same source, one point at a time."""
+
+    @pytest.mark.parametrize("mode", ["distance", "total-loss"])
+    @pytest.mark.parametrize("protocol, free, box", [("bb84", Poisson, NBAR_BOX), ("ekert", Pdc, CHI_BOX)])
+    def test_matches_point_rate(self, protocol, free, box, mode):
+        params = np.geomspace(*box, 41)
+        if protocol == "ekert":
+            params = np.append(params, [3.0, 5.0, 10.0])  # past the box: large chi
+        positive = 0
+        for p in KERNEL_DEVICES:
+            for x in np.linspace(0.0, KERNEL_REACH[(protocol, mode)], 31).tolist():
+                alpha = _arm_transmission(protocol, p, x, mode)
+                rates = _free_rate_kernel(protocol, p, alpha, params)
+                for param, got in zip(params.tolist(), rates.tolist()):
+                    pt = point_rate(protocol, free(param), p, x, mode)
+                    scale = 0.0
+                    if pt.stats is not None:
+                        p_sift = pt.stats.p_click if protocol == "bb84" else pt.stats.p_coin
+                        scale = max(abs(pt.rate), 0.5 * p_sift)
+                    where = f"{p} @ {x} {mode}, param {param}"
+                    assert (got > 0.0) == (pt.rate > 0.0), where
+                    assert abs(got - pt.rate) <= 1e-12 * scale, where
+                    positive += got > 0.0
+        assert positive > 400  # not a grid of zeros
+
+    def test_broadcasts_arm_transmission_against_parameter(self):
+        alpha = np.array([0.5, 0.05, 1e-3])[:, None]
+        params = np.geomspace(*CHI_BOX, 5)
+        rates = _free_rate_kernel("ekert", FIBER, alpha, params)
+        assert rates.shape == (3, 5)
+        for row, a in zip(rates, alpha[:, 0]):
+            assert row.tolist() == _free_rate_kernel("ekert", FIBER, a, params).tolist()
+
 class TestCutoff:
     def test_ordering_of_ideal_sources(self):
         ekert_cut = cutoff_distance("ekert", FIBER, (1.0, 400.0), src=IdealEpr())
@@ -227,6 +290,38 @@ class TestSweep:
         for pt in sweep(spec):
             assert pt.optimal_param is not None
             assert 0.0 < pt.optimal_param < 1.5
+
+    def test_optimum_at_the_box_edge(self):
+        # without dark counts the bb84 optimum leaves NBAR_BOX below about
+        # 197 km: rows first bracket the edge grid point and then fall back
+        # to it, among rows that finish their search early
+        p = ChannelParams(sigma=0.2, eta=1.0, mu=0.01)
+        spec = SweepSpec(protocol="bb84", params=p, source=None, start=180.0, stop=210.0, step=1.0)
+        points = sweep(spec)
+        edge = [pt for pt in points if pt.optimal_param < 1.0001e-4]
+        assert 5 <= len(edge) < len(points)
+        for pt in points:
+            assert pt.rate > 0.0
+            assert pt == point_rate("bb84", None, p, pt.abscissa)
+
+    @pytest.mark.parametrize("protocol", ["bb84", "ekert"])
+    def test_optimized_sweep_memory_peak(self, protocol):
+        # the coarse grid runs in row blocks; all 300 rows x 64 parameters at
+        # once would hold megabytes of temporaries
+        spec = SweepSpec(protocol=protocol, params=FIBER, source=None, start=0.0, stop=299.0, step=1.0)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            points = sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(points) == 300
+        assert peak <= 2 * 2**20, f"a 300-row sweep peaked at {peak / 2**20:.2f} MiB"
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Unit tests for key sizing, the attack family, and the hash-family oracle."""
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdrates.ratecore import collision_bound, tau, tau_multiphoton
+from qkdrates import security
 from qkdrates.security import (
     AttackParams,
     _collision_from,
@@ -339,3 +342,50 @@ class TestPaEntropyOracle:
             pa_entropy_bound_check(4, 0.4, 2)
         with pytest.raises(ValueError):
             pa_entropy_bound_check(4, 0.75, 5)
+
+
+def matmul_keys(n, r, seeds):
+    """Keys as the Toeplitz product: input bits times each r x n matrix, mod 2."""
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1
+    matrices = security._toeplitz_matrices(n, r, seeds).astype(np.int64)
+    return ((bits @ matrices.transpose(0, 2, 1)) % 2) @ (1 << np.arange(r))
+
+
+class TestSampledHashKeys:
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_parity_keys_equal_the_toeplitz_product(self, n):
+        seed_len = 2 * n - 1
+        gen = random.Random(0)
+        drawn = np.array(
+            [[gen.randrange(2) for _ in range(seed_len)] for _ in range(10_000)], dtype=np.uint8
+        )
+        seeds = security._family_seeds(n, n)
+        assert np.array_equal(seeds, drawn)
+        start = 0
+        for keys in security._hash_key_blocks(n, n):
+            block = seeds[start : start + keys.shape[0]]
+            assert np.array_equal(keys, matmul_keys(n, n, block))
+            start += keys.shape[0]
+        assert start == 10_000
+
+    def test_exhaustive_keys_equal_the_toeplitz_product(self):
+        for n in range(1, 7):
+            for r in range(1, n + 1):
+                keys = np.concatenate(security._exhaustive_key_blocks(n, r))
+                assert np.array_equal(keys, matmul_keys(n, r, security._family_seeds(n, r)))
+
+    def test_memory_peak_at_nine_bits(self):
+        # a (seeds, 2^n, r) product per seed block peaked at 34 MiB here
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            lhs, rhs, holds = pa_entropy_bound_check(9, 0.75, 9)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert holds
+        assert peak <= 3 * 2**20, f"peaked at {peak / 2**20:.2f} MiB"

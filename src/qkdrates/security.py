@@ -338,7 +338,7 @@ def _hash_key_blocks(n: int, r: int):
     seeds = _family_seeds(n, r)
     inputs = np.arange(1 << n, dtype=np.uint16)
     key_type = np.uint8 if r <= 8 else np.uint16
-    per_block = max(1, _BLOCK_INPUTS >> n)
+    per_block = _BLOCK_INPUTS >> n
     for start in range(0, seeds.shape[0], per_block):
         rows = _toeplitz_matrices(n, r, seeds[start : start + per_block])
         masks = (rows @ (1 << np.arange(n))).astype(np.uint16)

@@ -181,7 +181,6 @@ class TestOptimizer:
         )
 
 
-
 # Devices for the kernel: the reference fiber, lossless detectors (arm
 # transmission up to 1) with and without dark counts, dark counts at and just
 # under the four-detector linear-model limit (4 d = 1), dark counts that push
@@ -238,6 +237,7 @@ class TestFreeRateKernel:
         for row, a in zip(rates, alpha[:, 0]):
             assert row.tolist() == _free_rate_kernel("ekert", FIBER, a, params).tolist()
 
+
 class TestCutoff:
     def test_ordering_of_ideal_sources(self):
         ekert_cut = cutoff_distance("ekert", FIBER, (1.0, 400.0), src=IdealEpr())
@@ -292,9 +292,9 @@ class TestSweep:
             assert 0.0 < pt.optimal_param < 1.5
 
     def test_optimum_at_the_box_edge(self):
-        # without dark counts the bb84 optimum leaves NBAR_BOX below about
-        # 197 km: rows first bracket the edge grid point and then fall back
-        # to it, among rows that finish their search early
+        # without dark counts the bb84 optimum falls below NBAR_BOX from about
+        # 197 km on; those rows bracket the edge grid point, stop their search
+        # before the interior rows and fall back to the grid point
         p = ChannelParams(sigma=0.2, eta=1.0, mu=0.01)
         spec = SweepSpec(protocol="bb84", params=p, source=None, start=180.0, stop=210.0, step=1.0)
         points = sweep(spec)

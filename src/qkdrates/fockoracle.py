@@ -371,10 +371,15 @@ def dephasing_invariance_check(state: FockVector, alpha: float) -> float:
 
     Computes the joint distribution over both receivers' outcome classes
     (vacuum, each of four detectors alone, or a multi-detector event) twice:
-    once for the post-loss state as is, once with all coherences between
-    kept-photon-number sectors erased. Photon counting cannot see those
-    coherences, so the difference must vanish; the return value is the
-    maximum absolute probability difference over the 36 joint classes.
+    once for the post-loss state as is, once with amplitudes added only
+    within one kept-photon-number sector. The sector tag is the photon total
+    of the detector occupations that already key each amplitude, so both
+    passes add the same amplitudes whenever _receiver_expansion conserves
+    photon number. That conservation is what the check tests: as built it
+    cannot see coherences between sectors, and only a receiver expansion
+    that creates or loses photons can make the result nonzero. The return
+    value is the maximum absolute probability difference over the 36 joint
+    classes.
     """
     expansion = _loss_expansion(state, checked_transmission(alpha))
     plain = _outcome_probabilities(*expansion, dephase=False)

@@ -72,6 +72,12 @@ _CUTOFF_RESOLUTION_KM = 0.5
 # Sweep rows whose coarse grids are evaluated together: a block's temporaries
 # stay near 16 KiB each, where a whole 300-row grid would add megabytes.
 _ROW_BLOCK = 32
+# Bisection steps that an optimized cutoff probes in one kernel call. A call
+# costs about 80 us plus 5-10 us per row, so deeper rounds pay for midpoints
+# the path skips and shallower ones pay for more calls: per cutoff, depths 3
+# to 5 measured within 15 % of each other and 6 about 50 % slower. Depth 4
+# takes a 1-1000 km bracket in 3 calls.
+_CUTOFF_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -382,6 +388,43 @@ def optimize_source_param(
     return OptimizeResult(param=param, rate=rate)
 
 
+def _coarse_maxima(
+    protocol: str, p: ChannelParams, xs: list[float], mode: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each abscissa's arm transmission, and the first argmax and the maximum
+    of the free source's rate over optimize_source_param's coarse grid,
+    evaluated on _free_rate_kernel _ROW_BLOCK rows at a time. A row whose arm
+    transmission raises has maximum 0: point_stats raises the same error at
+    every parameter."""
+    alpha = np.zeros(len(xs))
+    valid = np.zeros(len(xs), dtype=bool)
+    for i, x in enumerate(xs):
+        try:
+            alpha[i] = _arm_transmission(protocol, p, x, mode)
+        except (ValueError, OverflowError):
+            continue
+        valid[i] = True
+    rows = np.flatnonzero(valid)
+    grid = np.array(_coarse_grid(*_free_source_box(protocol)))
+    best = np.zeros(len(xs), dtype=int)
+    top = np.zeros(len(xs))
+    for start in range(0, rows.size, _ROW_BLOCK):
+        block = rows[start:start + _ROW_BLOCK]
+        values = _free_rate_kernel(protocol, p, alpha[block, None], grid)
+        best[block] = values.argmax(axis=1)
+        top[block] = values.max(axis=1)
+    return alpha, best, top
+
+
+def _bisection_midpoints(lo: float, hi: float, depth: int) -> list[float]:
+    """Every midpoint that the next depth steps of cutoff_distance's
+    bisection from (lo, hi) could probe, computed as the bisection does."""
+    if depth == 0 or hi - lo <= _CUTOFF_RESOLUTION_KM:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid] + _bisection_midpoints(lo, mid, depth - 1) + _bisection_midpoints(mid, hi, depth - 1)
+
+
 def cutoff_distance(
     protocol: str,
     p: ChannelParams,
@@ -391,33 +434,52 @@ def cutoff_distance(
     """Largest distance with positive optimized rate, by bisection down to a
     bracket of 0.5 km.
 
+    A probe needs only the sign of the rate. With src None that is the sign
+    of the maximum of optimize_source_param's coarse grid: the optimizer
+    returns zero_rate when that maximum is 0, and otherwise a rate at or
+    above it. So one _coarse_maxima call evaluates the coarse grids at every
+    midpoint that the next _CUTOFF_DEPTH bisection steps could visit (the
+    first call: both edges and the next _CUTOFF_DEPTH - 1 steps), and the
+    bisection replays its path from their signs, calling again when it
+    leaves them. It probes the same distances, and returns the same bound,
+    as one optimize_source_param per step; the kernel rates a grid point as
+    point_rate does to rounding, so only a grid maximum that is 0 to
+    rounding could take the other sign. A fixed source probes one
+    point_rate per step.
+
     Args:
         protocol: Protocol tag.
         p: Channel parameters.
-        search: (low, high) bracket in km; the rate must be positive at low
-            and zero at high.
+        search: (low, high) finite bracket in km; the rate must be positive
+            at low and zero at high.
         src: Fixed source, or None to optimize the free parameter per point.
 
     Returns:
         The positive-rate end of the final bracket.
     """
-    def rate_at(km: float) -> float:
+    def probe(kms: list[float]) -> dict[float, bool]:
         if src is None:
-            # The optimizer's own rate, 0 on zero_rate; point_rate(None)
-            # would re-evaluate the box midpoint instead.
-            return optimize_source_param(protocol, p, km, "distance").rate
-        return point_rate(protocol, src, p, km, "distance").rate
+            positive = (_coarse_maxima(protocol, p, kms, "distance")[2] > 0.0).tolist()
+        else:
+            positive = [point_rate(protocol, src, p, km, "distance").rate > 0.0 for km in kms]
+        return dict(zip(kms, positive))
 
     lo, hi = search
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("search bracket must be finite")
     if not 0 <= lo < hi:
         raise ValueError("search bracket must satisfy 0 <= low < high")
-    if rate_at(lo) <= 0.0:
+    depth = _CUTOFF_DEPTH if src is None else 1
+    positive = probe([lo, hi] + _bisection_midpoints(lo, hi, depth - 1))
+    if not positive[lo]:
         raise ValueError(f"rate is zero at the lower search edge {lo} km; no cutoff to bracket")
-    if rate_at(hi) > 0.0:
+    if positive[hi]:
         raise ValueError(f"rate is still positive at the upper search edge {hi} km; widen the bracket")
     while hi - lo > _CUTOFF_RESOLUTION_KM:
         mid = 0.5 * (lo + hi)
-        if rate_at(mid) > 0.0:
+        if mid not in positive:
+            positive.update(probe(_bisection_midpoints(lo, hi, depth)))
+        if positive[mid]:
             lo = mid
         else:
             hi = mid
@@ -428,8 +490,8 @@ def _optimal_params(protocol: str, p: ChannelParams, xs: list[float], mode: str)
     """optimize_source_param(protocol, p, x, mode).param for every abscissa,
     with all rows optimized in lockstep on _free_rate_kernel.
 
-    Each row takes optimize_source_param's steps: the coarse grid (evaluated
-    _ROW_BLOCK rows at a time), the bracket around its first maximum, the
+    Each row takes optimize_source_param's steps: the coarse grid (see
+    _coarse_maxima), the bracket around its first maximum, the
     golden-section updates until its own bracket is below _REL_TOL, and the
     fallback to the grid point when the bracket midpoint rates lower. A row
     whose rate is 0 over the whole grid, or whose arm transmission cannot be
@@ -440,25 +502,12 @@ def _optimal_params(protocol: str, p: ChannelParams, xs: list[float], mode: str)
     """
     lo, hi = _free_source_box(protocol)
     params = [0.5 * (lo + hi)] * len(xs)
-    rows, alphas = [], []
-    for i, x in enumerate(xs):
-        try:
-            alphas.append(_arm_transmission(protocol, p, x, mode))
-        except (ValueError, OverflowError):
-            continue  # point_stats raises the same error at every parameter
-        rows.append(i)
-    grid = np.array(_coarse_grid(lo, hi))
-    best = np.empty(len(rows), dtype=int)
-    top = np.empty(len(rows))
-    for start in range(0, len(rows), _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        values = _free_rate_kernel(protocol, p, np.array(alphas[block])[:, None], grid)
-        best[block] = values.argmax(axis=1)
-        top[block] = values.max(axis=1)
+    alpha, best, top = _coarse_maxima(protocol, p, xs, mode)
     found = np.flatnonzero(top > 0.0)
     if not found.size:
         return params
-    alpha, best, top = np.array(alphas)[found], best[found], top[found]
+    alpha, best, top = alpha[found], best[found], top[found]
+    grid = np.array(_coarse_grid(lo, hi))
 
     def rate(param: np.ndarray) -> np.ndarray:
         return _free_rate_kernel(protocol, p, alpha, param)
@@ -483,7 +532,7 @@ def _optimal_params(protocol: str, p: ChannelParams, xs: list[float], mode: str)
     param = np.array([math.exp(v) for v in (0.5 * (a + b)).tolist()])
     param = np.where(rate(param) < top, grid[best], param)
     for i, v in zip(found.tolist(), param.tolist()):
-        params[rows[i]] = v
+        params[i] = v
     return params
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdrates import protocols
 from qkdrates.channel import ChannelParams
 from qkdrates.protocols import (
     CHI_BOX,
@@ -252,6 +253,81 @@ class TestCutoff:
     def test_no_coverage_error(self):
         with pytest.raises(ValueError, match="zero at the lower"):
             cutoff_distance("ekert", FIBER, (300.0, 400.0), src=IdealEpr())
+
+    @pytest.mark.parametrize("search", [(1.0, math.inf), (-math.inf, 400.0), (math.nan, 400.0), (1.0, math.nan)])
+    @pytest.mark.parametrize("src", [None, IdealEpr()])
+    def test_non_finite_bracket_rejected(self, search, src):
+        with pytest.raises(ValueError, match="finite"):
+            cutoff_distance("ekert", FIBER, search, src=src)
+
+    # Reference fiber devices with and without dark counts and with lossless
+    # detectors, over brackets that hold a cutoff, whose upper edge still keeps
+    # a key (ekert without dark counts), or whose lower edge keeps none. The
+    # last bracket's midpoints are inexact, so they must be computed as the
+    # bisection computes them.
+    @pytest.mark.parametrize("protocol, outcomes", [
+        ("bb84", {"cutoff", "rate is zero at the lower"}),
+        ("ekert", {"cutoff", "rate is zero at the lower", "rate is still positive at the upper"}),
+    ])
+    def test_optimized_cutoff_matches_plain_bisection(self, protocol, outcomes):
+        seen = set()
+        for d in (0.0, 1e-7, 5e-5, 3e-3):
+            for eta in (0.18, 1.0):
+                p = ChannelParams(sigma=0.2, eta=eta, receiver_loss_db=1.0, d=d, mu=0.01)
+                for search in ((1.0, 1000.0), (0.0, 300.0), (600.0, 2000.0), (1.1, 777.7)):
+                    got = self._outcome(cutoff_distance, protocol, p, search)
+                    assert got == self._outcome(_plain_bisection, protocol, p, search), (p, search)
+                    seen.add(got.split(" search edge")[0] if isinstance(got, str) else "cutoff")
+        assert seen == outcomes
+
+    @staticmethod
+    def _outcome(cutoff, protocol, p, search):
+        try:
+            return cutoff(protocol, p, search)
+        except ValueError as err:
+            return str(err)
+
+    def test_probe_counts(self, monkeypatch):
+        calls = {}
+
+        def count(name):
+            inner = getattr(protocols, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(protocols, name, counted)
+
+        for name in ("_free_rate_kernel", "optimize_source_param", "point_rate"):
+            count(name)
+        cutoff_distance("ekert", FIBER, (1.0, 1000.0))
+        assert calls.get("_free_rate_kernel", 0) <= 3
+        assert "optimize_source_param" not in calls and "point_rate" not in calls
+        calls.clear()
+        # the edges and the 11 steps from a 999 km bracket down to 0.5 km
+        cutoff_distance("ekert", FIBER, (1.0, 1000.0), src=IdealEpr())
+        assert calls == {"point_rate": 13}
+
+
+def _plain_bisection(protocol, p, search):
+    """cutoff_distance with a free source as one optimization per probe: the
+    reference that the batched probes must reproduce exactly."""
+    def positive(km):
+        return optimize_source_param(protocol, p, km).rate > 0.0
+
+    lo, hi = search
+    if not positive(lo):
+        raise ValueError(f"rate is zero at the lower search edge {lo} km; no cutoff to bracket")
+    if positive(hi):
+        raise ValueError(f"rate is still positive at the upper search edge {hi} km; widen the bracket")
+    while hi - lo > 0.5:
+        mid = 0.5 * (lo + hi)
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class TestSweep:

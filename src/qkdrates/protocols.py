@@ -9,6 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import ratecore, sources
 from .channel import (
     ChannelParams,
     arm_alpha_from_loss_db,
@@ -17,7 +18,6 @@ from .channel import (
     span_loss_db,
 )
 from .ratecore import (
-    _EC_TABLE,
     binary_entropy,
     ec_efficiency,
     tau,  # unused here; bench/tests checks that tracing wraps this binding
@@ -262,18 +262,6 @@ def _coarse_grid(lo: float, hi: float) -> list[float]:
     return [math.exp(log_lo + i * (log_hi - log_lo) / (_COARSE_POINTS - 1)) for i in range(_COARSE_POINTS)]
 
 
-# ec_efficiency as one lookup: e selects the first segment that reaches it,
-# the two constant ends are segments without rise, and the last knot sits one
-# ulp low so that e = 0.15 selects the constant end, as in ec_efficiency.
-# Rows: segment start e, f at the start, rise of f, run of e.
-_EC_KNOTS = np.array([e for e, _ in _EC_TABLE[:-1]] + [math.nextafter(_EC_TABLE[-1][0], 0.0)])
-_EC_SEGMENTS = np.array(
-    [(0.0, _EC_TABLE[0][1], 0.0, 1.0)]
-    + [(e0, f0, f1 - f0, e1 - e0) for (e0, f0), (e1, f1) in zip(_EC_TABLE, _EC_TABLE[1:])]
-    + [(0.0, _EC_TABLE[-1][1], 0.0, 1.0)]
-).T
-
-
 def _libm_exp(v: np.ndarray) -> np.ndarray:
     """math.exp of each element. 1 - exp(-alpha nbar) keeps only the
     absolute rounding of the exponential, so at small alpha nbar numpy's exp,
@@ -288,14 +276,13 @@ def _free_rate_kernel(protocol: str, p: ChannelParams, alpha, param) -> np.ndarr
     ekert).
 
     The array form of point_rate(protocol, _free_source(protocol, param), p,
-    x, mode).rate at the abscissa x whose arm transmission is alpha: the
-    closed forms of bb84_stats, or of pdc_coefficients and pdc_stats, then
-    _sifted_error and _key_rate with binary_entropy, ec_efficiency and
-    tau_multiphoton, operation for operation. Where the scalar path raises
-    (a ClickStats, CoincidenceStats or PdcCoefficients check,
-    dark_click_prob's linear-model limit, a zero sift total, an overflowing
-    cosh) the rate is 0. An error fraction above 1/2 needs no check of its
-    own: the key rate is 0 from e >= beta / 2 on.
+    x, mode).rate at the abscissa x whose arm transmission is alpha: it calls
+    the closed-form bodies that the scalar path calls, where only numpy's
+    tanh, cosh, log2 and ** can differ from libm's in the last bit. Where the
+    scalar path raises (a ClickStats, CoincidenceStats or PdcCoefficients
+    check, dark_click_prob's linear-model limit, a zero sift total, an
+    overflowing cosh) the rate is 0. An error fraction above 1/2 needs no
+    check of its own: the key rate is 0 from e >= beta / 2 on.
     """
     a = np.asarray(alpha, dtype=float)
     x = np.asarray(param, dtype=float)
@@ -303,22 +290,15 @@ def _free_rate_kernel(protocol: str, p: ChannelParams, alpha, param) -> np.ndarr
     with np.errstate(all="ignore"):
         if protocol == "bb84":
             noise = BB84_DETECTORS * d
-            signal = 1.0 - _libm_exp(-a * x)
+            signal, p_m = sources._poisson_clicks(a, x, _libm_exp)
             p_sift = signal + noise
-            beta = (p_sift - (1.0 - (1.0 + x) * _libm_exp(-x))) / p_sift
+            beta = (p_sift - p_m) / p_sift
             # beta <= 1 + tol also rejects a NaN or +inf beta; -inf fails beta > 0
             ok = (x > 0.0) & (noise < 1.0) & (p_sift <= 1.0) & (beta <= 1.0 + _WEIGHT_TOL)
         else:
-            t2 = np.tanh(x) ** 2
             c4 = np.cosh(x) ** 4
-            one_m_a = 1.0 - a
-            one_m_z = 1.0 - t2 * one_m_a**2
-            pair_den = c4 * one_m_z**4
-            signal = 2.0 * a * a * t2 / pair_den
-            vacuum = 1.0 / (c4 * one_m_z**2)
-            single = 2.0 * a * one_m_a * t2 / (c4 * one_m_z**3)
-            double = 4.0 * a * a * one_m_a**2 * t2 * t2 / pair_den
-            noise = 16.0 * d * d * vacuum + 8.0 * d * single + double
+            signal, vacuum, single, double = sources._pdc_weights(a, np.tanh(x) ** 2, c4)
+            noise = sources._pdc_false(d, vacuum, single, double)
             p_sift = signal + noise
             beta = 1.0
             # PdcCoefficients' bounds; CoincidenceStats' tighter ones cover signal
@@ -327,17 +307,15 @@ def _free_rate_kernel(protocol: str, p: ChannelParams, alpha, param) -> np.ndarr
             ok = (x > 0.0) & np.isfinite(c4) & (low >= -_WEIGHT_TOL) & (high <= 1.0 + _WEIGHT_TOL)
             ok &= 1.0 - signal - vacuum - 2.0 * single - double >= -_WEIGHT_TOL
             ok &= (signal >= 0.0) & (signal <= 1.0) & (noise >= 0.0) & (noise <= 1.0)
-        e = (noise / 2.0 + mu * signal) / p_sift
+        e = sources._error_fraction(signal, noise, mu)
         live = ok & (p_sift != 0.0) & (beta > 0.0) & (e < 0.5 * beta)
 
-        scaled = e / beta
-        twice = 2.0 * scaled
-        # a live point has scaled <= 1/2, where collision_bound is the quadratic
-        # (at 1/2 both are 1)
-        secure = beta * -np.log2(0.5 + twice - twice * scaled)
-        entropy = np.where(e > 0.0, -e * np.log2(e) - (1.0 - e) * np.log2(1.0 - e), 0.0)
-        e0, f0, rise, run = _EC_SEGMENTS[:, np.searchsorted(_EC_KNOTS, e)]
-        f = f0 + rise * (e - e0) / run
+        # a live point has e / beta <= 1/2, where collision_bound is the
+        # quadratic (at 1/2 both are 1)
+        secure = beta * -np.log2(ratecore._quadratic_bound(e / beta))
+        entropy = np.where(e > 0.0, ratecore._entropy(e, np.log2), 0.0)
+        segments = np.array(ratecore._EC_SEGMENTS).T[:, np.searchsorted(ratecore._EC_KNOTS, e)]
+        f = ratecore._ec_line(e, *segments)
         raw = 0.5 * p_sift * (secure - f * entropy)
         return np.where(live & (raw > 0.0), raw, 0.0)
 
@@ -419,9 +397,9 @@ def _coarse_maxima(
 def _bisection_midpoints(lo: float, hi: float, depth: int) -> list[float]:
     """Every midpoint that the next depth steps of cutoff_distance's
     bisection from (lo, hi) could probe, computed as the bisection does."""
-    if depth == 0 or hi - lo <= _CUTOFF_RESOLUTION_KM:
-        return []
     mid = 0.5 * (lo + hi)
+    if depth == 0 or hi - lo <= _CUTOFF_RESOLUTION_KM or mid in (lo, hi):
+        return []
     return [mid] + _bisection_midpoints(lo, mid, depth - 1) + _bisection_midpoints(mid, hi, depth - 1)
 
 
@@ -432,7 +410,7 @@ def cutoff_distance(
     src: SourceSpec | None = None,
 ) -> float:
     """Largest distance with positive optimized rate, by bisection down to a
-    bracket of 0.5 km.
+    bracket of 0.5 km, or until the midpoint rounds to an end (past 2^52 km).
 
     A probe needs only the sign of the rate. With src None that is the sign
     of the maximum of optimize_source_param's coarse grid: the optimizer
@@ -477,6 +455,8 @@ def cutoff_distance(
         raise ValueError(f"rate is still positive at the upper search edge {hi} km; widen the bracket")
     while hi - lo > _CUTOFF_RESOLUTION_KM:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if mid not in positive:
             positive.update(probe(_bisection_midpoints(lo, hi, depth)))
         if positive[mid]:
@@ -495,9 +475,9 @@ def _optimal_params(protocol: str, p: ChannelParams, xs: list[float], mode: str)
     golden-section updates until its own bracket is below _REL_TOL, and the
     fallback to the grid point when the bracket midpoint rates lower. A row
     whose rate is 0 over the whole grid, or whose arm transmission cannot be
-    computed, gets the box midpoint. The kernel's numpy tanh, cosh and log2
-    can differ from libm's in the last bit, so where two probes of a row
-    rate the same to rounding, the row may take the other branch and end
+    computed, gets the box midpoint. The kernel's numpy tanh, cosh, log2
+    and ** can differ from libm's in the last bit, so where two probes of a
+    row rate the same to rounding, the row may take the other branch and end
     elsewhere inside _REL_TOL.
     """
     lo, hi = _free_source_box(protocol)

@@ -8,6 +8,7 @@ derived from it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 __all__ = [
     "binary_entropy",
@@ -22,6 +23,32 @@ __all__ = [
 # limit; ec_efficiency interpolates linearly between the pairs and clamps to
 # the nearest endpoint outside them.
 _EC_TABLE = ((0.01, 1.16), (0.05, 1.16), (0.1, 1.22), (0.15, 1.35))
+
+# The table as one lookup: e selects the first segment whose knot reaches it,
+# the two constant ends are segments without rise, and the last knot sits one
+# ulp low so that e = 0.15 selects the constant end. Rows: segment start e, f
+# at the start, rise of f, run of e.
+_EC_KNOTS = tuple(e for e, _ in _EC_TABLE[:-1]) + (math.nextafter(_EC_TABLE[-1][0], 0.0),)
+_EC_SEGMENTS = (
+    ((0.0, _EC_TABLE[0][1], 0.0, 1.0),)
+    + tuple((e0, f0, f1 - f0, e1 - e0) for (e0, f0), (e1, f1) in zip(_EC_TABLE, _EC_TABLE[1:]))
+    + ((0.0, _EC_TABLE[-1][1], 0.0, 1.0),)
+)
+
+
+# The closed forms below are plain arithmetic, so they take floats or numpy
+# arrays; the scalar functions call them with math's log2, the free-source
+# rate kernel with numpy's.
+def _entropy(e, log2):
+    return -e * log2(e) - (1.0 - e) * log2(1.0 - e)
+
+
+def _ec_line(e, e0, f0, rise, run):
+    return f0 + rise * (e - e0) / run
+
+
+def _quadratic_bound(eps):
+    return 0.5 + 2.0 * eps - 2.0 * eps * eps
 
 
 def binary_entropy(e: float) -> float:
@@ -39,7 +66,7 @@ def binary_entropy(e: float) -> float:
         raise ValueError(f"error fraction must lie in [0, 1], got {e}")
     if e == 0.0 or e == 1.0:
         return 0.0
-    return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
+    return _entropy(e, math.log2)
 
 
 def ec_efficiency(e: float) -> float:
@@ -54,14 +81,7 @@ def ec_efficiency(e: float) -> float:
     """
     if e < 0.0 or e >= 0.5:
         raise ValueError(f"error fraction must lie in [0, 0.5), got {e}")
-    if e <= _EC_TABLE[0][0]:
-        return _EC_TABLE[0][1]
-    if e >= _EC_TABLE[-1][0]:
-        return _EC_TABLE[-1][1]
-    for (e0, f0), (e1, f1) in zip(_EC_TABLE, _EC_TABLE[1:]):
-        if e0 <= e <= e1:
-            return f0 + (f1 - f0) * (e - e0) / (e1 - e0)
-    raise AssertionError("unreachable")
+    return _ec_line(e, *_EC_SEGMENTS[bisect_left(_EC_KNOTS, e)])
 
 
 def collision_bound(eps: float) -> float:
@@ -76,7 +96,7 @@ def collision_bound(eps: float) -> float:
         raise ValueError(f"disturbance must be non-negative, got {eps}")
     if eps >= 0.5:
         return 1.0
-    return 0.5 + 2.0 * eps - 2.0 * eps * eps
+    return _quadratic_bound(eps)
 
 
 def tau(eps: float) -> float:

@@ -321,8 +321,7 @@ def _family_seeds(n: int, r: int) -> np.ndarray:
     reproducibility."""
     seed_len = n + r - 1
     if n <= _EXHAUSTIVE_N:
-        all_seeds = np.arange(1 << seed_len, dtype=np.uint32)
-        return ((all_seeds[:, None] >> np.arange(seed_len)[None, :]) & 1).astype(np.uint8)
+        return _input_bits(seed_len)
     gen = random.Random(0)
     draws = bytes(gen.randrange(2) for _ in range(10_000 * seed_len))
     return np.frombuffer(draws, dtype=np.uint8).reshape(10_000, seed_len)

@@ -276,13 +276,42 @@ class PdcCoefficients:
         return 1.0 - self.A - self.B - 2.0 * self.C - self.D
 
 
+# The closed forms below are plain arithmetic, so they take floats or numpy
+# arrays; the scalar functions call them with math's exp, tanh and cosh, the
+# free-source rate kernel with numpy's. a is an arm transmission, d the dark
+# count probability, and B, C, D the weights of PdcCoefficients.
+def _poisson_clicks(a, nbar, exp):
+    return 1.0 - exp(-a * nbar), 1.0 - (1.0 + nbar) * exp(-nbar)
+
+
+def _pdc_weights(a, t2, c4):
+    one_m_z = 1.0 - t2 * (1.0 - a) ** 2
+    return (
+        2.0 * a * a * t2 / (c4 * one_m_z**4),
+        1.0 / (c4 * one_m_z**2),
+        2.0 * a * (1.0 - a) * t2 / (c4 * one_m_z**3),
+        4.0 * a * a * (1.0 - a) ** 2 * t2 * t2 / (c4 * one_m_z**4),
+    )
+
+
+def _pair_false(a, d):
+    return 8.0 * a * d + 16.0 * d * d
+
+
+def _pdc_false(d, B, C, D):
+    return 16.0 * d * d * B + 8.0 * d * C + D
+
+
+def _error_fraction(signal, noise, mu):
+    return (noise / 2.0 + mu * signal) / (signal + noise)
+
+
 def _sifted_error(signal: float, noise: float, mu: float, events: str = "coincidence") -> float:
     """Error fraction among sifted events: a noise event (dark count or
     accidental coincidence) errs half the time, a signal event at rate mu."""
-    total = signal + noise
-    if total == 0.0:
+    if signal + noise == 0.0:
         raise ValueError(f"degenerate statistics: {events} probability is zero")
-    return (noise / 2.0 + mu * signal) / total
+    return _error_fraction(signal, noise, mu)
 
 
 def _coincidence_stats(p_true: float, p_false: float, p: ChannelParams) -> CoincidenceStats:
@@ -307,8 +336,7 @@ def bb84_stats(src: SourceSpec, alpha: float, p: ChannelParams) -> ClickStats:
         p_signal = a
         p_m = 0.0
     else:
-        p_signal = 1.0 - math.exp(-a * src.nbar)
-        p_m = 1.0 - (1.0 + src.nbar) * math.exp(-src.nbar)
+        p_signal, p_m = _poisson_clicks(a, src.nbar, math.exp)
     p_dark = dark_click_prob(p.d, BB84_DETECTORS)
     e = _sifted_error(p_signal, p_dark, p.mu, "click")
     p_click = p_signal + p_dark
@@ -324,8 +352,7 @@ def ekert_ideal_stats(alpha_half: float, p: ChannelParams) -> CoincidenceStats:
     surviving photon with a dark count or two dark counts with each other.
     """
     a = checked_transmission(alpha_half)
-    d = p.d
-    return _coincidence_stats(a * a, 8.0 * a * d + 16.0 * d * d, p)
+    return _coincidence_stats(a * a, _pair_false(a, p.d), p)
 
 
 def pdc_coefficients(chi: float, alpha_half: float) -> PdcCoefficients:
@@ -342,14 +369,7 @@ def pdc_coefficients(chi: float, alpha_half: float) -> PdcCoefficients:
     if chi <= 0:
         raise ValueError("pump parameter must be positive")
     a = checked_transmission(alpha_half)
-    t2 = math.tanh(chi) ** 2
-    c4 = math.cosh(chi) ** 4
-    z = t2 * (1.0 - a) ** 2
-    one_m_z = 1.0 - z
-    A = 2.0 * a * a * t2 / (c4 * one_m_z**4)
-    B = 1.0 / (c4 * one_m_z**2)
-    C = 2.0 * a * (1.0 - a) * t2 / (c4 * one_m_z**3)
-    D = 4.0 * a * a * (1.0 - a) ** 2 * t2 * t2 / (c4 * one_m_z**4)
+    A, B, C, D = _pdc_weights(a, math.tanh(chi) ** 2, math.cosh(chi) ** 4)
     return PdcCoefficients(A=A, B=B, C=C, D=D)
 
 
@@ -362,8 +382,7 @@ def pdc_stats(chi: float, alpha_half: float, p: ChannelParams) -> CoincidenceSta
     components: p_false = 16 d^2 B + 8 d C + D.
     """
     c = pdc_coefficients(chi, alpha_half)
-    d = p.d
-    return _coincidence_stats(c.A, 16.0 * d * d * c.B + 8.0 * d * c.C + c.D, p)
+    return _coincidence_stats(c.A, _pdc_false(p.d, c.B, c.C, c.D), p)
 
 
 def swap_stats_from_segment(
@@ -393,6 +412,6 @@ def swap_stats_from_segment(
         p_bell = p_bell**n
     g_n = g**n
     p_true = p_bell * g_n * alpha_end * alpha_end
-    p_false = p_bell * (8.0 * alpha_end * d + 16.0 * d * d + (1.0 - g_n) * alpha_end * alpha_end)
+    p_false = p_bell * (_pair_false(alpha_end, d) + (1.0 - g_n) * alpha_end * alpha_end)
     return _coincidence_stats(p_true, p_false, p)
 

@@ -1,16 +1,20 @@
 """Unit tests for rate assembly, optimization, cutoff search, and sweeps."""
 
 import dataclasses
+import importlib.util
 import math
+import signal
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdrates import protocols
 from qkdrates.channel import ChannelParams
+from qkdrates.ratecore import _EC_KNOTS, _EC_SEGMENTS, _ec_line, _quadratic_bound, ec_efficiency
 from qkdrates.protocols import (
     CHI_BOX,
     MAX_SWEEP_ROWS,
@@ -26,6 +30,7 @@ from qkdrates.protocols import (
     sweep,
     _arm_transmission,
     _free_rate_kernel,
+    _libm_exp,
 )
 from qkdrates.sources import (
     ClickStats,
@@ -35,6 +40,11 @@ from qkdrates.sources import (
     Pdc,
     Poisson,
     SwapChain,
+    _error_fraction,
+    _pair_false,
+    _pdc_false,
+    _pdc_weights,
+    _poisson_clicks,
     bb84_stats,
     ekert_ideal_stats,
 )
@@ -239,6 +249,121 @@ class TestFreeRateKernel:
             assert row.tolist() == _free_rate_kernel("ekert", FIBER, a, params).tolist()
 
 
+def _on_arrays_and_floats(body, rows):
+    """body's outputs for each row, from one call on arrays of the rows'
+    columns and from one call per row on its floats."""
+    def listed(out):
+        return list(out) if isinstance(out, tuple) else [out]
+
+    arrays = listed(body(*(np.array(column) for column in zip(*rows))))
+    on_arrays = [[float(out[i]) for out in arrays] for i in range(len(rows))]
+    return on_arrays, [listed(body(*row)) for row in rows]
+
+
+def _rows(*columns):
+    return st.lists(st.tuples(*columns), min_size=1, max_size=16)
+
+
+# ec_efficiency's knots and the top of its domain, with the floats up to 3 ulp
+# to either side that lie in the domain
+_EC_EDGES = [0.0] + [
+    e for knot in (0.01, 0.05, 0.1, 0.15, 0.5) for e in (knot + i * math.ulp(knot) for i in range(-3, 4)) if e < 0.5
+]
+
+
+class TestClosedFormBodies:
+    """The closed-form bodies that the scalar path calls on floats and
+    _free_rate_kernel on arrays. Those built from + - * / alone give the same
+    bits either way; ** goes through libm's pow on floats and numpy's power on
+    arrays."""
+
+    unit = st.floats(0.0, 1.0)
+
+    @given(_rows(unit, unit, st.floats(0.0, 0.5)).filter(lambda rows: all(s + n > 0.0 for s, n, _ in rows)))
+    def test_error_fraction(self, rows):
+        on_arrays, on_floats = _on_arrays_and_floats(_error_fraction, rows)
+        assert on_arrays == on_floats
+
+    @given(_rows(unit, st.floats(0.0, 0.25)))
+    def test_pair_false(self, rows):
+        on_arrays, on_floats = _on_arrays_and_floats(_pair_false, rows)
+        assert on_arrays == on_floats
+
+    @given(_rows(st.floats(0.0, 0.25), unit, unit, unit))
+    def test_pdc_false(self, rows):
+        on_arrays, on_floats = _on_arrays_and_floats(_pdc_false, rows)
+        assert on_arrays == on_floats
+
+    @given(_rows(unit, st.floats(1e-6, 20.0)))
+    def test_poisson_clicks_with_the_kernel_exp(self, rows):
+        on_arrays = np.array(_poisson_clicks(*(np.array(c) for c in zip(*rows)), _libm_exp)).T.tolist()
+        assert on_arrays == [list(_poisson_clicks(a, nbar, math.exp)) for a, nbar in rows]
+
+    @given(_rows(st.floats(0.0, 0.5)))
+    def test_quadratic_bound(self, rows):
+        on_arrays, on_floats = _on_arrays_and_floats(_quadratic_bound, rows)
+        assert on_arrays == on_floats
+
+    @given(_rows(st.one_of(st.floats(0.0, 0.5, exclude_max=True), st.sampled_from(_EC_EDGES))))
+    def test_ec_segment_lookup(self, rows):
+        def kernel_ec(e):
+            return _ec_line(e, *np.array(_EC_SEGMENTS).T[:, np.searchsorted(_EC_KNOTS, e)])
+
+        on_arrays, _ = _on_arrays_and_floats(kernel_ec, rows)
+        assert on_arrays == [[ec_efficiency(e)] for e, in rows]
+
+    # A last-bit gap in (1 - a)**2 grows by t2 / (1 - z) where 1 - z =
+    # 1 - t2 (1 - a)^2 cancels, and by the power of 1 - z in a weight: to about
+    # 2 eps t2 / (1 - z) at most, which the bound doubles. The example, at
+    # 1 - z = 3.9e-5, differs by 1.1e-11 relative.
+    @given(_rows(st.floats(1e-12, 1.0), st.floats(1e-3, 10.0)))
+    @example([(1.8175316847974928e-05, 7.06368725207838)])
+    @settings(max_examples=300)
+    def test_pdc_weights_within_power_rounding(self, rows):
+        rows = [(a, math.tanh(chi) ** 2, math.cosh(chi) ** 4) for a, chi in rows]
+        on_arrays, on_floats = _on_arrays_and_floats(_pdc_weights, rows)
+        for (a, t2, _), got, want in zip(rows, on_arrays, on_floats):
+            rtol = 1e-12 + 4.0 * np.finfo(float).eps * t2 / (1.0 - t2 * (1.0 - a) ** 2)
+            assert np.allclose(got, want, rtol=rtol, atol=0.0), (got, want)
+
+
+def _load_bench_tracing():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestScalarPathLayers:
+    """A fixed-source point_rate reaches each traced function of its chain
+    once, so the benchmark's per-layer counters see every layer."""
+
+    RATE_CHAIN = ("ratecore.tau_multiphoton", "ratecore.tau", "ratecore.collision_bound",
+                  "ratecore.binary_entropy", "ratecore.ec_efficiency")
+
+    @pytest.mark.parametrize("protocol, src, chain", [
+        ("bb84", IdealSingle(), ("sources.bb84_stats", "protocols.rate_bb84")),
+        ("bb84", Poisson(0.05), ("sources.bb84_stats", "protocols.rate_bb84")),
+        ("ekert", IdealEpr(), ("sources.ekert_ideal_stats", "protocols.rate_ekert")),
+        ("ekert", Pdc(0.3), ("sources.pdc_stats", "sources.pdc_coefficients", "protocols.rate_ekert")),
+        ("ekert", SwapChain(1), ("sources.swap_stats_from_segment", "protocols.rate_ekert")),
+    ])
+    def test_point_rate_counts_each_layer_once(self, protocol, src, chain):
+        tracing = _load_bench_tracing()
+        tracer = tracing.Tracer()
+        tracer.install(tracing.namespaces())
+        try:
+            point = protocols.point_rate(protocol, src, FIBER, 10.0)
+        finally:
+            tracer.uninstall()
+        assert point.rate > 0.0
+        layers = ("protocols.", "sources.", "ratecore.")
+        calls = {name: entry[0] for (name, _), entry in tracer.counters.items() if name.startswith(layers)}
+        expected = ("protocols.point_rate", "protocols.point_stats") + chain + self.RATE_CHAIN
+        assert calls == dict.fromkeys(expected, 1)
+
+
 class TestCutoff:
     def test_ordering_of_ideal_sources(self):
         ekert_cut = cutoff_distance("ekert", FIBER, (1.0, 400.0), src=IdealEpr())
@@ -259,6 +384,27 @@ class TestCutoff:
     def test_non_finite_bracket_rejected(self, search, src):
         with pytest.raises(ValueError, match="finite"):
             cutoff_distance("ekert", FIBER, search, src=src)
+
+    @pytest.mark.parametrize("src", [IdealEpr(), None])
+    def test_bracket_past_float_resolution_stops(self, src):
+        # past 2^52 km adjacent floats lie more than 0.5 km apart, so the
+        # bisection must stop when its midpoint rounds to an end; a timer
+        # turns a hang into a failure
+        p = ChannelParams(sigma=1e-20, d=5e-5, eta=0.18, mu=0.01)
+
+        def hang(signum, frame):
+            raise TimeoutError("cutoff_distance did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            km = cutoff_distance("ekert", p, (1.0, 1e22), src)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert 2.0**52 < km < 1e22
+        assert point_rate("ekert", src, p, km).rate > 0.0
+        assert point_rate("ekert", src, p, math.nextafter(km, math.inf)).rate == 0.0
 
     # Reference fiber devices with and without dark counts and with lossless
     # detectors, over brackets that hold a cutoff, whose upper edge still keeps

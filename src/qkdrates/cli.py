@@ -382,16 +382,37 @@ def run_verify_suite(name: str) -> dict:
 # --- subcommands -----------------------------------------------------------
 
 
-def _cmd_rate(args) -> int:
+def _optimize_report(config: RunConfig, curve: CurveSpec) -> dict:
+    if curve.source is not None:
+        fixed = f"curve {curve.label!r} has a fixed {curve.source.tag} source"
+        raise ConfigError(f"{fixed}; the optimize command needs optimized curves")
+    opt = optimize_source_param(curve.protocol, config.channel, config.point, config.mode)
+    return {
+        "label": curve.label, "protocol": curve.protocol, "abscissa": config.point,
+        "optimal_param": opt.param, "rate_bits_per_pulse": opt.rate, "zero_rate": opt.zero_rate,
+    }
+
+
+def _cutoff_report(config: RunConfig, curve: CurveSpec) -> dict:
+    km = cutoff_distance(curve.protocol, config.channel, config.cutoff_search, src=curve.source)
+    return {"label": curve.label, "protocol": curve.protocol, "cutoff_km": km}
+
+
+# command -> (report of one curve, whether it needs a point, key of several reports)
+_PER_CURVE = {
+    "rate": (_point_report, True, "points"),
+    "optimize": (_optimize_report, True, "points"),
+    "cutoff": (_cutoff_report, False, "curves"),
+}
+
+
+def _cmd_per_curve(args) -> int:
+    report, needs_point, key = _PER_CURVE[args.command]
     config = load_config(args.config)
-    if config.point is None:
-        raise ConfigError("the rate command needs a 'point' config")
-    report = (
-        _point_report(config, config.curves[0])
-        if len(config.curves) == 1
-        else {"points": [_point_report(config, c) for c in config.curves]}
-    )
-    _emit_json(report, args.out)
+    if needs_point and config.point is None:
+        raise ConfigError(f"the {args.command} command needs a 'point' config")
+    reports = [report(config, curve) for curve in config.curves]
+    _emit_json(reports[0] if len(reports) == 1 else {key: reports}, args.out)
     return 0
 
 
@@ -404,39 +425,6 @@ def _cmd_sweep(args) -> int:
         _emit_json(_sweep_json(rows), args.out)
     else:
         _emit(_sweep_csv(config, rows), args.out)
-    return 0
-
-
-def _cmd_optimize(args) -> int:
-    config = load_config(args.config)
-    if config.point is None:
-        raise ConfigError("the optimize command needs a 'point' config")
-    reports = []
-    for curve in config.curves:
-        opt = optimize_source_param(curve.protocol, config.channel, config.point, config.mode)
-        reports.append(
-            {
-                "label": curve.label,
-                "protocol": curve.protocol,
-                "abscissa": config.point,
-                "optimal_param": opt.param,
-                "rate_bits_per_pulse": opt.rate,
-                "zero_rate": opt.zero_rate,
-            }
-        )
-    _emit_json(reports[0] if len(reports) == 1 else {"points": reports}, args.out)
-    return 0
-
-
-def _cmd_cutoff(args) -> int:
-    config = load_config(args.config)
-    reports = []
-    for curve in config.curves:
-        km = cutoff_distance(
-            curve.protocol, config.channel, config.cutoff_search, src=curve.source
-        )
-        reports.append({"label": curve.label, "protocol": curve.protocol, "cutoff_km": km})
-    _emit_json(reports[0] if len(reports) == 1 else {"curves": reports}, args.out)
     return 0
 
 
@@ -462,11 +450,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         return p
 
-    add("rate", _cmd_rate, "evaluate the secure rate and key budget at one point")
+    add("rate", _cmd_per_curve, "evaluate the secure rate and key budget at one point")
     p_sweep = add("sweep", _cmd_sweep, "evaluate rate curves over an abscissa grid")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    add("optimize", _cmd_optimize, "find the optimal source parameter at one point")
-    add("cutoff", _cmd_cutoff, "bisect for the largest distance with positive rate")
+    add("optimize", _cmd_per_curve, "find the optimal source parameter at one point")
+    add("cutoff", _cmd_per_curve, "bisect for the largest distance with positive rate")
     p_verify = add("verify", _cmd_verify, "run a verification suite", needs_config=False)
     p_verify.add_argument(
         "--suite",

@@ -146,7 +146,11 @@ class OptimizeResult(NamedTuple):
 
     param: float
     rate: float
-    zero_rate: bool = False
+
+    @property
+    def zero_rate(self) -> bool:
+        """Whether no source parameter in the box gave a positive rate."""
+        return self.rate == 0.0
 
 
 def _key_rate(p_sift: float, e: float, beta: float, clamp: bool) -> float:
@@ -332,8 +336,9 @@ def optimize_source_param(
     coincidence protocol optimizes the down-conversion pump parameter over
     [1e-3, 1.5]. A 64-point logarithmic grid brackets the maximum, then
     golden-section search refines it to a relative tolerance of 1e-4. If the
-    rate vanishes over the whole box the result carries a zero_rate flag and
-    the box midpoint.
+    rate vanishes over the whole grid the result is rate 0 at the box
+    midpoint; otherwise its rate is at least the grid maximum, so zero_rate
+    tells the two cases apart.
     """
     lo, hi = _free_source_box(protocol)
 
@@ -344,7 +349,7 @@ def optimize_source_param(
     values = [objective(g) for g in grid]
     best = max(range(_COARSE_POINTS), key=values.__getitem__)
     if values[best] == 0.0:
-        return OptimizeResult(param=0.5 * (lo + hi), rate=0.0, zero_rate=True)
+        return OptimizeResult(param=0.5 * (lo + hi), rate=0.0)
     a = math.log(grid[max(best - 1, 0)])
     b = math.log(grid[min(best + 1, _COARSE_POINTS - 1)])
     x1 = b - _GOLDEN * (b - a)

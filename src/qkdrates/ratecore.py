@@ -2,7 +2,8 @@
 
 Binary entropy, benchmark error-correction efficiency, the
 individual-attack collision-probability bound, and the secure fraction tau
-derived from it.
+derived from it. Each function raises ValueError for an argument outside
+its domain, NaN included.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def binary_entropy(e: float) -> float:
     Returns:
         h(e) = -e log2 e - (1-e) log2 (1-e), in [0, 1].
     """
-    if e < 0.0 or e > 1.0:
+    if not 0.0 <= e <= 1.0:
         raise ValueError(f"error fraction must lie in [0, 1], got {e}")
     if e == 0.0 or e == 1.0:
         return 0.0
@@ -79,7 +80,7 @@ def ec_efficiency(e: float) -> float:
         Piecewise-linear interpolation of f over the benchmark table,
         endpoint-clamped.
     """
-    if e < 0.0 or e >= 0.5:
+    if not 0.0 <= e < 0.5:
         raise ValueError(f"error fraction must lie in [0, 0.5), got {e}")
     return _ec_line(e, *_EC_SEGMENTS[bisect_left(_EC_KNOTS, e)])
 
@@ -92,7 +93,7 @@ def collision_bound(eps: float) -> float:
     any larger disturbance instead of following the (nonphysical) downturn of
     the quadratic.
     """
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError(f"disturbance must be non-negative, got {eps}")
     if eps >= 0.5:
         return 1.0
@@ -118,9 +119,9 @@ def tau_multiphoton(e: float, beta: float) -> float:
     Returns:
         beta * tau(e / beta), or 0 when the bound saturates.
     """
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    if e < 0.0 or e > 1.0:
+    if not 0.0 <= e <= 1.0:
         raise ValueError(f"error fraction must lie in [0, 1], got {e}")
     scaled = e / beta
     if scaled >= 0.5:

@@ -57,6 +57,7 @@ def _suite_attack_bound() -> dict:
 def _suite_pdc_oracle() -> dict:
     worst_coeff = 0.0
     worst_residual = 0.0
+    unreadable = False
     table = []
     for chi in (0.05, 0.1, 0.2, 0.3):
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
@@ -64,12 +65,18 @@ def _suite_pdc_oracle() -> dict:
             sectors = fockoracle.apply_loss_and_trace(
                 fockoracle.build_pdc_state(chi, 8), alpha
             )
-            brute = fockoracle.extract_pdc_coefficients(sectors)
             closed = [formula.A, formula.B, formula.C, formula.D]
+            worst_residual = max(worst_residual, fockoracle.pair_sector_residual(sectors))
+            try:
+                brute = fockoracle.extract_pdc_coefficients(sectors)
+            except ValueError as err:
+                # a failed structure check leaves no oracle coefficients to compare
+                unreadable = True
+                table.append({"chi": chi, "alpha": alpha, "closed_form": closed, "error": str(err)})
+                continue
             oracle = [brute.A, brute.B, brute.C, brute.D]
             deviation = max(abs(x - y) for x, y in zip(closed, oracle))
             worst_coeff = max(worst_coeff, deviation)
-            worst_residual = max(worst_residual, fockoracle.pair_sector_residual(sectors))
             table.append(
                 {
                     "chi": chi,
@@ -81,8 +88,8 @@ def _suite_pdc_oracle() -> dict:
             )
     return {
         "properties": [
-            _property("closed-form coefficients match brute force", 1e-6, worst_coeff <= 1e-6,
-                      max_deviation=worst_coeff),
+            _property("closed-form coefficients match brute force", 1e-6,
+                      worst_coeff <= 1e-6 and not unreadable, max_deviation=worst_coeff),
             _property("(1,1) sector decomposes as A psi+ + D I/4", 1e-10, worst_residual <= 1e-10,
                       max_deviation=worst_residual),
         ],

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qkdrates import cli, verify
+from qkdrates import cli, fockoracle, verify
 from qkdrates.cli import (
     ConfigError,
     config_to_dict,
@@ -581,12 +581,78 @@ class TestOptimizeAndCutoffCommands:
         assert 100.0 < report["cutoff_km"] < 120.0
 
 
+class TestPerCurveCommands:
+    """rate, optimize and cutoff write one report per curve: a single curve's
+    report bare, several under the command's key in curve order."""
+
+    CURVES = (
+        {"label": "pair", "protocol": "ekert", "source": "optimize"},
+        {"label": "weak pulses", "protocol": "bb84", "source": "optimize"},
+    )
+
+    def output(self, tmp_path, capsys, command, curves):
+        cfg = {"curves": list(curves), "channel": BASE_CHANNEL, "point": {"distance_km": 20.0}}
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "command, key, field",
+        [("rate", "points", "rate_bits_per_pulse"), ("optimize", "points", "optimal_param"),
+         ("cutoff", "curves", "cutoff_km")],
+    )
+    def test_one_curve_is_bare_and_several_are_keyed(self, tmp_path, capsys, command, key, field):
+        alone = [self.output(tmp_path, capsys, command, [curve]) for curve in self.CURVES]
+        assert all(field in report for report in alone)
+        assert self.output(tmp_path, capsys, command, self.CURVES) == {key: alone}
+        assert self.output(tmp_path, capsys, command, self.CURVES[::-1]) == {key: alone[::-1]}
+
+    @pytest.mark.parametrize("command", ["rate", "optimize"])
+    def test_sweep_config_exits_2(self, tmp_path, capsys, command):
+        grid = {"mode": "distance", "start_km": 0, "stop_km": 10, "step_km": 5}
+        cfg = {"curves": list(self.CURVES), "channel": BASE_CHANNEL, "sweep": grid}
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the {command} command needs a 'point' config\n"
+
+    def test_optimize_rejects_a_fixed_source(self, tmp_path, capsys):
+        cfg = {
+            "curves": [
+                self.CURVES[0],
+                {"label": "chain", "protocol": "ekert", "source": {"type": "swap", "n_swaps": 1}},
+            ],
+            "channel": BASE_CHANNEL,
+            "point": {"distance_km": 100.0},
+        }
+        assert main(["optimize", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "'chain'" in captured.err and "swap" in captured.err
+
+
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):
         assert main(["verify", "--suite", "multi-photon"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
         assert "single_photon_anomaly" in report
+
+    def test_failed_oracle_structure_check_is_a_failed_property(self, capsys, monkeypatch):
+        build = fockoracle.build_pdc_state
+
+        def polarized(chi, n_max):
+            # an x/x pair, which the pair state never holds, polarizes the one-photon sectors
+            state = build(chi, n_max)
+            return fockoracle.FockVector(amps={**state.amps, (1, 0, 1, 0, 0, 0, 0, 0): 0.05})
+
+        monkeypatch.setattr(fockoracle, "build_pdc_state", polarized)
+        assert main(["verify", "--suite", "pdc-oracle"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        assert report["properties"][0]["pass"] is False
+        assert all("error" in row and "oracle" not in row for row in report["grid"])
+        assert report["grid"][0]["error"] == "sector (1, 0) is not unpolarized"
 
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

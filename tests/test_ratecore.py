@@ -140,3 +140,21 @@ class TestTauMultiphoton:
     @settings(max_examples=200)
     def test_never_exceeds_single_photon_tau(self, e, beta):
         assert tau_multiphoton(e, beta) <= tau(min(e, 0.5)) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        (binary_entropy, (math.nan,)),
+        (ec_efficiency, (math.nan,)),
+        (collision_bound, (math.nan,)),
+        (tau, (math.nan,)),
+        (tau_multiphoton, (math.nan, 0.9)),
+        (tau_multiphoton, (0.1, math.nan)),
+    ],
+    ids=["binary_entropy", "ec_efficiency", "collision_bound", "tau", "tau_multiphoton-e",
+         "tau_multiphoton-beta"],
+)
+def test_nan_argument_is_rejected(func, args):
+    with pytest.raises(ValueError):
+        func(*args)

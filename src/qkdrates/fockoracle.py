@@ -85,6 +85,11 @@ class SectorDensity:
             (k_ax, i - k_ax, k_bx, j - k_bx), k_ax running from i down to 0
             and, within it, k_bx from j down to 0 (x-heavy first on each
             side); its trace is the sector weight.
+
+    Construction checks that the matrix has the sector's shape and is
+    Hermitian and positive semidefinite within 1e-12, on the full matrix.
+    apply_loss_and_trace runs the same two checks itself, once per call on
+    the stacked blocks of all its sectors, and skips this re-check.
     """
 
     i: int
@@ -95,10 +100,16 @@ class SectorDensity:
         dim = (self.i + 1) * (self.j + 1)
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"sector ({self.i}, {self.j}) needs a {dim} x {dim} matrix")
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-12:
-            raise ValueError("sector density must be Hermitian")
-        if float(np.min(np.linalg.eigvalsh(self.matrix))) < -1e-12:
-            raise ValueError("sector density must be positive semidefinite")
+        _check_densities(self.matrix[None])
+
+    @classmethod
+    def _prechecked(cls, i: int, j: int, matrix: np.ndarray) -> SectorDensity:
+        """Build without __post_init__, for a matrix whose checks already ran."""
+        sector = object.__new__(cls)
+        object.__setattr__(sector, "i", i)
+        object.__setattr__(sector, "j", j)
+        object.__setattr__(sector, "matrix", matrix)
+        return sector
 
     @property
     def weight(self) -> float:
@@ -192,6 +203,12 @@ def apply_loss_and_trace(state: FockVector, alpha: float) -> list:
     components that the trace leaves. The matrices are real when every
     amplitude of the state is.
 
+    Every matrix gets SectorDensity's Hermitian and positive-semidefinite
+    checks once per call, on its block at the columns of V that hold an
+    amplitude, stacked by block size (_check_blocks). A column of V without
+    amplitude makes an exactly zero row and column, which adds only an
+    eigenvalue 0, so the block passes exactly when the whole matrix does.
+
     Args:
         state: Input FockVector with empty loss modes.
         alpha: Shared arm transmission.
@@ -204,17 +221,52 @@ def apply_loss_and_trace(state: FockVector, alpha: float) -> list:
     # code) makes each sector's distinct codes a contiguous run
     _, row = np.unique(sector * (1 + int(codes.max())) + codes, return_inverse=True)
     order = np.argsort(row, kind="stable")
-    bounds = np.flatnonzero(np.diff(sector[order])) + 1
-    out = []
-    for run in np.split(order, bounds):
-        si, sj = int(i[run[0]]), int(j[run[0]])
-        rows = row[run] - row[run].min()
-        # column of (k_ax, si - k_ax, k_bx, sj - k_bx) in the sector basis
-        cols = (si - kept[run, 0]) * (sj + 1) + (sj - kept[run, 2])
-        v = np.zeros((int(rows.max()) + 1, (si + 1) * (sj + 1)), dtype=amps.dtype)
-        v[rows, cols] = amps[run]
-        out.append(SectorDensity(i=si, j=sj, matrix=v.T @ v.conj()))
+    # per entry of the sorted expansion: its row within its sector's V (rows
+    # ascend within a sector, so its last entry holds the largest) and its
+    # column (k_ax, i - k_ax, k_bx, j - k_bx) in the sector basis
+    first = np.flatnonzero(np.diff(sector[order], prepend=-1))
+    counts = np.diff(first, append=len(order))
+    row = row[order]
+    rows = row - np.repeat(row[first], counts)
+    cols = ((i - kept[:, 0]) * (j + 1) + (j - kept[:, 2]))[order]
+    amps = amps[order]
+    # each sector's distinct columns, sorted, as runs of one array
+    stride = 1 + int(cols.max())
+    seen = np.zeros(len(first) * stride, dtype=bool)
+    seen[np.repeat(np.arange(len(first)), counts) * stride + cols] = True
+    used = np.flatnonzero(seen)
+    used_bounds = np.searchsorted(used // stride, np.arange(len(first) + 1)).tolist()
+    used %= stride
+    heads = order[first]
+    out, columns = [], []
+    for k, (lo, hi, si, sj) in enumerate(
+        zip(first.tolist(), (first + counts).tolist(), i[heads].tolist(), j[heads].tolist())
+    ):
+        v = np.zeros((int(rows[hi - 1]) + 1, (si + 1) * (sj + 1)), dtype=amps.dtype)
+        v[rows[lo:hi], cols[lo:hi]] = amps[lo:hi]
+        columns.append(used[used_bounds[k]:used_bounds[k + 1]])
+        out.append(SectorDensity._prechecked(si, sj, v.T @ v.conj()))
+    _check_blocks([s.matrix for s in out], columns)
     return out
+
+
+def _check_densities(stack: np.ndarray) -> None:
+    """SectorDensity's checks on an (n, d, d) stack: every matrix Hermitian
+    and positive semidefinite within 1e-12, with one eigvalsh for the stack."""
+    if np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) > 1e-12:
+        raise ValueError("sector density must be Hermitian")
+    if float(np.min(np.linalg.eigvalsh(stack))) < -1e-12:
+        raise ValueError("sector density must be positive semidefinite")
+
+
+def _check_blocks(matrices: list, columns: list) -> None:
+    """Check each matrix on its block at the given sorted columns, outside
+    which it must be zero; blocks of one size share a _check_densities call."""
+    by_size = defaultdict(list)
+    for matrix, cols in zip(matrices, columns):
+        by_size[len(cols)].append((matrix, cols))
+    for group in by_size.values():
+        _check_densities(np.stack([matrix[cols[:, None], cols] for matrix, cols in group]))
 
 
 def sector_weights(sectors: list) -> dict:

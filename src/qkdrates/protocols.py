@@ -18,13 +18,13 @@ from .channel import (
     span_loss_db,
 )
 from .ratecore import (
+    _WEIGHT_TOL,
     binary_entropy,
     ec_efficiency,
     tau,  # unused here; bench/tests checks that tracing wraps this binding
     tau_multiphoton,
 )
 from .sources import (
-    _WEIGHT_TOL,
     BB84_DETECTORS,
     PROTOCOLS,
     ClickStats,

@@ -19,6 +19,10 @@ __all__ = [
     "tau_multiphoton",
 ]
 
+# Rounding allowance when a weight or fraction, such as beta, is checked
+# against its bounds.
+_WEIGHT_TOL = 1e-9
+
 # Benchmark (error rate, efficiency) pairs of the error-correction code. The
 # efficiency f(e) >= 1 measures how far the code operates above the Shannon
 # limit; ec_efficiency interpolates linearly between the pairs and clamps to
@@ -114,13 +118,16 @@ def tau_multiphoton(e: float, beta: float) -> float:
 
     Args:
         e: Observed error fraction in [0, 1].
-        beta: Untagged (single-photon) fraction in (0, 1].
+        beta: Untagged (single-photon) fraction in (0, 1]; up to
+            _WEIGHT_TOL of rounding above 1 is accepted, as ClickStats does.
 
     Returns:
         beta * tau(e / beta), or 0 when the bound saturates.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
+    if beta > 1.0 + _WEIGHT_TOL:
+        raise ValueError(f"beta cannot exceed 1, got {beta}")
     if not 0.0 <= e <= 1.0:
         raise ValueError(f"error fraction must lie in [0, 1], got {e}")
     scaled = e / beta

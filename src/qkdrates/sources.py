@@ -20,6 +20,7 @@ from .channel import (
     db_to_transmission,
     receiver_arm_loss_db,
 )
+from .ratecore import _WEIGHT_TOL
 
 __all__ = [
     "PROTOCOLS",
@@ -47,8 +48,6 @@ __all__ = [
 ]
 
 BB84_DETECTORS = 4
-
-_WEIGHT_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,10 @@ def _suite_pdc_oracle() -> dict:
     unreadable = False
     table = []
     for chi in (0.05, 0.1, 0.2, 0.3):
+        state = fockoracle.build_pdc_state(chi, 8)
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
             formula = sources.pdc_coefficients(chi, alpha)
-            sectors = fockoracle.apply_loss_and_trace(
-                fockoracle.build_pdc_state(chi, 8), alpha
-            )
+            sectors = fockoracle.apply_loss_and_trace(state, alpha)
             closed = [formula.A, formula.B, formula.C, formula.D]
             worst_residual = max(worst_residual, fockoracle.pair_sector_residual(sectors))
             try:

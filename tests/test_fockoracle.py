@@ -7,8 +7,12 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from qkdrates import fockoracle
 from qkdrates.fockoracle import (
     FockVector,
+    SectorDensity,
+    _check_blocks,
+    _check_densities,
     _loss_expansion,
     _outcome_probabilities,
     _receiver_expansion,
@@ -177,6 +181,95 @@ class TestLossEquivalence:
         probs = _outcome_probabilities(*_loss_expansion(state, alpha), dephase=dephase)
         assert np.max(np.abs(probs - reference_outcome_probabilities(state, alpha, dephase))) <= 1e-14
         assert math.fsum(probs) == pytest.approx(state.norm_squared(), abs=1e-14)
+
+
+# the pdc-oracle suite's grid
+ORACLE_GRID = [(chi, alpha) for chi in (0.05, 0.1, 0.2, 0.3) for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)]
+CHECK_CASES = [
+    *(pytest.param(build_pdc_state(chi, 8), alpha, id=f"pdc chi={chi} alpha={alpha}")
+      for chi, alpha in ORACLE_GRID),
+    *(pytest.param(state, alpha, id=f"{name} alpha={alpha}")
+      for name, state in EQUIVALENCE_STATES.items() for alpha in (0.0, 0.5, 1.0)),
+]
+
+
+def populated_columns(state, alpha):
+    """(i, j) -> sorted sector-basis columns that some kept ket occupies."""
+    used = defaultdict(set)
+    for vec in reference_loss_groups(state, alpha).values():
+        for kax, kay, kbx, kby in vec:
+            i, j = kax + kay, kbx + kby
+            used[(i, j)].add((i - kax) * (j + 1) + (j - kbx))
+    return {key: sorted(cols) for key, cols in used.items()}
+
+
+class TestSectorChecks:
+    def test_sector_density_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"sector \(1, 0\) needs a 2 x 2 matrix"):
+            SectorDensity(i=1, j=0, matrix=np.eye(3))
+
+    def test_sector_density_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="sector density must be Hermitian"):
+            SectorDensity(i=1, j=0, matrix=np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_sector_density_rejects_non_psd(self):
+        with pytest.raises(ValueError, match="sector density must be positive semidefinite"):
+            SectorDensity(i=1, j=0, matrix=np.diag([1.0, -1e-9]))
+
+    def test_stack_with_one_bad_matrix_is_rejected(self):
+        good = np.stack([np.eye(3), np.full((3, 3), 0.25), np.diag([0.5, 0.0, 0.1])])
+        _check_densities(good)
+        skewed = good.copy()
+        skewed[1, 0, 2] += 1e-9
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            _check_densities(skewed)
+        negative = good.copy()
+        negative[2, 1, 1] = -1e-9
+        with pytest.raises(ValueError, match="must be positive semidefinite"):
+            _check_densities(negative)
+
+    def test_block_keyed_on_columns_not_diagonal(self):
+        # [[0, 1], [1, 0]] has eigenvalue -1 but a zero diagonal, so a block
+        # chosen by nonzero diagonal entries would be empty and miss it
+        matrix = np.zeros((5, 5))
+        matrix[1, 3] = matrix[3, 1] = 1.0
+        with pytest.raises(ValueError, match="must be positive semidefinite"):
+            _check_blocks([np.eye(2), matrix], [np.arange(2), np.array([1, 3])])
+
+    @pytest.mark.parametrize("state, alpha", CHECK_CASES)
+    def test_block_check_matches_full_check(self, state, alpha):
+        # zero outside the block, so the full matrix's spectrum is the block's
+        # plus zeros: the checks pass or fail together
+        columns = populated_columns(state, alpha)
+        for s in apply_loss_and_trace(state, alpha):
+            cols = columns[(s.i, s.j)]
+            outside = np.ones(s.matrix.shape, dtype=bool)
+            outside[np.ix_(cols, cols)] = False
+            assert np.all(s.matrix[outside] == 0.0)
+            block_min = np.linalg.eigvalsh(s.matrix[np.ix_(cols, cols)]).min()
+            if len(cols) < len(s.matrix):
+                block_min = min(block_min, 0.0)
+            assert abs(block_min - np.linalg.eigvalsh(s.matrix).min()) <= 1e-15
+
+    @pytest.mark.parametrize("state", [
+        *(pytest.param(state, id=name) for name, state in EQUIVALENCE_STATES.items()),
+        pytest.param(build_pdc_state(0.3, 8), id="pdc n=8"),
+    ])
+    def test_every_sector_is_checked_once(self, state, monkeypatch):
+        checked = []
+
+        def record(stack):
+            checked.extend(m.tobytes() for m in stack)
+            return _check_densities(stack)
+
+        monkeypatch.setattr(fockoracle, "_check_densities", record)
+        sectors = apply_loss_and_trace(state, 0.5)
+        columns = populated_columns(state, 0.5)
+        blocks = []
+        for s in sectors:
+            cols = columns[(s.i, s.j)]
+            blocks.append(s.matrix[np.ix_(cols, cols)].tobytes())
+        assert sorted(checked) == sorted(blocks)
 
 
 class TestCoefficientExtraction:

@@ -133,6 +133,15 @@ class TestTauMultiphoton:
         with pytest.raises(ValueError):
             tau_multiphoton(1.1, 0.9)
 
+    @pytest.mark.parametrize("e, beta", [(0.0, 2.0), (0.05, 1e300)])
+    def test_beta_above_one_is_rejected(self, e, beta):
+        with pytest.raises(ValueError, match="beta cannot exceed 1"):
+            tau_multiphoton(e, beta)
+
+    def test_beta_within_rounding_of_one_is_accepted(self):
+        # ClickStats accepts beta up to 1 + 1e-9, so the rate formulas must too
+        assert tau_multiphoton(0.05, 1.0 + 5e-10) == pytest.approx(tau(0.05), rel=1e-9)
+
     @given(
         st.floats(min_value=0.0, max_value=0.5),
         st.floats(min_value=1e-6, max_value=1.0),

@@ -53,6 +53,10 @@ class TestKeyBudget:
         assert final_key_length(1000, 0.05, 333, SecurityParams(30, 30), 1.0) == plain
         assert plain.tau_bits == tau(0.05)
 
+    def test_beta_above_one_is_rejected(self):
+        with pytest.raises(ValueError, match="beta cannot exceed 1"):
+            final_key_length(1000, 0.05, 333, SecurityParams(30, 30), 3.0)
+
     def test_saturated_disturbance(self):
         budget = final_key_length(100, 0.5, 0, SecurityParams(0, 0))
         assert budget.r == 0

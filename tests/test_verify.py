@@ -6,7 +6,7 @@ import pytest
 
 from qkdrates import security, verify
 
-# The largest suite peaks near 2.1 MiB. Evaluating a whole grid at once (a
+# The largest suite peaks near 2.2 MiB. Evaluating a whole grid at once (a
 # 50^3 attack meshgrid, every hash seed in one histogram) would pass 5 MiB.
 PEAK_LIMIT = 5 * 2**20
 

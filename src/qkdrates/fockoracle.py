@@ -59,9 +59,11 @@ class FockVector:
     def __post_init__(self):
         if not self.amps:
             raise ValueError("a state needs at least one occupation tuple")
-        for occ in self.amps:
+        for occ, amp in self.amps.items():
             if len(occ) != 8 or any(k < 0 for k in occ):
                 raise ValueError(f"occupation tuples must be 8 non-negative counts, got {occ}")
+            if not np.isfinite(amp):
+                raise ValueError(f"amplitude of {occ} must be finite, got {amp}")
 
     def norm_squared(self) -> float:
         return math.fsum(abs(a) ** 2 for a in self.amps.values())
@@ -87,9 +89,9 @@ class SectorDensity:
             side); its trace is the sector weight.
 
     Construction checks that the matrix has the sector's shape and is
-    Hermitian and positive semidefinite within 1e-12, on the full matrix.
-    apply_loss_and_trace runs the same two checks itself, once per call on
-    the stacked blocks of all its sectors, and skips this re-check.
+    finite, Hermitian and positive semidefinite within 1e-12, on the full
+    matrix. apply_loss_and_trace runs the same checks itself, once per call
+    on the stacked blocks of all its sectors, and skips this re-check.
     """
 
     i: int
@@ -153,15 +155,12 @@ def build_pdc_state(chi: float, n_max: int) -> FockVector:
     return FockVector(amps=amps)
 
 
-@lru_cache(maxsize=None)
 def _split_amplitudes(n: int, alpha: float) -> np.ndarray:
     """Beamsplitter amplitudes: |n> -> sum_k sqrt(C(n,k) a^k (1-a)^(n-k)) |k, n-k>,
     indexed by the transmitted count k."""
-    amps = np.array(
+    return np.array(
         [math.sqrt(math.comb(n, k) * alpha**k * (1.0 - alpha) ** (n - k)) for k in range(n + 1)]
     )
-    amps.flags.writeable = False
-    return amps
 
 
 def _loss_expansion(state: FockVector, alpha: float) -> tuple:
@@ -173,15 +172,16 @@ def _loss_expansion(state: FockVector, alpha: float) -> tuple:
     factor is zero are dropped. Kept plus lost photons give back the input
     ket, so no two entries share both. Kets with different loss codes can
     never interfere once the loss modes are traced out: each code labels an
-    independent pure component.
+    independent pure component. The split amplitudes live for one call only.
     """
     radix = 1 + max((max(occ[:4]) for occ in state.amps), default=0)
     powers = radix ** np.arange(3, -1, -1)
+    split = [_split_amplitudes(n, alpha) for n in range(radix)]
     codes, kept, amps = [], [], []
     for occ, amp in state.amps.items():
         if any(occ[4:]):
             raise ValueError("input state must start with empty loss modes")
-        factor = reduce(np.multiply.outer, [_split_amplitudes(n, alpha) for n in occ[:4]]).ravel()
+        factor = reduce(np.multiply.outer, [split[n] for n in occ[:4]]).ravel()
         nonzero = factor != 0.0
         ks = np.indices([n + 1 for n in occ[:4]]).reshape(4, -1).T[nonzero]
         codes.append((np.array(occ[:4]) - ks) @ powers)
@@ -201,13 +201,14 @@ def apply_loss_and_trace(state: FockVector, alpha: float) -> list:
     Each sector's density matrix is V^T conj(V), where row g of V holds the
     sector's amplitudes of one loss occupation: the sum of the pure
     components that the trace leaves. The matrices are real when every
-    amplitude of the state is.
+    amplitude of the state is. One stable sort by (sector, loss code) makes
+    each run of equal codes one row of its sector's V.
 
-    Every matrix gets SectorDensity's Hermitian and positive-semidefinite
-    checks once per call, on its block at the columns of V that hold an
-    amplitude, stacked by block size (_check_blocks). A column of V without
-    amplitude makes an exactly zero row and column, which adds only an
-    eigenvalue 0, so the block passes exactly when the whole matrix does.
+    Every matrix gets SectorDensity's checks once per call, on its block at
+    the columns of V that some entry occupies, stacked by block size
+    (_check_blocks). A column of V without amplitude makes an exactly zero
+    row and column, which adds only an eigenvalue 0, so the block passes
+    exactly when the whole matrix does.
 
     Args:
         state: Input FockVector with empty loss modes.
@@ -217,42 +218,32 @@ def apply_loss_and_trace(state: FockVector, alpha: float) -> list:
     i = kept[:, 0] + kept[:, 1]
     j = kept[:, 2] + kept[:, 3]
     sector = i * (1 + int(j.max())) + j
-    # number the loss occupations within each sector: sorting by (sector, loss
-    # code) makes each sector's distinct codes a contiguous run
-    _, row = np.unique(sector * (1 + int(codes.max())) + codes, return_inverse=True)
-    order = np.argsort(row, kind="stable")
-    # per entry of the sorted expansion: its row within its sector's V (rows
-    # ascend within a sector, so its last entry holds the largest) and its
+    key = sector * (1 + int(codes.max())) + codes
+    order = np.argsort(key, kind="stable")
+    bounds = np.flatnonzero(np.diff(sector[order], prepend=-1, append=-1))
+    starts = bounds[:-1]
+    # each sorted entry's row in its sector's V: its run of equal keys, from 0 per sector
+    row = np.cumsum(np.diff(key[order], prepend=-1) != 0)
+    row -= np.repeat(row[starts], np.diff(bounds))
     # column (k_ax, i - k_ax, k_bx, j - k_bx) in the sector basis
-    first = np.flatnonzero(np.diff(sector[order], prepend=-1))
-    counts = np.diff(first, append=len(order))
-    row = row[order]
-    rows = row - np.repeat(row[first], counts)
     cols = ((i - kept[:, 0]) * (j + 1) + (j - kept[:, 2]))[order]
     amps = amps[order]
-    # each sector's distinct columns, sorted, as runs of one array
-    stride = 1 + int(cols.max())
-    seen = np.zeros(len(first) * stride, dtype=bool)
-    seen[np.repeat(np.arange(len(first)), counts) * stride + cols] = True
-    used = np.flatnonzero(seen)
-    used_bounds = np.searchsorted(used // stride, np.arange(len(first) + 1)).tolist()
-    used %= stride
-    heads = order[first]
     out, columns = [], []
-    for k, (lo, hi, si, sj) in enumerate(
-        zip(first.tolist(), (first + counts).tolist(), i[heads].tolist(), j[heads].tolist())
-    ):
-        v = np.zeros((int(rows[hi - 1]) + 1, (si + 1) * (sj + 1)), dtype=amps.dtype)
-        v[rows[lo:hi], cols[lo:hi]] = amps[lo:hi]
-        columns.append(used[used_bounds[k]:used_bounds[k + 1]])
+    for lo, hi, si, sj in zip(starts.tolist(), bounds[1:].tolist(),
+                              i[order[starts]].tolist(), j[order[starts]].tolist()):
+        v = np.zeros((int(row[hi - 1]) + 1, (si + 1) * (sj + 1)), dtype=amps.dtype)
+        v[row[lo:hi], cols[lo:hi]] = amps[lo:hi]
+        columns.append(np.flatnonzero(np.bincount(cols[lo:hi], minlength=v.shape[1])))
         out.append(SectorDensity._prechecked(si, sj, v.T @ v.conj()))
     _check_blocks([s.matrix for s in out], columns)
     return out
 
 
 def _check_densities(stack: np.ndarray) -> None:
-    """SectorDensity's checks on an (n, d, d) stack: every matrix Hermitian
-    and positive semidefinite within 1e-12, with one eigvalsh for the stack."""
+    """SectorDensity's checks on an (n, d, d) stack: finite, Hermitian and
+    positive semidefinite within 1e-12, with one eigvalsh for the stack."""
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("sector density must be finite")
     if np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) > 1e-12:
         raise ValueError("sector density must be Hermitian")
     if float(np.min(np.linalg.eigvalsh(stack))) < -1e-12:
@@ -383,50 +374,56 @@ def _classify(occ: tuple) -> int:
     return 5
 
 
-def _outcome_probabilities(codes: np.ndarray, kept: np.ndarray, amps: np.ndarray,
-                           dephase: bool) -> np.ndarray:
-    """Joint distribution over both receivers' 36 outcome classes.
-
-    Takes a _loss_expansion. Entries that share a loss code form one pure
-    component, and their amplitudes add per joint detector occupation;
-    with dephase set, they add only within one kept-photon sector.
-    """
+def _joint_outcomes(codes: np.ndarray, kept: np.ndarray, amps: np.ndarray) -> tuple:
+    """All joint detector amplitudes of a _loss_expansion, as flat arrays
+    (key, sector tag, term, joint class 6 a + b). Terms that share a key
+    (loss code and both receivers' detector occupations) add coherently.
+    The tag is below radix^2, the key's last digit, so grouping by key + tag
+    adds only within one kept-photon sector and never reorders the sums."""
     i = kept[:, 0] + kept[:, 1]
     j = kept[:, 2] + kept[:, 3]
     radix = 1 + int(max(i.max(), j.max()))  # bounds every count on one receiver
     powers = radix ** np.arange(3, -1, -1)
     side = radix**4  # one receiver's detector occupations are coded below side
     component = np.unique(codes, return_inverse=True)[1]
-    # the sector tag is the last digit of a key, so dephasing never reorders the sums
-    tag = i * radix + j if dephase else np.zeros_like(i)
-    _, first, which = np.unique(kept @ powers, return_index=True, return_inverse=True)
-    keys, terms, classes = [], [], []
-    for t, (kax, kay, kbx, kby) in enumerate(kept[first].tolist()):
-        sel = which == t
+    tag = i * radix + j
+    occupation = kept @ powers
+    order = np.argsort(occupation, kind="stable")
+    bounds = np.flatnonzero(np.diff(occupation[order], prepend=-1, append=-1)).tolist()
+    keys, tags, terms, classes = [], [], [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sel = order[lo:hi]
+        kax, kay, kbx, kby = kept[sel[0]].tolist()
         a_occ, a_cls, a_amp = _receiver_expansion(kax, kay)
         b_occ, b_cls, b_amp = _receiver_expansion(kbx, kby)
         joint = np.add.outer((a_occ @ powers) * side, b_occ @ powers).ravel()
-        rows = np.add.outer(component[sel] * side**2, joint) * radix**2 + tag[sel, None]
-        keys.append(rows.ravel())
+        keys.append(np.add.outer(component[sel] * side**2, joint).ravel() * radix**2)
+        tags.append(np.repeat(tag[sel], len(joint)))
         terms.append(np.multiply.outer(np.multiply.outer(amps[sel], a_amp), b_amp).ravel())
-        classes.append(np.tile(np.add.outer(6 * a_cls, b_cls).ravel(), len(rows)))
-    unique_keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    terms = np.concatenate(terms)
+        classes.append(np.tile(np.add.outer(6 * a_cls, b_cls).ravel(), len(sel)))
+    return tuple(np.concatenate(parts) for parts in (keys, tags, terms, classes))
+
+
+def _outcome_probabilities(keys: np.ndarray, terms: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Joint distribution over both receivers' 36 outcome classes: the terms
+    add per key, and each key's squared magnitude counts toward its class."""
+    unique_keys, slot = np.unique(keys, return_inverse=True)
     total = np.bincount(slot, weights=terms.real) + 1j * np.bincount(slot, weights=terms.imag)
     key_class = np.empty(len(unique_keys), dtype=int)
-    key_class[slot] = np.concatenate(classes)
+    key_class[slot] = classes
     return np.bincount(key_class, weights=np.abs(total) ** 2, minlength=36)
 
 
 def dephasing_invariance_check(state: FockVector, alpha: float) -> float:
     """Largest detection-statistics shift caused by sector dephasing.
 
-    Computes the joint distribution over both receivers' outcome classes
-    (vacuum, each of four detectors alone, or a multi-detector event) twice:
-    once for the post-loss state as is, once with amplitudes added only
+    Builds every joint detector amplitude of the post-loss state once
+    (_joint_outcomes) and groups it twice into the joint distribution over
+    both receivers' outcome classes (vacuum, each of four detectors alone,
+    or a multi-detector event): once as is, once with amplitudes added only
     within one kept-photon-number sector. The sector tag is the photon total
     of the detector occupations that already key each amplitude, so both
-    passes add the same amplitudes whenever _receiver_expansion conserves
+    groupings add the same amplitudes whenever _receiver_expansion conserves
     photon number. That conservation is what the check tests: as built it
     cannot see coherences between sectors, and only a receiver expansion
     that creates or loses photons can make the result nonzero. The return
@@ -434,6 +431,7 @@ def dephasing_invariance_check(state: FockVector, alpha: float) -> float:
     classes.
     """
     expansion = _loss_expansion(state, checked_transmission(alpha))
-    plain = _outcome_probabilities(*expansion, dephase=False)
-    dephased = _outcome_probabilities(*expansion, dephase=True)
+    keys, tags, terms, classes = _joint_outcomes(*expansion)
+    plain = _outcome_probabilities(keys, terms, classes)
+    dephased = _outcome_probabilities(keys + tags, terms, classes)
     return float(np.max(np.abs(plain - dephased)))

@@ -1,7 +1,9 @@
 """Unit tests for the truncated occupation-number oracle."""
 
+import gc
 import itertools
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -13,6 +15,7 @@ from qkdrates.fockoracle import (
     SectorDensity,
     _check_blocks,
     _check_densities,
+    _joint_outcomes,
     _loss_expansion,
     _outcome_probabilities,
     _receiver_expansion,
@@ -98,6 +101,25 @@ class TestLossAndSectors:
         with pytest.raises(ValueError):
             apply_loss_and_trace(bad, 0.5)
 
+    def test_no_memory_is_kept_per_alpha(self):
+        # nothing keyed on the float alpha may outlive a call
+        state = build_pdc_state(0.3, 2)
+        apply_loss_and_trace(state, 0.5)
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(500):
+                apply_loss_and_trace(state, (k + 0.5) / 500)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert retained < 64 * 1024
+
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
             apply_loss_and_trace(build_pdc_state(0.2, 2), 1.5)
@@ -147,6 +169,12 @@ def reference_outcome_probabilities(state, alpha, dephase):
     return probs
 
 
+def grouped_outcome_probabilities(state, alpha, dephase):
+    """The 36 joint outcome classes from _joint_outcomes, grouped by key or by key + sector tag."""
+    keys, tags, terms, classes = _joint_outcomes(*_loss_expansion(state, alpha))
+    return _outcome_probabilities(keys + tags if dephase else keys, terms, classes)
+
+
 EQUIVALENCE_STATES = {
     "pdc": build_pdc_state(0.3, 3),
     "complex": FockVector(
@@ -159,6 +187,18 @@ EQUIVALENCE_STATES = {
     ),
     "vacuum": FockVector(amps={(0,) * 8: 1.0}),
 }
+
+
+# the dephasing suite's cases
+SUPERPOSITION = FockVector(amps={(0,) * 8: HALF, (1, 0, 0, 0, 0, 0, 0, 0): HALF})
+DEPHASING_CASES = [
+    pytest.param(build_pdc_state(0.3, 4), 0.5, id="pdc chi=0.3 alpha=0.5"),
+    pytest.param(build_pdc_state(0.3, 4), 1.0, id="pdc chi=0.3 alpha=1.0"),
+    pytest.param(build_pdc_state(0.2, 3), 0.7, id="pdc chi=0.2 alpha=0.7"),
+    pytest.param(SUPERPOSITION, 1.0, id="superposition alpha=1.0"),
+    pytest.param(SUPERPOSITION, 0.6, id="superposition alpha=0.6"),
+    pytest.param(FockVector(amps={(1, 0, 0, 1, 0, 0, 0, 0): 1.0}), 0.8, id="number-diagonal alpha=0.8"),
+]
 
 
 class TestLossEquivalence:
@@ -178,7 +218,14 @@ class TestLossEquivalence:
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_STATES))
     def test_outcome_classes_match_per_ket_reference(self, name, alpha, dephase):
         state = EQUIVALENCE_STATES[name]
-        probs = _outcome_probabilities(*_loss_expansion(state, alpha), dephase=dephase)
+        probs = grouped_outcome_probabilities(state, alpha, dephase)
+        assert np.max(np.abs(probs - reference_outcome_probabilities(state, alpha, dephase))) <= 1e-14
+        assert math.fsum(probs) == pytest.approx(state.norm_squared(), abs=1e-14)
+
+    @pytest.mark.parametrize("dephase", [False, True])
+    @pytest.mark.parametrize("state, alpha", DEPHASING_CASES)
+    def test_dephasing_suite_outcomes_match_per_ket_reference(self, state, alpha, dephase):
+        probs = grouped_outcome_probabilities(state, alpha, dephase)
         assert np.max(np.abs(probs - reference_outcome_probabilities(state, alpha, dephase))) <= 1e-14
         assert math.fsum(probs) == pytest.approx(state.norm_squared(), abs=1e-14)
 
@@ -216,6 +263,16 @@ class TestSectorChecks:
         with pytest.raises(ValueError, match="sector density must be positive semidefinite"):
             SectorDensity(i=1, j=0, matrix=np.diag([1.0, -1e-9]))
 
+    @pytest.mark.parametrize("matrix", [
+        pytest.param(np.full((2, 2), np.nan), id="nan"),
+        pytest.param(np.array([[np.inf, 0.0], [0.0, 1.0]]), id="inf"),
+        pytest.param(np.array([[complex(np.nan, np.nan), 0.0], [0.0, 1.0]]), id="complex nan"),
+    ])
+    def test_sector_density_rejects_non_finite(self, matrix):
+        # the finite check runs first, so no inf - inf warning reaches the others
+        with pytest.raises(ValueError, match="sector density must be finite"):
+            SectorDensity(i=1, j=0, matrix=matrix)
+
     def test_stack_with_one_bad_matrix_is_rejected(self):
         good = np.stack([np.eye(3), np.full((3, 3), 0.25), np.diag([0.5, 0.0, 0.1])])
         _check_densities(good)
@@ -227,6 +284,11 @@ class TestSectorChecks:
         negative[2, 1, 1] = -1e-9
         with pytest.raises(ValueError, match="must be positive semidefinite"):
             _check_densities(negative)
+
+    def test_stack_with_one_non_finite_matrix_is_rejected(self):
+        stack = np.stack([np.eye(3), np.diag([0.5, np.inf, 0.1])])
+        with pytest.raises(ValueError, match="sector density must be finite"):
+            _check_densities(stack)
 
     def test_block_keyed_on_columns_not_diagonal(self):
         # [[0, 1], [1, 0]] has eigenvalue -1 but a zero diagonal, so a block
@@ -328,3 +390,11 @@ class TestFockVectorValidation:
             FockVector(amps={(1, 0, 0): 1.0})
         with pytest.raises(ValueError):
             FockVector(amps={(1, 0, 0, -1, 0, 0, 0, 0): 1.0})
+
+    @pytest.mark.parametrize("amp", [
+        float("nan"), float("inf"), -float("inf"), complex(float("nan"), 0.0), complex(0.0, float("inf")),
+        complex(float("nan"), float("nan")), np.float64("nan"),
+    ], ids=repr)
+    def test_non_finite_amplitude_rejected(self, amp):
+        with pytest.raises(ValueError, match=r"amplitude of \(1, 0, 0, 1, 0, 0, 0, 0\) must be finite"):
+            FockVector(amps={(0,) * 8: 0.5, (1, 0, 0, 1, 0, 0, 0, 0): amp})

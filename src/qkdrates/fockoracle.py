@@ -14,9 +14,10 @@ and d collect the photons reflected out of arms a and b.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +46,16 @@ _PAIR_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
 
 
+def _is_count(k) -> bool:
+    """True for a non-negative integer, numpy's included, but not a bool."""
+    if isinstance(k, bool):
+        return False
+    try:
+        return operator.index(k) >= 0
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class FockVector:
     """Pure state as a map from 8-mode occupation tuples to amplitudes.
@@ -60,8 +71,8 @@ class FockVector:
         if not self.amps:
             raise ValueError("a state needs at least one occupation tuple")
         for occ, amp in self.amps.items():
-            if len(occ) != 8 or any(k < 0 for k in occ):
-                raise ValueError(f"occupation tuples must be 8 non-negative counts, got {occ}")
+            if len(occ) != 8 or not all(map(_is_count, occ)):
+                raise ValueError(f"occupation tuples must be 8 non-negative integer counts, got {occ}")
             if not np.isfinite(amp):
                 raise ValueError(f"amplitude of {occ} must be finite, got {amp}")
 
@@ -173,21 +184,38 @@ def _loss_expansion(state: FockVector, alpha: float) -> tuple:
     ket, so no two entries share both. Kets with different loss codes can
     never interfere once the loss modes are traced out: each code labels an
     independent pure component. The split amplitudes live for one call only.
+
+    All kets expand together, one signal mode at a time: each entry with n
+    photons in mode m splits into the n + 1 entries that keep k = 0..n of
+    them, in that order. The entries thus follow the state's kets and, within
+    a ket, its kept counts in C order, last mode fastest, and each factor is
+    the product of the four modes' split amplitudes taken left to right, as
+    in ((s0 x s1) x s2) x s3.
     """
-    radix = 1 + max((max(occ[:4]) for occ in state.amps), default=0)
-    powers = radix ** np.arange(3, -1, -1)
-    split = [_split_amplitudes(n, alpha) for n in range(radix)]
-    codes, kept, amps = [], [], []
-    for occ, amp in state.amps.items():
-        if any(occ[4:]):
-            raise ValueError("input state must start with empty loss modes")
-        factor = reduce(np.multiply.outer, [split[n] for n in occ[:4]]).ravel()
-        nonzero = factor != 0.0
-        ks = np.indices([n + 1 for n in occ[:4]]).reshape(4, -1).T[nonzero]
-        codes.append((np.array(occ[:4]) - ks) @ powers)
-        kept.append(ks)
-        amps.append(amp * factor[nonzero])
-    return np.concatenate(codes), np.concatenate(kept), np.concatenate(amps)
+    occs = np.array(list(state.amps), dtype=np.int64)
+    if occs[:, 4:].any():
+        raise ValueError("input state must start with empty loss modes")
+    radix = 1 + int(occs[:, :4].max())
+    table = np.zeros((radix, radix))  # row n: the split amplitudes of n photons
+    for n in range(radix):
+        table[n, : n + 1] = _split_amplitudes(n, alpha)
+    ket = np.arange(len(occs))
+    factor = np.ones(len(occs))
+    codes = np.zeros(len(occs), dtype=np.int64)
+    kept = []
+    for m in range(4):
+        n = occs[ket, m]
+        parent = np.repeat(np.arange(ket.size), n + 1)
+        first = np.cumsum(n + 1) - (n + 1)  # each entry's first child
+        k = np.arange(parent.size) - first[parent]
+        n = n[parent]
+        factor = factor[parent] * table[n, k]
+        codes = codes[parent] * radix + (n - k)
+        kept = [column[parent] for column in kept] + [k]
+        ket = ket[parent]
+    nonzero = np.flatnonzero(factor)
+    amps = np.array(list(state.amps.values()))[ket[nonzero]] * factor[nonzero]
+    return codes[nonzero], np.stack([column[nonzero] for column in kept], axis=1), amps
 
 
 def apply_loss_and_trace(state: FockVector, alpha: float) -> list:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 
+import numpy as np
+
 __all__ = [
     "binary_entropy",
     "ec_efficiency",
@@ -102,6 +104,18 @@ def collision_bound(eps: float) -> float:
     if eps >= 0.5:
         return 1.0
     return _quadratic_bound(eps)
+
+
+def _collision_bound_array(eps: np.ndarray) -> np.ndarray:
+    """collision_bound of every element of a float array, bit for bit.
+
+    Raises the scalar's ValueError, naming the first negative or NaN
+    element.
+    """
+    valid = eps >= 0.0
+    if not np.all(valid):
+        raise ValueError(f"disturbance must be non-negative, got {float(eps[~valid][0])}")
+    return np.where(eps >= 0.5, 1.0, _quadratic_bound(eps))
 
 
 def tau(eps: float) -> float:

@@ -7,11 +7,11 @@ suite names to the functions that build these reports;
 ``cli.run_verify_suite`` adds the name to a report as its ``suite``.
 
 The suites call the certified functions through their modules
-(``ratecore.collision_bound``, ``sources.pdc_coefficients``,
-``security.*``, ``fockoracle.*``) rather than importing the names here. A
-caller that rebinds a module attribute, such as a tracer that wraps it,
-then sees every call the suites make; a name bound in this module would
-bypass the rebinding.
+(``ratecore.collision_bound``, ``ratecore._collision_bound_array``,
+``sources.pdc_coefficients``, ``security.*``, ``fockoracle.*``) rather
+than importing the names here. A caller that rebinds a module attribute,
+such as a tracer that wraps it, then sees every call the suites make; a
+name bound in this module would bypass the rebinding.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _suite_attack_bound() -> dict:
     cosines = np.array([math.cos(math.pi * i / 49.0) for i in range(50)])
     for i in range(50):
         eps, collision = security.attack_family_grid(10.0 ** (-3.0 + 6.0 * i / 49.0), cosines)
-        bound = np.fromiter(map(ratecore.collision_bound, eps.tolist()), float)
+        bound = ratecore._collision_bound_array(eps)
         worst_violation = max(worst_violation, float(np.max(collision - bound)))
     return {
         "properties": [

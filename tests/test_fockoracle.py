@@ -3,8 +3,10 @@
 import gc
 import itertools
 import math
+import re
 import tracemalloc
 from collections import defaultdict
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from qkdrates.fockoracle import (
     _loss_expansion,
     _outcome_probabilities,
     _receiver_expansion,
+    _split_amplitudes,
     apply_loss_and_trace,
     build_pdc_state,
     dephasing_invariance_check,
@@ -240,6 +243,40 @@ CHECK_CASES = [
 ]
 
 
+def reference_loss_expansion(state, alpha):
+    """The expansion one ket at a time: an outer product of the four modes'
+    split amplitudes per ket, its zero factors dropped."""
+    radix = 1 + max(max(occ[:4]) for occ in state.amps)
+    powers = radix ** np.arange(3, -1, -1)
+    split = [_split_amplitudes(n, alpha) for n in range(radix)]
+    codes, kept, amps = [], [], []
+    for occ, amp in state.amps.items():
+        factor = reduce(np.multiply.outer, [split[n] for n in occ[:4]]).ravel()
+        nonzero = factor != 0.0
+        ks = np.indices([n + 1 for n in occ[:4]]).reshape(4, -1).T[nonzero]
+        codes.append((np.array(occ[:4]) - ks) @ powers)
+        kept.append(ks)
+        amps.append(amp * factor[nonzero])
+    return np.concatenate(codes), np.concatenate(kept), np.concatenate(amps)
+
+
+EXPANSION_CASES = [*CHECK_CASES, *DEPHASING_CASES]
+
+
+class TestLossExpansion:
+    @pytest.mark.parametrize("state, alpha", EXPANSION_CASES)
+    def test_matches_per_ket_reference_bitwise(self, state, alpha):
+        for got, want in zip(_loss_expansion(state, alpha), reference_loss_expansion(state, alpha)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    def test_numpy_counts_expand_like_python_counts(self):
+        state = EQUIVALENCE_STATES["complex"]
+        numpy_state = FockVector(amps={tuple(np.int32(k) for k in occ): amp for occ, amp in state.amps.items()})
+        for got, want in zip(_loss_expansion(numpy_state, 0.5), _loss_expansion(state, 0.5)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def populated_columns(state, alpha):
     """(i, j) -> sorted sector-basis columns that some kept ket occupies."""
     used = defaultdict(set)
@@ -390,6 +427,16 @@ class TestFockVectorValidation:
             FockVector(amps={(1, 0, 0): 1.0})
         with pytest.raises(ValueError):
             FockVector(amps={(1, 0, 0, -1, 0, 0, 0, 0): 1.0})
+
+    @pytest.mark.parametrize("count", [1.5, "1", None, True, np.float64(1.0), np.True_], ids=repr)
+    def test_non_integer_count_rejected(self, count):
+        occ = (0, 0, 0, count, 0, 0, 0, 0)
+        with pytest.raises(ValueError, match="integer counts, got " + re.escape(repr(occ))):
+            FockVector(amps={occ: 1.0})
+
+    def test_numpy_integer_counts_accepted(self):
+        occ = (np.int64(1), np.int8(0), np.uint16(2), 0, 0, 0, 0, 0)
+        assert FockVector(amps={occ: 1.0}).amps == {(1, 0, 2, 0, 0, 0, 0, 0): 1.0}
 
     @pytest.mark.parametrize("amp", [
         float("nan"), float("inf"), -float("inf"), complex(float("nan"), 0.0), complex(0.0, float("inf")),

@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdrates import security, verify
 from qkdrates.ratecore import (
+    _collision_bound_array,
     binary_entropy,
     collision_bound,
     ec_efficiency,
@@ -98,6 +101,43 @@ class TestCollisionBound:
     def test_monotone(self, a, b):
         lo, hi = sorted((a, b))
         assert collision_bound(lo) <= collision_bound(hi)
+
+
+def scalar_bounds(eps):
+    return np.array([collision_bound(x) for x in eps.tolist()])
+
+
+class TestCollisionBoundArray:
+    def test_attack_suite_grid_matches_scalar_bitwise(self, monkeypatch):
+        grids = []
+        grid = security.attack_family_grid
+
+        def record(ratio, cosines):
+            eps, collision = grid(ratio, cosines)
+            grids.append(eps)
+            return eps, collision
+
+        monkeypatch.setattr(security, "attack_family_grid", record)
+        verify.VERIFY_SUITES["attack-bound"]()
+        eps = np.concatenate(grids)
+        assert len(grids) == 50 and eps.shape == (125_000,)
+        for chunk in grids:
+            bound = _collision_bound_array(chunk)
+            assert bound.dtype == np.float64 and bound.shape == chunk.shape
+            assert bound.tobytes() == scalar_bounds(chunk).tobytes()
+
+    def test_edges_match_scalar_bitwise(self):
+        eps = np.array([0.0, 0.5, np.nextafter(0.5, -1.0), np.nextafter(0.5, 2.0), 1.0])
+        assert _collision_bound_array(eps).tobytes() == scalar_bounds(eps).tobytes()
+        assert _collision_bound_array(eps).tolist()[:2] == [0.5, 1.0]
+
+    @pytest.mark.parametrize("bad", [-0.01, -5e-324, math.nan])
+    def test_bad_element_raises_scalar_message(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            collision_bound(bad)
+        with pytest.raises(ValueError) as array:
+            _collision_bound_array(np.array([0.1, bad, 0.2, -1.0]))
+        assert str(array.value) == str(scalar.value)
 
 
 class TestTau:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -40,12 +41,12 @@ class ChannelParams:
     receiver_loss_per_arm: bool = True
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be non-negative and finite")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
-        if self.receiver_loss_db < 0:
-            raise ValueError("receiver_loss_db must be non-negative")
+        if not 0.0 <= self.receiver_loss_db < math.inf:
+            raise ValueError("receiver_loss_db must be non-negative and finite")
         if not 0.0 <= self.d < 1.0:
             raise ValueError("dark-count probability must lie in [0, 1)")
         if not 0.0 <= self.mu < 0.5:

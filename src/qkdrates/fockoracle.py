@@ -2,13 +2,13 @@
 
 Expands the two-mode-squeezed pair state exactly up to a pair-count cap,
 pushes every photon through a beamsplitter loss channel, and reconstructs
-the per-sector polarization density matrices by tracing the loss modes.
+the per-sector polarization density matrices of the kept photons.
 This is an independent check of the closed-form source coefficients and of
 the claim that erasing coherences between photon-number sectors cannot
 change any detection statistics.
 
-Mode order everywhere: (a_x, a_y, b_x, b_y, c_x, c_y, d_x, d_y), where c
-and d collect the photons reflected out of arms a and b.
+Mode order everywhere: (a_x, a_y, b_x, b_y), the polarization modes of arms
+a and b; lost photons exist only as the loss codes of _loss_expansion.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ __all__ = [
 
 RESOURCE_CAP = 8
 
+# The largest photon count of one mode in a FockVector; see its docstring.
+_COUNT_CAP = 13
+
 _HALF_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # extract_pdc_coefficients' tolerances on the one-photon sectors and on the (1, 1) fit.
@@ -58,11 +61,19 @@ def _is_count(k) -> bool:
 
 @dataclass(frozen=True)
 class FockVector:
-    """Pure state as a map from 8-mode occupation tuples to amplitudes.
+    """Pure state as a map from (a_x, a_y, b_x, b_y) occupations to amplitudes.
 
     Attributes:
         amps: Occupation tuple -> complex amplitude. The squared-amplitude
             sum may fall short of 1 by the truncation tail.
+
+    Each count is at most _COUNT_CAP = 13, so every integer the oracle
+    builds from a state fits in int64. With C the cap, _loss_expansion's
+    loss codes are below (C + 1)^4 = 38,416, and _joint_outcomes' keys are
+    below the number of loss codes times (2C + 1)^10, the tenth power of
+    its per-receiver radix: 38,416 * 27^10 = 7.9e18 < 2^63 = 9.2e18. A cap
+    of 14 would give 2.1e19. _split_amplitudes' binomials stay below 2^13,
+    where float range ends only at C(1030, 515).
     """
 
     amps: dict
@@ -71,8 +82,10 @@ class FockVector:
         if not self.amps:
             raise ValueError("a state needs at least one occupation tuple")
         for occ, amp in self.amps.items():
-            if len(occ) != 8 or not all(map(_is_count, occ)):
-                raise ValueError(f"occupation tuples must be 8 non-negative integer counts, got {occ}")
+            if len(occ) != 4 or not all(map(_is_count, occ)):
+                raise ValueError(f"occupation tuples must be 4 non-negative integer counts, got {occ}")
+            if max(occ) > _COUNT_CAP:
+                raise ValueError(f"occupation {occ} has a count above the cap {_COUNT_CAP}")
             if not np.isfinite(amp):
                 raise ValueError(f"amplitude of {occ} must be finite, got {amp}")
 
@@ -80,11 +93,8 @@ class FockVector:
         return math.fsum(abs(a) ** 2 for a in self.amps.values())
 
     def pair_balanced(self) -> bool:
-        """True if every ket holds equal photon totals on the a/c and b/d sides."""
-        return all(
-            occ[0] + occ[1] + occ[4] + occ[5] == occ[2] + occ[3] + occ[6] + occ[7]
-            for occ in self.amps
-        )
+        """True if every ket holds equal photon totals in arms a and b."""
+        return all(occ[0] + occ[1] == occ[2] + occ[3] for occ in self.amps)
 
 
 @dataclass(frozen=True)
@@ -162,7 +172,7 @@ def build_pdc_state(chi: float, n_max: int) -> FockVector:
     amps = {}
     for n in range(n_max + 1):
         for m in range(n_max + 1 - n):
-            amps[(n, m, m, n, 0, 0, 0, 0)] = pref * t ** (n + m)
+            amps[(n, m, m, n)] = pref * t ** (n + m)
     return FockVector(amps=amps)
 
 
@@ -175,17 +185,17 @@ def _split_amplitudes(n: int, alpha: float) -> np.ndarray:
 
 
 def _loss_expansion(state: FockVector, alpha: float) -> tuple:
-    """The state after loss, as arrays (loss code, kept signal 4-tuple, amplitude).
+    """The state after loss, as arrays (loss code, kept occupation, amplitude).
 
-    Every signal mode passes a beamsplitter of transmission alpha. Entry k
-    is the ket whose kept occupation (k_ax, k_ay, k_bx, k_by) is kept[k] and
-    whose loss occupation is numbered code[k]; entries whose beamsplitter
-    factor is zero are dropped. Kept plus lost photons give back the input
-    ket, so no two entries share both. Kets with different loss codes can
-    never interfere once the loss modes are traced out: each code labels an
+    Every mode passes a beamsplitter of transmission alpha. Entry k is the
+    ket whose kept occupation (k_ax, k_ay, k_bx, k_by) is kept[k] and whose
+    lost counts are numbered code[k]; entries whose beamsplitter factor is
+    zero are dropped. Kept plus lost photons give back the input ket, so no
+    two entries share both. Kets with different loss codes can never
+    interfere once the lost photons are traced out: each code labels an
     independent pure component. The split amplitudes live for one call only.
 
-    All kets expand together, one signal mode at a time: each entry with n
+    All kets expand together, one mode at a time: each entry with n
     photons in mode m splits into the n + 1 entries that keep k = 0..n of
     them, in that order. The entries thus follow the state's kets and, within
     a ket, its kept counts in C order, last mode fastest, and each factor is
@@ -193,9 +203,7 @@ def _loss_expansion(state: FockVector, alpha: float) -> tuple:
     in ((s0 x s1) x s2) x s3.
     """
     occs = np.array(list(state.amps), dtype=np.int64)
-    if occs[:, 4:].any():
-        raise ValueError("input state must start with empty loss modes")
-    radix = 1 + int(occs[:, :4].max())
+    radix = 1 + int(occs.max())
     table = np.zeros((radix, radix))  # row n: the split amplitudes of n photons
     for n in range(radix):
         table[n, : n + 1] = _split_amplitudes(n, alpha)
@@ -219,15 +227,14 @@ def _loss_expansion(state: FockVector, alpha: float) -> tuple:
 
 
 def apply_loss_and_trace(state: FockVector, alpha: float) -> list:
-    """Push the state through equal per-arm loss and trace the loss modes.
+    """Push the state through equal per-arm loss and trace out the lost photons.
 
-    Every signal mode passes a beamsplitter of transmission alpha; the
-    reflected photons land in the loss modes, whose occupations are then
-    traced out. The result is the list of kept-photon SectorDensity blocks,
-    ordered by (i, j).
+    Every mode passes a beamsplitter of transmission alpha, and the reflected
+    photons are traced out. The result is the list of kept-photon
+    SectorDensity blocks, ordered by (i, j).
 
     Each sector's density matrix is V^T conj(V), where row g of V holds the
-    sector's amplitudes of one loss occupation: the sum of the pure
+    sector's amplitudes of one lost occupation: the sum of the pure
     components that the trace leaves. The matrices are real when every
     amplitude of the state is. One stable sort by (sector, loss code) makes
     each run of equal codes one row of its sector's V.
@@ -239,7 +246,7 @@ def apply_loss_and_trace(state: FockVector, alpha: float) -> list:
     exactly when the whole matrix does.
 
     Args:
-        state: Input FockVector with empty loss modes.
+        state: Input FockVector.
         alpha: Shared arm transmission.
     """
     codes, kept, amps = _loss_expansion(state, checked_transmission(alpha))

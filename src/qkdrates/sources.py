@@ -9,6 +9,7 @@ sources.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import typing
 from dataclasses import MISSING, dataclass, fields
@@ -65,8 +66,8 @@ class Poisson:
     tag = "poisson"
 
     def __post_init__(self):
-        if self.nbar <= 0:
-            raise ValueError("mean photon number must be positive")
+        if not 0.0 < self.nbar < math.inf:
+            raise ValueError("mean photon number must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,8 @@ class Pdc:
     tag = "pdc"
 
     def __post_init__(self):
-        if self.chi <= 0:
-            raise ValueError("pump parameter must be positive")
+        if not 0.0 < self.chi < math.inf:
+            raise ValueError("pump parameter must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,8 @@ class SwapChain:
     """Chain of ideal pair sources linked by Bell-analyzer swaps.
 
     Attributes:
-        n_swaps: Number of entanglement swaps (Bell analyzers) in the chain.
+        n_swaps: Number of entanglement swaps (Bell analyzers) in the chain,
+            an integer of at least 1.
         literal_exponent: Reproduce the double-exponentiated chain success
             probability (success_prob^n_swaps with success_prob already the
             n_swaps-fold product) instead of the single-factor form.
@@ -104,6 +106,8 @@ class SwapChain:
     tag = "swap"
 
     def __post_init__(self):
+        if isinstance(self.n_swaps, bool) or not isinstance(self.n_swaps, numbers.Integral):
+            raise ValueError(f"swap count must be an integer, got {self.n_swaps!r}")
         if self.n_swaps < 1:
             raise ValueError("swap chain needs at least one swap")
 

@@ -98,8 +98,8 @@ def _suite_pdc_oracle() -> dict:
 
 def _suite_dephasing() -> dict:
     half = 1.0 / math.sqrt(2.0)
-    superposition = fockoracle.FockVector(amps={(0,) * 8: half, (1, 0, 0, 0, 0, 0, 0, 0): half})
-    diagonal = fockoracle.FockVector(amps={(1, 0, 0, 1, 0, 0, 0, 0): 1.0})
+    superposition = fockoracle.FockVector(amps={(0, 0, 0, 0): half, (1, 0, 0, 0): half})
+    diagonal = fockoracle.FockVector(amps={(1, 0, 0, 1): 1.0})
     cases = [
         ("pdc chi=0.3 alpha=0.5", fockoracle.build_pdc_state(0.3, 4), 0.5),
         ("pdc chi=0.3 alpha=1.0", fockoracle.build_pdc_state(0.3, 4), 1.0),

@@ -94,6 +94,12 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(receiver_loss_db=-1.0)
 
+    @pytest.mark.parametrize("field", ["sigma", "receiver_loss_db"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=repr)
+    def test_non_finite_loss_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be non-negative and finite"):
+            ChannelParams(**{field: value})
+
     def test_defaults_are_lossless(self):
         p = ChannelParams()
         assert float(arm_alpha(p, 0.0)) == 1.0

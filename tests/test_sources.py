@@ -1,13 +1,15 @@
 """Unit tests for per-pulse source statistics."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdrates.channel import ChannelParams
-from qkdrates.protocols import point_stats
+from qkdrates.protocols import point_rate, point_stats
 from qkdrates.sources import (
     ClickStats,
     IdealEpr,
@@ -142,6 +144,32 @@ class TestPdc:
             pdc_coefficients(0.0, 0.5)
         with pytest.raises(ValueError):
             Pdc(-0.1)
+
+
+class TestSourceValidation:
+    @pytest.mark.parametrize("build", [Poisson, Pdc], ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=repr)
+    def test_non_finite_parameter_rejected(self, build, value):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            build(value)
+
+    @pytest.mark.parametrize("n_swaps", [1.5, 2.0, True, False, "1", None], ids=repr)
+    def test_non_integer_swap_count_rejected(self, n_swaps):
+        with pytest.raises(ValueError, match="swap count must be an integer, got " + re.escape(repr(n_swaps))):
+            SwapChain(n_swaps)
+
+    def test_non_integer_swap_count_gives_no_rate(self):
+        # a fractional swap count would otherwise give a positive rate (0.1115 bits per pulse)
+        with pytest.raises(ValueError):
+            point_rate("ekert", SwapChain(1.5), ChannelParams(), 10.0)
+
+    @pytest.mark.parametrize(
+        "build, value",
+        [(Pdc, 1e300), (Poisson, 1e300), (SwapChain, 10**308), (SwapChain, np.int64(2))],
+        ids=["pdc-1e300", "poisson-1e300", "swap-10**308", "swap-numpy-int"],
+    )
+    def test_large_and_numpy_values_accepted(self, build, value):
+        assert value in source_to_dict(build(value)).values()
 
 
 class TestSwapChain:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -80,11 +81,18 @@ def receiver_arm_loss_db(p: ChannelParams, arms: int) -> float:
 
 
 def checked_transmission(value, name: str = "arm transmission") -> float:
-    """The value as a float, after checking that it lies in [0, 1]."""
-    a = float(value)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {a}")
-    return a
+    """The value as a float, after checking that it is a real number in [0, 1].
+
+    A str, bytes or bool is rejected, not converted. An exact float, the
+    rate path's case, pays only the one type test.
+    """
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return value
 
 
 def arm_alpha(p: ChannelParams, length: float) -> float:

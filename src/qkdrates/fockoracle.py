@@ -2,7 +2,8 @@
 
 Expands the two-mode-squeezed pair state exactly up to a pair-count cap,
 pushes every photon through a beamsplitter loss channel, and reconstructs
-the per-sector polarization density matrices of the kept photons.
+the polarization density matrices of the kept photons as a dict from each
+kept-photon sector (i, j) to its matrix.
 This is an independent check of the closed-form source coefficients and of
 the claim that erasing coherences between photon-number sectors cannot
 change any detection statistics.
@@ -27,7 +28,6 @@ from .sources import PdcCoefficients
 __all__ = [
     "RESOURCE_CAP",
     "FockVector",
-    "SectorDensity",
     "truncation_tail",
     "build_pdc_state",
     "apply_loss_and_trace",
@@ -59,6 +59,15 @@ def _is_count(k) -> bool:
         return False
 
 
+def _check_pump(chi: float, n_max: int) -> None:
+    """Reject a pump parameter that is not positive and finite, or a pair
+    truncation that is not an integer of at least 1."""
+    if not 0.0 < chi < math.inf:
+        raise ValueError(f"pump parameter must be positive and finite, got {chi!r}")
+    if not _is_count(n_max) or n_max < 1:
+        raise ValueError(f"pair truncation must be an integer of at least 1, got {n_max!r}")
+
+
 @dataclass(frozen=True)
 class FockVector:
     """Pure state as a map from (a_x, a_y, b_x, b_y) occupations to amplitudes.
@@ -86,6 +95,10 @@ class FockVector:
                 raise ValueError(f"occupation tuples must be 4 non-negative integer counts, got {occ}")
             if max(occ) > _COUNT_CAP:
                 raise ValueError(f"occupation {occ} has a count above the cap {_COUNT_CAP}")
+            # a scalar that numpy holds in a numeric dtype: no bool, string, object or int past int64
+            as_array = np.asarray(amp)
+            if as_array.ndim or as_array.dtype.kind not in "iufc":
+                raise ValueError(f"amplitude of {occ} must be a float, complex or int64 number, got {amp!r}")
             if not np.isfinite(amp):
                 raise ValueError(f"amplitude of {occ} must be finite, got {amp}")
 
@@ -97,55 +110,18 @@ class FockVector:
         return all(occ[0] + occ[1] == occ[2] + occ[3] for occ in self.amps)
 
 
-@dataclass(frozen=True)
-class SectorDensity:
-    """Polarization density matrix of the (i, j) kept-photon sector.
-
-    Attributes:
-        i: Photons kept in arm a.
-        j: Photons kept in arm b.
-        matrix: Unnormalized density matrix over the occupations
-            (k_ax, i - k_ax, k_bx, j - k_bx), k_ax running from i down to 0
-            and, within it, k_bx from j down to 0 (x-heavy first on each
-            side); its trace is the sector weight.
-
-    Construction checks that the matrix has the sector's shape and is
-    finite, Hermitian and positive semidefinite within 1e-12, on the full
-    matrix. apply_loss_and_trace runs the same checks itself, once per call
-    on the stacked blocks of all its sectors, and skips this re-check.
-    """
-
-    i: int
-    j: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        dim = (self.i + 1) * (self.j + 1)
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(f"sector ({self.i}, {self.j}) needs a {dim} x {dim} matrix")
-        _check_densities(self.matrix[None])
-
-    @classmethod
-    def _prechecked(cls, i: int, j: int, matrix: np.ndarray) -> SectorDensity:
-        """Build without __post_init__, for a matrix whose checks already ran."""
-        sector = object.__new__(cls)
-        object.__setattr__(sector, "i", i)
-        object.__setattr__(sector, "j", j)
-        object.__setattr__(sector, "matrix", matrix)
-        return sector
-
-    @property
-    def weight(self) -> float:
-        return math.fsum(self.matrix.diagonal().real)
-
-
 def truncation_tail(chi: float, n_max: int) -> float:
     """Weight of the discarded pair-number components above n_max.
 
     The pair count follows the geometric-like law (k + 1)(1 - q)^2 q^k with
     q = tanh^2(chi); the exact remainder past n_max is
     q^(n_max + 1) [(n_max + 2) - (n_max + 1) q].
+
+    Args:
+        chi: Pump parameter, positive and finite.
+        n_max: Pair-count truncation, an integer of at least 1.
     """
+    _check_pump(chi, n_max)
     q = math.tanh(chi) ** 2
     return q ** (n_max + 1) * ((n_max + 2) - (n_max + 1) * q)
 
@@ -158,13 +134,10 @@ def build_pdc_state(chi: float, n_max: int) -> FockVector:
     is tanh^(n+m)(chi) / cosh^2(chi) at occupation (n, m, m, n).
 
     Args:
-        chi: Pump parameter, positive.
-        n_max: Pair-count truncation, 1..RESOURCE_CAP; beyond the cap raises.
+        chi: Pump parameter, positive and finite.
+        n_max: Pair-count truncation, an integer in 1..RESOURCE_CAP.
     """
-    if chi <= 0:
-        raise ValueError("pump parameter must be positive")
-    if n_max < 1:
-        raise ValueError("need at least one pair")
+    _check_pump(chi, n_max)
     if n_max > RESOURCE_CAP:
         raise ValueError(f"n_max={n_max} exceeds the resource cap {RESOURCE_CAP}")
     pref = 1.0 / math.cosh(chi) ** 2
@@ -226,12 +199,16 @@ def _loss_expansion(state: FockVector, alpha: float) -> tuple:
     return codes[nonzero], np.stack([column[nonzero] for column in kept], axis=1), amps
 
 
-def apply_loss_and_trace(state: FockVector, alpha: float) -> list:
+def apply_loss_and_trace(state: FockVector, alpha: float) -> dict:
     """Push the state through equal per-arm loss and trace out the lost photons.
 
     Every mode passes a beamsplitter of transmission alpha, and the reflected
-    photons are traced out. The result is the list of kept-photon
-    SectorDensity blocks, ordered by (i, j).
+    photons are traced out. The result maps each kept-photon sector (i, j),
+    i photons in arm a and j in arm b, to its unnormalized polarization
+    density matrix, in (i, j) order. The matrix runs over the occupations
+    (k_ax, i - k_ax, k_bx, j - k_bx), k_ax from i down to 0 and, within it,
+    k_bx from j down to 0 (x-heavy first on each side); its trace is the
+    sector weight.
 
     Each sector's density matrix is V^T conj(V), where row g of V holds the
     sector's amplitudes of one lost occupation: the sum of the pure
@@ -239,8 +216,8 @@ def apply_loss_and_trace(state: FockVector, alpha: float) -> list:
     amplitude of the state is. One stable sort by (sector, loss code) makes
     each run of equal codes one row of its sector's V.
 
-    Every matrix gets SectorDensity's checks once per call, on its block at
-    the columns of V that some entry occupies, stacked by block size
+    Every matrix gets the density checks once per call, on its block at the
+    columns of V that some entry occupies, stacked by block size
     (_check_blocks). A column of V without amplitude makes an exactly zero
     row and column, which adds only an eigenvalue 0, so the block passes
     exactly when the whole matrix does.
@@ -263,19 +240,19 @@ def apply_loss_and_trace(state: FockVector, alpha: float) -> list:
     # column (k_ax, i - k_ax, k_bx, j - k_bx) in the sector basis
     cols = ((i - kept[:, 0]) * (j + 1) + (j - kept[:, 2]))[order]
     amps = amps[order]
-    out, columns = [], []
+    out, columns = {}, []
     for lo, hi, si, sj in zip(starts.tolist(), bounds[1:].tolist(),
                               i[order[starts]].tolist(), j[order[starts]].tolist()):
         v = np.zeros((int(row[hi - 1]) + 1, (si + 1) * (sj + 1)), dtype=amps.dtype)
         v[row[lo:hi], cols[lo:hi]] = amps[lo:hi]
         columns.append(np.flatnonzero(np.bincount(cols[lo:hi], minlength=v.shape[1])))
-        out.append(SectorDensity._prechecked(si, sj, v.T @ v.conj()))
-    _check_blocks([s.matrix for s in out], columns)
+        out[(si, sj)] = v.T @ v.conj()
+    _check_blocks(list(out.values()), columns)
     return out
 
 
 def _check_densities(stack: np.ndarray) -> None:
-    """SectorDensity's checks on an (n, d, d) stack: finite, Hermitian and
+    """The density checks on an (n, d, d) stack: finite, Hermitian and
     positive semidefinite within 1e-12, with one eigvalsh for the stack."""
     if not np.all(np.isfinite(stack)):
         raise ValueError("sector density must be finite")
@@ -295,13 +272,18 @@ def _check_blocks(matrices: list, columns: list) -> None:
         _check_densities(np.stack([matrix[cols[:, None], cols] for matrix, cols in group]))
 
 
-def sector_weights(sectors: list) -> dict:
+def _weight(matrix: np.ndarray) -> float:
+    """Sector weight: the trace of its density matrix."""
+    return math.fsum(matrix.diagonal().real)
+
+
+def sector_weights(sectors: dict) -> dict:
     """Map (i, j) -> sector weight."""
-    return {(s.i, s.j): s.weight for s in sectors}
+    return {key: _weight(matrix) for key, matrix in sectors.items()}
 
 
-def extract_pdc_coefficients(sectors: list) -> PdcCoefficients:
-    """Read the closed-form coefficients off brute-force sector densities.
+def extract_pdc_coefficients(sectors: dict) -> PdcCoefficients:
+    """Read the closed-form coefficients off apply_loss_and_trace's sector densities.
 
     B is the vacuum-sector weight and C the one-photon-sector weight, after
     checking that the (1, 0) and (0, 1) sectors agree and are unpolarized.
@@ -313,22 +295,21 @@ def extract_pdc_coefficients(sectors: list) -> PdcCoefficients:
         ValueError: If any structural check fails, which would falsify the
             claimed sector decomposition at the tested parameters.
     """
-    by_sector = {(s.i, s.j): s for s in sectors}
-    B = by_sector[(0, 0)].weight if (0, 0) in by_sector else 0.0
+    B = _weight(sectors[(0, 0)]) if (0, 0) in sectors else 0.0
 
-    w10 = by_sector[(1, 0)].weight if (1, 0) in by_sector else 0.0
-    w01 = by_sector[(0, 1)].weight if (0, 1) in by_sector else 0.0
+    w10 = _weight(sectors[(1, 0)]) if (1, 0) in sectors else 0.0
+    w01 = _weight(sectors[(0, 1)]) if (0, 1) in sectors else 0.0
     if abs(w10 - w01) > _PAIR_TOL:
         raise ValueError(f"one-photon sectors disagree: {w10} vs {w01}")
     for sector in ((1, 0), (0, 1)):
-        if sector in by_sector:
-            m = by_sector[sector].matrix
+        if sector in sectors:
+            m = sectors[sector]
             if np.max(np.abs(m - 0.5 * np.trace(m).real * np.eye(2))) > _PAIR_TOL:
                 raise ValueError(f"sector {sector} is not unpolarized")
     C = w10
 
-    if (1, 1) in by_sector:
-        A, D, residual = _fit_pair_sector(by_sector[(1, 1)].matrix)
+    if (1, 1) in sectors:
+        A, D, residual = _fit_pair_sector(sectors[(1, 1)])
         if residual > _RESIDUAL_TOL:
             raise ValueError(f"(1, 1) sector is not A psi+ + D I/4: residual {residual}")
     else:
@@ -353,16 +334,13 @@ def _fit_pair_sector(rho: np.ndarray) -> tuple:
     return A, D, float(np.linalg.norm(rho - model))
 
 
-def pair_sector_residual(sectors: list) -> float:
+def pair_sector_residual(sectors: dict) -> float:
     """Distance of the (1, 1) sector from its claimed two-parameter form.
 
     Returns the Frobenius norm of rho_11 - A |psi+><psi+| - D I/4 with A and
     D fitted as in extract_pdc_coefficients, or 0 if the sector is absent.
     """
-    for s in sectors:
-        if (s.i, s.j) == (1, 1):
-            return _fit_pair_sector(s.matrix)[2]
-    return 0.0
+    return _fit_pair_sector(sectors[(1, 1)])[2] if (1, 1) in sectors else 0.0
 
 
 @lru_cache(maxsize=None)

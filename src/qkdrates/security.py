@@ -10,6 +10,8 @@ privacy-amplification entropy bound over a concrete universal hash family.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,6 +39,14 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
+def _integer(value, name: str) -> int:
+    """The value as a Python int, for an integer, numpy's included, but not
+    a bool; a ValueError naming the value for anything else."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class SecurityParams:
     """Security margins subtracted from the final key length.
@@ -52,6 +62,9 @@ class SecurityParams:
     t: int = 30
 
     def __post_init__(self):
+        # stored as Python ints: math.ldexp takes no numpy exponent
+        object.__setattr__(self, "s", _integer(self.s, "security margin s"))
+        object.__setattr__(self, "t", _integer(self.t, "security margin t"))
         if self.s < 0 or self.t < 0:
             raise ValueError("security margins must be non-negative integers")
 
@@ -125,6 +138,8 @@ def final_key_length(
         KeyBudget with the secure fraction, final length, and the bound on
         Eve's expected information 2^-t r + 2^-s / ln 2.
     """
+    n_rec = _integer(n_rec, "reconciled key length")
+    kappa = _integer(kappa, "error-correction leakage")
     if n_rec <= 0:
         raise ValueError("reconciled key length must be positive")
     if kappa < 0:
@@ -374,6 +389,8 @@ def pa_entropy_bound_check(n: int, per_bit_pc: float, r: int) -> tuple[float, fl
         (lhs, rhs, holds) where lhs is the average conditional entropy
         H(K|G), rhs is the bound, and holds reports lhs >= rhs.
     """
+    n = _integer(n, "block length")
+    r = _integer(r, "output length")
     if not 1 <= n <= 12:
         raise ValueError("block length must lie in 1..12 (exhaustive oracle)")
     if not 0.5 <= per_bit_pc <= 1.0:

@@ -1,5 +1,8 @@
 """Unit tests for the channel and detector loss model."""
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -63,6 +66,17 @@ class TestArmAlpha:
         with pytest.raises(ValueError):
             checked_transmission(-0.1)
         assert checked_transmission(0.25) == 0.25
+
+    @pytest.mark.parametrize("value", ["0.5", b"0.5", bytearray(b"0.5"), True, False, np.True_, None, 0.5j],
+                             ids=repr)
+    def test_transmission_is_not_coerced(self, value):
+        with pytest.raises(ValueError, match="segment transmission must be a real number, got " + re.escape(repr(value))):
+            checked_transmission(value, "segment transmission")
+
+    @pytest.mark.parametrize("value", [1, 0, np.float64(0.25), np.float32(0.25), np.int64(1)], ids=repr)
+    def test_real_numbers_become_floats(self, value):
+        got = checked_transmission(value)
+        assert type(got) is float and got == float(value)
 
 
 class TestDarkClicks:

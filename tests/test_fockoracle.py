@@ -14,7 +14,6 @@ import pytest
 from qkdrates import fockoracle
 from qkdrates.fockoracle import (
     FockVector,
-    SectorDensity,
     _check_blocks,
     _check_densities,
     _joint_outcomes,
@@ -70,15 +69,31 @@ class TestBuildState:
         with pytest.raises(ValueError):
             build_pdc_state(-0.1, 4)
 
+    @pytest.mark.parametrize("chi", [math.inf, math.nan, -math.inf, 0.0], ids=repr)
+    def test_non_finite_pump_rejected(self, chi):
+        for build in (build_pdc_state, truncation_tail):
+            with pytest.raises(ValueError, match="pump parameter must be positive and finite, got " + re.escape(repr(chi))):
+                build(chi, 3)
+
+    @pytest.mark.parametrize("n_max", [2.0, 2.5, True, -5, 0, "3", None], ids=repr)
+    def test_non_integer_truncation_rejected(self, n_max):
+        for build in (build_pdc_state, truncation_tail):
+            with pytest.raises(ValueError, match="pair truncation must be an integer of at least 1, got " + re.escape(repr(n_max))):
+                build(0.2, n_max)
+
+    def test_numpy_integer_truncation_accepted(self):
+        assert build_pdc_state(0.2, np.int64(3)).amps == build_pdc_state(0.2, 3).amps
+        assert truncation_tail(0.2, np.int8(3)) == truncation_tail(0.2, 3)
+
 
 class TestLossAndSectors:
     def test_lossless_pair_sector_is_pure(self):
         state = build_pdc_state(0.2, 6)
-        sectors = {(s.i, s.j): s for s in apply_loss_and_trace(state, 1.0)}
-        rho = sectors[(1, 1)].matrix
+        sectors = apply_loss_and_trace(state, 1.0)
+        rho = sectors[(1, 1)]
         psi = np.zeros(4)
         psi[1] = psi[2] = HALF
-        weight = sectors[(1, 1)].weight
+        weight = sector_weights(sectors)[(1, 1)]
         assert np.allclose(rho, weight * np.outer(psi, psi), atol=1e-15)
 
     def test_total_loss_leaves_vacuum(self):
@@ -127,6 +142,13 @@ class TestLossAndSectors:
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
             apply_loss_and_trace(build_pdc_state(0.2, 2), 1.5)
+
+    @pytest.mark.parametrize("alpha", ["0.5", b"0.5", True], ids=repr)
+    def test_alpha_is_not_coerced(self, alpha):
+        state = build_pdc_state(0.2, 2)
+        for call in (apply_loss_and_trace, dephasing_invariance_check):
+            with pytest.raises(ValueError, match="arm transmission must be a real number, got " + re.escape(repr(alpha))):
+                call(state, alpha)
 
 
 def reference_loss_groups(state, alpha):
@@ -212,9 +234,9 @@ class TestLossEquivalence:
         state = EQUIVALENCE_STATES[name]
         sectors = apply_loss_and_trace(state, alpha)
         reference = reference_loss_and_trace(state, alpha)
-        assert [(s.i, s.j) for s in sectors] == sorted(reference)
-        for s in sectors:
-            assert np.max(np.abs(s.matrix - reference[(s.i, s.j)])) <= 1e-14
+        assert list(sectors) == sorted(reference)
+        for key, matrix in sectors.items():
+            assert np.max(np.abs(matrix - reference[key])) <= 1e-14
 
 
     @pytest.mark.parametrize("dephase", [False, True])
@@ -289,17 +311,13 @@ def populated_columns(state, alpha):
 
 
 class TestSectorChecks:
-    def test_sector_density_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match=r"sector \(1, 0\) needs a 2 x 2 matrix"):
-            SectorDensity(i=1, j=0, matrix=np.eye(3))
-
     def test_sector_density_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="sector density must be Hermitian"):
-            SectorDensity(i=1, j=0, matrix=np.array([[1.0, 0.5], [0.0, 1.0]]))
+            _check_densities(np.array([[1.0, 0.5], [0.0, 1.0]])[None])
 
     def test_sector_density_rejects_non_psd(self):
         with pytest.raises(ValueError, match="sector density must be positive semidefinite"):
-            SectorDensity(i=1, j=0, matrix=np.diag([1.0, -1e-9]))
+            _check_densities(np.diag([1.0, -1e-9])[None])
 
     @pytest.mark.parametrize("matrix", [
         pytest.param(np.full((2, 2), np.nan), id="nan"),
@@ -309,7 +327,7 @@ class TestSectorChecks:
     def test_sector_density_rejects_non_finite(self, matrix):
         # the finite check runs first, so no inf - inf warning reaches the others
         with pytest.raises(ValueError, match="sector density must be finite"):
-            SectorDensity(i=1, j=0, matrix=matrix)
+            _check_densities(matrix[None])
 
     def test_stack_with_one_bad_matrix_is_rejected(self):
         good = np.stack([np.eye(3), np.full((3, 3), 0.25), np.diag([0.5, 0.0, 0.1])])
@@ -341,15 +359,15 @@ class TestSectorChecks:
         # zero outside the block, so the full matrix's spectrum is the block's
         # plus zeros: the checks pass or fail together
         columns = populated_columns(state, alpha)
-        for s in apply_loss_and_trace(state, alpha):
-            cols = columns[(s.i, s.j)]
-            outside = np.ones(s.matrix.shape, dtype=bool)
+        for key, matrix in apply_loss_and_trace(state, alpha).items():
+            cols = columns[key]
+            outside = np.ones(matrix.shape, dtype=bool)
             outside[np.ix_(cols, cols)] = False
-            assert np.all(s.matrix[outside] == 0.0)
-            block_min = np.linalg.eigvalsh(s.matrix[np.ix_(cols, cols)]).min()
-            if len(cols) < len(s.matrix):
+            assert np.all(matrix[outside] == 0.0)
+            block_min = np.linalg.eigvalsh(matrix[np.ix_(cols, cols)]).min()
+            if len(cols) < len(matrix):
                 block_min = min(block_min, 0.0)
-            assert abs(block_min - np.linalg.eigvalsh(s.matrix).min()) <= 1e-15
+            assert abs(block_min - np.linalg.eigvalsh(matrix).min()) <= 1e-15
 
     @pytest.mark.parametrize("state", [
         *(pytest.param(state, id=name) for name, state in EQUIVALENCE_STATES.items()),
@@ -366,9 +384,9 @@ class TestSectorChecks:
         sectors = apply_loss_and_trace(state, 0.5)
         columns = populated_columns(state, 0.5)
         blocks = []
-        for s in sectors:
-            cols = columns[(s.i, s.j)]
-            blocks.append(s.matrix[np.ix_(cols, cols)].tobytes())
+        for key, matrix in sectors.items():
+            cols = columns[key]
+            blocks.append(matrix[np.ix_(cols, cols)].tobytes())
         assert sorted(checked) == sorted(blocks)
 
 
@@ -459,3 +477,15 @@ class TestFockVectorValidation:
     def test_non_finite_amplitude_rejected(self, amp):
         with pytest.raises(ValueError, match=r"amplitude of \(1, 0, 0, 1\) must be finite"):
             FockVector(amps={(0, 0, 0, 0): 0.5, (1, 0, 0, 1): amp})
+
+    @pytest.mark.parametrize("amp", ["1", b"1", None, True, np.True_, [0.5], 2**70], ids=repr)
+    def test_non_numeric_amplitude_rejected(self, amp):
+        with pytest.raises(ValueError, match=r"amplitude of \(1, 0, 0, 1\) must be a float, complex or int64 number, got "
+                           + re.escape(repr(amp))):
+            FockVector(amps={(0, 0, 0, 0): 0.5, (1, 0, 0, 1): amp})
+
+    @pytest.mark.parametrize("amp", [1, np.int32(-1), np.float32(0.5), np.complex64(0.5j), np.float64(0.5)], ids=repr)
+    def test_numeric_amplitude_accepted(self, amp):
+        state = FockVector(amps={(0, 0, 0, 0): 0.5, (1, 0, 0, 1): amp})
+        assert math.fsum(sector_weights(apply_loss_and_trace(state, 1.0)).values()) == pytest.approx(
+            state.norm_squared(), rel=1e-6)

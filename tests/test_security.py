@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -68,6 +69,25 @@ class TestKeyBudget:
             final_key_length(100, 0.1, -1, SecurityParams())
         with pytest.raises(ValueError):
             SecurityParams(-1, 0)
+
+    @pytest.mark.parametrize("value", [1.5, math.nan, True, np.True_, "30", None], ids=repr)
+    def test_margins_must_be_integers(self, value):
+        for name in ("s", "t"):
+            with pytest.raises(ValueError, match=f"security margin {name} must be an integer, got " + re.escape(repr(value))):
+                SecurityParams(**{name: value})
+
+    @pytest.mark.parametrize("value", [1000.5, 1000.0, True, "1000"], ids=repr)
+    def test_key_counts_must_be_integers(self, value):
+        with pytest.raises(ValueError, match="reconciled key length must be an integer, got " + re.escape(repr(value))):
+            final_key_length(value, 0.02, 100, SecurityParams())
+        with pytest.raises(ValueError, match="error-correction leakage must be an integer, got " + re.escape(repr(value))):
+            final_key_length(1000, 0.02, value, SecurityParams())
+
+    def test_numpy_integers_accepted(self):
+        plain = final_key_length(1000, 0.02, 100, SecurityParams(3, 4))
+        budget = final_key_length(np.int64(1000), 0.02, np.int32(100), SecurityParams(np.int64(3), np.uint8(4)))
+        assert budget == plain
+        assert type(budget.n_rec) is int and type(budget.kappa) is int
 
     @given(
         st.integers(min_value=1, max_value=10_000),
@@ -346,6 +366,16 @@ class TestPaEntropyOracle:
             pa_entropy_bound_check(4, 0.4, 2)
         with pytest.raises(ValueError):
             pa_entropy_bound_check(4, 0.75, 5)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"], ids=repr)
+    def test_lengths_must_be_integers(self, value):
+        with pytest.raises(ValueError, match="block length must be an integer, got " + re.escape(repr(value))):
+            pa_entropy_bound_check(value, 0.75, 1)
+        with pytest.raises(ValueError, match="output length must be an integer, got " + re.escape(repr(value))):
+            pa_entropy_bound_check(4, 0.75, value)
+
+    def test_numpy_lengths_accepted(self):
+        assert pa_entropy_bound_check(np.int64(3), 0.75, np.int8(1)) == pa_entropy_bound_check(3, 0.75, 1)
 
 
 def matmul_keys(n, r, seeds):

@@ -171,6 +171,14 @@ class TestSourceValidation:
     def test_large_and_numpy_values_accepted(self, build, value):
         assert value in source_to_dict(build(value)).values()
 
+    @pytest.mark.parametrize("alpha", ["0.5", b"0.5", True], ids=repr)
+    def test_transmission_is_not_coerced(self, alpha):
+        message = "arm transmission must be a real number, got " + re.escape(repr(alpha))
+        with pytest.raises(ValueError, match=message):
+            ekert_ideal_stats(alpha, ChannelParams())
+        with pytest.raises(ValueError, match=message):
+            pdc_coefficients(0.2, alpha)
+
 
 class TestSwapChain:
     def test_frozen_bell_analyzer_terms(self):

@@ -312,37 +312,48 @@ def _point_report(config: RunConfig, curve: CurveSpec) -> dict:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     return repr(float(value))
 
 
-def _sweep_rows(config: RunConfig) -> list:
-    rows = []
-    for curve in config.curves:
-        for pt in sweep(_sweep_spec(config, curve)):
-            rows.append((curve.label, pt))
-    return rows
+def _sweep_curves(config: RunConfig) -> list:
+    """(label, points) of every curve, each over the config's grid."""
+    return [(curve.label, sweep(_sweep_spec(config, curve))) for curve in config.curves]
 
 
-def _sweep_csv(config: RunConfig, rows: list) -> str:
+def _sweep_csv(config: RunConfig, curves: list) -> str:
+    """The CSV of _sweep_curves' output. Each distinct value is formatted
+    once, in full repr: a grid abscissa once for all curves (every curve runs
+    over the first curve's grid, so row i of each shares it), the clamped
+    rate as the raw rate's string where that is positive and "0.0" otherwise
+    (what repr(max(0.0, raw)) gives), and the bb84 dark-click column once per
+    run."""
     lines = ["curve,abscissa,rate_raw,rate_clamped,optimal_param,p_true_or_signal,p_false_or_dark,e"]
     p_dark = dark_click_prob(config.channel.d, BB84_DETECTORS)
-    for label, pt in rows:
-        # (signal, noise, e); a point without statistics leaves the columns empty
-        if pt.stats is None:
-            columns = (None, None, None)
-        elif isinstance(pt.stats, ClickStats):
-            columns = (pt.stats.p_click - p_dark, p_dark, pt.stats.e)
-        else:
-            columns = (pt.stats.p_true, pt.stats.p_false, pt.stats.e)
-        values = (pt.abscissa, pt.rate_raw, pt.rate, pt.optimal_param, *columns)
-        lines.append(",".join([label, *map(_fmt, values)]))
+    dark = _fmt(p_dark)
+    abscissas = [_fmt(pt.abscissa) for pt in curves[0][1]]
+    for label, points in curves:
+        for x, pt in zip(abscissas, points):
+            raw = _fmt(pt.rate_raw)
+            clamped = raw if pt.rate_raw > 0.0 else "0.0"
+            param = "" if pt.optimal_param is None else _fmt(pt.optimal_param)
+            # (signal, noise, e); a point without statistics leaves the columns empty
+            stats = pt.stats
+            if stats is None:
+                columns = ",,"
+            elif isinstance(stats, ClickStats):
+                columns = f"{_fmt(stats.p_click - p_dark)},{dark},{_fmt(stats.e)}"
+            else:
+                columns = f"{_fmt(stats.p_true)},{_fmt(stats.p_false)},{_fmt(stats.e)}"
+            lines.append(f"{label},{x},{raw},{clamped},{param},{columns}")
     return "\n".join(lines) + "\n"
 
 
-def _sweep_json(rows: list) -> list:
-    return [{"curve": label, "rate": pt.rate, **_point_fields(pt)} for label, pt in rows]
+def _sweep_json(curves: list) -> list:
+    return [
+        {"curve": label, "rate": pt.rate, **_point_fields(pt)}
+        for label, points in curves
+        for pt in points
+    ]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -420,11 +431,11 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     if config.grid is None:
         raise ConfigError("the sweep command needs a 'sweep' config")
-    rows = _sweep_rows(config)
+    curves = _sweep_curves(config)
     if args.format == "json":
-        _emit_json(_sweep_json(rows), args.out)
+        _emit_json(_sweep_json(curves), args.out)
     else:
-        _emit(_sweep_csv(config, rows), args.out)
+        _emit(_sweep_csv(config, curves), args.out)
     return 0
 
 

@@ -4,7 +4,8 @@ optimization, cutoff-distance search, and sweep curve generation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -72,6 +73,10 @@ _CUTOFF_RESOLUTION_KM = 0.5
 # Sweep rows whose coarse grids are evaluated together: a block's temporaries
 # stay near 16 KiB each, where a whole 300-row grid would add megabytes.
 _ROW_BLOCK = 32
+# ratecore's error-correction table as the arrays _free_rate_kernel looks up:
+# one column of (segment start e, f at the start, rise, run) per segment.
+_EC_KNOT_ARRAY = np.array(ratecore._EC_KNOTS)
+_EC_SEGMENT_COLUMNS = np.array(ratecore._EC_SEGMENTS).T
 # Bisection steps that an optimized cutoff probes in one kernel call. A call
 # costs about 80 us plus 5-10 us per row, so deeper rounds pay for midpoints
 # the path skips and shallower ones pay for more calls: per cutoff, depths 3
@@ -253,17 +258,32 @@ def _free_source(protocol: str, param: float) -> SourceSpec:
 def _optimized_point(protocol: str, param: float, p: ChannelParams, abscissa: float, mode: str) -> RatePoint:
     """point_rate at the free source of an optimal parameter, which it carries."""
     point = point_rate(protocol, _free_source(protocol, param), p, abscissa, mode)
-    return replace(point, optimal_param=param)
+    return RatePoint(point.abscissa, point.rate_raw, param, point.stats, point.note)
 
 
 def _free_source_box(protocol: str) -> tuple[float, float]:
     return NBAR_BOX if protocol == "bb84" else CHI_BOX
 
 
-def _coarse_grid(lo: float, hi: float) -> list[float]:
-    """The optimizer's _COARSE_POINTS log-spaced parameters over [lo, hi]."""
+class _CoarseGrid(NamedTuple):
+    """The optimizer's _COARSE_POINTS log-spaced parameters over a box: as
+    floats, as a read-only array, and their math.log as a read-only array."""
+
+    params: tuple
+    array: np.ndarray
+    logs: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _coarse_grid(lo: float, hi: float) -> _CoarseGrid:
+    """The coarse grid over [lo, hi], computed once per box."""
     log_lo, log_hi = math.log(lo), math.log(hi)
-    return [math.exp(log_lo + i * (log_hi - log_lo) / (_COARSE_POINTS - 1)) for i in range(_COARSE_POINTS)]
+    params = tuple(
+        math.exp(log_lo + i * (log_hi - log_lo) / (_COARSE_POINTS - 1)) for i in range(_COARSE_POINTS)
+    )
+    array, logs = np.array(params), np.array([math.log(g) for g in params])
+    array.flags.writeable = logs.flags.writeable = False
+    return _CoarseGrid(params, array, logs)
 
 
 def _libm_exp(v: np.ndarray) -> np.ndarray:
@@ -318,8 +338,7 @@ def _free_rate_kernel(protocol: str, p: ChannelParams, alpha, param) -> np.ndarr
         # quadratic (at 1/2 both are 1)
         secure = beta * -np.log2(ratecore._quadratic_bound(e / beta))
         entropy = np.where(e > 0.0, ratecore._entropy(e, np.log2), 0.0)
-        segments = np.array(ratecore._EC_SEGMENTS).T[:, np.searchsorted(ratecore._EC_KNOTS, e)]
-        f = ratecore._ec_line(e, *segments)
+        f = ratecore._ec_line(e, *_EC_SEGMENT_COLUMNS[:, np.searchsorted(_EC_KNOT_ARRAY, e)])
         raw = 0.5 * p_sift * (secure - f * entropy)
         return np.where(live & (raw > 0.0), raw, 0.0)
 
@@ -346,12 +365,12 @@ def optimize_source_param(
         return point_rate(protocol, _free_source(protocol, param), p, abscissa, mode).rate
 
     grid = _coarse_grid(lo, hi)
-    values = [objective(g) for g in grid]
+    values = [objective(g) for g in grid.params]
     best = max(range(_COARSE_POINTS), key=values.__getitem__)
     if values[best] == 0.0:
         return OptimizeResult(param=0.5 * (lo + hi), rate=0.0)
-    a = math.log(grid[max(best - 1, 0)])
-    b = math.log(grid[min(best + 1, _COARSE_POINTS - 1)])
+    a = math.log(grid.params[max(best - 1, 0)])
+    b = math.log(grid.params[min(best + 1, _COARSE_POINTS - 1)])
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = objective(math.exp(x1)), objective(math.exp(x2))
@@ -367,7 +386,7 @@ def optimize_source_param(
     param = math.exp(0.5 * (a + b))
     rate = objective(param)
     if rate < values[best]:
-        param, rate = grid[best], values[best]
+        param, rate = grid.params[best], values[best]
     return OptimizeResult(param=param, rate=rate)
 
 
@@ -388,7 +407,7 @@ def _coarse_maxima(
             continue
         valid[i] = True
     rows = np.flatnonzero(valid)
-    grid = np.array(_coarse_grid(*_free_source_box(protocol)))
+    grid = _coarse_grid(*_free_source_box(protocol)).array
     best = np.zeros(len(xs), dtype=int)
     top = np.zeros(len(xs))
     for start in range(0, rows.size, _ROW_BLOCK):
@@ -492,14 +511,13 @@ def _optimal_params(protocol: str, p: ChannelParams, xs: list[float], mode: str)
     if not found.size:
         return params
     alpha, best, top = alpha[found], best[found], top[found]
-    grid = np.array(_coarse_grid(lo, hi))
+    grid = _coarse_grid(lo, hi)
 
     def rate(param: np.ndarray) -> np.ndarray:
         return _free_rate_kernel(protocol, p, alpha, param)
 
-    log_grid = np.array([math.log(g) for g in grid.tolist()])
-    a = log_grid[np.maximum(best - 1, 0)]
-    b = log_grid[np.minimum(best + 1, _COARSE_POINTS - 1)]
+    a = grid.logs[np.maximum(best - 1, 0)]
+    b = grid.logs[np.minimum(best + 1, _COARSE_POINTS - 1)]
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = rate(np.exp(np.stack([x1, x2])))
@@ -515,7 +533,7 @@ def _optimal_params(protocol: str, p: ChannelParams, xs: list[float], mode: str)
         active = b - a > _REL_TOL
     # math.exp, as optimize_source_param takes it, fixes the reported parameter
     param = np.array([math.exp(v) for v in (0.5 * (a + b)).tolist()])
-    param = np.where(rate(param) < top, grid[best], param)
+    param = np.where(rate(param) < top, grid.array[best], param)
     for i, v in zip(found.tolist(), param.tolist()):
         params[i] = v
     return params

@@ -110,6 +110,7 @@ class AttackParams:
 
 def ec_leak_bits(n_rec: int, e: float) -> int:
     """Bits leaked by error correction: ceil(f(e) * n_rec * h(e))."""
+    n_rec = _integer(n_rec, "reconciled key length")
     if n_rec < 0:
         raise ValueError("reconciled key length must be non-negative")
     if e == 0.0 or n_rec == 0:
@@ -153,6 +154,7 @@ def final_key_length(
 
 def eve_info_bound(r: int, sec: SecurityParams) -> float:
     """Eve's expected information on the final key: 2^-t r + 2^-s / ln 2."""
+    r = _integer(r, "key length")
     if r < 0:
         raise ValueError("key length must be non-negative")
     return math.ldexp(float(r), -sec.t) + math.ldexp(1.0 / _LN2, -sec.s)

@@ -239,10 +239,10 @@ class CoincidenceStats:
     e: float
 
     def __post_init__(self):
-        for name in ("p_true", "p_false"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+        if not 0.0 <= self.p_true <= 1.0:
+            raise ValueError("p_true must lie in [0, 1]")
+        if not 0.0 <= self.p_false <= 1.0:
+            raise ValueError("p_false must lie in [0, 1]")
         if not 0.0 <= self.e <= 0.5 + _WEIGHT_TOL:
             raise ValueError("coincidence error fraction must lie in [0, 1/2]")
 
@@ -267,11 +267,17 @@ class PdcCoefficients:
     D: float
 
     def __post_init__(self):
-        for name in "ABCD":
-            v = getattr(self, name)
-            if not -_WEIGHT_TOL <= v <= 1.0 + _WEIGHT_TOL:
-                raise ValueError(f"coefficient {name} must lie in [0, 1], got {v}")
-        if self.higher_order_weight < -_WEIGHT_TOL:
+        A, B, C, D = self.A, self.B, self.C, self.D
+        if not -_WEIGHT_TOL <= A <= 1.0 + _WEIGHT_TOL:
+            raise ValueError(f"coefficient A must lie in [0, 1], got {A}")
+        if not -_WEIGHT_TOL <= B <= 1.0 + _WEIGHT_TOL:
+            raise ValueError(f"coefficient B must lie in [0, 1], got {B}")
+        if not -_WEIGHT_TOL <= C <= 1.0 + _WEIGHT_TOL:
+            raise ValueError(f"coefficient C must lie in [0, 1], got {C}")
+        if not -_WEIGHT_TOL <= D <= 1.0 + _WEIGHT_TOL:
+            raise ValueError(f"coefficient D must lie in [0, 1], got {D}")
+        # higher_order_weight, spelled out: this check runs on every PDC rate
+        if 1.0 - A - B - 2.0 * C - D < -_WEIGHT_TOL:
             raise ValueError("component weights exceed 1")
 
     @property
@@ -369,8 +375,8 @@ def pdc_coefficients(chi: float, alpha_half: float) -> PdcCoefficients:
         C = 2 alpha (1 - alpha) tanh^2(chi) / (cosh^4(chi) (1 - z)^3)
         D = 4 alpha^2 (1 - alpha)^2 tanh^4(chi) / (cosh^4(chi) (1 - z)^4)
     """
-    if chi <= 0:
-        raise ValueError("pump parameter must be positive")
+    if not 0.0 < chi < math.inf:
+        raise ValueError("pump parameter must be positive and finite")
     a = checked_transmission(alpha_half)
     A, B, C, D = _pdc_weights(a, math.tanh(chi) ** 2, math.cosh(chi) ** 4)
     return PdcCoefficients(A=A, B=B, C=C, D=D)

@@ -17,8 +17,10 @@ from qkdrates.cli import (
     parse_config,
     run_verify_suite,
 )
-from qkdrates.protocols import OptimizeResult, point_rate, sweep
+from qkdrates.channel import dark_click_prob
+from qkdrates.protocols import OptimizeResult, RatePoint, point_rate, sweep
 from qkdrates.ratecore import tau_multiphoton
+from qkdrates.sources import BB84_DETECTORS, ClickStats, CoincidenceStats
 
 BASE_CHANNEL = {
     "sigma_db_per_km": 0.2,
@@ -531,6 +533,12 @@ class TestSweepCommand:
         reference = (REFERENCE_DIR / f"{name}.csv").read_text()
         assert bench_module("check").compare_sweep_csv(out.read_text(), reference) == []
 
+    @pytest.mark.parametrize("name", ["fig3a_fiber", "fig3b_freespace", "fig5_swaps"])
+    def test_shipped_sweep_is_byte_identical_to_reference(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        assert main(["sweep", "--config", shipped_config(f"{name}.json"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (REFERENCE_DIR / f"{name}.csv").read_bytes()
+
     @pytest.mark.parametrize("name", ["fig3a_fiber", "fig3b_freespace"])
     def test_optimized_rows_match_point_rate(self, name):
         # sweep optimizes all rows in lockstep; point_rate(src=None) runs the
@@ -553,6 +561,68 @@ class TestSweepCommand:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 3 * 101
+
+
+def plain_sweep_csv(config, curves):
+    """The sweep CSV with every value formatted on its own by repr."""
+    lines = ["curve,abscissa,rate_raw,rate_clamped,optimal_param,p_true_or_signal,p_false_or_dark,e"]
+    p_dark = dark_click_prob(config.channel.d, BB84_DETECTORS)
+    for label, points in curves:
+        for pt in points:
+            if pt.stats is None:
+                columns = (None, None, None)
+            elif isinstance(pt.stats, ClickStats):
+                columns = (pt.stats.p_click - p_dark, p_dark, pt.stats.e)
+            else:
+                columns = (pt.stats.p_true, pt.stats.p_false, pt.stats.e)
+            values = (pt.abscissa, pt.rate_raw, max(0.0, pt.rate_raw), pt.optimal_param, *columns)
+            lines.append(",".join([label, *("" if v is None else repr(float(v)) for v in values)]))
+    return "\n".join(lines) + "\n"
+
+
+class TestSweepCsv:
+    """cli._sweep_csv formats each distinct value once; its text is that of
+    plain_sweep_csv."""
+
+    CONFIG = {
+        "curves": [
+            {"label": "opt", "protocol": "bb84"},
+            {"label": "pair", "protocol": "ekert", "source": {"type": "ideal-epr"}},
+        ],
+        "channel": BASE_CHANNEL,
+        "sweep": {"mode": "distance", "start_km": -0.0, "stop_km": 20.0, "step_km": 10.0},
+    }
+
+    def test_hand_built_rows(self):
+        config = parse_config(self.CONFIG)
+        p_dark = dark_click_prob(config.channel.d, BB84_DETECTORS)
+        xs = (-0.0, 10.0, 1.0 / 3.0)
+        click = ClickStats(p_click=0.01 + p_dark, e=0.03, beta=0.9)
+        coincidence = CoincidenceStats(p_true=1e-4, p_false=3e-7, e=0.012)
+        curves = [
+            ("opt", [
+                RatePoint(xs[0], 1.234e-4, optimal_param=0.3, stats=click),
+                RatePoint(xs[1], -2.5e-7, optimal_param=1.0 / 7.0, stats=click),
+                RatePoint(xs[2], 0.0, optimal_param=1.0, note="degenerate statistics"),
+            ]),
+            ("pair", [
+                RatePoint(xs[0], -0.0, stats=coincidence),
+                RatePoint(xs[1], 3.0e-6, stats=coincidence),
+                RatePoint(xs[2], 0.0, note="degenerate statistics"),
+            ]),
+        ]
+        text = cli._sweep_csv(config, curves)
+        assert text == plain_sweep_csv(config, curves)
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [row[1] for row in rows] == ["-0.0", "10.0", repr(1.0 / 3.0)] * 2
+        assert [row[3] for row in rows] == ["0.0001234", "0.0", "0.0", "0.0", "3e-06", "0.0"]
+
+    def test_negative_zero_start(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, self.CONFIG), "--out", str(out)]) == 0
+        config = load_config(str(tmp_path / "config.json"))
+        assert config.grid[0] == 0.0 and math.copysign(1.0, config.grid[0]) == -1.0
+        assert out.read_text() == plain_sweep_csv(config, cli._sweep_curves(config))
 
 
 class TestOptimizeAndCutoffCommands:

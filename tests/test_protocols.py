@@ -191,6 +191,17 @@ class TestOptimizer:
             point_rate(protocol, free(opt.param), FIBER, 10.0), optimal_param=opt.param
         )
 
+    @pytest.mark.parametrize("protocol, free, param, x, mode", [
+        ("bb84", Poisson, 0.05, 10.0, "distance"),
+        ("bb84", Poisson, 0.3, 10.0, "distance"),
+        ("ekert", Pdc, 0.2, 12.0, "total-loss"),
+        ("ekert", Pdc, 0.2, 400.0, "distance"),
+        ("ekert", Pdc, 1000.0, 10.0, "distance"),
+    ], ids=["positive", "zero", "total-loss", "negative-raw", "note"])
+    def test_optimized_point_is_point_rate_with_its_parameter(self, protocol, free, param, x, mode):
+        expected = dataclasses.replace(point_rate(protocol, free(param), FIBER, x, mode), optimal_param=param)
+        assert protocols._optimized_point(protocol, param, FIBER, x, mode) == expected
+
 
 # Devices for the kernel: the reference fiber, lossless detectors (arm
 # transmission up to 1) with and without dark counts, dark counts at and just

@@ -76,18 +76,24 @@ class TestKeyBudget:
             with pytest.raises(ValueError, match=f"security margin {name} must be an integer, got " + re.escape(repr(value))):
                 SecurityParams(**{name: value})
 
-    @pytest.mark.parametrize("value", [1000.5, 1000.0, True, "1000"], ids=repr)
+    @pytest.mark.parametrize("value", [1.5, 1000.5, 1000.0, True, "1000"], ids=repr)
     def test_key_counts_must_be_integers(self, value):
         with pytest.raises(ValueError, match="reconciled key length must be an integer, got " + re.escape(repr(value))):
             final_key_length(value, 0.02, 100, SecurityParams())
         with pytest.raises(ValueError, match="error-correction leakage must be an integer, got " + re.escape(repr(value))):
             final_key_length(1000, 0.02, value, SecurityParams())
+        with pytest.raises(ValueError, match="reconciled key length must be an integer, got " + re.escape(repr(value))):
+            ec_leak_bits(value, 0.1)
+        with pytest.raises(ValueError, match="key length must be an integer, got " + re.escape(repr(value))):
+            eve_info_bound(value, SecurityParams())
 
     def test_numpy_integers_accepted(self):
         plain = final_key_length(1000, 0.02, 100, SecurityParams(3, 4))
         budget = final_key_length(np.int64(1000), 0.02, np.int32(100), SecurityParams(np.int64(3), np.uint8(4)))
         assert budget == plain
         assert type(budget.n_rec) is int and type(budget.kappa) is int
+        assert ec_leak_bits(np.int64(1000), 0.1) == ec_leak_bits(1000, 0.1)
+        assert eve_info_bound(np.int64(357), SecurityParams()) == eve_info_bound(357, SecurityParams())
 
     @given(
         st.integers(min_value=1, max_value=10_000),

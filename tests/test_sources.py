@@ -145,6 +145,12 @@ class TestPdc:
         with pytest.raises(ValueError):
             Pdc(-0.1)
 
+    @pytest.mark.parametrize("chi", [math.inf, math.nan, -math.inf, 0.0], ids=repr)
+    def test_pump_must_be_positive_and_finite(self, chi):
+        # inf once gave all-zero weights, and NaN failed on coefficient A
+        with pytest.raises(ValueError, match="^pump parameter must be positive and finite$"):
+            pdc_coefficients(chi, 0.5)
+
 
 class TestSourceValidation:
     @pytest.mark.parametrize("build", [Poisson, Pdc], ids=lambda cls: cls.__name__)

@@ -55,15 +55,18 @@ class ChannelParams:
 
 
 def fiber_transmission(sigma: float, length: float) -> float:
-    """Fiber transmission 10^(-sigma L / 10) over a length in km."""
-    if length < 0:
-        raise ValueError(f"length must be non-negative, got {length}")
+    """Fiber transmission 10^(-sigma L / 10) over a length in km, for a loss
+    coefficient sigma in dB/km; both must be non-negative and finite."""
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"loss coefficient must be non-negative and finite, got {sigma}")
+    if not 0.0 <= length < math.inf:
+        raise ValueError(f"length must be non-negative and finite, got {length}")
     return 10.0 ** (-sigma * length / 10.0)
 
 
 def db_to_transmission(loss_db: float) -> float:
     """Transmission fraction corresponding to a loss quoted in dB."""
-    if loss_db < 0:
+    if not loss_db >= 0:
         raise ValueError(f"loss must be non-negative, got {loss_db}")
     return 10.0 ** (-loss_db / 10.0)
 
@@ -101,7 +104,7 @@ def arm_alpha(p: ChannelParams, length: float) -> float:
     Combines detector efficiency, the fixed receiver-unit loss, and fiber
     transmission: alpha = eta * 10^(-receiver_loss_db/10) * T_F(length).
     """
-    if length < 0:
+    if not length >= 0:
         raise ValueError(f"length must be non-negative, got {length}")
     return arm_alpha_from_loss_db(p, span_loss_db(p, length, "distance", 1))
 
@@ -113,7 +116,7 @@ def arm_alpha_from_loss_db(p: ChannelParams, loss_db: float, receiver_loss_db=No
     The receiver loss may be overridden (e.g. halved for a shared two-arm
     budget); None keeps the channel's own value.
     """
-    if loss_db < 0:
+    if not loss_db >= 0:
         raise ValueError(f"loss must be non-negative, got {loss_db}")
     rec = p.receiver_loss_db if receiver_loss_db is None else receiver_loss_db
     return checked_transmission(p.eta * db_to_transmission(rec) * db_to_transmission(loss_db))
@@ -123,12 +126,18 @@ def dark_click_prob(d: float, detectors: int) -> float:
     """Probability that any of several detectors fires on dark counts alone.
 
     Linearized to detectors * d, neglecting coincident dark counts, which is
-    only a valid model while that product stays below 1.
+    only a valid model while that product stays below 1. The detector count
+    must be an integer, numpy's included, but not a bool.
     """
+    # an exact int, the rate path's case, pays only the type test
+    if type(detectors) is not int and (
+        isinstance(detectors, bool) or not isinstance(detectors, numbers.Integral)
+    ):
+        raise ValueError(f"detector count must be an integer, got {detectors!r}")
     if detectors < 1:
         raise ValueError("detector count must be at least 1")
-    if d < 0:
-        raise ValueError("dark-count probability must be non-negative")
+    if not d >= 0:
+        raise ValueError(f"dark-count probability must be non-negative, got {d}")
     p = detectors * d
     if p >= 1.0:
         raise ValueError(f"{detectors} detectors at d={d} exceed the linear model's validity")

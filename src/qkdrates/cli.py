@@ -326,10 +326,10 @@ def _sweep_csv(config: RunConfig, curves: list) -> str:
     over the first curve's grid, so row i of each shares it), the clamped
     rate as the raw rate's string where that is positive and "0.0" otherwise
     (what repr(max(0.0, raw)) gives), and the bb84 dark-click column once per
-    run."""
+    run, at the first ClickStats row: a sweep without one never asks the
+    four-detector linear model about its dark-count probability."""
     lines = ["curve,abscissa,rate_raw,rate_clamped,optimal_param,p_true_or_signal,p_false_or_dark,e"]
-    p_dark = dark_click_prob(config.channel.d, BB84_DETECTORS)
-    dark = _fmt(p_dark)
+    dark = None
     abscissas = [_fmt(pt.abscissa) for pt in curves[0][1]]
     for label, points in curves:
         for x, pt in zip(abscissas, points):
@@ -341,6 +341,9 @@ def _sweep_csv(config: RunConfig, curves: list) -> str:
             if stats is None:
                 columns = ",,"
             elif isinstance(stats, ClickStats):
+                if dark is None:
+                    p_dark = dark_click_prob(config.channel.d, BB84_DETECTORS)
+                    dark = _fmt(p_dark)
                 columns = f"{_fmt(stats.p_click - p_dark)},{dark},{_fmt(stats.e)}"
             else:
                 columns = f"{_fmt(stats.p_true)},{_fmt(stats.p_false)},{_fmt(stats.e)}"

@@ -3,7 +3,11 @@
 Expands the two-mode-squeezed pair state exactly up to a pair-count cap,
 pushes every photon through a beamsplitter loss channel, and reconstructs
 the polarization density matrices of the kept photons as a dict from each
-kept-photon sector (i, j) to its matrix.
+kept-photon sector (i, j) to its matrix. sector_densities lays the
+expansion out once per state and yields one such dict per transmission;
+every matrix is checked to be a density matrix on the blocks of its
+connected components, where two columns are joined when one loss
+occupation populates both.
 This is an independent check of the closed-form source coefficients and of
 the claim that erasing coherences between photon-number sectors cannot
 change any detection statistics.
@@ -19,6 +23,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,6 +35,7 @@ __all__ = [
     "FockVector",
     "truncation_tail",
     "build_pdc_state",
+    "sector_densities",
     "apply_loss_and_trace",
     "sector_weights",
     "extract_pdc_coefficients",
@@ -157,46 +163,210 @@ def _split_amplitudes(n: int, alpha: float) -> np.ndarray:
     )
 
 
-def _loss_expansion(state: FockVector, alpha: float) -> tuple:
-    """The state after loss, as arrays (loss code, kept occupation, amplitude).
+class _Expansion(NamedTuple):
+    """A state's loss expansion before any transmission is chosen.
 
-    Every mode passes a beamsplitter of transmission alpha. Entry k is the
-    ket whose kept occupation (k_ax, k_ay, k_bx, k_by) is kept[k] and whose
-    lost counts are numbered code[k]; entries whose beamsplitter factor is
-    zero are dropped. Kept plus lost photons give back the input ket, so no
-    two entries share both. Kets with different loss codes can never
-    interfere once the lost photons are traced out: each code labels an
-    independent pure component. The split amplitudes live for one call only.
+    Entry k is the ket ket[k] with kept occupation (k_ax, k_ay, k_bx, k_by)
+    kept[k] and lost counts numbered codes[k], below radix^4. Its
+    beamsplitter factor takes mode m's split amplitude from entry split[m, k]
+    of _loss_factors' flat (radix, radix) table. amps holds the state's
+    amplitudes in ket order.
+    """
+
+    amps: np.ndarray
+    ket: np.ndarray
+    split: np.ndarray
+    codes: np.ndarray
+    kept: np.ndarray
+    radix: int
+
+
+def _expand_kets(state: FockVector) -> _Expansion:
+    """Every (ket, kept occupation) entry of the state, for any transmission.
 
     All kets expand together, one mode at a time: each entry with n
     photons in mode m splits into the n + 1 entries that keep k = 0..n of
     them, in that order. The entries thus follow the state's kets and, within
-    a ket, its kept counts in C order, last mode fastest, and each factor is
-    the product of the four modes' split amplitudes taken left to right, as
-    in ((s0 x s1) x s2) x s3.
+    a ket, its kept counts in C order, last mode fastest.
     """
     occs = np.array(list(state.amps), dtype=np.int64)
     radix = 1 + int(occs.max())
-    table = np.zeros((radix, radix))  # row n: the split amplitudes of n photons
-    for n in range(radix):
-        table[n, : n + 1] = _split_amplitudes(n, alpha)
     ket = np.arange(len(occs))
-    factor = np.ones(len(occs))
     codes = np.zeros(len(occs), dtype=np.int64)
-    kept = []
+    kept, split = [], []
     for m in range(4):
         n = occs[ket, m]
         parent = np.repeat(np.arange(ket.size), n + 1)
         first = np.cumsum(n + 1) - (n + 1)  # each entry's first child
         k = np.arange(parent.size) - first[parent]
         n = n[parent]
-        factor = factor[parent] * table[n, k]
         codes = codes[parent] * radix + (n - k)
         kept = [column[parent] for column in kept] + [k]
+        split = [column[parent] for column in split] + [n * radix + k]
         ket = ket[parent]
+    amps = np.array(list(state.amps.values()))
+    return _Expansion(amps, ket, np.stack(split), codes, np.stack(kept, axis=1), radix)
+
+
+def _loss_factors(expansion: _Expansion, alpha: float) -> np.ndarray:
+    """Each entry's beamsplitter factor at transmission alpha: the product of
+    the four modes' split amplitudes taken left to right, as in
+    ((s0 x s1) x s2) x s3. The split amplitudes live for one call only."""
+    radix = expansion.radix
+    table = np.zeros((radix, radix))  # row n: the split amplitudes of n photons
+    for n in range(radix):
+        table[n, : n + 1] = _split_amplitudes(n, alpha)
+    table = table.ravel()
+    s0, s1, s2, s3 = expansion.split
+    return table[s0] * table[s1] * table[s2] * table[s3]
+
+
+def _loss_expansion(state: FockVector, alpha: float) -> tuple:
+    """The state after loss, as arrays (loss code, kept occupation, amplitude).
+
+    Every mode passes a beamsplitter of transmission alpha. Entry k is the
+    ket whose kept occupation (k_ax, k_ay, k_bx, k_by) is kept[k] and whose
+    lost counts are numbered code[k]; the entries are _expand_kets' in its
+    order, less those whose beamsplitter factor is zero. Kept plus lost
+    photons give back the input ket, so no two entries share both. Kets with
+    different loss codes can never interfere once the lost photons are traced
+    out: each code labels an independent pure component.
+    """
+    expansion = _expand_kets(state)
+    factor = _loss_factors(expansion, alpha)
     nonzero = np.flatnonzero(factor)
-    amps = np.array(list(state.amps.values()))[ket[nonzero]] * factor[nonzero]
-    return codes[nonzero], np.stack([column[nonzero] for column in kept], axis=1), amps
+    amps = expansion.amps[expansion.ket[nonzero]] * factor[nonzero]
+    return expansion.codes[nonzero], expansion.kept[nonzero], amps
+
+
+class _SectorLayout(NamedTuple):
+    """Where the entries of one nonzero-factor pattern go, for any transmission.
+
+    The entries at expansion indices source[e], in (sector, loss code)
+    order, land at flat index scatter[e] of a buffer of v_size that holds
+    every sector's V, row-major one after another. sectors lists, per
+    sector, (key, V offset, rows, dim, density offset): its (dim, dim)
+    density matrix sits row-major at that offset of a buffer of
+    density_size. blocks holds, per block size s, an (n, s, s) array of
+    flat indices into the density buffer: one block per connected component.
+    """
+
+    source: np.ndarray
+    scatter: np.ndarray
+    v_size: int
+    sectors: list
+    density_size: int
+    blocks: list
+
+
+def _sector_layout(expansion: _Expansion, nonzero: np.ndarray) -> _SectorLayout:
+    """The layout of the entries at the given expansion indices.
+
+    One stable sort by (sector, loss code) makes each run of equal codes one
+    row of its sector's V, numbered from 0 per sector; an entry's column is
+    its kept occupation (k_ax, i - k_ax, k_bx, j - k_bx) in the sector basis.
+    """
+    kept, codes = expansion.kept[nonzero], expansion.codes[nonzero]
+    i = kept[:, 0] + kept[:, 1]
+    j = kept[:, 2] + kept[:, 3]
+    sector = i * (1 + int(j.max())) + j
+    key = sector * (1 + int(codes.max())) + codes
+    order = np.argsort(key, kind="stable")
+    bounds = np.flatnonzero(np.diff(sector[order], prepend=-1, append=-1))
+    starts = bounds[:-1]
+    owner = np.repeat(np.arange(starts.size), np.diff(bounds))  # each sorted entry's sector
+    # each sorted entry's run of equal keys: a row of V, numbered across sectors
+    run = np.cumsum(np.diff(key[order], prepend=-1) != 0) - 1
+    first_run = run[starts]
+    rows = run[bounds[1:] - 1] + 1 - first_run
+    si, sj = i[order[starts]], j[order[starts]]
+    dims = (si + 1) * (sj + 1)
+    cols = ((i - kept[:, 0]) * (j + 1) + (j - kept[:, 2]))[order]
+    v_offsets = np.cumsum(rows * dims) - rows * dims
+    scatter = v_offsets[owner] + (run - first_run[owner]) * dims[owner] + cols
+    offsets = np.cumsum(dims * dims) - dims * dims
+    # the populated columns, numbered 0..G - 1 in (sector, column) order
+    width = int(dims.max())
+    ids, column = np.unique(owner * width + cols, return_inverse=True)
+    column_sector, column_index = np.divmod(ids, width)
+    label = _column_components(run, column)
+    members = np.argsort(label, kind="stable")  # columns grouped by component, ascending within
+    edges = np.flatnonzero(np.diff(label[members], prepend=-1, append=-1))
+    sizes = np.diff(edges)
+    blocks = []
+    for size in np.unique(sizes).tolist():
+        block = members[edges[:-1][sizes == size, None] + np.arange(size)]
+        owner_of_block = column_sector[block[:, 0]]
+        offset = offsets[owner_of_block][:, None, None]
+        dim = dims[owner_of_block][:, None, None]
+        col = column_index[block]
+        blocks.append(offset + col[:, :, None] * dim + col[:, None, :])
+    sectors = list(zip(zip(si.tolist(), sj.tolist()), v_offsets.tolist(), rows.tolist(),
+                       dims.tolist(), offsets.tolist()))
+    return _SectorLayout(nonzero[order], scatter, int((rows * dims).sum()), sectors,
+                         int((dims * dims).sum()), blocks)
+
+
+def _column_components(run: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """Connected components of the columns of V: two columns are joined when
+    some row of V occupies both.
+
+    run numbers each entry's row, nondecreasing; column numbers its column,
+    0..G - 1 with none missing. Returns each column's label, the smallest
+    column joined to it. The labels spread as minima, over every row and then
+    over every column, until a pass changes none.
+    """
+    row_starts = np.flatnonzero(np.diff(run, prepend=-1))
+    row_lengths = np.diff(row_starts, append=run.size)
+    by_column = np.argsort(column, kind="stable")
+    column_starts = np.flatnonzero(np.diff(column[by_column], prepend=-1))
+    label = np.arange(column_starts.size)
+    while True:
+        row_min = np.repeat(np.minimum.reduceat(label[column], row_starts), row_lengths)
+        spread = np.minimum.reduceat(row_min[by_column], column_starts)
+        if np.array_equal(spread, label):
+            return label
+        label = spread
+
+
+def sector_densities(state: FockVector, alphas) -> Iterator[dict]:
+    """Push the state through equal per-arm loss at each transmission in turn
+    and trace out the lost photons; yields one apply_loss_and_trace dict per
+    transmission, in order.
+
+    The expansion of the state's kets is built once for all transmissions,
+    and the layout of each distinct pattern of nonzero beamsplitter factors
+    (_sector_layout) once per pattern: alpha 0, alpha 1 and an alpha whose
+    factors underflow each drop other entries. Nothing outlives the call.
+    A transmission then costs its factors, one scatter into V, one matmul
+    per sector and one density check per block size.
+
+    Raises:
+        ValueError: Before anything is yielded, if a transmission is not a
+            real number in [0, 1].
+    """
+    alphas = [checked_transmission(alpha) for alpha in alphas]
+    expansion = _expand_kets(state)
+    layouts = {}
+    for alpha in alphas:
+        factor = _loss_factors(expansion, alpha)
+        nonzero = np.flatnonzero(factor)
+        pattern = nonzero.tobytes()
+        if pattern not in layouts:
+            layouts[pattern] = _sector_layout(expansion, nonzero)
+        layout = layouts[pattern]
+        source = layout.source
+        amps = expansion.amps[expansion.ket[source]] * factor[source]
+        v_flat = np.zeros(layout.v_size, dtype=amps.dtype)
+        v_flat[layout.scatter] = amps
+        density_flat = np.empty(layout.density_size, dtype=amps.dtype)
+        out = {}
+        for key, v_offset, rows, dim, offset in layout.sectors:
+            v = v_flat[v_offset : v_offset + rows * dim].reshape(rows, dim)
+            rho = density_flat[offset : offset + dim * dim].reshape(dim, dim)
+            out[key] = np.matmul(v.T, v.conj(), out=rho)
+        _check_blocks(density_flat, layout.blocks)
+        yield out
 
 
 def apply_loss_and_trace(state: FockVector, alpha: float) -> dict:
@@ -213,42 +383,20 @@ def apply_loss_and_trace(state: FockVector, alpha: float) -> dict:
     Each sector's density matrix is V^T conj(V), where row g of V holds the
     sector's amplitudes of one lost occupation: the sum of the pure
     components that the trace leaves. The matrices are real when every
-    amplitude of the state is. One stable sort by (sector, loss code) makes
-    each run of equal codes one row of its sector's V.
+    amplitude of the state is.
 
-    Every matrix gets the density checks once per call, on its block at the
-    columns of V that some entry occupies, stacked by block size
-    (_check_blocks). A column of V without amplitude makes an exactly zero
-    row and column, which adds only an eigenvalue 0, so the block passes
-    exactly when the whole matrix does.
+    Every matrix gets the density checks once per call, on the blocks of
+    its connected components (_check_blocks): two columns of V are joined
+    when some row occupies both. rho is exactly zero between components and
+    on a column of V without amplitude, so its spectrum is the blocks'
+    spectra plus zeros, and the blocks pass exactly when the whole matrix
+    does.
 
     Args:
         state: Input FockVector.
         alpha: Shared arm transmission.
     """
-    codes, kept, amps = _loss_expansion(state, checked_transmission(alpha))
-    i = kept[:, 0] + kept[:, 1]
-    j = kept[:, 2] + kept[:, 3]
-    sector = i * (1 + int(j.max())) + j
-    key = sector * (1 + int(codes.max())) + codes
-    order = np.argsort(key, kind="stable")
-    bounds = np.flatnonzero(np.diff(sector[order], prepend=-1, append=-1))
-    starts = bounds[:-1]
-    # each sorted entry's row in its sector's V: its run of equal keys, from 0 per sector
-    row = np.cumsum(np.diff(key[order], prepend=-1) != 0)
-    row -= np.repeat(row[starts], np.diff(bounds))
-    # column (k_ax, i - k_ax, k_bx, j - k_bx) in the sector basis
-    cols = ((i - kept[:, 0]) * (j + 1) + (j - kept[:, 2]))[order]
-    amps = amps[order]
-    out, columns = {}, []
-    for lo, hi, si, sj in zip(starts.tolist(), bounds[1:].tolist(),
-                              i[order[starts]].tolist(), j[order[starts]].tolist()):
-        v = np.zeros((int(row[hi - 1]) + 1, (si + 1) * (sj + 1)), dtype=amps.dtype)
-        v[row[lo:hi], cols[lo:hi]] = amps[lo:hi]
-        columns.append(np.flatnonzero(np.bincount(cols[lo:hi], minlength=v.shape[1])))
-        out[(si, sj)] = v.T @ v.conj()
-    _check_blocks(list(out.values()), columns)
-    return out
+    return next(sector_densities(state, (alpha,)))
 
 
 def _check_densities(stack: np.ndarray) -> None:
@@ -262,14 +410,17 @@ def _check_densities(stack: np.ndarray) -> None:
         raise ValueError("sector density must be positive semidefinite")
 
 
-def _check_blocks(matrices: list, columns: list) -> None:
-    """Check each matrix on its block at the given sorted columns, outside
-    which it must be zero; blocks of one size share a _check_densities call."""
-    by_size = defaultdict(list)
-    for matrix, cols in zip(matrices, columns):
-        by_size[len(cols)].append((matrix, cols))
-    for group in by_size.values():
-        _check_densities(np.stack([matrix[cols[:, None], cols] for matrix, cols in group]))
+def _check_blocks(flat: np.ndarray, blocks: list) -> None:
+    """Check the blocks that each (n, s, s) index array of blocks gathers
+    from the flat density buffer, one _check_densities call per array.
+
+    _sector_layout gives one block per connected component of a sector's
+    columns, so every populated entry of every density matrix is checked
+    once. The largest block of the pdc-oracle suite is 9 columns wide where
+    its largest matrix is 81.
+    """
+    for index in blocks:
+        _check_densities(flat[index])
 
 
 def _weight(matrix: np.ndarray) -> float:

@@ -165,10 +165,10 @@ def markov_leak_probability(i_e: float, threshold: float) -> float:
 
     P(I >= threshold) <= i_e / threshold, clamped to 1.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    if i_e < 0:
-        raise ValueError("information bound must be non-negative")
+    if not threshold > 0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not i_e >= 0:
+        raise ValueError(f"information bound must be non-negative, got {i_e}")
     return min(1.0, i_e / threshold)
 
 
@@ -304,8 +304,10 @@ def multiphoton_ratio_bound(i: int, j: int) -> float:
     honest dual-fire events reveal her scales as
     [(1/2 - 2^-i) / 2^-i] * [(1/2 - 2^-j) / 2^-j] = (2^(i-1) - 1)(2^(j-1) - 1).
     The product is >= 1 for i, j >= 2 but collapses to 0 when either side
-    holds a single photon.
+    holds a single photon. The counts must be integers, numpy's included,
+    but not bools.
     """
+    i, j = _integer(i, "photon count"), _integer(j, "photon count")
     if i < 1 or j < 1:
         raise ValueError("photon counts must be at least 1")
     return float((2 ** (i - 1) - 1) * (2 ** (j - 1) - 1))

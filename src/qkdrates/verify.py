@@ -59,11 +59,11 @@ def _suite_pdc_oracle() -> dict:
     worst_residual = 0.0
     unreadable = False
     table = []
+    alphas = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
     for chi in (0.05, 0.1, 0.2, 0.3):
         state = fockoracle.build_pdc_state(chi, 8)
-        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+        for alpha, sectors in zip(alphas, fockoracle.sector_densities(state, alphas)):
             formula = sources.pdc_coefficients(chi, alpha)
-            sectors = fockoracle.apply_loss_and_trace(state, alpha)
             closed = [formula.A, formula.B, formula.C, formula.D]
             worst_residual = max(worst_residual, fockoracle.pair_sector_residual(sectors))
             try:

@@ -1,5 +1,6 @@
 """Unit tests for the channel and detector loss model."""
 
+import math
 import re
 
 import numpy as np
@@ -37,6 +38,29 @@ class TestTransmission:
             fiber_transmission(0.2, -1.0)
         with pytest.raises(ValueError):
             db_to_transmission(-0.1)
+
+    @pytest.mark.parametrize("sigma, length, message", [
+        (0.2, math.nan, "length must be non-negative and finite, got nan"),
+        (0.2, math.inf, "length must be non-negative and finite, got inf"),
+        (math.nan, 10.0, "loss coefficient must be non-negative and finite, got nan"),
+        (-0.2, 10.0, "loss coefficient must be non-negative and finite, got -0.2"),
+        (math.inf, 10.0, "loss coefficient must be non-negative and finite, got inf"),
+    ], ids=repr)
+    def test_fiber_rejects_nan_and_negative_loss(self, sigma, length, message):
+        # a NaN used to come back as the transmission, and sigma -0.2 as a gain of 1.585
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fiber_transmission(sigma, length)
+
+    def test_db_rejects_nan(self):
+        with pytest.raises(ValueError, match="loss must be non-negative, got nan"):
+            db_to_transmission(math.nan)
+
+    def test_arm_alpha_rejects_nan(self):
+        p = ChannelParams()
+        with pytest.raises(ValueError, match="length must be non-negative, got nan"):
+            arm_alpha(p, math.nan)
+        with pytest.raises(ValueError, match="loss must be non-negative, got nan"):
+            arm_alpha_from_loss_db(p, math.nan)
 
 
 class TestArmAlpha:
@@ -91,6 +115,18 @@ class TestDarkClicks:
             dark_click_prob(-1e-9, 4)
         with pytest.raises(ValueError):
             dark_click_prob(1e-3, 0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="dark-count probability must be non-negative, got nan"):
+            dark_click_prob(math.nan, 4)
+
+    @pytest.mark.parametrize("detectors", [2.5, True, np.True_, 4.0, "4", None], ids=repr)
+    def test_non_integer_detector_count_rejected(self, detectors):
+        with pytest.raises(ValueError, match="detector count must be an integer, got " + re.escape(repr(detectors))):
+            dark_click_prob(1e-3, detectors)
+
+    def test_numpy_integer_detector_count_accepted(self):
+        assert dark_click_prob(5e-5, np.int64(4)) == dark_click_prob(5e-5, 4)
 
 
 class TestChannelParams:

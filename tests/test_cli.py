@@ -564,14 +564,15 @@ class TestSweepCommand:
 
 
 def plain_sweep_csv(config, curves):
-    """The sweep CSV with every value formatted on its own by repr."""
+    """The sweep CSV with every value formatted on its own by repr; the
+    dark-click column is computed for ClickStats rows only."""
     lines = ["curve,abscissa,rate_raw,rate_clamped,optimal_param,p_true_or_signal,p_false_or_dark,e"]
-    p_dark = dark_click_prob(config.channel.d, BB84_DETECTORS)
     for label, points in curves:
         for pt in points:
             if pt.stats is None:
                 columns = (None, None, None)
             elif isinstance(pt.stats, ClickStats):
+                p_dark = dark_click_prob(config.channel.d, BB84_DETECTORS)
                 columns = (pt.stats.p_click - p_dark, p_dark, pt.stats.e)
             else:
                 columns = (pt.stats.p_true, pt.stats.p_false, pt.stats.e)
@@ -616,6 +617,22 @@ class TestSweepCsv:
         rows = [line.split(",") for line in text.splitlines()[1:]]
         assert [row[1] for row in rows] == ["-0.0", "10.0", repr(1.0 / 3.0)] * 2
         assert [row[3] for row in rows] == ["0.0001234", "0.0", "0.0", "0.0", "3e-06", "0.0"]
+
+    def test_sweep_without_bb84_rows_ignores_the_dark_click_model(self, tmp_path):
+        # d = 0.3 puts four bb84 detectors past the linear model, which an
+        # ekert-only sweep never uses: CSV must exit 0 like JSON
+        cfg = {
+            "curves": [{"label": "pair", "protocol": "ekert", "source": {"type": "ideal-epr"}}],
+            "channel": {**BASE_CHANNEL, "dark_count_prob": 0.3},
+            "sweep": {"mode": "distance", "start_km": 0.0, "stop_km": 20.0, "step_km": 10.0},
+        }
+        path = write_config(tmp_path, cfg)
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"curve.{fmt}"
+            assert main(["sweep", "--config", path, "--format", fmt, "--out", str(out)]) == 0
+        config = load_config(path)
+        assert (tmp_path / "curve.csv").read_text() == plain_sweep_csv(config, cli._sweep_curves(config))
+        assert len(json.loads((tmp_path / "curve.json").read_text())) == 3
 
     def test_negative_zero_start(self, tmp_path):
         out = tmp_path / "curve.csv"

@@ -16,6 +16,7 @@ from qkdrates.fockoracle import (
     FockVector,
     _check_blocks,
     _check_densities,
+    _column_components,
     _joint_outcomes,
     _loss_expansion,
     _outcome_probabilities,
@@ -26,6 +27,7 @@ from qkdrates.fockoracle import (
     dephasing_invariance_check,
     extract_pdc_coefficients,
     pair_sector_residual,
+    sector_densities,
     sector_weights,
     truncation_tail,
 )
@@ -257,7 +259,9 @@ class TestLossEquivalence:
 
 
 # the pdc-oracle suite's grid
-ORACLE_GRID = [(chi, alpha) for chi in (0.05, 0.1, 0.2, 0.3) for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)]
+ORACLE_CHIS = (0.05, 0.1, 0.2, 0.3)
+ORACLE_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+ORACLE_GRID = [(chi, alpha) for chi in ORACLE_CHIS for alpha in ORACLE_ALPHAS]
 CHECK_CASES = [
     *(pytest.param(build_pdc_state(chi, 8), alpha, id=f"pdc chi={chi} alpha={alpha}")
       for chi, alpha in ORACLE_GRID),
@@ -310,6 +314,86 @@ def populated_columns(state, alpha):
     return {key: sorted(cols) for key, cols in used.items()}
 
 
+def reference_components(state, alpha):
+    """(i, j) -> the sector's column components, each a sorted list, by a
+    union-find over reference_loss_groups: two columns are joined when one
+    loss occupation populates both."""
+    parent = {}
+
+    def find(node):
+        while parent.setdefault(node, node) != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for vec in reference_loss_groups(state, alpha).values():
+        first = {}
+        for kax, kay, kbx, kby in vec:
+            i, j = kax + kay, kbx + kby
+            node = (i, j, (i - kax) * (j + 1) + (j - kbx))
+            root = find(node)
+            if (i, j) in first:
+                parent[root] = find(first[(i, j)])
+            else:
+                first[(i, j)] = node
+    members = defaultdict(list)
+    for node in list(parent):
+        members[find(node)].append(node)
+    components = defaultdict(list)
+    for nodes in members.values():
+        components[nodes[0][:2]].append(sorted(col for _, _, col in nodes))
+    return components
+
+
+def assert_component_contract(state, alpha, sectors, checked):
+    """The component contract of one transmission's sectors: each sector's
+    components cover exactly its populated columns, its matrix is exactly
+    zero off their blocks, the blocks' spectra make up its own, and checked,
+    the bytes of every matrix handed to _check_densities, holds each
+    component's block exactly once."""
+    components = reference_components(state, alpha)
+    columns = populated_columns(state, alpha)
+    assert list(sectors) == sorted(columns)
+    blocks = []
+    for key, matrix in sectors.items():
+        comps = components[key]
+        assert sorted(col for comp in comps for col in comp) == columns[key]
+        inside = np.zeros(matrix.shape, dtype=bool)
+        for comp in comps:
+            inside[np.ix_(comp, comp)] = True
+        assert np.all(matrix[~inside] == 0.0)
+        block_min = min(np.linalg.eigvalsh(matrix[np.ix_(comp, comp)]).min() for comp in comps)
+        if len(columns[key]) < len(matrix):
+            block_min = min(block_min, 0.0)
+        assert abs(block_min - np.linalg.eigvalsh(matrix).min()) <= 1e-15
+        blocks.extend(matrix[np.ix_(comp, comp)].tobytes() for comp in comps)
+    assert sorted(checked) == sorted(blocks)
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """The bytes of every matrix that reaches _check_densities."""
+    seen = []
+
+    def record(stack):
+        seen.extend(m.tobytes() for m in stack)
+        return _check_densities(stack)
+
+    monkeypatch.setattr(fockoracle, "_check_densities", record)
+    return seen
+
+
+def block_index(offset, dim, cols):
+    """Flat indices of the block at cols of a (dim, dim) matrix stored at offset."""
+    cols = np.asarray(cols)
+    return offset + cols[:, None] * dim + cols
+
+
+# the transmissions of one sector_densities call: total loss, one whose
+# factors underflow past one photon per mode, a generic one, and no loss
+MIXED_ALPHAS = [0.0, 1e-200, 0.5, 1.0]
+
+
 class TestSectorChecks:
     def test_sector_density_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="sector density must be Hermitian"):
@@ -351,43 +435,82 @@ class TestSectorChecks:
         # chosen by nonzero diagonal entries would be empty and miss it
         matrix = np.zeros((5, 5))
         matrix[1, 3] = matrix[3, 1] = 1.0
+        flat = np.concatenate([np.eye(2).ravel(), matrix.ravel()])
+        blocks = [np.stack([block_index(0, 2, [0, 1]), block_index(4, 5, [1, 3])])]
         with pytest.raises(ValueError, match="must be positive semidefinite"):
-            _check_blocks([np.eye(2), matrix], [np.arange(2), np.array([1, 3])])
+            _check_blocks(flat, blocks)
+
+    def test_labels_spread_along_a_chain(self):
+        # rows join columns 3-2, 2-1 and 1-0, so label 0 needs three passes to reach column 3
+        run = np.array([0, 0, 1, 1, 2, 2, 3])
+        column = np.array([3, 2, 2, 1, 1, 0, 4])
+        assert _column_components(run, column).tolist() == [0, 0, 0, 0, 4]
 
     @pytest.mark.parametrize("state, alpha", CHECK_CASES)
-    def test_block_check_matches_full_check(self, state, alpha):
-        # zero outside the block, so the full matrix's spectrum is the block's
-        # plus zeros: the checks pass or fail together
-        columns = populated_columns(state, alpha)
-        for key, matrix in apply_loss_and_trace(state, alpha).items():
-            cols = columns[key]
-            outside = np.ones(matrix.shape, dtype=bool)
-            outside[np.ix_(cols, cols)] = False
-            assert np.all(matrix[outside] == 0.0)
-            block_min = np.linalg.eigvalsh(matrix[np.ix_(cols, cols)]).min()
-            if len(cols) < len(matrix):
-                block_min = min(block_min, 0.0)
-            assert abs(block_min - np.linalg.eigvalsh(matrix).min()) <= 1e-15
+    def test_block_check_matches_full_check(self, state, alpha, checked):
+        assert_component_contract(state, alpha, apply_loss_and_trace(state, alpha), checked)
 
     @pytest.mark.parametrize("state", [
         *(pytest.param(state, id=name) for name, state in EQUIVALENCE_STATES.items()),
         pytest.param(build_pdc_state(0.3, 8), id="pdc n=8"),
     ])
-    def test_every_sector_is_checked_once(self, state, monkeypatch):
-        checked = []
+    def test_every_component_is_checked_once(self, state, checked):
+        # one call over transmissions of different nonzero patterns checks
+        # each transmission's components before it yields that transmission
+        for alpha, sectors in zip(MIXED_ALPHAS, sector_densities(state, MIXED_ALPHAS)):
+            assert_component_contract(state, alpha, sectors, checked)
+            checked.clear()
 
-        def record(stack):
-            checked.extend(m.tobytes() for m in stack)
-            return _check_densities(stack)
+    def test_splitting_labeler_breaks_the_contract(self, checked, monkeypatch):
+        labeler = fockoracle._column_components
 
-        monkeypatch.setattr(fockoracle, "_check_densities", record)
-        sectors = apply_loss_and_trace(state, 0.5)
-        columns = populated_columns(state, 0.5)
-        blocks = []
-        for key, matrix in sectors.items():
-            cols = columns[key]
-            blocks.append(matrix[np.ix_(cols, cols)].tobytes())
-        assert sorted(checked) == sorted(blocks)
+        def split_first_component(run, column):
+            # give the last column of the first multi-column component a label of its own
+            label = labeler(run, column).copy()
+            values, counts = np.unique(label, return_counts=True)
+            label[np.flatnonzero(label == values[counts > 1][0])[-1]] = label.size
+            return label
+
+        monkeypatch.setattr(fockoracle, "_column_components", split_first_component)
+        state = build_pdc_state(0.3, 3)
+        sectors = apply_loss_and_trace(state, 0.5)  # the split blocks still pass the density checks
+        with pytest.raises(AssertionError):
+            assert_component_contract(state, 0.5, sectors, checked)
+
+
+SWEEP_CASES = [
+    *(pytest.param(build_pdc_state(chi, 8), ORACLE_ALPHAS, id=f"pdc chi={chi}") for chi in ORACLE_CHIS),
+    *(pytest.param(state, MIXED_ALPHAS, id=name) for name, state in EQUIVALENCE_STATES.items()),
+]
+
+
+class TestSectorDensities:
+    @pytest.mark.parametrize("state, alphas", SWEEP_CASES)
+    def test_one_call_matches_one_call_per_transmission(self, state, alphas):
+        together = list(sector_densities(state, alphas))
+        assert len(together) == len(alphas)
+        for alpha, sectors in zip(alphas, together):
+            alone = apply_loss_and_trace(state, alpha)
+            assert list(sectors) == list(alone)
+            for key, matrix in alone.items():
+                assert (sectors[key].dtype, sectors[key].shape) == (matrix.dtype, matrix.shape)
+                assert sectors[key].tobytes() == matrix.tobytes()
+
+    def test_mixed_alphas_have_distinct_patterns(self):
+        # 0 and 1 keep different entries; 1e-200 keeps entries that 0 drops,
+        # and its underflow drops entries that 0.5 keeps
+        state = EQUIVALENCE_STATES["pdc"]
+        kept = [_loss_expansion(state, alpha)[1] for alpha in MIXED_ALPHAS]
+        assert len({k.tobytes() for k in kept}) == len(kept)
+        assert len(kept[0]) < len(kept[1]) < len(kept[2])
+
+    def test_bad_transmission_raises_before_any_yield(self):
+        densities = sector_densities(build_pdc_state(0.2, 2), [0.5, 1.5])
+        with pytest.raises(ValueError, match="arm transmission must lie in"):
+            next(densities)
+
+    def test_empty_transmissions_yield_nothing(self):
+        assert list(sector_densities(build_pdc_state(0.2, 2), [])) == []
 
 
 class TestCoefficientExtraction:

@@ -149,6 +149,13 @@ class TestMarkov:
         with pytest.raises(ValueError):
             markov_leak_probability(-1.0, 1.0)
 
+    def test_nan_rejected(self):
+        # both used to return 1.0, as if the bound had been computed
+        with pytest.raises(ValueError, match="information bound must be non-negative, got nan"):
+            markov_leak_probability(math.nan, 1.0)
+        with pytest.raises(ValueError, match="threshold must be positive, got nan"):
+            markov_leak_probability(0.1, math.nan)
+
 
 class TestAttackFamily:
     def test_identity_attack(self):
@@ -323,6 +330,16 @@ class TestMultiphotonBound:
     def test_domain(self):
         with pytest.raises(ValueError):
             multiphoton_ratio_bound(0, 2)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, "3", None], ids=repr)
+    def test_non_integer_count_rejected(self, count):
+        # 2.5 photons used to give 5.49
+        for args in ((count, 3), (3, count)):
+            with pytest.raises(ValueError, match="photon count must be an integer, got " + re.escape(repr(count))):
+                multiphoton_ratio_bound(*args)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert multiphoton_ratio_bound(np.int64(3), np.int8(3)) == 9.0
 
     @given(st.integers(min_value=2, max_value=10), st.integers(min_value=2, max_value=10))
     def test_at_least_one(self, i, j):

@@ -8,14 +8,17 @@ the shipped examples under ``qkdrates/configs``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import MISSING, dataclass
+from itertools import repeat
 
 from . import security
 from .channel import ChannelParams, dark_click_prob
 from .protocols import (
     RatePoint,
+    SweepColumns,
     SweepSpec,
     _free_source,
     cutoff_distance,
@@ -315,39 +318,50 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _sweep_curves(config: RunConfig) -> list:
-    """(label, points) of every curve, each over the config's grid."""
-    return [(curve.label, sweep(_sweep_spec(config, curve))) for curve in config.curves]
+def _sweep_curves(config: RunConfig, columns: bool = False) -> list:
+    """(label, points) of every curve, each over the config's grid; with
+    columns true, (label, SweepColumns)."""
+    return [(curve.label, sweep(_sweep_spec(config, curve), columns=columns)) for curve in config.curves]
 
 
-def _sweep_csv(config: RunConfig, curves: list) -> str:
-    """The CSV of _sweep_curves' output. Each distinct value is formatted
-    once, in full repr: a grid abscissa once for all curves (every curve runs
+def _reprs(column) -> list:
+    """repr of every float of an array, formatted in one C-level pass."""
+    return repr(column.tolist())[1:-1].split(", ")
+
+
+def _sweep_csv(config: RunConfig, curves: list[tuple[str, SweepColumns]]) -> str:
+    """The CSV of _sweep_curves(config, columns=True)'s output, every value
+    in full repr. Each column is formatted in one pass, and each distinct
+    value once: the grid abscissas once for all curves (every curve runs
     over the first curve's grid, so row i of each shares it), the clamped
     rate as the raw rate's string where that is positive and "0.0" otherwise
-    (what repr(max(0.0, raw)) gives), and the bb84 dark-click column once per
-    run, at the first ClickStats row: a sweep without one never asks the
-    four-detector linear model about its dark-count probability."""
+    (what repr(max(0.0, raw)) gives), and the bb84 dark-click column once
+    per run, at the first curve with ClickStats rows: a sweep without one
+    never asks the four-detector linear model about its dark-count
+    probability. A row without statistics leaves their columns empty."""
     lines = ["curve,abscissa,rate_raw,rate_clamped,optimal_param,p_true_or_signal,p_false_or_dark,e"]
     dark = None
-    abscissas = [_fmt(pt.abscissa) for pt in curves[0][1]]
-    for label, points in curves:
-        for x, pt in zip(abscissas, points):
-            raw = _fmt(pt.rate_raw)
-            clamped = raw if pt.rate_raw > 0.0 else "0.0"
-            param = "" if pt.optimal_param is None else _fmt(pt.optimal_param)
-            # (signal, noise, e); a point without statistics leaves the columns empty
-            stats = pt.stats
-            if stats is None:
-                columns = ",,"
-            elif isinstance(stats, ClickStats):
+    abscissas = _reprs(curves[0][1].abscissa)
+    for label, curve in curves:
+        raw = _reprs(curve.rate_raw)
+        clamped = [text if value > 0.0 else "0.0" for text, value in zip(raw, curve.rate_raw.tolist())]
+        params = repeat("") if curve.optimal_param is None else _reprs(curve.optimal_param)
+        # (signal, noise, e)
+        if len(curve.notes) == len(raw):
+            columns = [repeat("")] * 3
+        else:
+            if curve.protocol == "bb84":
                 if dark is None:
                     p_dark = dark_click_prob(config.channel.d, BB84_DETECTORS)
                     dark = _fmt(p_dark)
-                columns = f"{_fmt(stats.p_click - p_dark)},{dark},{_fmt(stats.e)}"
+                p_click, e, _ = curve.stats
+                columns = [_reprs(p_click - p_dark), [dark] * len(raw), _reprs(e)]
             else:
-                columns = f"{_fmt(stats.p_true)},{_fmt(stats.p_false)},{_fmt(stats.e)}"
-            lines.append(f"{label},{x},{raw},{clamped},{param},{columns}")
+                columns = [_reprs(column) for column in curve.stats]
+            for i in curve.notes:
+                for column in columns:
+                    column[i] = ""
+        lines.extend(map(",".join, zip(repeat(label), abscissas, raw, clamped, params, *columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -434,7 +448,7 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     if config.grid is None:
         raise ConfigError("the sweep command needs a 'sweep' config")
-    curves = _sweep_curves(config)
+    curves = _sweep_curves(config, columns=args.format == "csv")
     if args.format == "json":
         _emit_json(_sweep_json(curves), args.out)
     else:
@@ -448,7 +462,11 @@ def _cmd_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, and the parser costs about half a millisecond to
+    build."""
     parser = argparse.ArgumentParser(
         prog="qkdrates",
         description="Secure key rates for entangled-photon and single-photon "

@@ -4,8 +4,10 @@ optimization, cutoff-distance search, and sweep curve generation."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +32,8 @@ from .sources import (
     PROTOCOLS,
     ClickStats,
     CoincidenceStats,
+    IdealEpr,
+    IdealSingle,
     Pdc,
     Poisson,
     SourceSpec,
@@ -47,6 +51,7 @@ __all__ = [
     "MAX_SWEEP_ROWS",
     "RatePoint",
     "SweepSpec",
+    "SweepColumns",
     "OptimizeResult",
     "rate_bb84",
     "rate_ekert",
@@ -286,61 +291,181 @@ def _coarse_grid(lo: float, hi: float) -> _CoarseGrid:
     return _CoarseGrid(params, array, logs)
 
 
-def _libm_exp(v: np.ndarray) -> np.ndarray:
-    """math.exp of each element. 1 - exp(-alpha nbar) keeps only the
-    absolute rounding of the exponential, so at small alpha nbar numpy's exp,
-    which can differ from libm's in the last bit, would move bb84_stats'
-    signal far more than its relative rounding."""
-    return np.fromiter(map(math.exp, v.ravel().tolist()), float, v.size).reshape(v.shape)
+class _Maths(NamedTuple):
+    """The transcendental functions that _rate_columns hands to the
+    closed-form bodies: each takes floats or arrays, power as (base,
+    exponent)."""
+
+    exp: object
+    tanh: object
+    cosh: object
+    log2: object
+    power: object
+
+
+def _libm(f):
+    """The element map of a math function f over numpy arrays, which it
+    broadcasts, with any other argument taken as a scalar; on scalars alone
+    it is f. It has the scalar path's bits, libm's, where numpy's ufuncs
+    can differ in the last place: 1 - exp(-alpha nbar) keeps only the
+    absolute rounding of the exponential, so at small alpha nbar one ulp of
+    numpy's exp moves bb84_stats' signal far more than its relative
+    rounding. Like f, the map raises where f raises."""
+    def apply(*args):
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        if not arrays:
+            return f(*args)
+        if len(arrays) > 1:
+            args = arrays = np.broadcast_arrays(*args)
+        columns = [a.ravel().tolist() if isinstance(a, np.ndarray) else repeat(a) for a in args]
+        return np.fromiter(map(f, *columns), float, arrays[0].size).reshape(arrays[0].shape)
+
+    return apply
+
+
+_LIBM_LOG2 = _libm(math.log2)
+
+
+def _row_log2(x: np.ndarray) -> np.ndarray:
+    """math.log2 of each element, and numpy's -inf or NaN at 0 and below,
+    where math.log2 raises: a row's entropy at e = 0 and the rate of a row
+    past the secure margin reach those, to be masked."""
+    out = np.log2(x)
+    positive = x > 0.0
+    out[positive] = _LIBM_LOG2(x[positive])
+    return out
+
+
+# The free-source kernel's functions: numpy's, but libm's exp (see _libm).
+_KERNEL_MATHS = _Maths(_libm(math.exp), np.tanh, np.cosh, np.log2, operator.pow)
+# Sweep rows take libm's throughout, as the scalar path does (math.pow is the
+# pow that ** calls on floats), so every row has the scalar's bits.
+_ROW_MATHS = _Maths(*map(_libm, (math.exp, math.tanh, math.cosh)), _row_log2, _libm(math.pow))
+
+
+def _transmissions(
+    protocol: str, src: SourceSpec | None, p: ChannelParams, xs: np.ndarray, mode: str
+) -> np.ndarray:
+    """The transmission that point_stats computes at each abscissa of an
+    array, bit for bit: _arm_transmission's, or for a swap chain its
+    segment transmission. numpy splits the loss, with + - * / rounding as on
+    floats, and 10 ** (-dB / 10) is libm's pow."""
+    if isinstance(src, SwapChain):
+        return _ROW_MATHS.power(10.0, -span_loss_db(p, xs, mode, src.segments) / 10.0)
+    arms = 1 if protocol == "bb84" else 2
+    loss = _ROW_MATHS.power(10.0, -span_loss_db(p, xs, mode, arms) / 10.0)
+    return p.eta * db_to_transmission(receiver_arm_loss_db(p, arms)) * loss
+
+
+class _RateColumns(NamedTuple):
+    """_rate_columns' arrays: the rate (0 where _key_rate gives 0 or ok is
+    false, and clamped on request), the signal and noise probabilities
+    (p_true and p_false for ekert), the error fraction, beta (the float 1.0
+    for ekert), and where every check of the scalar path passes."""
+
+    raw: np.ndarray
+    signal: np.ndarray
+    noise: np.ndarray
+    e: np.ndarray
+    beta: np.ndarray
+    ok: np.ndarray
+
+
+def _rate_columns(
+    protocol: str,
+    src: SourceSpec | None,
+    p: ChannelParams,
+    t: np.ndarray,
+    maths: _Maths,
+    param=None,
+    clamp: bool = False,
+) -> _RateColumns:
+    """The array form of point_rate(protocol, src, p, x, mode) over the
+    abscissas x whose transmissions (see _transmissions) are t. With src
+    None it rates the free source at param, an array of nbar (bb84) or chi
+    (ekert) that broadcasts against t.
+
+    It calls the closed-form bodies that the scalar path calls, with maths'
+    exp, tanh, cosh, log2 and power; with _ROW_MATHS every element has the
+    scalar's bits. ok is false where the scalar path raises: a
+    checked_transmission, PdcCoefficients, ClickStats or CoincidenceStats
+    check, dark_click_prob's linear-model limit, a zero sift total, or an
+    overflowing cosh. ClickStats' and CoincidenceStats' error-fraction
+    checks need no mask: with a positive sift total of signal and noise in
+    [0, 1], e lies in [0, 1/2] to rounding. A libm map raises where its
+    scalar raises (cosh or power past float range), which numpy's functions
+    do not.
+    """
+    d, mu = p.d, p.mu
+    with np.errstate(all="ignore"):
+        # checks on scalars and parameters go first, where the arrays are small
+        ok = (t >= 0.0) & (t <= 1.0)
+        beta = 1.0
+        if protocol == "bb84":
+            noise = BB84_DETECTORS * d
+            ok = ok & (noise < 1.0)
+            if isinstance(src, IdealSingle):
+                signal, p_m = t, 0.0
+            else:
+                nbar = param if src is None else src.nbar
+                signal, p_m = sources._poisson_clicks(t, nbar, maths.exp)
+                ok = ok & (nbar > 0.0)
+            p_sift = signal + noise
+            beta = (p_sift - p_m) / p_sift
+            # beta <= 1 + tol also rejects a NaN or +inf beta, beta > -inf the
+            # rest; together they reject a zero sift total (beta -inf or NaN)
+            ok = ok & (p_sift <= 1.0) & (beta > -math.inf) & (beta <= 1.0 + _WEIGHT_TOL)
+        else:
+            if isinstance(src, IdealEpr):
+                signal, noise = t * t, sources._pair_false(t, d)
+            elif isinstance(src, SwapChain):
+                alpha_bell = p.eta * t
+                alpha_end = alpha_bell * db_to_transmission(receiver_arm_loss_db(p, 2))
+                p_swap_true, p_swap = sources._swap_success(alpha_bell, d)
+                signal, noise = sources._swap_coincidences(
+                    p_swap_true, p_swap, alpha_end, d, src.n_swaps, src.literal_exponent, maths.power
+                )
+                ok = ok & (p_swap != 0.0)
+            else:
+                chi = param if src is None else src.chi
+                c4 = maths.power(maths.cosh(chi), 4)
+                signal, vacuum, single, double = sources._pdc_weights(
+                    t, maths.power(maths.tanh(chi), 2), c4, maths.power
+                )
+                noise = sources._pdc_false(d, vacuum, single, double)
+                # PdcCoefficients' bounds; CoincidenceStats' tighter ones cover signal
+                low = np.minimum(np.minimum(vacuum, single), double)
+                high = np.maximum(np.maximum(vacuum, single), double)
+                ok = ok & ((chi > 0.0) & np.isfinite(c4))
+                ok = ok & (low >= -_WEIGHT_TOL) & (high <= 1.0 + _WEIGHT_TOL)
+                ok = ok & (1.0 - signal - vacuum - 2.0 * single - double >= -_WEIGHT_TOL)
+            p_sift = signal + noise
+            ok = ok & (signal >= 0.0) & (signal <= 1.0) & (noise >= 0.0) & (noise <= 1.0) & (p_sift != 0.0)
+        e = sources._error_fraction(signal, noise, mu)
+        live = ok & (beta > 0.0) & (e < 0.5 * beta)
+
+        # _key_rate's formula. A live row has e / beta <= 1/2, where
+        # collision_bound is the quadratic (at 1/2 both are 1).
+        secure = beta * -maths.log2(ratecore._quadratic_bound(e / beta))
+        entropy = np.where(e > 0.0, ratecore._entropy(e, maths.log2), 0.0)
+        f = ratecore._ec_line(e, *_EC_SEGMENT_COLUMNS[:, np.searchsorted(_EC_KNOT_ARRAY, e)])
+        raw = 0.5 * p_sift * (secure - f * entropy)
+        raw = np.where(live & (raw > 0.0) if clamp else live, raw, 0.0)
+    return _RateColumns(raw, signal, noise, e, beta, ok)
 
 
 def _free_rate_kernel(protocol: str, p: ChannelParams, alpha, param) -> np.ndarray:
     """Clamped rate of the free source over broadcast arrays of arm
     transmission and source parameter (Poisson nbar for bb84, PDC chi for
-    ekert).
+    ekert): _rate_columns with numpy's tanh, cosh, log2 and power, which can
+    differ from libm's in the last bit, and libm's exp.
 
     The array form of point_rate(protocol, _free_source(protocol, param), p,
-    x, mode).rate at the abscissa x whose arm transmission is alpha: it calls
-    the closed-form bodies that the scalar path calls, where only numpy's
-    tanh, cosh, log2 and ** can differ from libm's in the last bit. Where the
-    scalar path raises (a ClickStats, CoincidenceStats or PdcCoefficients
-    check, dark_click_prob's linear-model limit, a zero sift total, an
-    overflowing cosh) the rate is 0. An error fraction above 1/2 needs no
-    check of its own: the key rate is 0 from e >= beta / 2 on.
+    x, mode).rate at the abscissa x whose arm transmission is alpha, to
+    rounding. Where the scalar path raises the rate is 0.
     """
-    a = np.asarray(alpha, dtype=float)
-    x = np.asarray(param, dtype=float)
-    d, mu = p.d, p.mu
-    with np.errstate(all="ignore"):
-        if protocol == "bb84":
-            noise = BB84_DETECTORS * d
-            signal, p_m = sources._poisson_clicks(a, x, _libm_exp)
-            p_sift = signal + noise
-            beta = (p_sift - p_m) / p_sift
-            # beta <= 1 + tol also rejects a NaN or +inf beta; -inf fails beta > 0
-            ok = (x > 0.0) & (noise < 1.0) & (p_sift <= 1.0) & (beta <= 1.0 + _WEIGHT_TOL)
-        else:
-            c4 = np.cosh(x) ** 4
-            signal, vacuum, single, double = sources._pdc_weights(a, np.tanh(x) ** 2, c4)
-            noise = sources._pdc_false(d, vacuum, single, double)
-            p_sift = signal + noise
-            beta = 1.0
-            # PdcCoefficients' bounds; CoincidenceStats' tighter ones cover signal
-            low = np.minimum(np.minimum(vacuum, single), double)
-            high = np.maximum(np.maximum(vacuum, single), double)
-            ok = (x > 0.0) & np.isfinite(c4) & (low >= -_WEIGHT_TOL) & (high <= 1.0 + _WEIGHT_TOL)
-            ok &= 1.0 - signal - vacuum - 2.0 * single - double >= -_WEIGHT_TOL
-            ok &= (signal >= 0.0) & (signal <= 1.0) & (noise >= 0.0) & (noise <= 1.0)
-        e = sources._error_fraction(signal, noise, mu)
-        live = ok & (p_sift != 0.0) & (beta > 0.0) & (e < 0.5 * beta)
-
-        # a live point has e / beta <= 1/2, where collision_bound is the
-        # quadratic (at 1/2 both are 1)
-        secure = beta * -np.log2(ratecore._quadratic_bound(e / beta))
-        entropy = np.where(e > 0.0, ratecore._entropy(e, np.log2), 0.0)
-        f = ratecore._ec_line(e, *_EC_SEGMENT_COLUMNS[:, np.searchsorted(_EC_KNOT_ARRAY, e)])
-        raw = 0.5 * p_sift * (secure - f * entropy)
-        return np.where(live & (raw > 0.0), raw, 0.0)
+    alpha, param = np.asarray(alpha, dtype=float), np.asarray(param, dtype=float)
+    return _rate_columns(protocol, None, p, alpha, _KERNEL_MATHS, param, clamp=True).raw
 
 
 def optimize_source_param(
@@ -396,22 +521,14 @@ def _coarse_maxima(
     """Each abscissa's arm transmission, and the first argmax and the maximum
     of the free source's rate over optimize_source_param's coarse grid,
     evaluated on _free_rate_kernel _ROW_BLOCK rows at a time. A row whose arm
-    transmission raises has maximum 0: point_stats raises the same error at
-    every parameter."""
-    alpha = np.zeros(len(xs))
-    valid = np.zeros(len(xs), dtype=bool)
-    for i, x in enumerate(xs):
-        try:
-            alpha[i] = _arm_transmission(protocol, p, x, mode)
-        except (ValueError, OverflowError):
-            continue
-        valid[i] = True
-    rows = np.flatnonzero(valid)
+    transmission is out of range has maximum 0: point_stats raises the same
+    error at every parameter."""
+    alpha = _transmissions(protocol, None, p, np.array(xs, dtype=float), mode)
     grid = _coarse_grid(*_free_source_box(protocol)).array
     best = np.zeros(len(xs), dtype=int)
     top = np.zeros(len(xs))
-    for start in range(0, rows.size, _ROW_BLOCK):
-        block = rows[start:start + _ROW_BLOCK]
+    for start in range(0, len(xs), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
         values = _free_rate_kernel(protocol, p, alpha[block, None], grid)
         best[block] = values.argmax(axis=1)
         top[block] = values.max(axis=1)
@@ -539,17 +656,83 @@ def _optimal_params(protocol: str, p: ChannelParams, xs: list[float], mode: str)
     return params
 
 
-def sweep(spec: SweepSpec) -> list[RatePoint]:
-    """Evaluate a full rate curve, one RatePoint per grid abscissa.
+class SweepColumns(NamedTuple):
+    """A sweep curve as columns, one entry per grid abscissa: what
+    sweep(spec, columns=True) returns, and what the CLI writes as CSV.
+
+    Attributes:
+        protocol: The curve's protocol, which fixes its statistics class:
+            ClickStats for bb84, CoincidenceStats for ekert.
+        abscissa: The grid.
+        rate_raw: The unclamped rates.
+        optimal_param: The optimized nbar or chi, or None for a fixed source.
+        stats: One column per field of the statistics class, in field order.
+            A row without statistics holds 0.0 in each.
+        notes: The rows whose statistics could not be computed, by index,
+            with the note that says why.
+    """
+
+    protocol: str
+    abscissa: np.ndarray
+    rate_raw: np.ndarray
+    optimal_param: np.ndarray | None
+    stats: tuple
+    notes: dict
+
+    def points(self) -> list[RatePoint]:
+        """The rows as RatePoints, their statistics built (and checked) by
+        the statistics class."""
+        cls = ClickStats if self.protocol == "bb84" else CoincidenceStats
+        params = repeat(None) if self.optimal_param is None else self.optimal_param.tolist()
+        stats = zip(*(column.tolist() for column in self.stats))
+        rows = enumerate(zip(self.abscissa.tolist(), self.rate_raw.tolist(), params, stats))
+        return [
+            RatePoint(x, raw, param, note=self.notes[i]) if i in self.notes
+            else RatePoint(x, raw, param, cls(*fields))
+            for i, (x, raw, param, fields) in rows
+        ]
+
+
+def sweep(spec: SweepSpec, *, columns: bool = False) -> list[RatePoint] | SweepColumns:
+    """Evaluate a full rate curve, one RatePoint per grid abscissa, or with
+    columns true as SweepColumns.
 
     Points are independent; un-evaluable points (degenerate statistics)
     become zero-rate points carrying a diagnostic note rather than aborting
     the sweep. A free source is optimized for all rows at once (see
-    _optimal_params); each row is then the point_rate of its optimal
-    source, as point_rate(src=None) gives for one abscissa.
+    _optimal_params), and each row carries its optimal parameter. Then all
+    rows are rated in one array pass, _rate_columns with libm's functions,
+    which gives each row the bits of point_rate at its source. A row whose
+    statistics the pass rejects is evaluated by point_rate itself, so its
+    note and zero rate are the scalar's; where a libm function raises (a
+    pump parameter whose cosh overflows), every row is.
     """
+    protocol, src, p, mode = spec.protocol, spec.source, spec.params, spec.mode
     xs = spec.grid()
-    if spec.source is not None:
-        return [point_rate(spec.protocol, spec.source, spec.params, x, spec.mode) for x in xs]
-    params = _optimal_params(spec.protocol, spec.params, xs, spec.mode)
-    return [_optimized_point(spec.protocol, v, spec.params, x, spec.mode) for x, v in zip(xs, params)]
+    params = None if src is not None else _optimal_params(protocol, p, xs, mode)
+    optimal_param = None if params is None else np.array(params)
+    abscissa = np.array(xs, dtype=float)
+    t = _transmissions(protocol, src, p, abscissa, mode)
+    try:
+        rows = _rate_columns(protocol, src, p, t, _ROW_MATHS, optimal_param)
+    except (ValueError, OverflowError):
+        # a libm function raised where the scalar path raises: every row falls back
+        rows = _RateColumns(np.zeros(len(xs)), 0.0, 0.0, 0.0, 1.0, np.zeros(len(xs), dtype=bool))
+    if protocol == "bb84":
+        fields = (rows.signal + rows.noise, rows.e, rows.beta)
+    else:
+        fields = (rows.signal, rows.noise, rows.e)
+    stats = tuple(np.array(np.broadcast_to(column, abscissa.shape)) for column in fields)
+    raw, notes = rows.raw, {}
+    for i in np.flatnonzero(~rows.ok).tolist():
+        if params is None:
+            point = point_rate(protocol, src, p, xs[i], mode)
+        else:
+            point = _optimized_point(protocol, params[i], p, xs[i], mode)
+        raw[i] = point.rate_raw
+        if point.stats is None:
+            notes[i] = point.note
+        for column, value in zip(stats, repeat(0.0) if point.stats is None else vars(point.stats).values()):
+            column[i] = value
+    curve = SweepColumns(protocol, abscissa, raw, optimal_param, stats, notes)
+    return curve if columns else curve.points()

@@ -13,6 +13,7 @@ import math
 import numbers
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -305,12 +306,21 @@ def multiphoton_ratio_bound(i: int, j: int) -> float:
     [(1/2 - 2^-i) / 2^-i] * [(1/2 - 2^-j) / 2^-j] = (2^(i-1) - 1)(2^(j-1) - 1).
     The product is >= 1 for i, j >= 2 but collapses to 0 when either side
     holds a single photon. The counts must be integers, numpy's included,
-    but not bools.
+    but not bools, and the product must be a finite float.
     """
     i, j = _integer(i, "photon count"), _integer(j, "photon count")
     if i < 1 or j < 1:
         raise ValueError("photon counts must be at least 1")
-    return float((2 ** (i - 1) - 1) * (2 ** (j - 1) - 1))
+    if i == 1 or j == 1:
+        return 0.0
+    # the product lies in [2^(i+j-4), 2^(i+j-2)), so counts past float range
+    # are rejected before their powers are built
+    if i + j - 4 < sys.float_info.max_exp:
+        try:
+            return float((2 ** (i - 1) - 1) * (2 ** (j - 1) - 1))
+        except OverflowError:
+            pass
+    raise ValueError(f"photon counts ({i}, {j}) give a ratio bound past float range")
 
 
 # Block lengths whose hash family is every seed; longer blocks sample seeds.

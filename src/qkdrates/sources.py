@@ -286,25 +286,43 @@ class PdcCoefficients:
 
 
 # The closed forms below are plain arithmetic, so they take floats or numpy
-# arrays; the scalar functions call them with math's exp, tanh and cosh, the
-# free-source rate kernel with numpy's. a is an arm transmission, d the dark
-# count probability, and B, C, D the weights of PdcCoefficients.
+# arrays, and their exp and power are arguments: the scalar functions pass
+# math.exp and pow (the libm call that ** makes on floats), protocols' array
+# rows libm maps, and the free-source rate kernel numpy's power. a is an arm
+# transmission, d the dark count probability, and B, C, D the weights of
+# PdcCoefficients.
 def _poisson_clicks(a, nbar, exp):
     return 1.0 - exp(-a * nbar), 1.0 - (1.0 + nbar) * exp(-nbar)
 
 
-def _pdc_weights(a, t2, c4):
-    one_m_z = 1.0 - t2 * (1.0 - a) ** 2
+def _pdc_weights(a, t2, c4, power):
+    one_m_z = 1.0 - t2 * power(1.0 - a, 2)
     return (
-        2.0 * a * a * t2 / (c4 * one_m_z**4),
-        1.0 / (c4 * one_m_z**2),
-        2.0 * a * (1.0 - a) * t2 / (c4 * one_m_z**3),
-        4.0 * a * a * (1.0 - a) ** 2 * t2 * t2 / (c4 * one_m_z**4),
+        2.0 * a * a * t2 / (c4 * power(one_m_z, 4)),
+        1.0 / (c4 * power(one_m_z, 2)),
+        2.0 * a * (1.0 - a) * t2 / (c4 * power(one_m_z, 3)),
+        4.0 * a * a * power(1.0 - a, 2) * t2 * t2 / (c4 * power(one_m_z, 4)),
     )
 
 
 def _pair_false(a, d):
     return 8.0 * a * d + 16.0 * d * d
+
+
+def _swap_success(alpha_bell, d):
+    """(true, total) probability that one Bell analyzer fires."""
+    p_swap_true = alpha_bell * alpha_bell / 2.0
+    return p_swap_true, p_swap_true + (6.0 * alpha_bell * d + 12.0 * d * d)
+
+
+def _swap_coincidences(p_swap_true, p_swap, alpha_end, d, n, literal, power):
+    """(p_true, p_false) of a chain of n swaps, each firing with p_swap."""
+    p_bell = power(p_swap, n)
+    if literal:
+        p_bell = power(p_bell, n)
+    g_n = power(p_swap_true / p_swap, n)
+    p_true = p_bell * g_n * alpha_end * alpha_end
+    return p_true, p_bell * (_pair_false(alpha_end, d) + (1.0 - g_n) * alpha_end * alpha_end)
 
 
 def _pdc_false(d, B, C, D):
@@ -378,7 +396,7 @@ def pdc_coefficients(chi: float, alpha_half: float) -> PdcCoefficients:
     if not 0.0 < chi < math.inf:
         raise ValueError("pump parameter must be positive and finite")
     a = checked_transmission(alpha_half)
-    A, B, C, D = _pdc_weights(a, math.tanh(chi) ** 2, math.cosh(chi) ** 4)
+    A, B, C, D = _pdc_weights(a, math.tanh(chi) ** 2, math.cosh(chi) ** 4, pow)
     return PdcCoefficients(A=A, B=B, C=C, D=D)
 
 
@@ -409,18 +427,11 @@ def swap_stats_from_segment(
     d = p.d
     alpha_bell = p.eta * checked_transmission(segment_transmission, "segment transmission")
     alpha_end = alpha_bell * db_to_transmission(receiver_arm_loss_db(p, 2))
-    p_swap_true = alpha_bell * alpha_bell / 2.0
-    p_swap_false = 6.0 * alpha_bell * d + 12.0 * d * d
-    p_swap = p_swap_true + p_swap_false
-    n = src.n_swaps
+    p_swap_true, p_swap = _swap_success(alpha_bell, d)
     if p_swap == 0.0:
         raise ValueError("degenerate statistics: no Bell analyzer can fire")
-    g = p_swap_true / p_swap
-    p_bell = p_swap**n
-    if src.literal_exponent:
-        p_bell = p_bell**n
-    g_n = g**n
-    p_true = p_bell * g_n * alpha_end * alpha_end
-    p_false = p_bell * (_pair_false(alpha_end, d) + (1.0 - g_n) * alpha_end * alpha_end)
+    p_true, p_false = _swap_coincidences(
+        p_swap_true, p_swap, alpha_end, d, src.n_swaps, src.literal_exponent, pow
+    )
     return _coincidence_stats(p_true, p_false, p)
 

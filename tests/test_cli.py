@@ -6,9 +6,10 @@ import math
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qkdrates import cli, fockoracle, verify
+from qkdrates import cli, fockoracle, protocols, verify
 from qkdrates.cli import (
     ConfigError,
     config_to_dict,
@@ -18,7 +19,7 @@ from qkdrates.cli import (
     run_verify_suite,
 )
 from qkdrates.channel import dark_click_prob
-from qkdrates.protocols import OptimizeResult, RatePoint, point_rate, sweep
+from qkdrates.protocols import OptimizeResult, RatePoint, SweepColumns, point_rate, sweep
 from qkdrates.ratecore import tau_multiphoton
 from qkdrates.sources import BB84_DETECTORS, ClickStats, CoincidenceStats
 
@@ -581,9 +582,42 @@ def plain_sweep_csv(config, curves):
     return "\n".join(lines) + "\n"
 
 
+def scalar_curves(config):
+    """(label, points) of every curve with one scalar call per row:
+    point_rate at a fixed source, and _optimized_point at the lockstep
+    optimizer's parameters."""
+    curves = []
+    for curve in config.curves:
+        spec = cli._sweep_spec(config, curve)
+        xs, p, mode = spec.grid(), config.channel, config.mode
+        if curve.source is None:
+            params = protocols._optimal_params(curve.protocol, p, xs, mode)
+            points = [protocols._optimized_point(curve.protocol, v, p, x, mode) for x, v in zip(xs, params)]
+        else:
+            points = [point_rate(curve.protocol, curve.source, p, x, mode) for x in xs]
+        curves.append((curve.label, points))
+    return curves
+
+
+def columns_of(protocol, points):
+    """The SweepColumns of a list of points, such as hand-built ones."""
+    fields = ("p_click", "e", "beta") if protocol == "bb84" else ("p_true", "p_false", "e")
+    params = [pt.optimal_param for pt in points]
+    return SweepColumns(
+        protocol=protocol,
+        abscissa=np.array([pt.abscissa for pt in points]),
+        rate_raw=np.array([pt.rate_raw for pt in points]),
+        optimal_param=None if params[0] is None else np.array(params),
+        stats=tuple(
+            np.array([getattr(pt.stats, field) if pt.stats else 0.0 for pt in points]) for field in fields
+        ),
+        notes={i: pt.note for i, pt in enumerate(points) if pt.stats is None},
+    )
+
+
 class TestSweepCsv:
-    """cli._sweep_csv formats each distinct value once; its text is that of
-    plain_sweep_csv."""
+    """cli._sweep_csv writes each column of a sweep's SweepColumns in one
+    pass; its text is that of plain_sweep_csv on the scalar path's rows."""
 
     CONFIG = {
         "curves": [
@@ -612,7 +646,9 @@ class TestSweepCsv:
                 RatePoint(xs[2], 0.0, note="degenerate statistics"),
             ]),
         ]
-        text = cli._sweep_csv(config, curves)
+        columns = [(label, columns_of(protocol, points)) for (label, points), protocol in zip(curves, ("bb84", "ekert"))]
+        assert [curve.points() for _, curve in columns] == [points for _, points in curves]
+        text = cli._sweep_csv(config, columns)
         assert text == plain_sweep_csv(config, curves)
         rows = [line.split(",") for line in text.splitlines()[1:]]
         assert [row[1] for row in rows] == ["-0.0", "10.0", repr(1.0 / 3.0)] * 2
@@ -631,7 +667,7 @@ class TestSweepCsv:
             out = tmp_path / f"curve.{fmt}"
             assert main(["sweep", "--config", path, "--format", fmt, "--out", str(out)]) == 0
         config = load_config(path)
-        assert (tmp_path / "curve.csv").read_text() == plain_sweep_csv(config, cli._sweep_curves(config))
+        assert (tmp_path / "curve.csv").read_text() == plain_sweep_csv(config, scalar_curves(config))
         assert len(json.loads((tmp_path / "curve.json").read_text())) == 3
 
     def test_negative_zero_start(self, tmp_path):
@@ -639,7 +675,33 @@ class TestSweepCsv:
         assert main(["sweep", "--config", write_config(tmp_path, self.CONFIG), "--out", str(out)]) == 0
         config = load_config(str(tmp_path / "config.json"))
         assert config.grid[0] == 0.0 and math.copysign(1.0, config.grid[0]) == -1.0
-        assert out.read_text() == plain_sweep_csv(config, cli._sweep_curves(config))
+        assert out.read_text() == plain_sweep_csv(config, scalar_curves(config))
+
+    def test_rows_the_array_pass_rejects(self, tmp_path):
+        # every row of the chi = 200 curve overflows cosh(chi)**4 and falls
+        # back to point_rate; without dark counts the ideal-single curve has
+        # no click left past about 16,100 km, where its transmission
+        # underflows; d = 0.26 puts the bb84 curve past the linear model at
+        # every row
+        cfg = {
+            "curves": [
+                {"label": "hot", "protocol": "ekert", "source": {"type": "pdc", "chi": 200.0}},
+                {"label": "single", "protocol": "bb84", "source": {"type": "ideal-single"}},
+                {"label": "opt", "protocol": "ekert"},
+            ],
+            "channel": {**BASE_CHANNEL, "dark_count_prob": 0.0},
+            "sweep": {"mode": "distance", "start_km": 0.0, "stop_km": 40000.0, "step_km": 4000.0},
+        }
+        for d, blank in ((0.0, 6), (0.26, 11)):
+            cfg["channel"]["dark_count_prob"] = d
+            path = write_config(tmp_path, cfg)
+            out = tmp_path / "curve.csv"
+            assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+            config = load_config(path)
+            assert out.read_text() == plain_sweep_csv(config, scalar_curves(config))
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            assert all(row[5:] == ["", "", ""] for row in rows[:11])
+            assert sum(row[5:] == ["", "", ""] for row in rows[11:22]) == blank
 
 
 class TestOptimizeAndCutoffCommands:
@@ -716,6 +778,59 @@ class TestPerCurveCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "'chain'" in captured.err and "swap" in captured.err
+
+
+class TestParser:
+    """The parser is built once per process and reused by every main call."""
+
+    COMMANDS = {
+        "rate": cli._cmd_per_curve,
+        "sweep": cli._cmd_sweep,
+        "optimize": cli._cmd_per_curve,
+        "cutoff": cli._cmd_per_curve,
+        "verify": cli._cmd_verify,
+    }
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_commands_and_suites(self):
+        parser = cli._build_parser()
+        for command, run in self.COMMANDS.items():
+            argv = [command, "--suite", "all"] if command == "verify" else [command, "--config", "c.json"]
+            assert parser.parse_args(argv).run is run
+        for suite in [*verify.VERIFY_SUITES, "all"]:
+            assert parser.parse_args(["verify", "--suite", suite]).suite == suite
+
+    def test_calls_in_turn_behave_as_alone(self, tmp_path, capsys):
+        cfg = {
+            "protocol": "ekert",
+            "source": {"type": "ideal-epr"},
+            "channel": BASE_CHANNEL,
+            "sweep": {"mode": "distance", "start_km": 0.0, "stop_km": 20.0, "step_km": 10.0},
+        }
+        path = write_config(tmp_path, cfg)
+        calls = (
+            ["sweep", "--config", path],
+            ["verify", "--suite", "multi-photon"],
+            ["sweep", "--config", path, "--bogus"],
+        )
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return code, *capsys.readouterr()
+
+        alone = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            alone.append(run(argv))
+        in_turn = [run(argv) for argv in calls + calls]
+        assert [code for code, _, _ in alone] == [0, 0, 2]
+        assert "unrecognized arguments: --bogus" in alone[2][2]
+        assert in_turn == alone + alone
 
 
 class TestVerifyCommand:

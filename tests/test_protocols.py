@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import math
+import operator
 import signal
 import tracemalloc
 from pathlib import Path
@@ -30,7 +31,9 @@ from qkdrates.protocols import (
     sweep,
     _arm_transmission,
     _free_rate_kernel,
-    _libm_exp,
+    _libm,
+    _optimal_params,
+    _optimized_point,
 )
 from qkdrates.sources import (
     ClickStats,
@@ -260,15 +263,16 @@ class TestFreeRateKernel:
             assert row.tolist() == _free_rate_kernel("ekert", FIBER, a, params).tolist()
 
 
-def _on_arrays_and_floats(body, rows):
+def _on_arrays_and_floats(body, rows, array_args=(), float_args=()):
     """body's outputs for each row, from one call on arrays of the rows'
-    columns and from one call per row on its floats."""
+    columns and from one call per row on its floats; each call's trailing
+    arguments, such as the power function, follow the columns."""
     def listed(out):
         return list(out) if isinstance(out, tuple) else [out]
 
-    arrays = listed(body(*(np.array(column) for column in zip(*rows))))
+    arrays = listed(body(*(np.array(column) for column in zip(*rows)), *array_args))
     on_arrays = [[float(out[i]) for out in arrays] for i in range(len(rows))]
-    return on_arrays, [listed(body(*row)) for row in rows]
+    return on_arrays, [listed(body(*row, *float_args)) for row in rows]
 
 
 def _rows(*columns):
@@ -307,7 +311,7 @@ class TestClosedFormBodies:
 
     @given(_rows(unit, st.floats(1e-6, 20.0)))
     def test_poisson_clicks_with_the_kernel_exp(self, rows):
-        on_arrays = np.array(_poisson_clicks(*(np.array(c) for c in zip(*rows)), _libm_exp)).T.tolist()
+        on_arrays = np.array(_poisson_clicks(*(np.array(c) for c in zip(*rows)), _libm(math.exp))).T.tolist()
         assert on_arrays == [list(_poisson_clicks(a, nbar, math.exp)) for a, nbar in rows]
 
     @given(_rows(st.floats(0.0, 0.5)))
@@ -332,10 +336,20 @@ class TestClosedFormBodies:
     @settings(max_examples=300)
     def test_pdc_weights_within_power_rounding(self, rows):
         rows = [(a, math.tanh(chi) ** 2, math.cosh(chi) ** 4) for a, chi in rows]
-        on_arrays, on_floats = _on_arrays_and_floats(_pdc_weights, rows)
+        on_arrays, on_floats = _on_arrays_and_floats(_pdc_weights, rows, (operator.pow,), (pow,))
         for (a, t2, _), got, want in zip(rows, on_arrays, on_floats):
             rtol = 1e-12 + 4.0 * np.finfo(float).eps * t2 / (1.0 - t2 * (1.0 - a) ** 2)
             assert np.allclose(got, want, rtol=rtol, atol=0.0), (got, want)
+
+    # with libm's pow on arrays, as sweep rows take it, the weights have the
+    # scalar's bits, at the same rows as the power-rounding test above
+    @given(_rows(st.floats(0.0, 1.0), st.floats(1e-3, 10.0)))
+    @example([(1.8175316847974928e-05, 7.06368725207838)])
+    @settings(max_examples=300)
+    def test_pdc_weights_with_libm_powers_bitwise(self, rows):
+        rows = [(a, math.tanh(chi) ** 2, math.cosh(chi) ** 4) for a, chi in rows]
+        on_arrays, on_floats = _on_arrays_and_floats(_pdc_weights, rows, (_libm(math.pow),), (pow,))
+        assert [[v.hex() for v in row] for row in on_arrays] == [[v.hex() for v in row] for row in on_floats]
 
 
 def _load_bench_tracing():
@@ -465,6 +479,118 @@ class TestCutoff:
         # the edges and the 11 steps from a 999 km bracket down to 0.5 km
         cutoff_distance("ekert", FIBER, (1.0, 1000.0), src=IdealEpr())
         assert calls == {"point_rate": 13}
+
+
+def _bits(point):
+    """A RatePoint as a tuple that tells its floats apart bit for bit, -0.0
+    from 0.0 included."""
+    def hexed(value):
+        return None if value is None else float(value).hex()
+
+    stats = None
+    if point.stats is not None:
+        stats = (type(point.stats).__name__, *map(hexed, vars(point.stats).values()))
+    return hexed(point.abscissa), hexed(point.rate_raw), hexed(point.optimal_param), stats, point.note
+
+
+def _outcome(rows):
+    """The bits of each point that rows() returns, or the error it raises."""
+    try:
+        return [_bits(point) for point in rows()]
+    except (ArithmeticError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+def _scalar_rows(spec):
+    """The rows of a sweep one scalar call at a time: point_rate at a fixed
+    source, and _optimized_point at the lockstep optimizer's parameters."""
+    xs = spec.grid()
+    if spec.source is not None:
+        return [point_rate(spec.protocol, spec.source, spec.params, x, spec.mode) for x in xs]
+    params = _optimal_params(spec.protocol, spec.params, xs, spec.mode)
+    return [_optimized_point(spec.protocol, v, spec.params, x, spec.mode) for x, v in zip(xs, params)]
+
+
+_DARK_COUNTS = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 0.2499),
+    # past bb84's linear model from 0.25 on; a subnormal d makes beta -inf far out
+    st.sampled_from([5e-324, 1e-300, math.nextafter(0.25, 0.0), 0.25, 0.3, 0.9]),
+)
+_CHANNELS = st.builds(
+    ChannelParams,
+    sigma=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    eta=st.floats(1e-3, 1.0),
+    receiver_loss_db=st.floats(0.0, 10.0),
+    d=_DARK_COUNTS,
+    mu=st.one_of(st.just(0.0), st.floats(0.0, 0.4999)),
+    receiver_loss_per_arm=st.booleans(),
+)
+_CURVES = st.one_of(
+    st.tuples(st.just("bb84"), st.one_of(
+        st.just(IdealSingle()), st.builds(Poisson, st.floats(1e-6, 20.0)), st.none(),
+    )),
+    st.tuples(st.just("ekert"), st.one_of(
+        st.just(IdealEpr()),
+        # cosh(200)**4 and cosh(800) overflow; from about 19 on tanh(chi)**2 is 1
+        st.builds(Pdc, st.one_of(st.floats(1e-3, 3.0), st.sampled_from([25.0, 200.0, 800.0]))),
+        st.builds(SwapChain, st.integers(1, 4), st.booleans()),
+        st.just(SwapChain(2000)),
+        st.none(),
+    )),
+)
+# a -0.0 start, and grids far enough out that every transmission underflows
+_GRIDS = st.tuples(
+    st.one_of(st.just(-0.0), st.just(0.0), st.floats(0.0, 5000.0)),
+    st.floats(0.1, 2000.0),
+    st.integers(1, 24),
+)
+
+
+class TestSweepRows:
+    """sweep rates a curve's rows in one array pass; every row must be the
+    scalar path's, bit for bit, note for note."""
+
+    @given(_CHANNELS, _CURVES, _GRIDS, st.sampled_from(["distance", "total-loss"]))
+    @example(ChannelParams(sigma=1.0, d=0.0, mu=0.0), ("ekert", IdealEpr()), (0.0, 1000.0, 10), "distance")
+    @example(ChannelParams(d=0.25), ("bb84", None), (0.0, 10.0, 5), "distance")
+    @example(ChannelParams(d=0.25), ("bb84", Poisson(0.1)), (-0.0, 10.0, 5), "distance")
+    @example(FIBER, ("ekert", Pdc(800.0)), (0.0, 10.0, 5), "total-loss")
+    @example(FIBER, ("ekert", Pdc(200.0)), (0.0, 10.0, 5), "distance")
+    @example(FIBER, ("ekert", SwapChain(3, literal_exponent=True)), (-0.0, 20.0, 12), "distance")
+    @example(ChannelParams(sigma=0.2, eta=1.0, d=5e-324), ("bb84", None), (0.0, 700.0, 8), "total-loss")
+    @example(ChannelParams(sigma=1.0, d=0.25), ("bb84", IdealSingle()), (0.0, 2000.0, 5), "distance")
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_the_scalar_path(self, p, curve, grid, mode):
+        protocol, src = curve
+        start, step, rows = grid
+        spec = SweepSpec(protocol, p, src, start, start + step * rows, step, mode)
+        assert _outcome(lambda: sweep(spec)) == _outcome(lambda: _scalar_rows(spec))
+
+    # numpy's log2, exp and power miss libm's bits on a few inputs in a
+    # thousand, so dense curves show a row that took them
+    @pytest.mark.parametrize("protocol, src, reach_km", [
+        ("bb84", IdealSingle(), 300.0), ("bb84", Poisson(0.05), 30.0), ("ekert", IdealEpr(), 300.0),
+        ("ekert", Pdc(0.2), 300.0), ("ekert", SwapChain(2), 600.0),
+    ])
+    def test_dense_curves_bitwise(self, protocol, src, reach_km):
+        for mode, stop in (("distance", reach_km), ("total-loss", FIBER.sigma * reach_km)):
+            spec = SweepSpec(protocol, FIBER, src, 0.0, stop, stop / 1000.0, mode)
+            points = sweep(spec)
+            assert sum(point.rate > 0.0 for point in points) > 100
+            assert [_bits(point) for point in points] == [_bits(point) for point in _scalar_rows(spec)]
+
+    def test_columns_are_the_points(self):
+        spec = SweepSpec("bb84", ChannelParams(d=0.0, mu=0.0, sigma=20.0), Poisson(0.1), -0.0, 40.0, 4.0)
+        curve = sweep(spec, columns=True)
+        points = sweep(spec)
+        assert curve.points() == points
+        assert [_bits(point) for point in points] == [_bits(point) for point in _scalar_rows(spec)]
+        # from 8 km on, exp(-alpha nbar) rounds to 1 and no click is left
+        assert {i: points[i].note for i in curve.notes} == {
+            i: "degenerate statistics: click probability is zero" for i in range(2, 11)
+        }
+        assert [column.tolist()[2:] for column in curve.stats] == [[0.0] * 9] * 3
 
 
 def _plain_bisection(protocol, p, search):

@@ -345,6 +345,23 @@ class TestMultiphotonBound:
     def test_at_least_one(self, i, j):
         assert multiphoton_ratio_bound(i, j) >= 1.0
 
+    def test_largest_finite_products(self):
+        # (1024, 2) is 2^1023 - 1; (512, 513) is just below 2^1023 as well
+        assert multiphoton_ratio_bound(1024, 2) == float(2**1023 - 1)
+        assert multiphoton_ratio_bound(512, 513) == float((2**511 - 1) * (2**512 - 1))
+
+    @pytest.mark.parametrize("counts", [(1025, 2), (2, 1025), (513, 513), (10**12, 2), (3, 10**15)])
+    def test_product_past_float_range_rejected(self, counts):
+        # (1025, 2) used to raise a bare OverflowError; the huge counts are
+        # rejected before 2**(count - 1) is built, so they return at once
+        match = re.escape(f"photon counts {counts} give a ratio bound past float range")
+        with pytest.raises(ValueError, match=match):
+            multiphoton_ratio_bound(*counts)
+
+    @pytest.mark.parametrize("counts", [(1, 1025), (10**12, 1), (1, 10**15)])
+    def test_a_single_photon_gives_zero_for_any_other_count(self, counts):
+        assert multiphoton_ratio_bound(*counts) == 0.0
+
 
 class TestPaEntropyOracle:
     def test_uniform_input_keeps_uniform_output(self):

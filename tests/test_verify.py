@@ -6,8 +6,9 @@ import pytest
 
 from qkdrates import security, verify
 
-# The largest suite peaks near 2.2 MiB. Evaluating a whole grid at once (a
-# 50^3 attack meshgrid, every hash seed in one histogram) would pass 5 MiB.
+# The largest suite, pdc-oracle, peaks near 3 MiB, and near 4 MiB on its
+# first run in a process. Evaluating a whole grid at once (a 50^3 attack
+# meshgrid, every hash seed in one histogram) would pass 5 MiB.
 PEAK_LIMIT = 5 * 2**20
 
 

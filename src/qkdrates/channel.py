@@ -83,6 +83,17 @@ def receiver_arm_loss_db(p: ChannelParams, arms: int) -> float:
     return p.receiver_loss_db if p.receiver_loss_per_arm else p.receiver_loss_db / arms
 
 
+# The range and limit checks that sweep rows can fail, as predicates over
+# floats or numpy arrays: the scalar functions raise where they are false, and
+# protocols' array pass ANDs them.
+def _transmission_ok(value):
+    return (0.0 <= value) & (value <= 1.0)
+
+
+def _dark_clicks_ok(d, detectors):
+    return detectors * d < 1.0
+
+
 def checked_transmission(value, name: str = "arm transmission") -> float:
     """The value as a float, after checking that it is a real number in [0, 1].
 
@@ -93,7 +104,7 @@ def checked_transmission(value, name: str = "arm transmission") -> float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a real number, got {value!r}")
         value = float(value)
-    if not 0.0 <= value <= 1.0:
+    if not _transmission_ok(value):
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
     return value
 
@@ -138,7 +149,6 @@ def dark_click_prob(d: float, detectors: int) -> float:
         raise ValueError("detector count must be at least 1")
     if not d >= 0:
         raise ValueError(f"dark-count probability must be non-negative, got {d}")
-    p = detectors * d
-    if p >= 1.0:
+    if not _dark_clicks_ok(d, detectors):
         raise ValueError(f"{detectors} detectors at d={d} exceed the linear model's validity")
-    return p
+    return detectors * d

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
 from typing import NamedTuple
 
@@ -15,13 +15,14 @@ import numpy as np
 from . import ratecore, sources
 from .channel import (
     ChannelParams,
+    _dark_clicks_ok,
+    _transmission_ok,
     arm_alpha_from_loss_db,
     db_to_transmission,
     receiver_arm_loss_db,
     span_loss_db,
 )
 from .ratecore import (
-    _WEIGHT_TOL,
     binary_entropy,
     ec_efficiency,
     tau,  # unused here; bench/tests checks that tracing wraps this binding
@@ -163,9 +164,15 @@ class OptimizeResult(NamedTuple):
         return self.rate == 0.0
 
 
+def _live(e, beta):
+    """Where _key_rate's formula applies, over floats or numpy arrays: beta
+    positive and e / beta below 1/2."""
+    return (beta > 0.0) & (e < 0.5 * beta)
+
+
 def _key_rate(p_sift: float, e: float, beta: float, clamp: bool) -> float:
     """The key-rate formula of rate_bb84; rate_ekert is its beta = 1 case."""
-    if beta <= 0.0 or e >= 0.5 * beta:
+    if not _live(e, beta):
         return 0.0
     raw = 0.5 * p_sift * (tau_multiphoton(e, beta) - ec_efficiency(e) * binary_entropy(e))
     if clamp and raw < 0.0:
@@ -361,7 +368,7 @@ class _RateColumns(NamedTuple):
     """_rate_columns' arrays: the rate (0 where _key_rate gives 0 or ok is
     false, and clamped on request), the signal and noise probabilities
     (p_true and p_false for ekert), the error fraction, beta (the float 1.0
-    for ekert), and where every check of the scalar path passes."""
+    for ekert), and ok, where the scalar path raises no check."""
 
     raw: np.ndarray
     signal: np.ndarray
@@ -387,62 +394,50 @@ def _rate_columns(
 
     It calls the closed-form bodies that the scalar path calls, with maths'
     exp, tanh, cosh, log2 and power; with _ROW_MATHS every element has the
-    scalar's bits. ok is false where the scalar path raises: a
-    checked_transmission, PdcCoefficients, ClickStats or CoincidenceStats
-    check, dark_click_prob's linear-model limit, a zero sift total, or an
-    overflowing cosh. ClickStats' and CoincidenceStats' error-fraction
-    checks need no mask: with a positive sift total of signal and noise in
-    [0, 1], e lies in [0, 1/2] to rounding. A libm map raises where its
-    scalar raises (cosh or power past float range), which numpy's functions
-    do not.
+    scalar's bits. ok ANDs the predicates and check tables that the scalar
+    path raises on (a zero 1 - z, which pdc_coefficients rejects before it
+    divides, makes B infinite here). A libm map raises where its scalar
+    raises (cosh or power past float range), which numpy's functions do
+    not.
     """
     d, mu = p.d, p.mu
     with np.errstate(all="ignore"):
-        # checks on scalars and parameters go first, where the arrays are small
-        ok = (t >= 0.0) & (t <= 1.0)
-        beta = 1.0
+        checks = [_transmission_ok(t)]
         if protocol == "bb84":
             noise = BB84_DETECTORS * d
-            ok = ok & (noise < 1.0)
+            checks.append(_dark_clicks_ok(d, BB84_DETECTORS))
             if isinstance(src, IdealSingle):
                 signal, p_m = t, 0.0
             else:
-                nbar = param if src is None else src.nbar
-                signal, p_m = sources._poisson_clicks(t, nbar, maths.exp)
-                ok = ok & (nbar > 0.0)
-            p_sift = signal + noise
-            beta = (p_sift - p_m) / p_sift
-            # beta <= 1 + tol also rejects a NaN or +inf beta, beta > -inf the
-            # rest; together they reject a zero sift total (beta -inf or NaN)
-            ok = ok & (p_sift <= 1.0) & (beta > -math.inf) & (beta <= 1.0 + _WEIGHT_TOL)
+                signal, p_m = sources._poisson_clicks(t, param if src is None else src.nbar, maths.exp)
+        elif isinstance(src, IdealEpr):
+            signal, noise = t * t, sources._pair_false(t, d)
+        elif isinstance(src, SwapChain):
+            alpha_bell = p.eta * t
+            alpha_end = alpha_bell * db_to_transmission(receiver_arm_loss_db(p, 2))
+            p_swap_true, p_swap = sources._swap_success(alpha_bell, d)
+            signal, noise = sources._swap_coincidences(
+                p_swap_true, p_swap, alpha_end, d, src.n_swaps, src.literal_exponent, maths.power
+            )
+            checks.append(sources._swap_ok(p_swap))
         else:
-            if isinstance(src, IdealEpr):
-                signal, noise = t * t, sources._pair_false(t, d)
-            elif isinstance(src, SwapChain):
-                alpha_bell = p.eta * t
-                alpha_end = alpha_bell * db_to_transmission(receiver_arm_loss_db(p, 2))
-                p_swap_true, p_swap = sources._swap_success(alpha_bell, d)
-                signal, noise = sources._swap_coincidences(
-                    p_swap_true, p_swap, alpha_end, d, src.n_swaps, src.literal_exponent, maths.power
-                )
-                ok = ok & (p_swap != 0.0)
-            else:
-                chi = param if src is None else src.chi
-                c4 = maths.power(maths.cosh(chi), 4)
-                signal, vacuum, single, double = sources._pdc_weights(
-                    t, maths.power(maths.tanh(chi), 2), c4, maths.power
-                )
-                noise = sources._pdc_false(d, vacuum, single, double)
-                # PdcCoefficients' bounds; CoincidenceStats' tighter ones cover signal
-                low = np.minimum(np.minimum(vacuum, single), double)
-                high = np.maximum(np.maximum(vacuum, single), double)
-                ok = ok & ((chi > 0.0) & np.isfinite(c4))
-                ok = ok & (low >= -_WEIGHT_TOL) & (high <= 1.0 + _WEIGHT_TOL)
-                ok = ok & (1.0 - signal - vacuum - 2.0 * single - double >= -_WEIGHT_TOL)
-            p_sift = signal + noise
-            ok = ok & (signal >= 0.0) & (signal <= 1.0) & (noise >= 0.0) & (noise <= 1.0) & (p_sift != 0.0)
+            chi = param if src is None else src.chi
+            signal, vacuum, single, double = sources._pdc_weights(
+                t, maths.power(maths.tanh(chi), 2), maths.power(maths.cosh(chi), 4), maths.power
+            )
+            noise = sources._pdc_false(d, vacuum, single, double)
+            checks.extend(sources._pdc_coefficient_checks(signal, vacuum, single, double))
+        p_sift = signal + noise
         e = sources._error_fraction(signal, noise, mu)
-        live = ok & (beta > 0.0) & (e < 0.5 * beta)
+        checks.append(sources._sift_ok(p_sift))
+        if protocol == "bb84":
+            beta = (p_sift - p_m) / p_sift
+            checks.extend(sources._click_checks(p_sift, e, beta))
+        else:
+            beta = 1.0
+            checks.extend(sources._coincidence_checks(signal, noise, e))
+        ok = reduce(operator.and_, checks)
+        live = ok & _live(e, beta)
 
         # _key_rate's formula. A live row has e / beta <= 1/2, where
         # collision_bound is the quadratic (at 1/2 both are 1).
@@ -725,10 +720,8 @@ def sweep(spec: SweepSpec, *, columns: bool = False) -> list[RatePoint] | SweepC
     stats = tuple(np.array(np.broadcast_to(column, abscissa.shape)) for column in fields)
     raw, notes = rows.raw, {}
     for i in np.flatnonzero(~rows.ok).tolist():
-        if params is None:
-            point = point_rate(protocol, src, p, xs[i], mode)
-        else:
-            point = _optimized_point(protocol, params[i], p, xs[i], mode)
+        row_src = src if params is None else _free_source(protocol, params[i])
+        point = point_rate(protocol, row_src, p, xs[i], mode)
         raw[i] = point.rate_raw
         if point.stats is None:
             notes[i] = point.note

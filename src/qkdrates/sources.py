@@ -202,9 +202,43 @@ def source_to_dict(src: SourceSpec) -> dict:
     return {"source": src.tag, **write_block(vars(src), _SOURCE_KEYS[src.tag])}
 
 
+def _checks(*messages):
+    """Decorate a check table: a function that returns one predicate per
+    message, in order, each a comparison or comparisons joined with &, so
+    that it holds on floats and on numpy arrays. A statistics class raises
+    _failure where a predicate is false; protocols' array pass ANDs them."""
+    def mark(table):
+        table.messages = messages
+        return table
+
+    return mark
+
+
+def _failure(table, holds, **values) -> ValueError:
+    """The error of the first false predicate in holds, the value of table:
+    its message, formatted with the values it names."""
+    return ValueError(table.messages[holds.index(False)].format(**values))
+
+
+@_checks(
+    "p_click must lie in [0, 1]",
+    "error fraction must lie in [0, 1]",
+    "beta must be finite, got {beta}",
+    "beta cannot exceed 1",
+)
+def _click_checks(p_click, e, beta):
+    return (
+        (0.0 <= p_click) & (p_click <= 1.0),
+        (0.0 <= e) & (e <= 1.0),
+        (-math.inf < beta) & (beta < math.inf),
+        beta <= 1.0 + _WEIGHT_TOL,
+    )
+
+
 @dataclass(frozen=True)
 class ClickStats:
-    """Single-receiver detection statistics per clock pulse.
+    """Single-receiver detection statistics per clock pulse, checked by the
+    table _click_checks.
 
     Attributes:
         p_click: Probability that the receiver registers any click.
@@ -220,40 +254,66 @@ class ClickStats:
     beta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p_click <= 1.0:
-            raise ValueError("p_click must lie in [0, 1]")
-        if not 0.0 <= self.e <= 1.0:
-            raise ValueError("error fraction must lie in [0, 1]")
-        if not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta}")
-        if self.beta > 1.0 + _WEIGHT_TOL:
-            raise ValueError("beta cannot exceed 1")
+        if False in (holds := _click_checks(self.p_click, self.e, self.beta)):
+            raise _failure(_click_checks, holds, **vars(self))
+
+
+@_checks(
+    "p_true must lie in [0, 1]",
+    "p_false must lie in [0, 1]",
+    "coincidence error fraction must lie in [0, 1/2]",
+)
+def _coincidence_checks(p_true, p_false, e):
+    return (
+        (0.0 <= p_true) & (p_true <= 1.0),
+        (0.0 <= p_false) & (p_false <= 1.0),
+        (0.0 <= e) & (e <= 0.5 + _WEIGHT_TOL),
+    )
 
 
 @dataclass(frozen=True)
 class CoincidenceStats:
-    """Two-receiver coincidence statistics per clock pulse."""
+    """Two-receiver coincidence statistics per clock pulse, checked by the
+    table _coincidence_checks."""
 
     p_true: float
     p_false: float
     e: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p_true <= 1.0:
-            raise ValueError("p_true must lie in [0, 1]")
-        if not 0.0 <= self.p_false <= 1.0:
-            raise ValueError("p_false must lie in [0, 1]")
-        if not 0.0 <= self.e <= 0.5 + _WEIGHT_TOL:
-            raise ValueError("coincidence error fraction must lie in [0, 1/2]")
+        if False in (holds := _coincidence_checks(self.p_true, self.p_false, self.e)):
+            raise _failure(_coincidence_checks, holds, **vars(self))
 
     @property
     def p_coin(self) -> float:
         return self.p_true + self.p_false
 
 
+def _higher_order_weight(A, B, C, D):
+    return 1.0 - A - B - 2.0 * C - D
+
+
+@_checks(
+    "coefficient A must lie in [0, 1], got {A}",
+    "coefficient B must lie in [0, 1], got {B}",
+    "coefficient C must lie in [0, 1], got {C}",
+    "coefficient D must lie in [0, 1], got {D}",
+    "component weights exceed 1",
+)
+def _pdc_coefficient_checks(A, B, C, D):
+    return (
+        (-_WEIGHT_TOL <= A) & (A <= 1.0 + _WEIGHT_TOL),
+        (-_WEIGHT_TOL <= B) & (B <= 1.0 + _WEIGHT_TOL),
+        (-_WEIGHT_TOL <= C) & (C <= 1.0 + _WEIGHT_TOL),
+        (-_WEIGHT_TOL <= D) & (D <= 1.0 + _WEIGHT_TOL),
+        _higher_order_weight(A, B, C, D) >= -_WEIGHT_TOL,
+    )
+
+
 @dataclass(frozen=True)
 class PdcCoefficients:
-    """Weights of the lossy down-conversion state's relevant components.
+    """Weights of the lossy down-conversion state's relevant components,
+    checked by the table _pdc_coefficient_checks.
 
     A: both receivers share an entangled pair; B: vacuum at both; C: a single
     unpolarized photon at one receiver (same weight each side); D: independent
@@ -267,22 +327,12 @@ class PdcCoefficients:
     D: float
 
     def __post_init__(self):
-        A, B, C, D = self.A, self.B, self.C, self.D
-        if not -_WEIGHT_TOL <= A <= 1.0 + _WEIGHT_TOL:
-            raise ValueError(f"coefficient A must lie in [0, 1], got {A}")
-        if not -_WEIGHT_TOL <= B <= 1.0 + _WEIGHT_TOL:
-            raise ValueError(f"coefficient B must lie in [0, 1], got {B}")
-        if not -_WEIGHT_TOL <= C <= 1.0 + _WEIGHT_TOL:
-            raise ValueError(f"coefficient C must lie in [0, 1], got {C}")
-        if not -_WEIGHT_TOL <= D <= 1.0 + _WEIGHT_TOL:
-            raise ValueError(f"coefficient D must lie in [0, 1], got {D}")
-        # higher_order_weight, spelled out: this check runs on every PDC rate
-        if 1.0 - A - B - 2.0 * C - D < -_WEIGHT_TOL:
-            raise ValueError("component weights exceed 1")
+        if False in (holds := _pdc_coefficient_checks(self.A, self.B, self.C, self.D)):
+            raise _failure(_pdc_coefficient_checks, holds, **vars(self))
 
     @property
     def higher_order_weight(self) -> float:
-        return 1.0 - self.A - self.B - 2.0 * self.C - self.D
+        return _higher_order_weight(self.A, self.B, self.C, self.D)
 
 
 # The closed forms below are plain arithmetic, so they take floats or numpy
@@ -295,8 +345,12 @@ def _poisson_clicks(a, nbar, exp):
     return 1.0 - exp(-a * nbar), 1.0 - (1.0 + nbar) * exp(-nbar)
 
 
+def _one_minus_z(a, t2, power):
+    return 1.0 - t2 * power(1.0 - a, 2)
+
+
 def _pdc_weights(a, t2, c4, power):
-    one_m_z = 1.0 - t2 * power(1.0 - a, 2)
+    one_m_z = _one_minus_z(a, t2, power)
     return (
         2.0 * a * a * t2 / (c4 * power(one_m_z, 4)),
         1.0 / (c4 * power(one_m_z, 2)),
@@ -333,10 +387,21 @@ def _error_fraction(signal, noise, mu):
     return (noise / 2.0 + mu * signal) / (signal + noise)
 
 
+# Zero totals that the closed forms would divide by, as predicates: the
+# scalar functions raise where they are false, and protocols' array pass ANDs
+# them.
+def _sift_ok(p_sift):
+    return p_sift != 0.0
+
+
+def _swap_ok(p_swap):
+    return p_swap != 0.0
+
+
 def _sifted_error(signal: float, noise: float, mu: float, events: str = "coincidence") -> float:
     """Error fraction among sifted events: a noise event (dark count or
     accidental coincidence) errs half the time, a signal event at rate mu."""
-    if signal + noise == 0.0:
+    if not _sift_ok(signal + noise):
         raise ValueError(f"degenerate statistics: {events} probability is zero")
     return _error_fraction(signal, noise, mu)
 
@@ -396,7 +461,10 @@ def pdc_coefficients(chi: float, alpha_half: float) -> PdcCoefficients:
     if not 0.0 < chi < math.inf:
         raise ValueError("pump parameter must be positive and finite")
     a = checked_transmission(alpha_half)
-    A, B, C, D = _pdc_weights(a, math.tanh(chi) ** 2, math.cosh(chi) ** 4, pow)
+    t2, c4 = math.tanh(chi) ** 2, math.cosh(chi) ** 4
+    if _one_minus_z(a, t2, pow) == 0.0:
+        raise ValueError("degenerate statistics: tanh^2(chi) (1 - alpha)^2 rounds to 1")
+    A, B, C, D = _pdc_weights(a, t2, c4, pow)
     return PdcCoefficients(A=A, B=B, C=C, D=D)
 
 
@@ -428,7 +496,7 @@ def swap_stats_from_segment(
     alpha_bell = p.eta * checked_transmission(segment_transmission, "segment transmission")
     alpha_end = alpha_bell * db_to_transmission(receiver_arm_loss_db(p, 2))
     p_swap_true, p_swap = _swap_success(alpha_bell, d)
-    if p_swap == 0.0:
+    if not _swap_ok(p_swap):
         raise ValueError("degenerate statistics: no Bell analyzer can fire")
     p_true, p_false = _swap_coincidences(
         p_swap_true, p_swap, alpha_end, d, src.n_swaps, src.literal_exponent, pow

@@ -320,6 +320,21 @@ class TestRateCommand:
         assert main(["cutoff", "--config", path]) == 2
         assert "rate is zero at the lower search edge" in capsys.readouterr().err
 
+    def test_saturated_pump_at_zero_transmission_is_a_zero_rate_point(self, tmp_path, capsys):
+        # tanh(25)**2 rounds to 1 and 20,000 km leave no transmission, so the
+        # PDC weights would divide by 1 - z = 0; this once printed a traceback
+        cfg = {
+            "protocol": "ekert",
+            "source": {"type": "pdc", "chi": 25.0},
+            "channel": {},
+            "point": {"distance_km": 20000.0},
+        }
+        assert main(["rate", "--config", write_config(tmp_path, cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["rate_bits_per_pulse"] == 0.0
+        assert report["note"] == "degenerate statistics: tanh^2(chi) (1 - alpha)^2 rounds to 1"
+        assert "stats" not in report
+
     @pytest.mark.parametrize(
         "argv, abscissae",
         [

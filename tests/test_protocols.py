@@ -30,10 +30,14 @@ from qkdrates.protocols import (
     rate_ekert,
     sweep,
     _arm_transmission,
+    _ROW_MATHS,
     _free_rate_kernel,
+    _free_source,
     _libm,
     _optimal_params,
     _optimized_point,
+    _rate_columns,
+    _transmissions,
 )
 from qkdrates.sources import (
     ClickStats,
@@ -566,6 +570,22 @@ class TestSweepRows:
         start, step, rows = grid
         spec = SweepSpec(protocol, p, src, start, start + step * rows, step, mode)
         assert _outcome(lambda: sweep(spec)) == _outcome(lambda: _scalar_rows(spec))
+        # the array pass must reject exactly the rows that the scalar path
+        # rejects: the fallback hides a mask that is too strict
+        xs = spec.grid()
+        try:
+            params = None if src is not None else _optimal_params(protocol, p, xs, mode)
+            t = _transmissions(protocol, src, p, np.array(xs), mode)
+            ok = _rate_columns(protocol, src, p, t, _ROW_MATHS, None if params is None else np.array(params)).ok
+        except (ArithmeticError, ValueError):
+            return
+        for i, x in enumerate(xs):
+            try:
+                point_stats(protocol, src if params is None else _free_source(protocol, params[i]), p, x, mode)
+                returns = True
+            except (OverflowError, ValueError):
+                returns = False
+            assert ok[i] == returns, (i, x)
 
     # numpy's log2, exp and power miss libm's bits on a few inputs in a
     # thousand, so dense curves show a row that took them
@@ -579,6 +599,18 @@ class TestSweepRows:
             points = sweep(spec)
             assert sum(point.rate > 0.0 for point in points) > 100
             assert [_bits(point) for point in points] == [_bits(point) for point in _scalar_rows(spec)]
+
+    def test_row_with_an_error_fraction_past_one_half_falls_back(self):
+        # at 6150 dB p_true underflows to 0 and p_false is a few subnormals, so
+        # noise / 2 rounds up and e exceeds 1/2; the array pass once let the
+        # row through, and the curve raised when its statistics were built
+        p = ChannelParams(sigma=0.0, eta=0.706617228814142, receiver_loss_db=9.940726124912876,
+                          d=0.1263829421901956, mu=0.15607752848547005)
+        step = 768.7506813590423
+        spec = SweepSpec("ekert", p, SwapChain(2000), 0.0, 9 * step, step, "total-loss")
+        points = sweep(spec)
+        assert [_bits(point) for point in points] == [_bits(point) for point in _scalar_rows(spec)]
+        assert points[8].note == "coincidence error fraction must lie in [0, 1/2]"
 
     def test_columns_are_the_points(self):
         spec = SweepSpec("bb84", ChannelParams(d=0.0, mu=0.0, sigma=20.0), Poisson(0.1), -0.0, 40.0, 4.0)

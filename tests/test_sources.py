@@ -8,15 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdrates.channel import ChannelParams
-from qkdrates.protocols import point_rate, point_stats
+from qkdrates import sources
+from qkdrates.channel import ChannelParams, checked_transmission, dark_click_prob
+from qkdrates.protocols import SweepSpec, point_rate, point_stats, sweep
 from qkdrates.sources import (
     ClickStats,
+    CoincidenceStats,
     IdealEpr,
     IdealSingle,
     Pdc,
     Poisson,
+    PdcCoefficients,
     SwapChain,
+    _click_checks,
+    _coincidence_checks,
+    _pdc_coefficient_checks,
+    _sifted_error,
     bb84_stats,
     ekert_ideal_stats,
     parse_source,
@@ -150,6 +157,17 @@ class TestPdc:
         # inf once gave all-zero weights, and NaN failed on coefficient A
         with pytest.raises(ValueError, match="^pump parameter must be positive and finite$"):
             pdc_coefficients(chi, 0.5)
+
+    def test_saturated_pump_at_zero_transmission_is_a_zero_rate_point(self):
+        # tanh(25)**2 rounds to 1, so at zero transmission 1 - z is 0, which
+        # the weights divide by; it once raised a bare ZeroDivisionError
+        note = "degenerate statistics: tanh^2(chi) (1 - alpha)^2 rounds to 1"
+        with pytest.raises(ValueError, match="^" + re.escape(note) + "$"):
+            pdc_coefficients(25.0, 0.0)
+        assert point_rate("ekert", Pdc(25.0), ChannelParams(), 20000.0).note == note
+        points = sweep(SweepSpec("ekert", ChannelParams(), Pdc(25.0), 0.0, 40000.0, 10000.0))
+        assert points[0].rate > 0.0
+        assert [(point.rate_raw, point.stats, point.note) for point in points[1:]] == [(0.0, None, note)] * 4
 
 
 class TestSourceValidation:
@@ -289,3 +307,76 @@ class TestSourceParsing:
     def test_mistyped_parameter(self, cfg):
         with pytest.raises(ValueError):
             parse_source(cfg)
+
+
+# Each entry of each check table, violated alone: (table, the arguments that
+# violate only that entry, the call that raises on them, its message).
+_VIOLATIONS = [
+    (_click_checks, (1.5, 0.1, 0.9), ClickStats, "p_click must lie in [0, 1]"),
+    (_click_checks, (0.5, -0.1, 0.9), ClickStats, "error fraction must lie in [0, 1]"),
+    (_click_checks, (0.5, 0.1, -math.inf), ClickStats, "beta must be finite, got -inf"),
+    (_click_checks, (0.5, 0.1, 1.5), ClickStats, "beta cannot exceed 1"),
+    (_coincidence_checks, (1.5, 0.1, 0.1), CoincidenceStats, "p_true must lie in [0, 1]"),
+    (_coincidence_checks, (0.2, -0.1, 0.1), CoincidenceStats, "p_false must lie in [0, 1]"),
+    (_coincidence_checks, (0.2, 0.1, 0.6), CoincidenceStats, "coincidence error fraction must lie in [0, 1/2]"),
+    (_pdc_coefficient_checks, (-0.5, 0.5, 0.1, 0.1), PdcCoefficients, "coefficient A must lie in [0, 1], got -0.5"),
+    (_pdc_coefficient_checks, (0.1, -0.5, 0.1, 0.1), PdcCoefficients, "coefficient B must lie in [0, 1], got -0.5"),
+    (_pdc_coefficient_checks, (0.1, 0.5, -0.25, 0.1), PdcCoefficients, "coefficient C must lie in [0, 1], got -0.25"),
+    (_pdc_coefficient_checks, (0.1, 0.5, 0.1, -0.1), PdcCoefficients, "coefficient D must lie in [0, 1], got -0.1"),
+    (_pdc_coefficient_checks, (0.4, 0.4, 0.1, 0.2), PdcCoefficients, "component weights exceed 1"),
+]
+# The function checks that sweep rows can fail, each one predicate.
+_FUNCTION_VIOLATIONS = [
+    (lambda: checked_transmission(1.5), "arm transmission must lie in [0, 1], got 1.5"),
+    (
+        lambda: swap_stats_from_segment(SwapChain(1), -0.5, ChannelParams()),
+        "segment transmission must lie in [0, 1], got -0.5",
+    ),
+    (lambda: dark_click_prob(0.25, 4), "4 detectors at d=0.25 exceed the linear model's validity"),
+    (lambda: _sifted_error(0.0, 0.0, 0.01, "click"), "degenerate statistics: click probability is zero"),
+    (lambda: pdc_coefficients(25.0, 0.0), "degenerate statistics: tanh^2(chi) (1 - alpha)^2 rounds to 1"),
+    (
+        lambda: swap_stats_from_segment(SwapChain(1), 0.0, ChannelParams()),
+        "degenerate statistics: no Bell analyzer can fire",
+    ),
+]
+
+
+class TestCheckTables:
+    """Every check that decides whether a point is rated is stated once: a
+    statistics class's as a table of predicates and messages, a function's
+    as one predicate. The messages reach users as notes."""
+
+    @pytest.mark.parametrize("table, args, build, message", _VIOLATIONS, ids=[m for *_, m in _VIOLATIONS])
+    def test_each_entry_raises_its_own_message(self, table, args, build, message):
+        assert table(*args).count(False) == 1
+        with pytest.raises(ValueError) as err:
+            build(*args)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("call, message", _FUNCTION_VIOLATIONS, ids=[m for _, m in _FUNCTION_VIOLATIONS])
+    def test_each_function_check_raises_its_own_message(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+    def test_every_table_entry_is_pinned(self):
+        tables = {f for f in vars(sources).values() if hasattr(f, "messages")}
+        pinned = {(table, table(*args).index(False)) for table, args, *_ in _VIOLATIONS}
+        assert pinned == {(table, i) for table in tables for i in range(len(table.messages))}
+
+    @pytest.mark.parametrize(
+        "build, args, message",
+        [
+            (ClickStats, (1.5, -0.1, math.nan), "p_click must lie in [0, 1]"),
+            (ClickStats, (0.5, 2.0, 2.0), "error fraction must lie in [0, 1]"),
+            (ClickStats, (0.5, 0.1, math.inf), "beta must be finite, got inf"),
+            (CoincidenceStats, (0.2, 1.5, 0.9), "p_false must lie in [0, 1]"),
+            (PdcCoefficients, (2.0, 2.0, 2.0, 2.0), "coefficient A must lie in [0, 1], got 2.0"),
+            (PdcCoefficients, (0.5, 0.5, 1.5, 0.5), "coefficient C must lie in [0, 1], got 1.5"),
+        ],
+    )
+    def test_several_violations_raise_the_first(self, build, args, message):
+        with pytest.raises(ValueError) as err:
+            build(*args)
+        assert str(err.value) == message

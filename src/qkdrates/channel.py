@@ -94,6 +94,12 @@ def _dark_clicks_ok(d, detectors):
     return detectors * d < 1.0
 
 
+def _is_real(value) -> bool:
+    """Whether the value is a real number, numpy's included: a str, bytes or
+    bool is not."""
+    return type(value) is float or (not isinstance(value, bool) and isinstance(value, numbers.Real))
+
+
 def checked_transmission(value, name: str = "arm transmission") -> float:
     """The value as a float, after checking that it is a real number in [0, 1].
 
@@ -101,7 +107,7 @@ def checked_transmission(value, name: str = "arm transmission") -> float:
     rate path's case, pays only the one type test.
     """
     if type(value) is not float:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not _is_real(value):
             raise ValueError(f"{name} must be a real number, got {value!r}")
         value = float(value)
     if not _transmission_ok(value):
@@ -120,17 +126,13 @@ def arm_alpha(p: ChannelParams, length: float) -> float:
     return arm_alpha_from_loss_db(p, span_loss_db(p, length, "distance", 1))
 
 
-def arm_alpha_from_loss_db(p: ChannelParams, loss_db: float, receiver_loss_db=None) -> float:
-    """Arm detection probability for a channel quoted as total loss in dB.
-
-    Used in free-space mode, where the abscissa is loss rather than distance.
-    The receiver loss may be overridden (e.g. halved for a shared two-arm
-    budget); None keeps the channel's own value.
-    """
+def arm_alpha_from_loss_db(p: ChannelParams, loss_db: float) -> float:
+    """Detection probability for one photon down one arm that loses loss_db:
+    eta * 10^(-receiver_loss_db/10) * 10^(-loss_db/10). The rate path's arm
+    transmissions, which may split the receiver loss, are protocols'."""
     if not loss_db >= 0:
         raise ValueError(f"loss must be non-negative, got {loss_db}")
-    rec = p.receiver_loss_db if receiver_loss_db is None else receiver_loss_db
-    return checked_transmission(p.eta * db_to_transmission(rec) * db_to_transmission(loss_db))
+    return checked_transmission(p.eta * db_to_transmission(p.receiver_loss_db) * db_to_transmission(loss_db))
 
 
 def dark_click_prob(d: float, detectors: int) -> float:

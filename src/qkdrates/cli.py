@@ -314,25 +314,15 @@ def _point_report(config: RunConfig, curve: CurveSpec) -> dict:
     return report
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
-def _sweep_curves(config: RunConfig, columns: bool = False) -> list:
-    """(label, points) of every curve, each over the config's grid; with
-    columns true, (label, SweepColumns)."""
-    return [(curve.label, sweep(_sweep_spec(config, curve), columns=columns)) for curve in config.curves]
-
-
 def _reprs(column) -> list:
     """repr of every float of an array, formatted in one C-level pass."""
     return repr(column.tolist())[1:-1].split(", ")
 
 
 def _sweep_csv(config: RunConfig, curves: list[tuple[str, SweepColumns]]) -> str:
-    """The CSV of _sweep_curves(config, columns=True)'s output, every value
-    in full repr. Each column is formatted in one pass, and each distinct
-    value once: the grid abscissas once for all curves (every curve runs
+    """The CSV of a run's (label, SweepColumns) curves, every value in full
+    repr. Each column is formatted in one pass, and each distinct value
+    once: the grid abscissas once for all curves (every curve runs
     over the first curve's grid, so row i of each shares it), the clamped
     rate as the raw rate's string where that is positive and "0.0" otherwise
     (what repr(max(0.0, raw)) gives), and the bb84 dark-click column once
@@ -353,7 +343,7 @@ def _sweep_csv(config: RunConfig, curves: list[tuple[str, SweepColumns]]) -> str
             if curve.protocol == "bb84":
                 if dark is None:
                     p_dark = dark_click_prob(config.channel.d, BB84_DETECTORS)
-                    dark = _fmt(p_dark)
+                    dark = repr(float(p_dark))
                 p_click, e, _ = curve.stats
                 columns = [_reprs(p_click - p_dark), [dark] * len(raw), _reprs(e)]
             else:
@@ -363,14 +353,6 @@ def _sweep_csv(config: RunConfig, curves: list[tuple[str, SweepColumns]]) -> str
                     column[i] = ""
         lines.extend(map(",".join, zip(repeat(label), abscissas, raw, clamped, params, *columns)))
     return "\n".join(lines) + "\n"
-
-
-def _sweep_json(curves: list) -> list:
-    return [
-        {"curve": label, "rate": pt.rate, **_point_fields(pt)}
-        for label, points in curves
-        for pt in points
-    ]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -448,9 +430,11 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     if config.grid is None:
         raise ConfigError("the sweep command needs a 'sweep' config")
-    curves = _sweep_curves(config, columns=args.format == "csv")
+    curves = [(curve.label, sweep(_sweep_spec(config, curve))) for curve in config.curves]
     if args.format == "json":
-        _emit_json(_sweep_json(curves), args.out)
+        rows = [{"curve": label, "rate": pt.rate, **_point_fields(pt)}
+                for label, curve in curves for pt in curve.points()]
+        _emit_json(rows, args.out)
     else:
         _emit(_sweep_csv(config, curves), args.out)
     return 0

@@ -16,8 +16,8 @@ from . import ratecore, sources
 from .channel import (
     ChannelParams,
     _dark_clicks_ok,
+    _is_real,
     _transmission_ok,
-    arm_alpha_from_loss_db,
     db_to_transmission,
     receiver_arm_loss_db,
     span_loss_db,
@@ -136,7 +136,10 @@ class SweepSpec:
         check_source(self.protocol, self.source)
         if self.mode not in SWEEP_MODES:
             raise ValueError(f"unknown sweep mode {self.mode!r}; expected one of {SWEEP_MODES}")
-        if not all(math.isfinite(v) for v in (self.start, self.stop, self.step)):
+        bounds = (self.start, self.stop, self.step)
+        if not all(map(_is_real, bounds)):
+            raise ValueError(f"sweep start, stop and step must be real numbers, got {bounds!r}")
+        if not all(math.isfinite(v) for v in bounds):
             raise ValueError("sweep start, stop and step must be finite")
         if self.start < 0:
             raise ValueError("sweep start must be non-negative")
@@ -203,15 +206,6 @@ def rate_ekert(stats: CoincidenceStats, clamp: bool = True) -> float:
     return _key_rate(stats.p_coin, stats.e, 1.0, clamp)
 
 
-def _arm_transmission(protocol: str, p: ChannelParams, abscissa: float, mode: str) -> float:
-    """Arm transmission of a single-path (bb84) or two-arm (ekert, source
-    midway) link: the abscissa's loss split over the arms, plus each arm's
-    receiver loss and detector efficiency."""
-    arms = 1 if protocol == "bb84" else 2
-    loss_db = span_loss_db(p, abscissa, mode, arms)
-    return arm_alpha_from_loss_db(p, loss_db, receiver_arm_loss_db(p, arms))
-
-
 def point_stats(
     protocol: str, src: SourceSpec, p: ChannelParams, abscissa: float, mode: str = "distance"
 ) -> ClickStats | CoincidenceStats:
@@ -220,21 +214,25 @@ def point_stats(
     In distance mode the abscissa is the Alice-to-Bob separation in km, with
     two-arm sources placed midway. In total-loss mode it is the summed
     channel loss in dB. Either is split equally over the arms or segments.
+    The abscissa must be a real number, not a bool, and non-negative; the
+    statistics function checks the transmission.
     """
     check_source(protocol, src)
     if mode not in SWEEP_MODES:
         raise ValueError(f"unknown sweep mode {mode!r}; expected one of {SWEEP_MODES}")
-    if abscissa < 0:
+    # an exact float, the rate path's case, pays only the type test
+    if type(abscissa) is not float and not _is_real(abscissa):
+        raise ValueError(f"abscissa must be a real number, got {abscissa!r}")
+    if not abscissa >= 0:
         raise ValueError("abscissa must be non-negative")
+    t = _transmissions(protocol, src, p, abscissa, mode)
     if isinstance(src, SwapChain):
-        segment_db = span_loss_db(p, abscissa, mode, src.segments)
-        return swap_stats_from_segment(src, db_to_transmission(segment_db), p)
-    alpha = _arm_transmission(protocol, p, abscissa, mode)
+        return swap_stats_from_segment(src, t, p)
     if protocol == "bb84":
-        return bb84_stats(src, alpha, p)
+        return bb84_stats(src, t, p)
     if isinstance(src, Pdc):
-        return pdc_stats(src.chi, alpha, p)
-    return ekert_ideal_stats(alpha, p)
+        return pdc_stats(src.chi, t, p)
+    return ekert_ideal_stats(t, p)
 
 
 def point_rate(
@@ -245,32 +243,24 @@ def point_rate(
     mode: str = "distance",
 ) -> RatePoint:
     """Evaluate one curve point for a fixed source, or with src None at the
-    optimized free source, whose parameter it carries as optimal_param (the
-    box midpoint where no parameter gives a positive rate). A point whose
-    statistics cannot be computed, or overflow, is a zero-rate point whose
-    note is the error."""
+    free source of optimize_source_param's parameter, which it carries as
+    optimal_param (the box midpoint where no parameter gives a positive
+    rate). A point whose statistics cannot be computed, or overflow, is a
+    zero-rate point whose note is the error."""
     if src is None:
-        return _optimized_point(protocol, optimize_source_param(protocol, p, abscissa, mode).param,
-                                p, abscissa, mode)
+        param = optimize_source_param(protocol, p, abscissa, mode).param
+        point = point_rate(protocol, _free_source(protocol, param), p, abscissa, mode)
+        return RatePoint(point.abscissa, point.rate_raw, param, point.stats, point.note)
     try:
         stats = point_stats(protocol, src, p, abscissa, mode)
     except (ValueError, OverflowError) as err:
         return RatePoint(abscissa=abscissa, rate_raw=0.0, note=str(err))
-    if protocol == "bb84":
-        raw = rate_bb84(stats, clamp=False)
-    else:
-        raw = rate_ekert(stats, clamp=False)
+    raw = (rate_bb84 if protocol == "bb84" else rate_ekert)(stats, clamp=False)
     return RatePoint(abscissa=abscissa, rate_raw=raw, stats=stats)
 
 
 def _free_source(protocol: str, param: float) -> SourceSpec:
     return Poisson(param) if protocol == "bb84" else Pdc(param)
-
-
-def _optimized_point(protocol: str, param: float, p: ChannelParams, abscissa: float, mode: str) -> RatePoint:
-    """point_rate at the free source of an optimal parameter, which it carries."""
-    point = point_rate(protocol, _free_source(protocol, param), p, abscissa, mode)
-    return RatePoint(point.abscissa, point.rate_raw, param, point.stats, point.note)
 
 
 def _free_source_box(protocol: str) -> tuple[float, float]:
@@ -350,31 +340,29 @@ _KERNEL_MATHS = _Maths(_libm(math.exp), np.tanh, np.cosh, np.log2, operator.pow)
 _ROW_MATHS = _Maths(*map(_libm, (math.exp, math.tanh, math.cosh)), _row_log2, _libm(math.pow))
 
 
-def _transmissions(
-    protocol: str, src: SourceSpec | None, p: ChannelParams, xs: np.ndarray, mode: str
-) -> np.ndarray:
-    """The transmission that point_stats computes at each abscissa of an
-    array, bit for bit: _arm_transmission's, or for a swap chain its
-    segment transmission. numpy splits the loss, with + - * / rounding as on
-    floats, and 10 ** (-dB / 10) is libm's pow."""
+def _transmissions(protocol: str, src: SourceSpec | None, p: ChannelParams, x, mode: str):
+    """The unchecked transmission at an abscissa x, a float or an array: a
+    swap chain's per segment, 10^(-loss/10), or else per arm of a bb84 link
+    or a midway two-arm one, eta 10^(-receiver dB/10) 10^(-loss/10), with
+    the abscissa's loss split equally. An array's loss splits with + - * /
+    as on floats and its pow is libm's, so every element has a float's bits.
+    """
+    power = _ROW_MATHS.power if isinstance(x, np.ndarray) else pow
     if isinstance(src, SwapChain):
-        return _ROW_MATHS.power(10.0, -span_loss_db(p, xs, mode, src.segments) / 10.0)
+        return power(10.0, -span_loss_db(p, x, mode, src.segments) / 10.0)
     arms = 1 if protocol == "bb84" else 2
-    loss = _ROW_MATHS.power(10.0, -span_loss_db(p, xs, mode, arms) / 10.0)
+    loss = power(10.0, -span_loss_db(p, x, mode, arms) / 10.0)
     return p.eta * db_to_transmission(receiver_arm_loss_db(p, arms)) * loss
 
 
 class _RateColumns(NamedTuple):
     """_rate_columns' arrays: the rate (0 where _key_rate gives 0 or ok is
-    false, and clamped on request), the signal and noise probabilities
-    (p_true and p_false for ekert), the error fraction, beta (the float 1.0
-    for ekert), and ok, where the scalar path raises no check."""
+    false, and clamped on request), the statistics class's fields in field
+    order ((p_click, e, beta) for bb84, (p_true, p_false, e) for ekert), and
+    ok, where the scalar path raises no check."""
 
     raw: np.ndarray
-    signal: np.ndarray
-    noise: np.ndarray
-    e: np.ndarray
-    beta: np.ndarray
+    stats: tuple
     ok: np.ndarray
 
 
@@ -432,10 +420,12 @@ def _rate_columns(
         checks.append(sources._sift_ok(p_sift))
         if protocol == "bb84":
             beta = (p_sift - p_m) / p_sift
-            checks.extend(sources._click_checks(p_sift, e, beta))
+            stats = (p_sift, e, beta)
+            checks.extend(sources._click_checks(*stats))
         else:
             beta = 1.0
-            checks.extend(sources._coincidence_checks(signal, noise, e))
+            stats = (signal, noise, e)
+            checks.extend(sources._coincidence_checks(*stats))
         ok = reduce(operator.and_, checks)
         live = ok & _live(e, beta)
 
@@ -446,7 +436,7 @@ def _rate_columns(
         f = ratecore._ec_line(e, *_EC_SEGMENT_COLUMNS[:, np.searchsorted(_EC_KNOT_ARRAY, e)])
         raw = 0.5 * p_sift * (secure - f * entropy)
         raw = np.where(live & (raw > 0.0) if clamp else live, raw, 0.0)
-    return _RateColumns(raw, signal, noise, e, beta, ok)
+    return _RateColumns(raw, stats, ok)
 
 
 def _free_rate_kernel(protocol: str, p: ChannelParams, alpha, param) -> np.ndarray:
@@ -579,6 +569,8 @@ def cutoff_distance(
         return dict(zip(kms, positive))
 
     lo, hi = search
+    if not (_is_real(lo) and _is_real(hi)):
+        raise ValueError(f"search bracket must be real numbers, got {search!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("search bracket must be finite")
     if not 0 <= lo < hi:
@@ -652,8 +644,8 @@ def _optimal_params(protocol: str, p: ChannelParams, xs: list[float], mode: str)
 
 
 class SweepColumns(NamedTuple):
-    """A sweep curve as columns, one entry per grid abscissa: what
-    sweep(spec, columns=True) returns, and what the CLI writes as CSV.
+    """A sweep curve as columns, one entry per grid abscissa: what sweep
+    returns, and what the CLI writes as CSV; points() gives its RatePoints.
 
     Attributes:
         protocol: The curve's protocol, which fixes its statistics class:
@@ -688,9 +680,9 @@ class SweepColumns(NamedTuple):
         ]
 
 
-def sweep(spec: SweepSpec, *, columns: bool = False) -> list[RatePoint] | SweepColumns:
-    """Evaluate a full rate curve, one RatePoint per grid abscissa, or with
-    columns true as SweepColumns.
+def sweep(spec: SweepSpec) -> SweepColumns:
+    """Evaluate a full rate curve as columns, one row per grid abscissa;
+    sweep(spec).points() gives the rows as RatePoints.
 
     Points are independent; un-evaluable points (degenerate statistics)
     become zero-rate points carrying a diagnostic note rather than aborting
@@ -712,12 +704,8 @@ def sweep(spec: SweepSpec, *, columns: bool = False) -> list[RatePoint] | SweepC
         rows = _rate_columns(protocol, src, p, t, _ROW_MATHS, optimal_param)
     except (ValueError, OverflowError):
         # a libm function raised where the scalar path raises: every row falls back
-        rows = _RateColumns(np.zeros(len(xs)), 0.0, 0.0, 0.0, 1.0, np.zeros(len(xs), dtype=bool))
-    if protocol == "bb84":
-        fields = (rows.signal + rows.noise, rows.e, rows.beta)
-    else:
-        fields = (rows.signal, rows.noise, rows.e)
-    stats = tuple(np.array(np.broadcast_to(column, abscissa.shape)) for column in fields)
+        rows = _RateColumns(np.zeros(len(xs)), (0.0, 0.0, 0.0), np.zeros(len(xs), dtype=bool))
+    stats = tuple(np.array(np.broadcast_to(column, abscissa.shape)) for column in rows.stats)
     raw, notes = rows.raw, {}
     for i in np.flatnonzero(~rows.ok).tolist():
         row_src = src if params is None else _free_source(protocol, params[i])
@@ -727,5 +715,4 @@ def sweep(spec: SweepSpec, *, columns: bool = False) -> list[RatePoint] | SweepC
             notes[i] = point.note
         for column, value in zip(stats, repeat(0.0) if point.stats is None else vars(point.stats).values()):
             column[i] = value
-    curve = SweepColumns(protocol, abscissa, raw, optimal_param, stats, notes)
-    return curve if columns else curve.points()
+    return SweepColumns(protocol, abscissa, raw, optimal_param, stats, notes)

@@ -384,7 +384,9 @@ def _pdc_false(d, B, C, D):
 
 
 def _error_fraction(signal, noise, mu):
-    return (noise / 2.0 + mu * signal) / (signal + noise)
+    # (noise / 2 + mu signal) / (signal + noise), halved last so that a
+    # subnormal noise / 2 cannot round e past 1/2 (mu < 1/2 bounds it)
+    return (noise + 2.0 * mu * signal) / (2.0 * (signal + noise))
 
 
 # Zero totals that the closed forms would divide by, as predicates: the

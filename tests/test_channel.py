@@ -78,12 +78,6 @@ class TestArmAlpha:
             float(arm_alpha(p, 50.0)), rel=1e-14
         )
 
-    def test_receiver_override(self):
-        p = ChannelParams(eta=0.5, receiver_loss_db=2.0)
-        full = float(arm_alpha_from_loss_db(p, 5.0))
-        halved = float(arm_alpha_from_loss_db(p, 5.0, receiver_loss_db=1.0))
-        assert halved == pytest.approx(full * 10 ** (1.0 / 10.0), rel=1e-12)
-
     def test_arm_loss_is_probability(self):
         with pytest.raises(ValueError):
             checked_transmission(1.5)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and configuration handling."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -555,6 +556,30 @@ class TestSweepCommand:
         assert main(["sweep", "--config", shipped_config(f"{name}.json"), "--out", str(out)]) == 0
         assert out.read_bytes() == (REFERENCE_DIR / f"{name}.csv").read_bytes()
 
+    @pytest.mark.parametrize("name", ["fig3a_fiber", "fig3b_freespace", "fig5_swaps"])
+    def test_shipped_json_sweep_matches_reference(self, tmp_path, name):
+        # the JSON rows come from SweepColumns.points(); each value must be
+        # the reference CSV's, repr for repr (json keeps a float's repr)
+        out = tmp_path / f"{name}.json"
+        config_path = shipped_config(f"{name}.json")
+        assert main(["sweep", "--config", config_path, "--out", str(out), "--format", "json"]) == 0
+        rows = json.loads(out.read_text())
+        lines = (REFERENCE_DIR / f"{name}.csv").read_text().splitlines()[1:]
+        p_dark = dark_click_prob(load_config(config_path).channel.d, BB84_DETECTORS)
+        assert len(rows) == len(lines)
+        for row, line in zip(rows, lines):
+            stats = row.get("stats")
+            if stats is None:
+                assert "note" in row, line
+                columns = ["", "", ""]
+            elif "p_click" in stats:
+                columns = [repr(stats["p_click"] - p_dark), repr(p_dark), repr(stats["e"])]
+            else:
+                columns = [repr(stats["p_true"]), repr(stats["p_false"]), repr(stats["e"])]
+            param = repr(row["optimal_param"]) if "optimal_param" in row else ""
+            values = [row["curve"], repr(row["abscissa"]), repr(row["rate_raw"]), repr(row["rate"]), param]
+            assert values + columns == line.split(","), line
+
     @pytest.mark.parametrize("name", ["fig3a_fiber", "fig3b_freespace"])
     def test_optimized_rows_match_point_rate(self, name):
         # sweep optimizes all rows in lockstep; point_rate(src=None) runs the
@@ -565,7 +590,7 @@ class TestSweepCommand:
         assert {curve.protocol for curve in optimized} == {"bb84", "ekert"}
         for curve in optimized:
             spec = cli._sweep_spec(config, curve)
-            for pt in sweep(spec):
+            for pt in sweep(spec).points():
                 ref = point_rate(curve.protocol, None, config.channel, pt.abscissa, config.mode)
                 where = f"{curve.label} @ {pt.abscissa}"
                 assert (pt.rate > 0.0) == (ref.rate > 0.0), where
@@ -599,15 +624,21 @@ def plain_sweep_csv(config, curves):
 
 def scalar_curves(config):
     """(label, points) of every curve with one scalar call per row:
-    point_rate at a fixed source, and _optimized_point at the lockstep
-    optimizer's parameters."""
+    point_rate at a fixed source, or at the free source of the lockstep
+    optimizer's parameter, which the row carries."""
     curves = []
     for curve in config.curves:
         spec = cli._sweep_spec(config, curve)
         xs, p, mode = spec.grid(), config.channel, config.mode
         if curve.source is None:
             params = protocols._optimal_params(curve.protocol, p, xs, mode)
-            points = [protocols._optimized_point(curve.protocol, v, p, x, mode) for x, v in zip(xs, params)]
+            points = [
+                dataclasses.replace(
+                    point_rate(curve.protocol, protocols._free_source(curve.protocol, v), p, x, mode),
+                    optimal_param=v,
+                )
+                for x, v in zip(xs, params)
+            ]
         else:
             points = [point_rate(curve.protocol, curve.source, p, x, mode) for x in xs]
         curves.append((curve.label, points))

@@ -1,19 +1,22 @@
 """Unit tests for rate assembly, optimization, cutoff search, and sweeps."""
 
 import dataclasses
+import fractions
 import importlib.util
 import math
 import operator
+import re
 import signal
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qkdrates import protocols
+from qkdrates import channel, protocols, sources
 from qkdrates.channel import ChannelParams
 from qkdrates.ratecore import _EC_KNOTS, _EC_SEGMENTS, _ec_line, _quadratic_bound, ec_efficiency
 from qkdrates.protocols import (
@@ -29,13 +32,11 @@ from qkdrates.protocols import (
     rate_bb84,
     rate_ekert,
     sweep,
-    _arm_transmission,
     _ROW_MATHS,
     _free_rate_kernel,
     _free_source,
     _libm,
     _optimal_params,
-    _optimized_point,
     _rate_columns,
     _transmissions,
 )
@@ -157,6 +158,36 @@ class TestPointStats:
         with pytest.raises(ValueError):
             point_stats("bb84", IdealSingle(), FIBER, 10.0, mode="length")
 
+    @pytest.mark.parametrize("abscissa", [True, False, "10", None, 1j, [10.0]], ids=repr)
+    @pytest.mark.parametrize("src", [Poisson(0.1), IdealSingle()], ids=lambda src: src.tag)
+    def test_non_real_abscissa_rejected(self, src, abscissa):
+        message = f"abscissa must be a real number, got {abscissa!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            point_stats("bb84", src, ChannelParams(), abscissa)
+        # point_rate makes it a zero-rate point, where True once rated 1 km
+        point = point_rate("bb84", src, ChannelParams(), abscissa)
+        assert (point.rate_raw, point.stats, point.note) == (0.0, None, message)
+
+    @pytest.mark.parametrize("src", [IdealEpr(), Pdc(0.2), SwapChain(2)], ids=lambda src: src.tag)
+    @pytest.mark.parametrize("mode", ["distance", "total-loss"])
+    def test_nan_abscissa_rejected_as_an_abscissa(self, src, mode):
+        with pytest.raises(ValueError, match="^abscissa must be non-negative$"):
+            point_stats("ekert", src, FIBER, math.nan, mode)
+
+    @pytest.mark.parametrize("protocol, src, name", [
+        ("bb84", Poisson(0.1), "arm"), ("ekert", IdealEpr(), "arm"), ("ekert", SwapChain(1), "segment"),
+    ], ids=["bb84", "ekert", "swap"])
+    def test_infinite_distance_on_a_lossless_fiber(self, protocol, src, name):
+        # 0 dB/km times inf km is a NaN loss, which the statistics function's
+        # transmission check now names in the note (it named the loss)
+        point = point_rate(protocol, src, ChannelParams(sigma=0.0, d=1e-6), math.inf)
+        assert (point.rate_raw, point.stats) == (0.0, None)
+        assert point.note == f"{name} transmission must lie in [0, 1], got nan"
+
+    @pytest.mark.parametrize("abscissa", [np.float64(10.0), 10, np.int64(10), fractions.Fraction(10)], ids=repr)
+    def test_real_abscissa_types_rate_as_the_float(self, abscissa):
+        assert point_stats("ekert", IdealEpr(), FIBER, abscissa) == point_stats("ekert", IdealEpr(), FIBER, 1e1)
+
 
 class TestOptimizer:
     def test_interior_stationary_point(self):
@@ -188,26 +219,29 @@ class TestOptimizer:
         assert result.zero_rate
         assert result.rate == 0.0
 
-    @pytest.mark.parametrize("protocol, free", [("bb84", Poisson), ("ekert", Pdc)])
-    def test_point_rate_without_source_is_the_optimum(self, protocol, free):
-        opt = optimize_source_param(protocol, FIBER, 10.0)
-        assert opt.rate > 0.0
-        pt = point_rate(protocol, None, FIBER, 10.0)
+    @pytest.mark.parametrize("protocol, free, p, x, mode, outcome", [
+        ("bb84", Poisson, FIBER, 10.0, "distance", "positive"),
+        ("ekert", Pdc, FIBER, 10.0, "distance", "positive"),
+        ("ekert", Pdc, FIBER, 400.0, "distance", "zero"),
+        ("bb84", Poisson, FIBER, 50.0, "distance", "zero"),
+        ("ekert", Pdc, FIBER, 12.0, "total-loss", "positive"),
+        ("bb84", Poisson, FIBER, 12.0, "total-loss", "zero"),
+        ("bb84", Poisson, ChannelParams(d=0.3), 10.0, "distance", "note"),
+    ], ids=["bb84-Poisson", "ekert-Pdc", "ekert-zero-rate", "bb84-past-cutoff", "ekert-total-loss",
+            "bb84-total-loss-zero-rate", "bb84-note"])
+    def test_point_rate_without_source_is_the_optimum(self, protocol, free, p, x, mode, outcome):
+        # a zero-rate point carries the box midpoint; ekert's raw rate is
+        # negative at 400 km, bb84's is 0 (beta < 0) past its 24 km cutoff,
+        # and four detectors at d = 0.3 leave every parameter a note
+        opt = optimize_source_param(protocol, p, x, mode)
+        assert (opt.rate > 0.0) == (outcome == "positive")
+        pt = point_rate(protocol, None, p, x, mode)
         assert pt.optimal_param == opt.param
-        assert pt == dataclasses.replace(
-            point_rate(protocol, free(opt.param), FIBER, 10.0), optimal_param=opt.param
-        )
-
-    @pytest.mark.parametrize("protocol, free, param, x, mode", [
-        ("bb84", Poisson, 0.05, 10.0, "distance"),
-        ("bb84", Poisson, 0.3, 10.0, "distance"),
-        ("ekert", Pdc, 0.2, 12.0, "total-loss"),
-        ("ekert", Pdc, 0.2, 400.0, "distance"),
-        ("ekert", Pdc, 1000.0, 10.0, "distance"),
-    ], ids=["positive", "zero", "total-loss", "negative-raw", "note"])
-    def test_optimized_point_is_point_rate_with_its_parameter(self, protocol, free, param, x, mode):
-        expected = dataclasses.replace(point_rate(protocol, free(param), FIBER, x, mode), optimal_param=param)
-        assert protocols._optimized_point(protocol, param, FIBER, x, mode) == expected
+        assert pt == dataclasses.replace(point_rate(protocol, free(opt.param), p, x, mode), optimal_param=opt.param)
+        assert (pt.stats is None) == (pt.note != "") == (outcome == "note")
+        if outcome != "positive":
+            assert pt.rate == 0.0
+            assert opt.param == 0.5 * sum(NBAR_BOX if protocol == "bb84" else CHI_BOX)
 
 
 # Devices for the kernel: the reference fiber, lossless detectors (arm
@@ -244,7 +278,7 @@ class TestFreeRateKernel:
         positive = 0
         for p in KERNEL_DEVICES:
             for x in np.linspace(0.0, KERNEL_REACH[(protocol, mode)], 31).tolist():
-                alpha = _arm_transmission(protocol, p, x, mode)
+                alpha = _transmissions(protocol, None, p, x, mode)
                 rates = _free_rate_kernel(protocol, p, alpha, params)
                 for param, got in zip(params.tolist(), rates.tolist()):
                     pt = point_rate(protocol, free(param), p, x, mode)
@@ -392,6 +426,19 @@ class TestScalarPathLayers:
         expected = ("protocols.point_rate", "protocols.point_stats") + chain + self.RATE_CHAIN
         assert calls == dict.fromkeys(expected, 1)
 
+    @pytest.mark.parametrize("protocol, src", [
+        ("bb84", IdealSingle()), ("bb84", Poisson(0.05)), ("ekert", IdealEpr()), ("ekert", Pdc(0.3)),
+        ("ekert", SwapChain(1)),
+    ], ids=["ideal-single", "poisson", "ideal-epr", "pdc", "swap"])
+    def test_point_rate_checks_its_transmission_once(self, protocol, src):
+        # one mock, wrapping the original, at both bindings: each call counts once
+        checked = mock.Mock(wraps=channel.checked_transmission)
+        with mock.patch.object(channel, "checked_transmission", checked), \
+                mock.patch.object(sources, "checked_transmission", checked):
+            point = point_rate(protocol, src, FIBER, 10.0)
+        assert point.rate > 0.0
+        assert checked.call_count == 1
+
 
 class TestCutoff:
     def test_ordering_of_ideal_sources(self):
@@ -413,6 +460,14 @@ class TestCutoff:
     def test_non_finite_bracket_rejected(self, search, src):
         with pytest.raises(ValueError, match="finite"):
             cutoff_distance("ekert", FIBER, search, src=src)
+
+    @pytest.mark.parametrize("search", [(True, 400.0), (1.0, "400"), (None, 400.0), (1.0, 1j)], ids=repr)
+    @pytest.mark.parametrize("src", [None, Poisson(0.1)], ids=repr)
+    def test_non_real_bracket_rejected(self, search, src):
+        # (True, 400.0) once bisected from 1 km to a cutoff of 66.07 km
+        message = f"search bracket must be real numbers, got {search!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            cutoff_distance("bb84", FIBER, search, src=src)
 
     @pytest.mark.parametrize("src", [IdealEpr(), None])
     def test_bracket_past_float_resolution_stops(self, src):
@@ -507,12 +562,18 @@ def _outcome(rows):
 
 def _scalar_rows(spec):
     """The rows of a sweep one scalar call at a time: point_rate at a fixed
-    source, and _optimized_point at the lockstep optimizer's parameters."""
+    source, or at the free source of the lockstep optimizer's parameter,
+    which the row carries."""
     xs = spec.grid()
     if spec.source is not None:
         return [point_rate(spec.protocol, spec.source, spec.params, x, spec.mode) for x in xs]
     params = _optimal_params(spec.protocol, spec.params, xs, spec.mode)
-    return [_optimized_point(spec.protocol, v, spec.params, x, spec.mode) for x, v in zip(xs, params)]
+    return [
+        dataclasses.replace(
+            point_rate(spec.protocol, _free_source(spec.protocol, v), spec.params, x, spec.mode), optimal_param=v
+        )
+        for x, v in zip(xs, params)
+    ]
 
 
 _DARK_COUNTS = st.one_of(
@@ -569,7 +630,7 @@ class TestSweepRows:
         protocol, src = curve
         start, step, rows = grid
         spec = SweepSpec(protocol, p, src, start, start + step * rows, step, mode)
-        assert _outcome(lambda: sweep(spec)) == _outcome(lambda: _scalar_rows(spec))
+        assert _outcome(lambda: sweep(spec).points()) == _outcome(lambda: _scalar_rows(spec))
         # the array pass must reject exactly the rows that the scalar path
         # rejects: the fallback hides a mask that is too strict
         xs = spec.grid()
@@ -596,26 +657,30 @@ class TestSweepRows:
     def test_dense_curves_bitwise(self, protocol, src, reach_km):
         for mode, stop in (("distance", reach_km), ("total-loss", FIBER.sigma * reach_km)):
             spec = SweepSpec(protocol, FIBER, src, 0.0, stop, stop / 1000.0, mode)
-            points = sweep(spec)
+            points = sweep(spec).points()
             assert sum(point.rate > 0.0 for point in points) > 100
             assert [_bits(point) for point in points] == [_bits(point) for point in _scalar_rows(spec)]
 
     def test_row_with_an_error_fraction_past_one_half_falls_back(self):
-        # at 6150 dB p_true underflows to 0 and p_false is a few subnormals, so
-        # noise / 2 rounds up and e exceeds 1/2; the array pass once let the
-        # row through, and the curve raised when its statistics were built
+        # at 6150 dB p_true underflows to 0 and p_false is a few subnormals;
+        # noise / 2 once rounded up there, so e exceeded 1/2 and the array
+        # pass let through a row whose statistics the curve then failed to build
         p = ChannelParams(sigma=0.0, eta=0.706617228814142, receiver_loss_db=9.940726124912876,
                           d=0.1263829421901956, mu=0.15607752848547005)
         step = 768.7506813590423
         spec = SweepSpec("ekert", p, SwapChain(2000), 0.0, 9 * step, step, "total-loss")
-        points = sweep(spec)
+        points = sweep(spec).points()
         assert [_bits(point) for point in points] == [_bits(point) for point in _scalar_rows(spec)]
-        assert points[8].note == "coincidence error fraction must lie in [0, 1/2]"
+        # the error fraction of pure noise is 1/2 exactly, and the row rates 0
+        assert points[8].note == ""
+        assert points[8].stats.p_true == 0.0 < points[8].stats.p_false
+        assert points[8].stats.e == 0.5
+        assert points[8].rate_raw == 0.0
 
     def test_columns_are_the_points(self):
         spec = SweepSpec("bb84", ChannelParams(d=0.0, mu=0.0, sigma=20.0), Poisson(0.1), -0.0, 40.0, 4.0)
-        curve = sweep(spec, columns=True)
-        points = sweep(spec)
+        curve = sweep(spec)
+        points = sweep(spec).points()
         assert curve.points() == points
         assert [_bits(point) for point in points] == [_bits(point) for point in _scalar_rows(spec)]
         # from 8 km on, exp(-alpha nbar) rounds to 1 and no click is left
@@ -655,7 +720,7 @@ class TestSweep:
             stop=101.0,
             step=10.0,
         )
-        points = sweep(spec)
+        points = sweep(spec).points()
         assert len(points) == 1
         direct = point_rate("ekert", IdealEpr(), FIBER, 100.0)
         assert points[0] == direct
@@ -669,7 +734,7 @@ class TestSweep:
             stop=250.0,
             step=5.0,
         )
-        rates = [pt.rate for pt in sweep(spec)]
+        rates = [pt.rate for pt in sweep(spec).points()]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
         assert rates[0] > 0.0
         assert rates[-1] == 0.0
@@ -678,7 +743,7 @@ class TestSweep:
         spec = SweepSpec(
             protocol="ekert", params=FIBER, source=None, start=25.0, stop=50.0, step=25.0
         )
-        for pt in sweep(spec):
+        for pt in sweep(spec).points():
             assert pt.optimal_param is not None
             assert 0.0 < pt.optimal_param < 1.5
 
@@ -688,7 +753,7 @@ class TestSweep:
         # before the interior rows and fall back to the grid point
         p = ChannelParams(sigma=0.2, eta=1.0, mu=0.01)
         spec = SweepSpec(protocol="bb84", params=p, source=None, start=180.0, stop=210.0, step=1.0)
-        points = sweep(spec)
+        points = sweep(spec).points()
         edge = [pt for pt in points if pt.optimal_param < 1.0001e-4]
         assert 5 <= len(edge) < len(points)
         for pt in points:
@@ -706,7 +771,7 @@ class TestSweep:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            points = sweep(spec)
+            points = sweep(spec).points()
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
@@ -744,6 +809,13 @@ class TestSweep:
             SweepSpec(
                 protocol="ekert", params=FIBER, source=None, start=start, stop=stop, step=step
             )
+
+    @pytest.mark.parametrize("field", ["start", "stop", "step"])
+    @pytest.mark.parametrize("value", [True, "5", None], ids=repr)
+    def test_non_real_grid_rejected(self, field, value):
+        bounds = {"start": 0.0, "stop": 10.0, "step": 1.0, field: value}
+        with pytest.raises(ValueError, match="must be real numbers"):
+            SweepSpec(protocol="bb84", params=FIBER, source=None, **bounds)
 
     def test_rate_point_clamps_its_raw_rate(self):
         assert RatePoint(abscissa=0.0, rate_raw=-1e-6).rate == 0.0

@@ -22,6 +22,7 @@ from qkdrates.sources import (
     SwapChain,
     _click_checks,
     _coincidence_checks,
+    _error_fraction,
     _pdc_coefficient_checks,
     _sifted_error,
     bb84_stats,
@@ -165,9 +166,22 @@ class TestPdc:
         with pytest.raises(ValueError, match="^" + re.escape(note) + "$"):
             pdc_coefficients(25.0, 0.0)
         assert point_rate("ekert", Pdc(25.0), ChannelParams(), 20000.0).note == note
-        points = sweep(SweepSpec("ekert", ChannelParams(), Pdc(25.0), 0.0, 40000.0, 10000.0))
+        points = sweep(SweepSpec("ekert", ChannelParams(), Pdc(25.0), 0.0, 40000.0, 10000.0)).points()
         assert points[0].rate > 0.0
         assert [(point.rate_raw, point.stats, point.note) for point in points[1:]] == [(0.0, None, note)] * 4
+
+
+class TestErrorFraction:
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("mu", [0.0, 0.15607752848547005, 0.4999])
+    def test_subnormal_noise_alone_errs_half_the_time(self, k, mu):
+        # halving a subnormal noise rounds; at k = 3 it once gave e = 2/3
+        assert _error_fraction(0.0, k * 5e-324, mu) == 0.5
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.4999))
+    def test_never_past_one_half(self, signal, noise, mu):
+        if signal + noise > 0.0:
+            assert 0.0 <= _error_fraction(signal, noise, mu) <= 0.5
 
 
 class TestSourceValidation:

@@ -32,6 +32,8 @@ class ChannelParams:
         receiver_loss_per_arm: If true (default), eta and receiver_loss_db
             apply once per receiving arm; if false, the receiver loss dB is
             split evenly across the arms of a two-arm setup.
+
+    A numeric field must be a real number, not a bool, and the flag a bool.
     """
 
     sigma: float = 0.2
@@ -42,6 +44,12 @@ class ChannelParams:
     receiver_loss_per_arm: bool = True
 
     def __post_init__(self):
+        for name in ("sigma", "eta", "receiver_loss_db", "d", "mu"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        if type(self.receiver_loss_per_arm) is not bool:
+            raise ValueError(f"receiver_loss_per_arm must be a bool, got {self.receiver_loss_per_arm!r}")
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError("sigma must be non-negative and finite")
         if not 0.0 < self.eta <= 1.0:
@@ -100,6 +108,11 @@ def _is_real(value) -> bool:
     return type(value) is float or (not isinstance(value, bool) and isinstance(value, numbers.Real))
 
 
+def _is_integer(value) -> bool:
+    """Whether the value is an integer, numpy's included: a bool is not."""
+    return type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
+
+
 def checked_transmission(value, name: str = "arm transmission") -> float:
     """The value as a float, after checking that it is a real number in [0, 1].
 
@@ -130,8 +143,6 @@ def arm_alpha_from_loss_db(p: ChannelParams, loss_db: float) -> float:
     """Detection probability for one photon down one arm that loses loss_db:
     eta * 10^(-receiver_loss_db/10) * 10^(-loss_db/10). The rate path's arm
     transmissions, which may split the receiver loss, are protocols'."""
-    if not loss_db >= 0:
-        raise ValueError(f"loss must be non-negative, got {loss_db}")
     return checked_transmission(p.eta * db_to_transmission(p.receiver_loss_db) * db_to_transmission(loss_db))
 
 
@@ -143,9 +154,7 @@ def dark_click_prob(d: float, detectors: int) -> float:
     must be an integer, numpy's included, but not a bool.
     """
     # an exact int, the rate path's case, pays only the type test
-    if type(detectors) is not int and (
-        isinstance(detectors, bool) or not isinstance(detectors, numbers.Integral)
-    ):
+    if type(detectors) is not int and not _is_integer(detectors):
         raise ValueError(f"detector count must be an integer, got {detectors!r}")
     if detectors < 1:
         raise ValueError("detector count must be at least 1")

@@ -20,6 +20,7 @@ from .protocols import (
     RatePoint,
     SweepColumns,
     SweepSpec,
+    _check_request,
     _free_source,
     cutoff_distance,
     optimize_source_param,
@@ -31,7 +32,6 @@ from .sources import (
     ClickStats,
     CoincidenceStats,
     SourceSpec,
-    check_source,
     json_value,
     parse_source,
     read_block,
@@ -172,7 +172,6 @@ def _parse_config(raw) -> RunConfig:
             if "source" in spec:
                 raise ValueError("a source block names its kind under 'type', not 'source'")
             src = parse_source({"source": spec.pop("type", None), **spec})
-        check_source(c["protocol"], src)
         label = c["protocol"] if c["label"] is None else c["label"]
         curves.append(CurveSpec(label=label, protocol=c["protocol"], source=src))
     labels = [c.label for c in curves]
@@ -189,8 +188,6 @@ def _parse_config(raw) -> RunConfig:
     else:
         mode = "distance" if "distance_km" in top["point"] else "total-loss"
         point = read_block(top["point"], _POINT_KEYS[mode], "point")["x"]
-        if point < 0:
-            raise ValueError("point abscissa must be non-negative")
         grid = None
 
     margins = read_block(top["security"], _SECURITY_KEYS, "security")
@@ -208,8 +205,11 @@ def _parse_config(raw) -> RunConfig:
         n_tot=n_tot,
         cutoff_search=(cutoff["low"], cutoff["high"]),
     )
-    if config.grid is not None:
-        _sweep_spec(config, config.curves[0])
+    for curve in config.curves:
+        if config.grid is None:
+            _check_request(curve.protocol, curve.source, mode, point)
+        else:
+            _sweep_spec(config, curve)
     return config
 
 

@@ -19,7 +19,6 @@ a and b; lost photons exist only as the loss codes of _loss_expansion.
 from __future__ import annotations
 
 import math
-import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +26,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .channel import checked_transmission
+from .channel import _is_integer, checked_transmission
 from .sources import PdcCoefficients
 
 __all__ = [
@@ -57,12 +56,7 @@ _RESIDUAL_TOL = 1e-10
 
 def _is_count(k) -> bool:
     """True for a non-negative integer, numpy's included, but not a bool."""
-    if isinstance(k, bool):
-        return False
-    try:
-        return operator.index(k) >= 0
-    except TypeError:
-        return False
+    return _is_integer(k) and k >= 0
 
 
 def _check_pump(chi: float, n_max: int) -> None:

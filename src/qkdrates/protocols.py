@@ -91,6 +91,22 @@ _EC_SEGMENT_COLUMNS = np.array(ratecore._EC_SEGMENTS).T
 _CUTOFF_DEPTH = 4
 
 
+def _check_request(protocol: str, src: SourceSpec | None, mode: str, *abscissas) -> None:
+    """The one rule for a rate request: a ValueError names an unknown protocol
+    or a source it cannot use (check_source), a mode outside SWEEP_MODES, or
+    an abscissa that is not a real number, non-negative and finite."""
+    check_source(protocol, src)
+    if mode not in SWEEP_MODES:
+        raise ValueError(f"unknown sweep mode {mode!r}; expected one of {SWEEP_MODES}")
+    for x in abscissas:
+        # an exact float, the rate path's case, pays only the type test
+        if type(x) is not float and not _is_real(x):
+            raise ValueError(f"abscissa must be a real number, got {x!r}")
+        if not 0.0 <= x < math.inf:
+            rule = "finite" if x == math.inf else "non-negative"
+            raise ValueError(f"abscissa must be {rule}, got {x}")
+
+
 @dataclass(frozen=True)
 class RatePoint:
     """One evaluated abscissa of a rate curve.
@@ -120,8 +136,9 @@ class RatePoint:
 class SweepSpec:
     """A rate curve request: protocol, channel, source, and abscissa grid.
 
-    The source may be None, meaning the free parameter (Poisson nbar or
-    PDC chi) is optimized independently at every grid point.
+    A None source has its free parameter (Poisson nbar or PDC chi)
+    optimized at every grid point. Past _check_request (the step too), the
+    grid needs start < stop, step > 0 and at most MAX_SWEEP_ROWS rows.
     """
 
     protocol: str
@@ -133,16 +150,7 @@ class SweepSpec:
     mode: str = "distance"
 
     def __post_init__(self):
-        check_source(self.protocol, self.source)
-        if self.mode not in SWEEP_MODES:
-            raise ValueError(f"unknown sweep mode {self.mode!r}; expected one of {SWEEP_MODES}")
-        bounds = (self.start, self.stop, self.step)
-        if not all(map(_is_real, bounds)):
-            raise ValueError(f"sweep start, stop and step must be real numbers, got {bounds!r}")
-        if not all(math.isfinite(v) for v in bounds):
-            raise ValueError("sweep start, stop and step must be finite")
-        if self.start < 0:
-            raise ValueError("sweep start must be non-negative")
+        _check_request(self.protocol, self.source, self.mode, self.start, self.stop, self.step)
         if not self.start < self.stop:
             raise ValueError("sweep start must be below stop")
         if self.step <= 0:
@@ -214,17 +222,10 @@ def point_stats(
     In distance mode the abscissa is the Alice-to-Bob separation in km, with
     two-arm sources placed midway. In total-loss mode it is the summed
     channel loss in dB. Either is split equally over the arms or segments.
-    The abscissa must be a real number, not a bool, and non-negative; the
-    statistics function checks the transmission.
+    _check_request checks the request, the statistics function the
+    transmission.
     """
-    check_source(protocol, src)
-    if mode not in SWEEP_MODES:
-        raise ValueError(f"unknown sweep mode {mode!r}; expected one of {SWEEP_MODES}")
-    # an exact float, the rate path's case, pays only the type test
-    if type(abscissa) is not float and not _is_real(abscissa):
-        raise ValueError(f"abscissa must be a real number, got {abscissa!r}")
-    if not abscissa >= 0:
-        raise ValueError("abscissa must be non-negative")
+    _check_request(protocol, src, mode, abscissa)
     t = _transmissions(protocol, src, p, abscissa, mode)
     if isinstance(src, SwapChain):
         return swap_stats_from_segment(src, t, p)
@@ -245,18 +246,18 @@ def point_rate(
     """Evaluate one curve point for a fixed source, or with src None at the
     free source of optimize_source_param's parameter, which it carries as
     optimal_param (the box midpoint where no parameter gives a positive
-    rate). A point whose statistics cannot be computed, or overflow, is a
-    zero-rate point whose note is the error."""
-    if src is None:
-        param = optimize_source_param(protocol, p, abscissa, mode).param
-        point = point_rate(protocol, _free_source(protocol, param), p, abscissa, mode)
-        return RatePoint(point.abscissa, point.rate_raw, param, point.stats, point.note)
+    rate). It never raises: a malformed request (no optimal_param) or
+    failed or overflowing statistics give a zero-rate point noting why."""
+    param = None
     try:
+        if src is None:
+            param = optimize_source_param(protocol, p, abscissa, mode).param
+            src = _free_source(protocol, param)
         stats = point_stats(protocol, src, p, abscissa, mode)
     except (ValueError, OverflowError) as err:
-        return RatePoint(abscissa=abscissa, rate_raw=0.0, note=str(err))
+        return RatePoint(abscissa, 0.0, param, note=str(err))
     raw = (rate_bb84 if protocol == "bb84" else rate_ekert)(stats, clamp=False)
-    return RatePoint(abscissa=abscissa, rate_raw=raw, stats=stats)
+    return RatePoint(abscissa, raw, param, stats)
 
 
 def _free_source(protocol: str, param: float) -> SourceSpec:
@@ -467,8 +468,9 @@ def optimize_source_param(
     golden-section search refines it to a relative tolerance of 1e-4. If the
     rate vanishes over the whole grid the result is rate 0 at the box
     midpoint; otherwise its rate is at least the grid maximum, so zero_rate
-    tells the two cases apart.
+    tells the two cases apart. _check_request rejects a malformed request.
     """
+    _check_request(protocol, None, mode, abscissa)
     lo, hi = _free_source_box(protocol)
 
     def objective(param: float) -> float:
@@ -554,8 +556,8 @@ def cutoff_distance(
     Args:
         protocol: Protocol tag.
         p: Channel parameters.
-        search: (low, high) finite bracket in km; the rate must be positive
-            at low and zero at high.
+        search: (low, high) bracket in km, ends that pass _check_request,
+            low below high; the rate must be positive at low, zero at high.
         src: Fixed source, or None to optimize the free parameter per point.
 
     Returns:
@@ -569,12 +571,9 @@ def cutoff_distance(
         return dict(zip(kms, positive))
 
     lo, hi = search
-    if not (_is_real(lo) and _is_real(hi)):
-        raise ValueError(f"search bracket must be real numbers, got {search!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("search bracket must be finite")
-    if not 0 <= lo < hi:
-        raise ValueError("search bracket must satisfy 0 <= low < high")
+    _check_request(protocol, src, "distance", lo, hi)
+    if not lo < hi:
+        raise ValueError("search bracket must satisfy low < high")
     depth = _CUTOFF_DEPTH if src is None else 1
     positive = probe([lo, hi] + _bisection_midpoints(lo, hi, depth - 1))
     if not positive[lo]:

@@ -10,7 +10,6 @@ privacy-amplification entropy bound over a concrete universal hash family.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import random
 import sys
@@ -19,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .channel import _is_integer
 from .ratecore import binary_entropy, ec_efficiency, tau_multiphoton
 
 __all__ = [
@@ -43,7 +43,7 @@ _LN2 = math.log(2.0)
 def _integer(value, name: str) -> int:
     """The value as a Python int, for an integer, numpy's included, but not
     a bool; a ValueError naming the value for anything else."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
 

@@ -9,13 +9,14 @@ sources.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import typing
 from dataclasses import MISSING, dataclass, fields
 
 from .channel import (
     ChannelParams,
+    _is_integer,
+    _is_real,
     checked_transmission,
     dark_click_prob,
     db_to_transmission,
@@ -66,6 +67,9 @@ class Poisson:
     tag = "poisson"
 
     def __post_init__(self):
+        # an exact float, the optimizer's case, pays only the type test
+        if type(self.nbar) is not float and not _is_real(self.nbar):
+            raise ValueError(f"nbar must be a real number, got {self.nbar!r}")
         if not 0.0 < self.nbar < math.inf:
             raise ValueError("mean photon number must be positive and finite")
 
@@ -77,6 +81,15 @@ class IdealEpr:
     tag = "ideal-epr"
 
 
+def _check_chi(chi) -> None:
+    """Reject a pump parameter that is not a positive, finite real number."""
+    # an exact float, the rate path's case, pays only the type test
+    if type(chi) is not float and not _is_real(chi):
+        raise ValueError(f"chi must be a real number, got {chi!r}")
+    if not 0.0 < chi < math.inf:
+        raise ValueError("pump parameter must be positive and finite")
+
+
 @dataclass(frozen=True)
 class Pdc:
     """Parametric down-conversion source with pump parameter chi."""
@@ -85,8 +98,7 @@ class Pdc:
     tag = "pdc"
 
     def __post_init__(self):
-        if not 0.0 < self.chi < math.inf:
-            raise ValueError("pump parameter must be positive and finite")
+        _check_chi(self.chi)
 
 
 @dataclass(frozen=True)
@@ -106,10 +118,12 @@ class SwapChain:
     tag = "swap"
 
     def __post_init__(self):
-        if isinstance(self.n_swaps, bool) or not isinstance(self.n_swaps, numbers.Integral):
+        if not _is_integer(self.n_swaps):
             raise ValueError(f"swap count must be an integer, got {self.n_swaps!r}")
         if self.n_swaps < 1:
             raise ValueError("swap chain needs at least one swap")
+        if type(self.literal_exponent) is not bool:
+            raise ValueError(f"literal_exponent must be a bool, got {self.literal_exponent!r}")
 
     @property
     def segments(self) -> int:
@@ -460,8 +474,7 @@ def pdc_coefficients(chi: float, alpha_half: float) -> PdcCoefficients:
         C = 2 alpha (1 - alpha) tanh^2(chi) / (cosh^4(chi) (1 - z)^3)
         D = 4 alpha^2 (1 - alpha)^2 tanh^4(chi) / (cosh^4(chi) (1 - z)^4)
     """
-    if not 0.0 < chi < math.inf:
-        raise ValueError("pump parameter must be positive and finite")
+    _check_chi(chi)
     a = checked_transmission(alpha_half)
     t2, c4 = math.tanh(chi) ** 2, math.cosh(chi) ** 4
     if _one_minus_z(a, t2, pow) == 0.0:

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qkdrates import fockoracle, security
 from qkdrates.channel import (
     ChannelParams,
+    _is_integer,
     arm_alpha,
     arm_alpha_from_loss_db,
     checked_transmission,
@@ -17,6 +19,7 @@ from qkdrates.channel import (
     db_to_transmission,
     fiber_transmission,
 )
+from qkdrates.sources import SwapChain
 
 
 class TestTransmission:
@@ -123,6 +126,26 @@ class TestDarkClicks:
         assert dark_click_prob(5e-5, np.int64(4)) == dark_click_prob(5e-5, 4)
 
 
+def _accepts(call, value) -> bool:
+    try:
+        call(value)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("value, integer", [
+    (2, True), (np.int64(2), True), (True, False), (2.0, False), ("2", False), (None, False),
+], ids=repr)
+def test_every_integer_site_takes_the_same_integers(value, integer):
+    # each site once spelt out its own integer test; they share _is_integer
+    assert _is_integer(value) == integer
+    assert _accepts(lambda v: security._integer(v, "count"), value) == integer
+    assert fockoracle._is_count(value) == integer
+    assert _accepts(SwapChain, value) == integer
+    assert _accepts(lambda v: dark_click_prob(0.0, v), value) == integer
+
+
 class TestChannelParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -143,6 +166,25 @@ class TestChannelParams:
     def test_non_finite_loss_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be non-negative and finite"):
             ChannelParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["sigma", "eta", "receiver_loss_db", "d", "mu"])
+    @pytest.mark.parametrize("value", [True, "0.2", None], ids=repr)
+    def test_non_real_field_rejected(self, field, value):
+        # True once passed as 1, and "0.2" raised a bare TypeError
+        message = f"{field} must be a real number, got {value!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ChannelParams(**{field: value})
+
+    @pytest.mark.parametrize("value", ["no", 1, None], ids=repr)
+    def test_non_bool_flag_rejected(self, value):
+        # "no" was once true
+        message = f"receiver_loss_per_arm must be a bool, got {value!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ChannelParams(receiver_loss_per_arm=value)
+
+    def test_numpy_and_integer_fields_accepted(self):
+        p = ChannelParams(sigma=np.float64(0.2), eta=1, receiver_loss_db=np.int64(1), d=0, mu=0.01)
+        assert p == ChannelParams(sigma=0.2, eta=1.0, receiver_loss_db=1.0, d=0.0, mu=0.01)
 
     def test_defaults_are_lossless(self):
         p = ChannelParams()

@@ -171,18 +171,18 @@ class TestPointStats:
     @pytest.mark.parametrize("src", [IdealEpr(), Pdc(0.2), SwapChain(2)], ids=lambda src: src.tag)
     @pytest.mark.parametrize("mode", ["distance", "total-loss"])
     def test_nan_abscissa_rejected_as_an_abscissa(self, src, mode):
-        with pytest.raises(ValueError, match="^abscissa must be non-negative$"):
+        with pytest.raises(ValueError, match="^abscissa must be non-negative, got nan$"):
             point_stats("ekert", src, FIBER, math.nan, mode)
 
-    @pytest.mark.parametrize("protocol, src, name", [
-        ("bb84", Poisson(0.1), "arm"), ("ekert", IdealEpr(), "arm"), ("ekert", SwapChain(1), "segment"),
+    @pytest.mark.parametrize("protocol, src", [
+        ("bb84", Poisson(0.1)), ("ekert", IdealEpr()), ("ekert", SwapChain(1)),
     ], ids=["bb84", "ekert", "swap"])
-    def test_infinite_distance_on_a_lossless_fiber(self, protocol, src, name):
-        # 0 dB/km times inf km is a NaN loss, which the statistics function's
-        # transmission check now names in the note (it named the loss)
+    def test_infinite_distance_on_a_lossless_fiber(self, protocol, src):
+        # 0 dB/km times inf km would be a NaN loss, whose note blamed the
+        # transmission ("got nan"); the infinite abscissa is rejected first
         point = point_rate(protocol, src, ChannelParams(sigma=0.0, d=1e-6), math.inf)
         assert (point.rate_raw, point.stats) == (0.0, None)
-        assert point.note == f"{name} transmission must lie in [0, 1], got nan"
+        assert point.note == "abscissa must be finite, got inf"
 
     @pytest.mark.parametrize("abscissa", [np.float64(10.0), 10, np.int64(10), fractions.Fraction(10)], ids=repr)
     def test_real_abscissa_types_rate_as_the_float(self, abscissa):
@@ -455,17 +455,23 @@ class TestCutoff:
         with pytest.raises(ValueError, match="zero at the lower"):
             cutoff_distance("ekert", FIBER, (300.0, 400.0), src=IdealEpr())
 
-    @pytest.mark.parametrize("search", [(1.0, math.inf), (-math.inf, 400.0), (math.nan, 400.0), (1.0, math.nan)])
+    @pytest.mark.parametrize("search, message", [
+        ((1.0, math.inf), "abscissa must be finite, got inf"),
+        ((-math.inf, 400.0), "abscissa must be non-negative, got -inf"),
+        ((math.nan, 400.0), "abscissa must be non-negative, got nan"),
+        ((1.0, math.nan), "abscissa must be non-negative, got nan"),
+    ], ids=["search0", "search1", "search2", "search3"])
     @pytest.mark.parametrize("src", [None, IdealEpr()])
-    def test_non_finite_bracket_rejected(self, search, src):
-        with pytest.raises(ValueError, match="finite"):
+    def test_non_finite_bracket_rejected(self, search, message, src):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             cutoff_distance("ekert", FIBER, search, src=src)
 
     @pytest.mark.parametrize("search", [(True, 400.0), (1.0, "400"), (None, 400.0), (1.0, 1j)], ids=repr)
     @pytest.mark.parametrize("src", [None, Poisson(0.1)], ids=repr)
     def test_non_real_bracket_rejected(self, search, src):
         # (True, 400.0) once bisected from 1 km to a cutoff of 66.07 km
-        message = f"search bracket must be real numbers, got {search!r}"
+        non_real = next(end for end in search if type(end) is not float)
+        message = f"abscissa must be a real number, got {non_real!r}"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             cutoff_distance("bb84", FIBER, search, src=src)
 
@@ -538,6 +544,78 @@ class TestCutoff:
         # the edges and the 11 steps from a 999 km bracket down to 0.5 km
         cutoff_distance("ekert", FIBER, (1.0, 1000.0), src=IdealEpr())
         assert calls == {"point_rate": 13}
+
+
+# Every rate entry point as (protocol, src, mode, abscissa) -> result, with
+# whether it takes a source and a mode. A cutoff's abscissa is its lower
+# search edge, a sweep's its start.
+_ENTRY_POINTS = {
+    "point_stats": (lambda protocol, src, mode, x: point_stats(protocol, src, FIBER, x, mode), True, True),
+    "point_rate": (lambda protocol, src, mode, x: point_rate(protocol, src, FIBER, x, mode), True, True),
+    "point_rate-free": (lambda protocol, src, mode, x: point_rate(protocol, None, FIBER, x, mode), False, True),
+    "optimize_source_param": (lambda protocol, src, mode, x: optimize_source_param(protocol, FIBER, x, mode),
+                              False, True),
+    "cutoff_distance-free": (lambda protocol, src, mode, x: cutoff_distance(protocol, FIBER, (x, 400.0)),
+                             False, False),
+    "cutoff_distance-fixed": (lambda protocol, src, mode, x: cutoff_distance(protocol, FIBER, (x, 400.0), src),
+                              True, False),
+    "SweepSpec": (lambda protocol, src, mode, x: SweepSpec(protocol, FIBER, src, x, 50.0, 1.0, mode), True, True),
+}
+_VALID_REQUEST = ("bb84", Poisson(0.1), "distance", 1.0)
+# (id, what replaces the valid request's protocol, source, mode or
+# abscissa, the message); a malformed source needs an entry point that
+# takes one, and a malformed mode one that takes a mode.
+_MALFORMED_REQUESTS = [
+    ("unknown-protocol", {"protocol": "bb85"}, "unknown protocol 'bb85'; expected one of ('bb84', 'ekert')"),
+    ("mismatched-source", {"protocol": "ekert"}, "source 'poisson' does not serve protocol 'ekert'"),
+    ("unknown-mode", {"mode": "bogus"}, "unknown sweep mode 'bogus'; expected one of ('distance', 'total-loss')"),
+    ("bool", {"x": True}, "abscissa must be a real number, got True"),
+    ("str", {"x": "10"}, "abscissa must be a real number, got '10'"),
+    ("None", {"x": None}, "abscissa must be a real number, got None"),
+    ("nan", {"x": math.nan}, "abscissa must be non-negative, got nan"),
+    ("negative", {"x": -1.0}, "abscissa must be non-negative, got -1.0"),
+    ("infinite", {"x": math.inf}, "abscissa must be finite, got inf"),
+]
+
+
+class TestRequestRule:
+    """Every rate entry point rejects a malformed request the same way:
+    point_rate with a zero-rate point whose note is the error, the others
+    with the ValueError."""
+
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    def test_valid_request_passes(self, entry):
+        call = _ENTRY_POINTS[entry][0]
+        result = call(*_VALID_REQUEST)
+        if isinstance(result, RatePoint):
+            assert result.note == "" and result.rate > 0.0
+
+    @pytest.mark.parametrize("entry, change, message", [
+        pytest.param(entry, change, message, id=f"{entry}-{case}")
+        for entry, (_, takes_source, takes_mode) in _ENTRY_POINTS.items()
+        for case, change, message in _MALFORMED_REQUESTS
+        if (takes_source or case != "mismatched-source") and (takes_mode or case != "unknown-mode")
+    ])
+    def test_malformed_request_names_its_cause(self, entry, change, message):
+        call = _ENTRY_POINTS[entry][0]
+        request = dict(zip(("protocol", "src", "mode", "x"), _VALID_REQUEST), **change)
+        if entry.startswith("point_rate"):
+            point = call(**request)
+            assert (point.rate_raw, point.optimal_param, point.stats) == (0.0, None, None)
+            assert point.note == message
+        else:
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                call(**request)
+
+    def test_unknown_protocol_has_no_cutoff(self):
+        # "bb85" once bisected to the PDC Ekert cutoff, 160.3662109375 km
+        with pytest.raises(ValueError, match="^unknown protocol 'bb85'"):
+            cutoff_distance("bb85", FIBER, (1.0, 400.0))
+
+    def test_mismatched_cutoff_source_is_named(self):
+        # once "rate is zero at the lower search edge 1.0 km"
+        with pytest.raises(ValueError, match="^source 'poisson' does not serve protocol 'ekert'$"):
+            cutoff_distance("ekert", FIBER, (1.0, 400.0), Poisson(0.1))
 
 
 def _bits(point):
@@ -814,7 +892,8 @@ class TestSweep:
     @pytest.mark.parametrize("value", [True, "5", None], ids=repr)
     def test_non_real_grid_rejected(self, field, value):
         bounds = {"start": 0.0, "stop": 10.0, "step": 1.0, field: value}
-        with pytest.raises(ValueError, match="must be real numbers"):
+        message = f"abscissa must be a real number, got {value!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             SweepSpec(protocol="bb84", params=FIBER, source=None, **bounds)
 
     def test_rate_point_clamps_its_raw_rate(self):

@@ -191,6 +191,23 @@ class TestSourceValidation:
         with pytest.raises(ValueError, match="must be positive and finite"):
             build(value)
 
+    @pytest.mark.parametrize("build, name", [
+        (Poisson, "nbar"), (Pdc, "chi"), (lambda chi: pdc_coefficients(chi, 0.5), "chi"),
+    ], ids=["poisson", "pdc", "pdc_coefficients"])
+    @pytest.mark.parametrize("value", [True, "1", None], ids=repr)
+    def test_non_real_parameter_rejected(self, build, name, value):
+        # True once passed as 1, and "1" raised a bare TypeError
+        message = f"{name} must be a real number, got {value!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            build(value)
+
+    @pytest.mark.parametrize("value", ["yes", 1, None], ids=repr)
+    def test_non_bool_literal_exponent_rejected(self, value):
+        # "yes" was once true
+        message = f"literal_exponent must be a bool, got {value!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            SwapChain(1, literal_exponent=value)
+
     @pytest.mark.parametrize("n_swaps", [1.5, 2.0, True, False, "1", None], ids=repr)
     def test_non_integer_swap_count_rejected(self, n_swaps):
         with pytest.raises(ValueError, match="swap count must be an integer, got " + re.escape(repr(n_swaps))):

@@ -64,11 +64,12 @@ class ChannelParams:
 
 def fiber_transmission(sigma: float, length: float) -> float:
     """Fiber transmission 10^(-sigma L / 10) over a length in km, for a loss
-    coefficient sigma in dB/km; both must be non-negative and finite."""
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError(f"loss coefficient must be non-negative and finite, got {sigma}")
-    if not 0.0 <= length < math.inf:
-        raise ValueError(f"length must be non-negative and finite, got {length}")
+    coefficient sigma in dB/km; both must be non-negative, finite real
+    numbers (a bool or str is not)."""
+    if not (_is_real(sigma) and 0.0 <= sigma < math.inf):
+        raise ValueError(f"loss coefficient must be non-negative and finite, got {sigma!r}")
+    if not (_is_real(length) and 0.0 <= length < math.inf):
+        raise ValueError(f"length must be non-negative and finite, got {length!r}")
     return 10.0 ** (-sigma * length / 10.0)
 
 
@@ -133,9 +134,10 @@ def arm_alpha(p: ChannelParams, length: float) -> float:
 
     Combines detector efficiency, the fixed receiver-unit loss, and fiber
     transmission: alpha = eta * 10^(-receiver_loss_db/10) * T_F(length).
+    The length must be a non-negative real number (a bool or str is not).
     """
-    if not length >= 0:
-        raise ValueError(f"length must be non-negative, got {length}")
+    if not (_is_real(length) and length >= 0):
+        raise ValueError(f"length must be non-negative, got {length!r}")
     return arm_alpha_from_loss_db(p, span_loss_db(p, length, "distance", 1))
 
 

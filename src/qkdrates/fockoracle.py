@@ -4,10 +4,10 @@ Expands the two-mode-squeezed pair state exactly up to a pair-count cap,
 pushes every photon through a beamsplitter loss channel, and reconstructs
 the polarization density matrices of the kept photons as a dict from each
 kept-photon sector (i, j) to its matrix. sector_densities lays the
-expansion out once per state and yields one such dict per transmission;
-every matrix is checked to be a density matrix on the blocks of its
-connected components, where two columns are joined when one loss
-occupation populates both.
+expansion out once per ket set, for every state that shares it, and yields
+one such dict per (state, transmission); every matrix is checked to be a
+density matrix on the blocks of its connected components, where two columns
+are joined when one loss occupation populates both.
 This is an independent check of the closed-form source coefficients and of
 the claim that erasing coherences between photon-number sectors cannot
 change any detection statistics.
@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .channel import _is_integer, checked_transmission
+from .channel import _is_integer, _is_real, checked_transmission
 from .sources import PdcCoefficients
 
 __all__ = [
@@ -60,9 +60,10 @@ def _is_count(k) -> bool:
 
 
 def _check_pump(chi: float, n_max: int) -> None:
-    """Reject a pump parameter that is not positive and finite, or a pair
-    truncation that is not an integer of at least 1."""
-    if not 0.0 < chi < math.inf:
+    """Reject a pump parameter that is not a positive, finite real number (a
+    bool or str is not), or a pair truncation that is not an integer of at
+    least 1."""
+    if not (_is_real(chi) and 0.0 < chi < math.inf):
         raise ValueError(f"pump parameter must be positive and finite, got {chi!r}")
     if not _is_count(n_max) or n_max < 1:
         raise ValueError(f"pair truncation must be an integer of at least 1, got {n_max!r}")
@@ -158,16 +159,15 @@ def _split_amplitudes(n: int, alpha: float) -> np.ndarray:
 
 
 class _Expansion(NamedTuple):
-    """A state's loss expansion before any transmission is chosen.
+    """The loss expansion of a ket set before any transmission is chosen.
 
-    Entry k is the ket ket[k] with kept occupation (k_ax, k_ay, k_bx, k_by)
-    kept[k] and lost counts numbered codes[k], below radix^4. Its
-    beamsplitter factor takes mode m's split amplitude from entry split[m, k]
-    of _loss_factors' flat (radix, radix) table. amps holds the state's
-    amplitudes in ket order.
+    Entry k is ket number ket[k] of the set, with kept occupation (k_ax,
+    k_ay, k_bx, k_by) kept[k] and lost counts numbered codes[k], below
+    radix^4. Its beamsplitter factor takes mode m's split amplitude from
+    entry split[m, k] of _loss_factors' flat (radix, radix) table. Nothing in
+    it depends on the amplitudes, so every state on the ket set shares it.
     """
 
-    amps: np.ndarray
     ket: np.ndarray
     split: np.ndarray
     codes: np.ndarray
@@ -175,15 +175,15 @@ class _Expansion(NamedTuple):
     radix: int
 
 
-def _expand_kets(state: FockVector) -> _Expansion:
-    """Every (ket, kept occupation) entry of the state, for any transmission.
+def _expand_kets(kets: list) -> _Expansion:
+    """Every (ket, kept occupation) entry of a ket set, for any transmission.
 
     All kets expand together, one mode at a time: each entry with n
     photons in mode m splits into the n + 1 entries that keep k = 0..n of
-    them, in that order. The entries thus follow the state's kets and, within
-    a ket, its kept counts in C order, last mode fastest.
+    them, in that order. The entries thus follow the kets and, within a ket,
+    its kept counts in C order, last mode fastest.
     """
-    occs = np.array(list(state.amps), dtype=np.int64)
+    occs = np.array(kets, dtype=np.int64)
     radix = 1 + int(occs.max())
     ket = np.arange(len(occs))
     codes = np.zeros(len(occs), dtype=np.int64)
@@ -198,8 +198,12 @@ def _expand_kets(state: FockVector) -> _Expansion:
         kept = [column[parent] for column in kept] + [k]
         split = [column[parent] for column in split] + [n * radix + k]
         ket = ket[parent]
-    amps = np.array(list(state.amps.values()))
-    return _Expansion(amps, ket, np.stack(split), codes, np.stack(kept, axis=1), radix)
+    return _Expansion(ket, np.stack(split), codes, np.stack(kept, axis=1), radix)
+
+
+def _amplitudes(state: FockVector, kets: list) -> np.ndarray:
+    """The state's amplitudes in the order of kets, which must be its ket set."""
+    return np.array([state.amps[occ] for occ in kets])
 
 
 def _loss_factors(expansion: _Expansion, alpha: float) -> np.ndarray:
@@ -226,10 +230,11 @@ def _loss_expansion(state: FockVector, alpha: float) -> tuple:
     different loss codes can never interfere once the lost photons are traced
     out: each code labels an independent pure component.
     """
-    expansion = _expand_kets(state)
+    kets = list(state.amps)
+    expansion = _expand_kets(kets)
     factor = _loss_factors(expansion, alpha)
     nonzero = np.flatnonzero(factor)
-    amps = expansion.amps[expansion.ket[nonzero]] * factor[nonzero]
+    amps = _amplitudes(state, kets)[expansion.ket[nonzero]] * factor[nonzero]
     return expansion.codes[nonzero], expansion.kept[nonzero], amps
 
 
@@ -323,44 +328,63 @@ def _column_components(run: np.ndarray, column: np.ndarray) -> np.ndarray:
         label = spread
 
 
-def sector_densities(state: FockVector, alphas) -> Iterator[dict]:
-    """Push the state through equal per-arm loss at each transmission in turn
-    and trace out the lost photons; yields one apply_loss_and_trace dict per
-    transmission, in order.
+def sector_densities(states, alphas) -> Iterator[dict]:
+    """Push each state through equal per-arm loss at each transmission in
+    turn and trace out the lost photons; yields one apply_loss_and_trace dict
+    per (state, transmission), state-major: every transmission of the first
+    state in order, then of the next.
 
-    The expansion of the state's kets is built once for all transmissions,
-    and the layout of each distinct pattern of nonzero beamsplitter factors
-    (_sector_layout) once per pattern: alpha 0, alpha 1 and an alpha whose
-    factors underflow each drop other entries. Nothing outlives the call.
-    A transmission then costs its factors, one scatter into V, one matmul
-    per sector and one density check per block size.
+    The states must share one ket set, as build_pdc_state gives at one
+    n_max for any pump parameter; only their amplitudes differ. The
+    expansion of the kets is built once for every state and transmission,
+    the beamsplitter factors once per transmission, and the layout of each
+    distinct pattern of nonzero factors (_sector_layout) once per pattern:
+    alpha 0, alpha 1 and an alpha whose factors underflow each drop other
+    entries. Nothing outlives the call, and only one (state, transmission)'s
+    densities are built at a time. Each costs its amplitudes, one scatter
+    into V, one matmul per sector and one density check per block size.
+
+    Args:
+        states: FockVectors on one ket set, e.g. (state,) for one state.
+        alphas: Shared arm transmissions.
 
     Raises:
         ValueError: Before anything is yielded, if a transmission is not a
-            real number in [0, 1].
+            real number in [0, 1] or the states' ket sets differ.
     """
+    states = tuple(states)
     alphas = [checked_transmission(alpha) for alpha in alphas]
-    expansion = _expand_kets(state)
-    layouts = {}
+    if not states:
+        return
+    kets = list(states[0].amps)
+    if any(state.amps.keys() != states[0].amps.keys() for state in states[1:]):
+        raise ValueError("states must share one ket set")
+    expansion = _expand_kets(kets)
+    layouts = {}  # per pattern: its layout, and the ket of each entry it places
+    plans = []  # per transmission: its layout and ket, and the factor of each entry
     for alpha in alphas:
         factor = _loss_factors(expansion, alpha)
         nonzero = np.flatnonzero(factor)
         pattern = nonzero.tobytes()
         if pattern not in layouts:
-            layouts[pattern] = _sector_layout(expansion, nonzero)
-        layout = layouts[pattern]
-        source = layout.source
-        amps = expansion.amps[expansion.ket[source]] * factor[source]
-        v_flat = np.zeros(layout.v_size, dtype=amps.dtype)
-        v_flat[layout.scatter] = amps
-        density_flat = np.empty(layout.density_size, dtype=amps.dtype)
-        out = {}
-        for key, v_offset, rows, dim, offset in layout.sectors:
-            v = v_flat[v_offset : v_offset + rows * dim].reshape(rows, dim)
-            rho = density_flat[offset : offset + dim * dim].reshape(dim, dim)
-            out[key] = np.matmul(v.T, v.conj(), out=rho)
-        _check_blocks(density_flat, layout.blocks)
-        yield out
+            layout = _sector_layout(expansion, nonzero)
+            layouts[pattern] = layout, expansion.ket[layout.source]
+        layout, ket = layouts[pattern]
+        plans.append((layout, ket, factor[layout.source]))
+    for state in states:
+        state_amps = _amplitudes(state, kets)
+        for layout, ket, factor in plans:
+            amps = state_amps[ket] * factor
+            v_flat = np.zeros(layout.v_size, dtype=amps.dtype)
+            v_flat[layout.scatter] = amps
+            density_flat = np.empty(layout.density_size, dtype=amps.dtype)
+            out = {}
+            for key, v_offset, rows, dim, offset in layout.sectors:
+                v = v_flat[v_offset : v_offset + rows * dim].reshape(rows, dim)
+                rho = density_flat[offset : offset + dim * dim].reshape(dim, dim)
+                out[key] = np.matmul(v.T, v.conj(), out=rho)
+            _check_blocks(density_flat, layout.blocks)
+            yield out
 
 
 def apply_loss_and_trace(state: FockVector, alpha: float) -> dict:
@@ -390,7 +414,7 @@ def apply_loss_and_trace(state: FockVector, alpha: float) -> dict:
         state: Input FockVector.
         alpha: Shared arm transmission.
     """
-    return next(sector_densities(state, (alpha,)))
+    return next(sector_densities((state,), (alpha,)))
 
 
 def _check_densities(stack: np.ndarray) -> None:

@@ -39,7 +39,7 @@ from .sources import (
     Poisson,
     SourceSpec,
     SwapChain,
-    bb84_stats,
+    _bb84_stats,
     check_source,
     ekert_ideal_stats,
     pdc_stats,
@@ -230,7 +230,7 @@ def point_stats(
     if isinstance(src, SwapChain):
         return swap_stats_from_segment(src, t, p)
     if protocol == "bb84":
-        return bb84_stats(src, t, p)
+        return _bb84_stats(src, t, p)
     if isinstance(src, Pdc):
         return pdc_stats(src.chi, t, p)
     return ekert_ideal_stats(t, p)

@@ -439,6 +439,12 @@ def bb84_stats(src: SourceSpec, alpha: float, p: ChannelParams) -> ClickStats:
         untagged fraction beta.
     """
     check_source("bb84", src)
+    return _bb84_stats(src, alpha, p)
+
+
+def _bb84_stats(src: SourceSpec, alpha: float, p: ChannelParams) -> ClickStats:
+    """bb84_stats for a source already checked to serve bb84, as
+    protocols._check_request checks it on the rate path."""
     a = checked_transmission(alpha)
     if isinstance(src, IdealSingle):
         p_signal = a

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,6 +58,29 @@ class TestTransmission:
     def test_db_rejects_nan(self):
         with pytest.raises(ValueError, match="loss must be non-negative, got nan"):
             db_to_transmission(math.nan)
+
+    @pytest.mark.parametrize("sigma, length, message", [
+        (True, 10.0, "loss coefficient must be non-negative and finite, got True"),
+        ("0.2", 10.0, "loss coefficient must be non-negative and finite, got '0.2'"),
+        (None, 10.0, "loss coefficient must be non-negative and finite, got None"),
+        (0.2, True, "length must be non-negative and finite, got True"),
+        (0.2, "10", "length must be non-negative and finite, got '10'"),
+        (0.2, 1j, "length must be non-negative and finite, got 1j"),
+    ], ids=repr)
+    def test_fiber_rejects_non_real(self, sigma, length, message):
+        # True was taken as 1 (fiber_transmission(True, 10.0) was 0.1), a str raised a bare TypeError
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            fiber_transmission(sigma, length)
+
+    @pytest.mark.parametrize("length", [True, False, "10", None, 1j], ids=repr)
+    def test_arm_alpha_rejects_non_real(self, length):
+        with pytest.raises(ValueError, match="^" + re.escape(f"length must be non-negative, got {length!r}") + "$"):
+            arm_alpha(ChannelParams(), length)
+
+    def test_real_number_types_accepted(self):
+        assert fiber_transmission(np.float64(0.2), 50) == fiber_transmission(0.2, 50.0)
+        assert fiber_transmission(0, Fraction(1, 2)) == 1.0
+        assert arm_alpha(ChannelParams(), np.int64(10)) == arm_alpha(ChannelParams(), 10.0)
 
     def test_arm_alpha_rejects_nan(self):
         p = ChannelParams()

@@ -77,6 +77,17 @@ class TestBuildState:
             with pytest.raises(ValueError, match="pump parameter must be positive and finite, got " + re.escape(repr(chi))):
                 build(chi, 3)
 
+    @pytest.mark.parametrize("chi", [True, "0.2", None, 0.2j, np.array([0.2])], ids=repr)
+    def test_non_real_pump_rejected(self, chi):
+        # True was taken as a pump parameter of 1, and "0.2" raised a bare TypeError
+        for build in (build_pdc_state, truncation_tail):
+            with pytest.raises(ValueError, match="^pump parameter must be positive and finite, got " + re.escape(repr(chi)) + "$"):
+                build(chi, 3)
+
+    def test_real_pump_types_accepted(self):
+        assert truncation_tail(np.float64(0.2), 2) == truncation_tail(0.2, 2)
+        assert build_pdc_state(np.float32(0.25), 2).amps == build_pdc_state(0.25, 2).amps
+
     @pytest.mark.parametrize("n_max", [2.0, 2.5, True, -5, 0, "3", None], ids=repr)
     def test_non_integer_truncation_rejected(self, n_max):
         for build in (build_pdc_state, truncation_tail):
@@ -457,7 +468,7 @@ class TestSectorChecks:
     def test_every_component_is_checked_once(self, state, checked):
         # one call over transmissions of different nonzero patterns checks
         # each transmission's components before it yields that transmission
-        for alpha, sectors in zip(MIXED_ALPHAS, sector_densities(state, MIXED_ALPHAS)):
+        for alpha, sectors in zip(MIXED_ALPHAS, sector_densities((state,), MIXED_ALPHAS)):
             assert_component_contract(state, alpha, sectors, checked)
             checked.clear()
 
@@ -487,7 +498,7 @@ SWEEP_CASES = [
 class TestSectorDensities:
     @pytest.mark.parametrize("state, alphas", SWEEP_CASES)
     def test_one_call_matches_one_call_per_transmission(self, state, alphas):
-        together = list(sector_densities(state, alphas))
+        together = list(sector_densities((state,), alphas))
         assert len(together) == len(alphas)
         for alpha, sectors in zip(alphas, together):
             alone = apply_loss_and_trace(state, alpha)
@@ -505,12 +516,68 @@ class TestSectorDensities:
         assert len(kept[0]) < len(kept[1]) < len(kept[2])
 
     def test_bad_transmission_raises_before_any_yield(self):
-        densities = sector_densities(build_pdc_state(0.2, 2), [0.5, 1.5])
+        densities = sector_densities((build_pdc_state(0.2, 2),), [0.5, 1.5])
         with pytest.raises(ValueError, match="arm transmission must lie in"):
             next(densities)
 
     def test_empty_transmissions_yield_nothing(self):
-        assert list(sector_densities(build_pdc_state(0.2, 2), [])) == []
+        assert list(sector_densities((build_pdc_state(0.2, 2),), [])) == []
+        assert list(sector_densities((), [0.5])) == []
+
+    def test_states_on_one_ket_set_match_one_state_calls(self):
+        # the pdc-oracle suite's one call: state-major, each (state, alpha) as if alone
+        states = [build_pdc_state(chi, 8) for chi in ORACLE_CHIS]
+        together = list(sector_densities(states, ORACLE_ALPHAS))
+        assert len(together) == len(ORACLE_GRID)
+        for (chi, alpha), sectors in zip(ORACLE_GRID, together):
+            alone = next(sector_densities((build_pdc_state(chi, 8),), (alpha,)))
+            assert list(sectors) == list(alone)
+            for key, matrix in alone.items():
+                assert (sectors[key].dtype, sectors[key].shape) == (matrix.dtype, matrix.shape)
+                assert sectors[key].tobytes() == matrix.tobytes()
+
+    def test_ket_order_and_amplitude_type_are_per_state(self):
+        # a reordered ket set is the same set; a complex state keeps its dtype
+        # beside a real one on the same kets
+        state = EQUIVALENCE_STATES["complex"]
+        reordered = FockVector(amps=dict(reversed(state.amps.items())))
+        real = FockVector(amps={occ: 0.5 for occ in state.amps})
+        states = (real, reordered, state)
+        together = list(sector_densities(states, MIXED_ALPHAS))
+        wanted = [sectors for one in states for sectors in sector_densities((one,), MIXED_ALPHAS)]
+        assert len(together) == len(wanted) == 3 * len(MIXED_ALPHAS)
+        for sectors, alone in zip(together, wanted):
+            assert list(sectors) == list(alone)
+            for key, matrix in alone.items():
+                assert (sectors[key].dtype, sectors[key].tobytes()) == (matrix.dtype, matrix.tobytes())
+
+    @pytest.mark.parametrize("other", [
+        pytest.param(build_pdc_state(0.2, 3), id="more kets"),
+        pytest.param(FockVector(amps={(0, 0, 0, 0): 1.0, (1, 0, 0, 1): 0.5, (0, 1, 1, 0): 0.5}), id="fewer kets"),
+        pytest.param(FockVector(amps={(0, 0, 0, 0): 1.0, (1, 0, 0, 1): 0.5, (0, 1, 1, 0): 0.5,
+                                      (1, 1, 1, 1): 0.1, (0, 2, 2, 0): 0.1, (0, 0, 1, 1): 0.1}),
+                     id="same count"),
+    ])
+    def test_different_ket_sets_raise_before_any_yield(self, other):
+        base = build_pdc_state(0.2, 2)
+        assert len(base.amps) == 6
+        for states in ((base, other), (other, base), (base, base, other)):
+            densities = sector_densities(states, [0.5])
+            with pytest.raises(ValueError, match="^states must share one ket set$"):
+                next(densities)
+
+    def test_bad_transmission_of_many_states_raises_before_any_yield(self):
+        states = [build_pdc_state(chi, 2) for chi in (0.1, 0.2)]
+        with pytest.raises(ValueError, match="arm transmission must lie in"):
+            next(sector_densities(states, [0.5, -0.1]))
+
+    def test_every_component_of_every_state_is_checked(self, checked):
+        # the shared layout still hands every block of every (state, alpha) to the checks
+        states = [build_pdc_state(chi, 4) for chi in ORACLE_CHIS]
+        pairs = [(state, alpha) for state in states for alpha in MIXED_ALPHAS]
+        for (state, alpha), sectors in zip(pairs, sector_densities(states, MIXED_ALPHAS)):
+            assert_component_contract(state, alpha, sectors, checked)
+            checked.clear()
 
 
 class TestCoefficientExtraction:

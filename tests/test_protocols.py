@@ -400,14 +400,16 @@ def _load_bench_tracing():
 
 class TestScalarPathLayers:
     """A fixed-source point_rate reaches each traced function of its chain
-    once, so the benchmark's per-layer counters see every layer."""
+    once, so the benchmark's per-layer counters see every layer. A bb84
+    point's statistics come from sources._bb84_stats, the body of
+    bb84_stats without its source check, which the request check has made."""
 
     RATE_CHAIN = ("ratecore.tau_multiphoton", "ratecore.tau", "ratecore.collision_bound",
                   "ratecore.binary_entropy", "ratecore.ec_efficiency")
 
     @pytest.mark.parametrize("protocol, src, chain", [
-        ("bb84", IdealSingle(), ("sources.bb84_stats", "protocols.rate_bb84")),
-        ("bb84", Poisson(0.05), ("sources.bb84_stats", "protocols.rate_bb84")),
+        ("bb84", IdealSingle(), ("protocols.rate_bb84",)),
+        ("bb84", Poisson(0.05), ("protocols.rate_bb84",)),
         ("ekert", IdealEpr(), ("sources.ekert_ideal_stats", "protocols.rate_ekert")),
         ("ekert", Pdc(0.3), ("sources.pdc_stats", "sources.pdc_coefficients", "protocols.rate_ekert")),
         ("ekert", SwapChain(1), ("sources.swap_stats_from_segment", "protocols.rate_ekert")),
@@ -438,6 +440,23 @@ class TestScalarPathLayers:
             point = point_rate(protocol, src, FIBER, 10.0)
         assert point.rate > 0.0
         assert checked.call_count == 1
+
+    @pytest.mark.parametrize("src", [IdealSingle(), Poisson(0.05)], ids=["ideal-single", "poisson"])
+    def test_bb84_point_checks_its_source_once(self, src):
+        # point_stats' request check is the only one; bb84_stats checked again
+        checked = mock.Mock(wraps=sources.check_source)
+        with mock.patch.object(protocols, "check_source", checked), \
+                mock.patch.object(sources, "check_source", checked):
+            point = point_rate("bb84", src, FIBER, 10.0)
+            stats = bb84_stats(src, 0.05, FIBER)
+        assert point.rate > 0.0 and stats.p_click > 0.0
+        assert checked.call_args_list == [mock.call("bb84", src)] * 2
+
+    @pytest.mark.parametrize("src", [IdealSingle(), Poisson(0.05)], ids=["ideal-single", "poisson"])
+    def test_bb84_point_stats_equal_bb84_stats(self, src):
+        for x in (0.0, 10.0, 80.0):
+            t = protocols._transmissions("bb84", src, FIBER, x, "distance")
+            assert point_stats("bb84", src, FIBER, x) == bb84_stats(src, t, FIBER)
 
 
 class TestCutoff:

@@ -314,6 +314,74 @@ class TestMaximizer:
             maximize_attack_collision(0.5)
 
 
+def scalar_search(eps):
+    """The one-disturbance grid search written with Python scalars and
+    np.linspace, as maximize_attack_collision was before its search took a
+    vector: (value, c1, c2, n_xx share)."""
+    c1_floor = max(-1.0, 1.0 - 4.0 * eps) + 1e-12
+    c1_lo, c1_hi, c2_lo, c2_hi = c1_floor, 1.0, -1.0, 1.0
+    best = None
+    for level in range(4):
+        n_pts = 61 if level == 0 else 21
+        c1_grid = np.linspace(c1_lo, c1_hi, n_pts)
+        c2_grid = np.linspace(c2_lo, c2_hi, n_pts)
+        values, shares = security._grid_collision(eps, c1_grid[:, None], c2_grid[None, :])
+        k1, k2 = np.unravel_index(np.argmax(values), values.shape)
+        if best is None or values[k1, k2] > best[0]:
+            best = (float(values[k1, k2]), float(c1_grid[k1]), float(c2_grid[k2]), float(shares[k1, k2]))
+        span1 = (c1_hi - c1_lo) / (n_pts - 1)
+        span2 = (c2_hi - c2_lo) / (n_pts - 1)
+        c1_lo, c1_hi = max(c1_floor, best[1] - span1), min(1.0, best[1] + span1)
+        c2_lo, c2_hi = max(-1.0, best[2] - span2), min(1.0, best[2] + span2)
+    return best
+
+
+# the attack-bound suite's disturbances, the smallest tested one, the largest
+# float below 1/2, and one whose c1 floor rounds to 1, so that its first c1
+# grid has a zero step beside the other rows' nonzero ones
+SEARCH_EPS = [k / 100.0 for k in range(1, 50)] + [1e-4, math.nextafter(0.5, 0.0), 2.4998075e-13]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBatchedSearch:
+    def test_batch_equals_one_disturbance_calls_bitwise(self):
+        assert (1.0 - 4.0 * SEARCH_EPS[-1]) + 1e-12 == 1.0
+        batch = security._maximize_collisions(np.array(SEARCH_EPS))
+        for i, eps in enumerate(SEARCH_EPS):
+            params, value = maximize_attack_collision(eps)
+            value_b, c1, c2, x = (column[i] for column in batch)
+            want = (value, params.n_xx, params.n_xy, params.phi_xx_yy, params.phi_xy_yx)
+            got = (value_b, x, 1.0 - x, math.acos(c1), math.acos(c2))
+            assert hexes(got) == hexes(want), eps
+
+    def test_one_disturbance_equals_the_scalar_search_bitwise(self):
+        for eps in SEARCH_EPS:
+            params, value = maximize_attack_collision(eps)
+            want_value, c1, c2, x = scalar_search(eps)
+            want = (want_value, x, 1.0 - x, math.acos(c1), math.acos(c2))
+            assert hexes((value, params.n_xx, params.n_xy, params.phi_xx_yy, params.phi_xy_yx)) == hexes(want), eps
+
+    def test_batch_order_and_blocks_do_not_matter(self, monkeypatch):
+        eps = np.array(SEARCH_EPS)
+        whole = security._maximize_collisions(eps)
+        reverse = security._maximize_collisions(eps[::-1].copy())
+        monkeypatch.setattr(security, "_BLOCK_POINTS", 61 * 61)  # one disturbance per first-level block
+        single = security._maximize_collisions(eps)
+        for a, b, c in zip(whole, reverse, single):
+            assert hexes(a) == hexes(b[::-1]) == hexes(c)
+
+    def test_row_linspace_matches_numpy_per_row(self):
+        # a zero-step row takes linspace's own zero-step path beside ordinary rows
+        lo = np.array([-1.0, 0.3, 0.25, 5e-324, 0.7])
+        hi = np.array([1.0, 0.3000000000000001, 0.25, 1e-323, 0.1])
+        rows = security._linspace_rows(lo, hi, 21)
+        for row, a, b in zip(rows, lo, hi):
+            assert row.tobytes() == np.linspace(a, b, 21).tobytes()
+
+
 class TestMultiphotonBound:
     def test_paper_anchor(self):
         assert multiphoton_ratio_bound(2, 2) == 1.0

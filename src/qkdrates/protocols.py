@@ -79,10 +79,12 @@ _CUTOFF_RESOLUTION_KM = 0.5
 # Sweep rows whose coarse grids are evaluated together: a block's temporaries
 # stay near 16 KiB each, where a whole 300-row grid would add megabytes.
 _ROW_BLOCK = 32
-# ratecore's error-correction table as the arrays _free_rate_kernel looks up:
-# one column of (segment start e, f at the start, rise, run) per segment.
+# ratecore's error-correction table as the arrays _rate_columns looks up: the
+# knots, and one contiguous array per segment field (start e, f at the start,
+# rise, run): take gathers the four fields of a 32x64 block in 5 us, where a
+# fancy index into one (4, segments) array took 17 us.
 _EC_KNOT_ARRAY = np.array(ratecore._EC_KNOTS)
-_EC_SEGMENT_COLUMNS = np.array(ratecore._EC_SEGMENTS).T
+_EC_SEGMENT_COLUMNS = tuple(np.array(field) for field in zip(*ratecore._EC_SEGMENTS))
 # Bisection steps that an optimized cutoff probes in one kernel call. A call
 # costs about 80 us plus 5-10 us per row, so deeper rounds pay for midpoints
 # the path skips and shallower ones pay for more calls: per cutoff, depths 3
@@ -387,7 +389,8 @@ def _rate_columns(
     path raises on (a zero 1 - z, which pdc_coefficients rejects before it
     divides, makes B infinite here). A libm map raises where its scalar
     raises (cosh or power past float range), which numpy's functions do
-    not.
+    not. f(e) is ec_efficiency's segment line, each element's segment
+    gathered by take from _EC_SEGMENT_COLUMNS.
     """
     d, mu = p.d, p.mu
     with np.errstate(all="ignore"):
@@ -434,7 +437,8 @@ def _rate_columns(
         # collision_bound is the quadratic (at 1/2 both are 1).
         secure = beta * -maths.log2(ratecore._quadratic_bound(e / beta))
         entropy = np.where(e > 0.0, ratecore._entropy(e, maths.log2), 0.0)
-        f = ratecore._ec_line(e, *_EC_SEGMENT_COLUMNS[:, np.searchsorted(_EC_KNOT_ARRAY, e)])
+        segment = np.searchsorted(_EC_KNOT_ARRAY, e)
+        f = ratecore._ec_line(e, *(field.take(segment) for field in _EC_SEGMENT_COLUMNS))
         raw = 0.5 * p_sift * (secure - f * entropy)
         raw = np.where(live & (raw > 0.0) if clamp else live, raw, 0.0)
     return _RateColumns(raw, stats, ok)
@@ -606,6 +610,12 @@ def _optimal_params(protocol: str, p: ChannelParams, xs: list[float], mode: str)
     and ** can differ from libm's in the last bit, so where two probes of a
     row rate the same to rounding, the row may take the other branch and end
     elsewhere inside _REL_TOL.
+
+    The golden-section updates go two to a kernel call. A step's probe is
+    known before its rate is, so one call rates it together with the two
+    probes the step after it could take, one for each outcome of its
+    comparison; that step then picks its probe and rate from them. Every row
+    takes the one-step-per-call loop's steps, with its bits.
     """
     lo, hi = _free_source_box(protocol)
     params = [0.5 * (lo + hi)] * len(xs)
@@ -619,21 +629,35 @@ def _optimal_params(protocol: str, p: ChannelParams, xs: list[float], mode: str)
     def rate(param: np.ndarray) -> np.ndarray:
         return _free_rate_kernel(protocol, p, alpha, param)
 
+    def probes(a, b, x1, x2):
+        # the next step's probe if the rate rises from x1 to x2 (a becomes x1,
+        # and the probe is a + G (b - a)), and if it does not (b becomes x2,
+        # and the probe is b - G (b - a))
+        return x1 + _GOLDEN * (b - x1), x2 - _GOLDEN * (x2 - a)
+
     a = grid.logs[np.maximum(best - 1, 0)]
     b = grid.logs[np.minimum(best + 1, _COARSE_POINTS - 1)]
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = rate(np.exp(np.stack([x1, x2])))
     active = b - a > _REL_TOL
+    step_probes, foreseen = probes(a, b, x1, x2), None
     while active.any():
         up = f1 < f2
+        probe = np.where(up, *step_probes)
         a = np.where(active & up, x1, a)
         b = np.where(active & ~up, x2, b)
-        probe = np.where(up, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
-        f = rate(np.exp(probe))
         x1, x2 = np.where(up, x2, probe), np.where(up, probe, x1)
-        f1, f2 = np.where(up, f2, f), np.where(up, f, f1)
         active = b - a > _REL_TOL
+        step_probes = probes(a, b, x1, x2)
+        if foreseen is not None:
+            f, foreseen = np.where(up, *foreseen), None
+        elif active.any():
+            # this step's probe, and both that the next step could take
+            f, *foreseen = rate(np.exp(np.stack([probe, *step_probes])))
+        else:
+            break  # no row reads this probe's rate
+        f1, f2 = np.where(up, f2, f), np.where(up, f, f1)
     # math.exp, as optimize_source_param takes it, fixes the reported parameter
     param = np.array([math.exp(v) for v in (0.5 * (a + b)).tolist()])
     param = np.where(rate(param) < top, grid.array[best], param)

@@ -290,7 +290,7 @@ def _grid_best(eps: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> tuple:
 
 def _maximize_collisions(eps: np.ndarray) -> tuple:
     """maximize_attack_collision's search run for every disturbance of a
-    non-empty 1-D array at once, each in (0, 1/2); returns the arrays
+    non-empty 1-D array at once, each in (2^-55, 1/2); returns the arrays
     (collision probability, c1, c2, n_xx share) of the maxima.
 
     Every disturbance follows its own search, with the scalar search's
@@ -299,8 +299,11 @@ def _maximize_collisions(eps: np.ndarray) -> tuple:
     better one. Python's max and min become np.where on the same comparison.
     Each level's grids run in blocks of at most _BLOCK_POINTS points.
     """
+    # the feasible c1 lie above 1 - 4 eps; the floor stays 1e-12 clear of that
+    # and stops at 1, which it would pass for eps below about 2.5e-13
     c1_floor = 1.0 - 4.0 * eps
     c1_floor = np.where(c1_floor > -1.0, c1_floor, -1.0) + 1e-12
+    c1_floor = np.where(c1_floor < 1.0, c1_floor, 1.0)
     c1_lo, c1_hi = c1_floor, np.ones_like(eps)
     c2_lo, c2_hi = np.full_like(eps, -1.0), np.ones_like(eps)
     best = None  # (value, c1, c2, n_xx share); c1 = c2 = 1 is always feasible
@@ -339,13 +342,17 @@ def maximize_attack_collision(eps: float) -> tuple[AttackParams, float]:
     case of _maximize_collisions, which searches many at once.
 
     Args:
-        eps: Target disturbance in (0, 1/2).
+        eps: Target disturbance in (0, 1/2), with 1 + 4 eps above 1 in
+            float64 (eps above 2^-55): below that no grid point meets the
+            constraint.
 
     Returns:
         (maximizing AttackParams with unit total norm, collision probability).
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("disturbance must lie strictly between 0 and 1/2")
+    if not 1.0 + 4.0 * eps > 1.0:
+        raise ValueError(f"disturbance {eps} is below the search's resolution: 1 + 4 eps rounds to 1")
     maxima = _maximize_collisions(np.array([eps], dtype=float))
     value, c1, c2, x = (float(column[0]) for column in maxima)
     params = AttackParams(n_xx=x, n_xy=1.0 - x, phi_xx_yy=math.acos(c1), phi_xy_yx=math.acos(c2))
@@ -381,8 +388,13 @@ def multiphoton_ratio_bound(i: int, j: int) -> float:
 _EXHAUSTIVE_N = 6
 # Hashed inputs per block of keys: a block of n-bit keys covers
 # _BLOCK_INPUTS >> n seeds, so the block, and its offset histogram, stays
-# well under a mebibyte for every n.
-_BLOCK_INPUTS = 1 << 15
+# well under a mebibyte for every n. At 2^15 inputs a block's float64
+# temporaries took 256 KiB, past glibc malloc's first mmap threshold of
+# 128 KiB, so each cost an mmap and page faults: run alone in process, the
+# privacy-amp suite took 12.6 ms at 2^15 and 9.8 ms at 2^14 (medians of 7 on
+# a 2-core host). Within verify --suite all the two take the same time,
+# since glibc raises that threshold after the first large free.
+_BLOCK_INPUTS = 1 << 14
 
 
 def _toeplitz_matrices(n: int, r: int, seeds: np.ndarray) -> np.ndarray:

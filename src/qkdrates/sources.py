@@ -359,17 +359,22 @@ def _poisson_clicks(a, nbar, exp):
     return 1.0 - exp(-a * nbar), 1.0 - (1.0 + nbar) * exp(-nbar)
 
 
-def _one_minus_z(a, t2, power):
-    return 1.0 - t2 * power(1.0 - a, 2)
+def _pdc_loss_terms(a, t2, power):
+    """(1 - a, (1 - a)^2, 1 - z) with z = t2 (1 - a)^2."""
+    lost = 1.0 - a
+    lost2 = power(lost, 2)
+    return lost, lost2, 1.0 - t2 * lost2
 
 
 def _pdc_weights(a, t2, c4, power):
-    one_m_z = _one_minus_z(a, t2, power)
+    # the weights share 1 - a, (1 - a)^2 and cosh^4 (1 - z)^4, computed once
+    lost, lost2, one_m_z = _pdc_loss_terms(a, t2, power)
+    den4 = c4 * power(one_m_z, 4)
     return (
-        2.0 * a * a * t2 / (c4 * power(one_m_z, 4)),
+        2.0 * a * a * t2 / den4,
         1.0 / (c4 * power(one_m_z, 2)),
-        2.0 * a * (1.0 - a) * t2 / (c4 * power(one_m_z, 3)),
-        4.0 * a * a * power(1.0 - a, 2) * t2 * t2 / (c4 * power(one_m_z, 4)),
+        2.0 * a * lost * t2 / (c4 * power(one_m_z, 3)),
+        4.0 * a * a * lost2 * t2 * t2 / den4,
     )
 
 
@@ -483,7 +488,7 @@ def pdc_coefficients(chi: float, alpha_half: float) -> PdcCoefficients:
     _check_chi(chi)
     a = checked_transmission(alpha_half)
     t2, c4 = math.tanh(chi) ** 2, math.cosh(chi) ** 4
-    if _one_minus_z(a, t2, pow) == 0.0:
+    if _pdc_loss_terms(a, t2, pow)[2] == 0.0:
         raise ValueError("degenerate statistics: tanh^2(chi) (1 - alpha)^2 rounds to 1")
     A, B, C, D = _pdc_weights(a, t2, c4, pow)
     return PdcCoefficients(A=A, B=B, C=C, D=D)

@@ -787,6 +787,94 @@ class TestSweepRows:
         assert [column.tolist()[2:] for column in curve.stats] == [[0.0] * 9] * 3
 
 
+def _one_step_params(protocol, p, xs, mode):
+    """_optimal_params with one golden-section step per kernel call, the
+    reference that the two-step loop must reproduce bit for bit; also the
+    number of steps each row takes (None for a row at the box midpoint)."""
+    lo, hi = NBAR_BOX if protocol == "bb84" else CHI_BOX
+    params, steps = [0.5 * (lo + hi)] * len(xs), [None] * len(xs)
+    alpha, best, top = protocols._coarse_maxima(protocol, p, xs, mode)
+    found = np.flatnonzero(top > 0.0)
+    if not found.size:
+        return params, steps
+    alpha, best, top = alpha[found], best[found], top[found]
+    grid = protocols._coarse_grid(lo, hi)
+
+    def rate(param):
+        return _free_rate_kernel(protocol, p, alpha, param)
+
+    golden = protocols._GOLDEN
+    a = grid.logs[np.maximum(best - 1, 0)]
+    b = grid.logs[np.minimum(best + 1, protocols._COARSE_POINTS - 1)]
+    x1 = b - golden * (b - a)
+    x2 = a + golden * (b - a)
+    f1, f2 = rate(np.exp(np.stack([x1, x2])))
+    active = b - a > protocols._REL_TOL
+    taken = np.zeros(len(found), dtype=int)
+    while active.any():
+        taken += active
+        up = f1 < f2
+        a = np.where(active & up, x1, a)
+        b = np.where(active & ~up, x2, b)
+        probe = np.where(up, a + golden * (b - a), b - golden * (b - a))
+        f = rate(np.exp(probe))
+        x1, x2 = np.where(up, x2, probe), np.where(up, probe, x1)
+        f1, f2 = np.where(up, f2, f), np.where(up, f, f1)
+        active = b - a > protocols._REL_TOL
+    param = np.array([math.exp(v) for v in (0.5 * (a + b)).tolist()])
+    param = np.where(rate(param) < top, grid.array[best], param)
+    for i, v, n in zip(found.tolist(), param.tolist(), taken.tolist()):
+        params[i], steps[i] = v, n
+    return params, steps
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+# The channel of test_optimum_at_the_box_edge: its bb84 optimum falls below
+# NBAR_BOX from about 197 km on.
+_BOX_EDGE = ChannelParams(sigma=0.2, eta=1.0, mu=0.01)
+
+
+class TestTwoStepGoldenSection:
+    """_optimal_params takes two golden-section steps per kernel call; every
+    row must end where the one-step loop ends, bit for bit."""
+
+    @given(_CHANNELS, st.sampled_from(["bb84", "ekert"]), _GRIDS, st.sampled_from(["distance", "total-loss"]))
+    @example(_BOX_EDGE, "bb84", (180.0, 1.0, 30), "distance")
+    @example(FIBER, "ekert", (0.0, 10.0, 20), "distance")
+    @example(FIBER, "bb84", (0.0, 1.0, 24), "total-loss")
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_one_step_loop_bitwise(self, p, protocol, grid, mode):
+        start, step, rows = grid
+        xs = SweepSpec(protocol, p, None, start, start + step * rows, step, mode).grid()
+        want, _ = _one_step_params(protocol, p, xs, mode)
+        assert _hexes(_optimal_params(protocol, p, xs, mode)) == _hexes(want)
+
+    # a bracket around an edge grid point is half as wide, so its row takes
+    # fewer steps: rows close after an odd number of steps on a call, and
+    # after an even number on a step replayed from the foreseen rates
+    @pytest.mark.parametrize("protocol, p, xs, closing", [
+        ("bb84", _BOX_EDGE, [180.0 + i for i in range(31)], {16, 17}),
+        ("bb84", _BOX_EDGE, [200.0 + i for i in range(11)], {16}),
+        ("bb84", FIBER, [2.0 * i for i in range(12)], {17}),
+        ("ekert", FIBER, [10.0 * i for i in range(16)], {17}),
+    ], ids=["edge-and-interior", "edge-only", "bb84-interior", "ekert-interior"])
+    def test_rows_closing_after_odd_and_even_steps(self, protocol, p, xs, closing):
+        want, steps = _one_step_params(protocol, p, xs, "distance")
+        assert set(steps) - {None} == closing
+        assert _hexes(_optimal_params(protocol, p, xs, "distance")) == _hexes(want)
+
+    def test_two_steps_per_kernel_call(self):
+        xs = [180.0 + i for i in range(31)]
+        with mock.patch.object(protocols, "_free_rate_kernel", wraps=_free_rate_kernel) as kernel:
+            _optimal_params("bb84", _BOX_EDGE, xs, "distance")
+        # one coarse block, the first two probes, 17 steps in 8 calls (no row
+        # reads the last step's probe), and the midpoints; one step a call took 20
+        assert kernel.call_count == 1 + 1 + 8 + 1
+
+
 def _plain_bisection(protocol, p, search):
     """cutoff_distance with a free source as one optimization per probe: the
     reference that the batched probes must reproduce exactly."""

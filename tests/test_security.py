@@ -313,12 +313,27 @@ class TestMaximizer:
         with pytest.raises(ValueError):
             maximize_attack_collision(0.5)
 
+    @pytest.mark.parametrize("eps", [1e-13, 2.4e-13, 1e-15, math.nextafter(2.0**-55, 1.0)])
+    def test_disturbance_below_the_floor_margin(self, eps):
+        # 1 - 4 eps + 1e-12 passes 1 here: the floor is clamped to c1 = 1,
+        # where acos once failed with a bare math domain error
+        assert 1.0 - 4.0 * eps + 1e-12 > 1.0
+        params, value = maximize_attack_collision(eps)
+        assert params.phi_xx_yy == 0.0
+        assert value == pytest.approx(collision_bound(eps), abs=2e-16)
+
+    @pytest.mark.parametrize("eps", [2.0**-55, 1e-300, 5e-324])
+    def test_disturbance_past_the_search_resolution_rejected(self, eps):
+        # 1 + 4 eps rounds to 1, so no grid point meets the constraint
+        with pytest.raises(ValueError, match="below the search's resolution"):
+            maximize_attack_collision(eps)
+
 
 def scalar_search(eps):
     """The one-disturbance grid search written with Python scalars and
     np.linspace, as maximize_attack_collision was before its search took a
     vector: (value, c1, c2, n_xx share)."""
-    c1_floor = max(-1.0, 1.0 - 4.0 * eps) + 1e-12
+    c1_floor = min(1.0, max(-1.0, 1.0 - 4.0 * eps) + 1e-12)
     c1_lo, c1_hi, c2_lo, c2_hi = c1_floor, 1.0, -1.0, 1.0
     best = None
     for level in range(4):
@@ -337,9 +352,10 @@ def scalar_search(eps):
 
 
 # the attack-bound suite's disturbances, the smallest tested one, the largest
-# float below 1/2, and one whose c1 floor rounds to 1, so that its first c1
-# grid has a zero step beside the other rows' nonzero ones
-SEARCH_EPS = [k / 100.0 for k in range(1, 50)] + [1e-4, math.nextafter(0.5, 0.0), 2.4998075e-13]
+# float below 1/2, two whose c1 floor is clamped to 1, and one whose c1 floor
+# rounds to 1, so that its first c1 grid has a zero step beside the other
+# rows' nonzero ones
+SEARCH_EPS = [k / 100.0 for k in range(1, 50)] + [1e-4, math.nextafter(0.5, 0.0), 1e-13, 2.4e-13, 2.4998075e-13]
 
 
 def hexes(values):

@@ -94,7 +94,7 @@ def receiver_arm_loss_db(p: ChannelParams, arms: int) -> float:
 
 # The range and limit checks that sweep rows can fail, as predicates over
 # floats or numpy arrays: the scalar functions raise where they are false, and
-# protocols' array pass ANDs them.
+# sources._stats_columns ANDs them.
 def _transmission_ok(value):
     return (0.0 <= value) & (value <= 1.0)
 

@@ -31,6 +31,7 @@ from .sources import (
     BB84_DETECTORS,
     ClickStats,
     CoincidenceStats,
+    ConfigError,
     SourceSpec,
     json_value,
     parse_source,
@@ -38,7 +39,7 @@ from .sources import (
     source_to_dict,
     write_block,
 )
-from .verify import VERIFY_SUITES
+from .verify import VERIFY_SUITES, run_verify_suite
 
 __all__ = [
     "CurveSpec",
@@ -73,10 +74,6 @@ class RunConfig:
     security: security.SecurityParams
     n_tot: int
     cutoff_search: tuple
-
-
-class ConfigError(ValueError):
-    """Raised for malformed configuration files."""
 
 
 # Key tables, (JSON key, attribute, JSON kind, default) per row, read by
@@ -368,25 +365,6 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _emit_json(doc, out_path: str | None) -> None:
     _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", out_path)
-
-
-def run_verify_suite(name: str) -> dict:
-    """Run one named verification suite, or all of them; each report's
-    ``suite`` is its VERIFY_SUITES name."""
-    if name == "all":
-        reports = [{"suite": suite, **run()} for suite, run in VERIFY_SUITES.items()]
-        return {
-            "suite": "all",
-            "reports": reports,
-            "pass": all(p["pass"] for rep in reports for p in rep["properties"]),
-        }
-    if name not in VERIFY_SUITES:
-        raise ConfigError(
-            f"unknown suite {name!r}; expected one of {sorted(VERIFY_SUITES)} or 'all'"
-        )
-    report = {"suite": name, **VERIFY_SUITES[name]()}
-    report["pass"] = all(p["pass"] for p in report["properties"])
-    return report
 
 
 # --- subcommands -----------------------------------------------------------

@@ -1,45 +1,40 @@
-"""Secure-rate assembly: per-protocol rate formulas, source-parameter
-optimization, cutoff-distance search, and sweep curve generation."""
+"""Rate evaluation over the closed forms of sources and ratecore: point
+rates, source-parameter optimization, cutoff-distance search and sweep
+curves, and the maths (libm's or numpy's) that each array pass takes."""
 
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from . import ratecore, sources
 from .channel import (
     ChannelParams,
-    _dark_clicks_ok,
     _is_real,
-    _transmission_ok,
     db_to_transmission,
     receiver_arm_loss_db,
     span_loss_db,
 )
 from .ratecore import (
-    binary_entropy,
-    ec_efficiency,
+    _key_rate,
+    _key_rate_columns,
     tau,  # unused here; bench/tests checks that tracing wraps this binding
-    tau_multiphoton,
 )
 from .sources import (
-    BB84_DETECTORS,
     PROTOCOLS,
     ClickStats,
     CoincidenceStats,
-    IdealEpr,
-    IdealSingle,
     Pdc,
     Poisson,
     SourceSpec,
     SwapChain,
     _bb84_stats,
+    _stats_columns,
     check_source,
     ekert_ideal_stats,
     pdc_stats,
@@ -79,12 +74,6 @@ _CUTOFF_RESOLUTION_KM = 0.5
 # Sweep rows whose coarse grids are evaluated together: a block's temporaries
 # stay near 16 KiB each, where a whole 300-row grid would add megabytes.
 _ROW_BLOCK = 32
-# ratecore's error-correction table as the arrays _rate_columns looks up: the
-# knots, and one contiguous array per segment field (start e, f at the start,
-# rise, run): take gathers the four fields of a 32x64 block in 5 us, where a
-# fancy index into one (4, segments) array took 17 us.
-_EC_KNOT_ARRAY = np.array(ratecore._EC_KNOTS)
-_EC_SEGMENT_COLUMNS = tuple(np.array(field) for field in zip(*ratecore._EC_SEGMENTS))
 # Bisection steps that an optimized cutoff probes in one kernel call. A call
 # costs about 80 us plus 5-10 us per row, so deeper rounds pay for midpoints
 # the path skips and shallower ones pay for more calls: per cutoff, depths 3
@@ -175,22 +164,6 @@ class OptimizeResult(NamedTuple):
     def zero_rate(self) -> bool:
         """Whether no source parameter in the box gave a positive rate."""
         return self.rate == 0.0
-
-
-def _live(e, beta):
-    """Where _key_rate's formula applies, over floats or numpy arrays: beta
-    positive and e / beta below 1/2."""
-    return (beta > 0.0) & (e < 0.5 * beta)
-
-
-def _key_rate(p_sift: float, e: float, beta: float, clamp: bool) -> float:
-    """The key-rate formula of rate_bb84; rate_ekert is its beta = 1 case."""
-    if not _live(e, beta):
-        return 0.0
-    raw = 0.5 * p_sift * (tau_multiphoton(e, beta) - ec_efficiency(e) * binary_entropy(e))
-    if clamp and raw < 0.0:
-        return 0.0
-    return raw
 
 
 def rate_bb84(stats: ClickStats, clamp: bool = True) -> float:
@@ -358,90 +331,17 @@ def _transmissions(protocol: str, src: SourceSpec | None, p: ChannelParams, x, m
     return p.eta * db_to_transmission(receiver_arm_loss_db(p, arms)) * loss
 
 
-class _RateColumns(NamedTuple):
-    """_rate_columns' arrays: the rate (0 where _key_rate gives 0 or ok is
-    false, and clamped on request), the statistics class's fields in field
-    order ((p_click, e, beta) for bb84, (p_true, p_false, e) for ekert), and
-    ok, where the scalar path raises no check."""
-
-    raw: np.ndarray
-    stats: tuple
-    ok: np.ndarray
-
-
 def _rate_columns(
-    protocol: str,
-    src: SourceSpec | None,
-    p: ChannelParams,
-    t: np.ndarray,
-    maths: _Maths,
-    param=None,
-    clamp: bool = False,
-) -> _RateColumns:
-    """The array form of point_rate(protocol, src, p, x, mode) over the
-    abscissas x whose transmissions (see _transmissions) are t. With src
-    None it rates the free source at param, an array of nbar (bb84) or chi
-    (ekert) that broadcasts against t.
-
-    It calls the closed-form bodies that the scalar path calls, with maths'
-    exp, tanh, cosh, log2 and power; with _ROW_MATHS every element has the
-    scalar's bits. ok ANDs the predicates and check tables that the scalar
-    path raises on (a zero 1 - z, which pdc_coefficients rejects before it
-    divides, makes B infinite here). A libm map raises where its scalar
-    raises (cosh or power past float range), which numpy's functions do
-    not. f(e) is ec_efficiency's segment line, each element's segment
-    gathered by take from _EC_SEGMENT_COLUMNS.
-    """
-    d, mu = p.d, p.mu
+    protocol: str, src: SourceSpec | None, p: ChannelParams, t: np.ndarray, maths: _Maths, param=None, clamp=False
+) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """point_rate(protocol, src, p, x, mode) over the abscissas x whose
+    transmissions (see _transmissions) are t, or with src None at the free
+    source of parameters param, as (raw, stats, ok): sources._stats_columns
+    and ratecore._key_rate_columns, with _ROW_MATHS bit for bit."""
     with np.errstate(all="ignore"):
-        checks = [_transmission_ok(t)]
-        if protocol == "bb84":
-            noise = BB84_DETECTORS * d
-            checks.append(_dark_clicks_ok(d, BB84_DETECTORS))
-            if isinstance(src, IdealSingle):
-                signal, p_m = t, 0.0
-            else:
-                signal, p_m = sources._poisson_clicks(t, param if src is None else src.nbar, maths.exp)
-        elif isinstance(src, IdealEpr):
-            signal, noise = t * t, sources._pair_false(t, d)
-        elif isinstance(src, SwapChain):
-            alpha_bell = p.eta * t
-            alpha_end = alpha_bell * db_to_transmission(receiver_arm_loss_db(p, 2))
-            p_swap_true, p_swap = sources._swap_success(alpha_bell, d)
-            signal, noise = sources._swap_coincidences(
-                p_swap_true, p_swap, alpha_end, d, src.n_swaps, src.literal_exponent, maths.power
-            )
-            checks.append(sources._swap_ok(p_swap))
-        else:
-            chi = param if src is None else src.chi
-            signal, vacuum, single, double = sources._pdc_weights(
-                t, maths.power(maths.tanh(chi), 2), maths.power(maths.cosh(chi), 4), maths.power
-            )
-            noise = sources._pdc_false(d, vacuum, single, double)
-            checks.extend(sources._pdc_coefficient_checks(signal, vacuum, single, double))
-        p_sift = signal + noise
-        e = sources._error_fraction(signal, noise, mu)
-        checks.append(sources._sift_ok(p_sift))
-        if protocol == "bb84":
-            beta = (p_sift - p_m) / p_sift
-            stats = (p_sift, e, beta)
-            checks.extend(sources._click_checks(*stats))
-        else:
-            beta = 1.0
-            stats = (signal, noise, e)
-            checks.extend(sources._coincidence_checks(*stats))
-        ok = reduce(operator.and_, checks)
-        live = ok & _live(e, beta)
-
-        # _key_rate's formula. A live row has e / beta <= 1/2, where
-        # collision_bound is the quadratic (at 1/2 both are 1).
-        secure = beta * -maths.log2(ratecore._quadratic_bound(e / beta))
-        entropy = np.where(e > 0.0, ratecore._entropy(e, maths.log2), 0.0)
-        segment = np.searchsorted(_EC_KNOT_ARRAY, e)
-        f = ratecore._ec_line(e, *(field.take(segment) for field in _EC_SEGMENT_COLUMNS))
-        raw = 0.5 * p_sift * (secure - f * entropy)
-        raw = np.where(live & (raw > 0.0) if clamp else live, raw, 0.0)
-    return _RateColumns(raw, stats, ok)
+        rate_args, stats, ok = _stats_columns(protocol, src, p, t, maths, param)
+        raw = _key_rate_columns(*rate_args, ok, maths.log2, clamp)
+    return raw, stats, ok
 
 
 def _free_rate_kernel(protocol: str, p: ChannelParams, alpha, param) -> np.ndarray:
@@ -455,7 +355,7 @@ def _free_rate_kernel(protocol: str, p: ChannelParams, alpha, param) -> np.ndarr
     rounding. Where the scalar path raises the rate is 0.
     """
     alpha, param = np.asarray(alpha, dtype=float), np.asarray(param, dtype=float)
-    return _rate_columns(protocol, None, p, alpha, _KERNEL_MATHS, param, clamp=True).raw
+    return _rate_columns(protocol, None, p, alpha, _KERNEL_MATHS, param, clamp=True)[0]
 
 
 def optimize_source_param(
@@ -491,14 +391,17 @@ def optimize_source_param(
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = objective(math.exp(x1)), objective(math.exp(x2))
     while b - a > _REL_TOL:
+        # a step that closes the bracket leaves its probe unrated: no step reads it
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = objective(math.exp(x2))
+            if b - a > _REL_TOL:
+                f2 = objective(math.exp(x2))
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = objective(math.exp(x1))
+            if b - a > _REL_TOL:
+                f1 = objective(math.exp(x1))
     param = math.exp(0.5 * (a + b))
     rate = objective(param)
     if rate < values[best]:
@@ -724,13 +627,13 @@ def sweep(spec: SweepSpec) -> SweepColumns:
     abscissa = np.array(xs, dtype=float)
     t = _transmissions(protocol, src, p, abscissa, mode)
     try:
-        rows = _rate_columns(protocol, src, p, t, _ROW_MATHS, optimal_param)
+        raw, stats, ok = _rate_columns(protocol, src, p, t, _ROW_MATHS, optimal_param)
     except (ValueError, OverflowError):
         # a libm function raised where the scalar path raises: every row falls back
-        rows = _RateColumns(np.zeros(len(xs)), (0.0, 0.0, 0.0), np.zeros(len(xs), dtype=bool))
-    stats = tuple(np.array(np.broadcast_to(column, abscissa.shape)) for column in rows.stats)
-    raw, notes = rows.raw, {}
-    for i in np.flatnonzero(~rows.ok).tolist():
+        raw, stats, ok = np.zeros(len(xs)), (0.0, 0.0, 0.0), np.zeros(len(xs), dtype=bool)
+    stats = tuple(np.array(np.broadcast_to(column, abscissa.shape)) for column in stats)
+    notes = {}
+    for i in np.flatnonzero(~ok).tolist():
         row_src = src if params is None else _free_source(protocol, params[i])
         point = point_rate(protocol, row_src, p, xs[i], mode)
         raw[i] = point.rate_raw

@@ -3,20 +3,25 @@
 Covers single-path click statistics (ideal single-photon and Poisson pulses),
 two-arm coincidence statistics (ideal EPR pairs and parametric
 down-conversion), and chains of entanglement swaps between ideal pair
-sources.
+sources: one point at a time, and as columns over arrays (_stats_columns),
+from the same closed-form bodies and check tables.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import typing
 from dataclasses import MISSING, dataclass, fields
+from functools import reduce
 
 from .channel import (
     ChannelParams,
+    _dark_clicks_ok,
     _is_integer,
     _is_real,
+    _transmission_ok,
     checked_transmission,
     dark_click_prob,
     db_to_transmission,
@@ -33,6 +38,7 @@ __all__ = [
     "Pdc",
     "SwapChain",
     "SourceSpec",
+    "ConfigError",
     "json_value",
     "read_block",
     "write_block",
@@ -140,6 +146,10 @@ _PROTOCOL_SOURCES = {"bb84": (IdealSingle, Poisson), "ekert": (IdealEpr, Pdc, Sw
 PROTOCOLS = tuple(_PROTOCOL_SOURCES)
 
 
+class ConfigError(ValueError):
+    """Raised for a malformed configuration file or an unknown verify suite."""
+
+
 _JSON_KINDS = {
     bool: "true or false",
     int: "an integer",
@@ -220,7 +230,7 @@ def _checks(*messages):
     """Decorate a check table: a function that returns one predicate per
     message, in order, each a comparison or comparisons joined with &, so
     that it holds on floats and on numpy arrays. A statistics class raises
-    _failure where a predicate is false; protocols' array pass ANDs them."""
+    _failure where a predicate is false; _stats_columns ANDs them."""
     def mark(table):
         table.messages = messages
         return table
@@ -351,10 +361,10 @@ class PdcCoefficients:
 
 # The closed forms below are plain arithmetic, so they take floats or numpy
 # arrays, and their exp and power are arguments: the scalar functions pass
-# math.exp and pow (the libm call that ** makes on floats), protocols' array
-# rows libm maps, and the free-source rate kernel numpy's power. a is an arm
-# transmission, d the dark count probability, and B, C, D the weights of
-# PdcCoefficients.
+# math.exp and pow (the libm call that ** makes on floats), and _stats_columns
+# what its caller hands it: libm maps for sweep rows, numpy's power for the
+# free-source rate kernel. a is an arm transmission, d the dark count
+# probability, and B, C, D the weights of PdcCoefficients.
 def _poisson_clicks(a, nbar, exp):
     return 1.0 - exp(-a * nbar), 1.0 - (1.0 + nbar) * exp(-nbar)
 
@@ -409,8 +419,7 @@ def _error_fraction(signal, noise, mu):
 
 
 # Zero totals that the closed forms would divide by, as predicates: the
-# scalar functions raise where they are false, and protocols' array pass ANDs
-# them.
+# scalar functions raise where they are false, and _stats_columns ANDs them.
 def _sift_ok(p_sift):
     return p_sift != 0.0
 
@@ -529,3 +538,53 @@ def swap_stats_from_segment(
     )
     return _coincidence_stats(p_true, p_false, p)
 
+
+def _stats_columns(protocol: str, src: SourceSpec | None, p: ChannelParams, t, maths, param=None):
+    """point_stats' statistics over an array of transmissions t (see
+    protocols._transmissions), or with src None the free source's at param,
+    an array of nbar (bb84) or chi (ekert) that broadcasts against t: the
+    scalar functions' bodies with maths' exp, tanh, cosh and power, so libm
+    maps give every element the scalar's bits, and raise where it raises.
+    Returns (p_sift, e, beta), the statistics class's fields in order, and
+    ok, which ANDs the predicates and check tables that the scalar path
+    raises on (a zero 1 - z, which pdc_coefficients rejects before it
+    divides, makes B infinite here).
+    """
+    d, mu = p.d, p.mu
+    checks = [_transmission_ok(t)]
+    if protocol == "bb84":
+        noise = BB84_DETECTORS * d
+        checks.append(_dark_clicks_ok(d, BB84_DETECTORS))
+        if isinstance(src, IdealSingle):
+            signal, p_m = t, 0.0
+        else:
+            signal, p_m = _poisson_clicks(t, param if src is None else src.nbar, maths.exp)
+    elif isinstance(src, IdealEpr):
+        signal, noise = t * t, _pair_false(t, d)
+    elif isinstance(src, SwapChain):
+        alpha_bell = p.eta * t
+        alpha_end = alpha_bell * db_to_transmission(receiver_arm_loss_db(p, 2))
+        p_swap_true, p_swap = _swap_success(alpha_bell, d)
+        signal, noise = _swap_coincidences(
+            p_swap_true, p_swap, alpha_end, d, src.n_swaps, src.literal_exponent, maths.power
+        )
+        checks.append(_swap_ok(p_swap))
+    else:
+        chi = param if src is None else src.chi
+        signal, vacuum, single, double = _pdc_weights(
+            t, maths.power(maths.tanh(chi), 2), maths.power(maths.cosh(chi), 4), maths.power
+        )
+        noise = _pdc_false(d, vacuum, single, double)
+        checks.extend(_pdc_coefficient_checks(signal, vacuum, single, double))
+    p_sift = signal + noise
+    e = _error_fraction(signal, noise, mu)
+    checks.append(_sift_ok(p_sift))
+    if protocol == "bb84":
+        beta = (p_sift - p_m) / p_sift
+        stats = (p_sift, e, beta)
+        checks.extend(_click_checks(*stats))
+    else:
+        beta = 1.0
+        stats = (signal, noise, e)
+        checks.extend(_coincidence_checks(*stats))
+    return (p_sift, e, beta), stats, reduce(operator.and_, checks)

@@ -3,8 +3,8 @@ they certify.
 
 Each suite returns a JSON-ready report whose ``properties`` each carry a
 tolerance, the measured extreme and a ``pass`` flag. ``VERIFY_SUITES`` maps
-suite names to the functions that build these reports;
-``cli.run_verify_suite`` adds the name to a report as its ``suite``.
+suite names to the functions that build these reports; ``run_verify_suite``
+runs one or all by name for the CLI, each report with its name as ``suite``.
 
 The suites call the certified functions through their modules
 (``ratecore.collision_bound``, ``ratecore._collision_bound_array``,
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fockoracle, ratecore, security, sources
 
-__all__ = ["VERIFY_SUITES"]
+__all__ = ["VERIFY_SUITES", "run_verify_suite"]
 
 
 def _property(name: str, tolerance: float, holds: bool, **measured) -> dict:
@@ -172,3 +172,22 @@ VERIFY_SUITES = {
     "privacy-amp": _suite_privacy_amp,
     "multi-photon": _suite_multi_photon,
 }
+
+
+def run_verify_suite(name: str) -> dict:
+    """Run one named verification suite, or all of them; each report's
+    ``suite`` is its VERIFY_SUITES name."""
+    if name == "all":
+        reports = [{"suite": suite, **run()} for suite, run in VERIFY_SUITES.items()]
+        return {
+            "suite": "all",
+            "reports": reports,
+            "pass": all(p["pass"] for rep in reports for p in rep["properties"]),
+        }
+    if name not in VERIFY_SUITES:
+        raise sources.ConfigError(
+            f"unknown suite {name!r}; expected one of {sorted(VERIFY_SUITES)} or 'all'"
+        )
+    report = {"suite": name, **VERIFY_SUITES[name]()}
+    report["pass"] = all(p["pass"] for p in report["properties"])
+    return report

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkdrates import cli, fockoracle, protocols, verify
+from qkdrates import cli, fockoracle, protocols, sources, verify
 from qkdrates.cli import (
     ConfigError,
     config_to_dict,
@@ -911,6 +911,11 @@ class TestVerifyCommand:
     def test_run_verify_suite_rejects_unknown(self):
         with pytest.raises(ConfigError):
             run_verify_suite("nonsense")
+
+    def test_run_verify_suite_lives_with_the_suites(self):
+        # the CLI re-exports the runner and its error from the modules that define them
+        assert cli.run_verify_suite is verify.run_verify_suite
+        assert cli.ConfigError is sources.ConfigError
 
     def test_all_matches_reference(self):
         # bench/run.py traces cli.VERIFY_SUITES; it must be the dict the suites live in

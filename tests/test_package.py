@@ -1,5 +1,6 @@
 """Tests of the package as installed code: what importing it pulls in."""
 
+import ast
 import json
 import os
 import subprocess
@@ -29,3 +30,30 @@ def test_importing_every_module_loads_no_test_only_package():
     names, loaded = json.loads(out)
     assert {"cli", "protocols", "sources", "fockoracle", "verify"} <= set(names)
     assert loaded == []
+
+
+def _private_names_taken(module: str, lenders: tuple) -> set:
+    """The private names, as "lender._name", that a qkdrates module imports
+    from the lender modules or reads as their attributes."""
+    tree = ast.parse((SRC / "qkdrates" / f"{module}.py").read_text())
+    relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
+    modules = {a.asname or a.name: a.name for node in relative if node.module is None for a in node.names}
+    taken = {f"{node.module}.{a.name}" for node in relative if node.module in lenders for a in node.names}
+    taken |= {
+        f"{modules[node.value.id]}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and modules.get(node.value.id) in lenders
+    }
+    return {name for name in taken if name.split(".")[1].startswith("_")}
+
+
+def test_protocols_takes_only_the_entry_points_of_sources_and_ratecore():
+    # the closed forms, array forms included, stay inside the modules that own
+    # them; protocols drives evaluation through these four
+    assert _private_names_taken("protocols", ("sources", "ratecore")) == {
+        "sources._bb84_stats",
+        "sources._stats_columns",
+        "ratecore._key_rate",
+        "ratecore._key_rate_columns",
+    }

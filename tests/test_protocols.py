@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from qkdrates import channel, protocols, sources
 from qkdrates.channel import ChannelParams
-from qkdrates.ratecore import _EC_KNOTS, _EC_SEGMENTS, _ec_line, _quadratic_bound, ec_efficiency
+from qkdrates.ratecore import _EC_KNOTS, _EC_SEGMENTS, _ec_line, _quadratic_bound, binary_entropy, ec_efficiency, tau
 from qkdrates.protocols import (
     CHI_BOX,
     MAX_SWEEP_ROWS,
@@ -203,6 +203,16 @@ class TestOptimizer:
             pr("bb84", Poisson(g), ChannelParams(mu=0.01), 0.0).rate for g in grid
         )
         assert result.rate >= grid_best - 1e-15
+
+    @pytest.mark.parametrize("protocol", ["bb84", "ekert"])
+    def test_rates_no_probe_that_no_step_reads(self, protocol):
+        # 64 grid points, the first two probes, 16 of the 17 golden-section
+        # steps' probes and the bracket midpoint: the step that closes the
+        # bracket below _REL_TOL leaves its probe unrated
+        with mock.patch.object(protocols, "point_rate", wraps=protocols.point_rate) as rated:
+            result = optimize_source_param(protocol, ChannelParams(eta=0.2, d=1e-6), 10.0)
+        assert result.rate > 0.0
+        assert rated.call_count == 83
 
     def test_pdc_optimum_below_one(self):
         result = optimize_source_param("ekert", FIBER, 100.0)
@@ -464,6 +474,29 @@ class TestCutoff:
         ekert_cut = cutoff_distance("ekert", FIBER, (1.0, 400.0), src=IdealEpr())
         bb84_cut = cutoff_distance("bb84", FIBER, (1.0, 400.0), src=IdealSingle())
         assert bb84_cut < ekert_cut
+
+    @pytest.mark.parametrize("search", [(1.0, 400.0), (1.0, 1000.0), (100.0, 250.0)])
+    def test_ideal_pair_cutoff_against_its_closed_form_root(self, search):
+        # At beta = 1 the rate vanishes where tau(e) = f(e) h(e), at e*,
+        # whatever p_sift is. With p_true = alpha^2 and p_false = 8 alpha d +
+        # 16 d^2, e = e* is the quadratic 2 (e* - mu) alpha^2 - 8 d (1 - 2e*)
+        # alpha - 16 d^2 (1 - 2e*) = 0 in the arm transmission alpha, and the
+        # loss budget of the two arms maps its root alpha* to the distance L*.
+        lo, hi = 0.05, 0.15
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if tau(mid) > ec_efficiency(mid) * binary_entropy(mid) else (lo, mid)
+        e, d, mu = lo, FIBER.d, FIBER.mu
+        a, b, c = 2.0 * (e - mu), -8.0 * d * (1.0 - 2.0 * e), -16.0 * d * d * (1.0 - 2.0 * e)
+        alpha = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+        arm_db = -10.0 * math.log10(alpha / (FIBER.eta * 10.0 ** (-FIBER.receiver_loss_db / 10.0)))
+        root = 2.0 * arm_db / FIBER.sigma
+        assert e == pytest.approx(0.0979905, abs=1e-7)
+        assert alpha == pytest.approx(1.92257e-3, rel=1e-5)
+        assert root == pytest.approx(187.1390641741037, abs=1e-9)
+        # the bisection stops at a 0.5 km bracket: criterion 01's 186.862 km on (1, 400)
+        assert root - 0.5 <= cutoff_distance("ekert", FIBER, search, IdealEpr()) <= root
+        assert point_rate("ekert", IdealEpr(), FIBER, root - 1e-3).rate_raw > 0.0
+        assert point_rate("ekert", IdealEpr(), FIBER, root + 1e-3).rate_raw < 0.0
 
     def test_no_dark_counts_means_no_cutoff(self):
         clean = ChannelParams(sigma=0.2, eta=0.18, receiver_loss_db=1.0, d=0.0, mu=0.01)
@@ -734,7 +767,7 @@ class TestSweepRows:
         try:
             params = None if src is not None else _optimal_params(protocol, p, xs, mode)
             t = _transmissions(protocol, src, p, np.array(xs), mode)
-            ok = _rate_columns(protocol, src, p, t, _ROW_MATHS, None if params is None else np.array(params)).ok
+            ok = _rate_columns(protocol, src, p, t, _ROW_MATHS, None if params is None else np.array(params))[2]
         except (ArithmeticError, ValueError):
             return
         for i, x in enumerate(xs):

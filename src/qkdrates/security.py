@@ -219,20 +219,23 @@ def attack_collision(a: AttackParams) -> float:
     )
 
 
-def attack_family_grid(ratio: float, cosines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def attack_family_grid(ratio, cosines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Disturbance and collision probability over a grid of attack-family
-    members sharing one norm ratio.
+    members sharing one norm ratio, or for each of a 1-D array of them.
 
     Args:
-        ratio: Norm ratio n_xx / n_xy, positive.
+        ratio: Norm ratio n_xx / n_xy, positive, or a 1-D array of them.
         cosines: Overlap cosines; every pair (cos phi_xx_yy, cos phi_xy_yx)
             drawn from cosines x cosines is one member.
 
     Returns:
-        (eps, collision) as flat arrays over the members, cos phi_xx_yy
-        major; each element equals attack_epsilon and attack_collision of
-        that member at unit total norm.
+        (eps, collision) as flat arrays over the members, ratio major, then
+        cos phi_xx_yy; each element equals attack_epsilon and
+        attack_collision of that member at unit total norm. An array of
+        ratios gives the one-ratio arrays of each ratio end to end, bit for
+        bit.
     """
+    ratio = np.asarray(ratio, dtype=float)[..., None, None]
     x, y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
     c1, c2 = cosines[:, None], cosines[None, :]
     return _epsilon_from(x, y, c1, c2).ravel(), _collision_from(x, y, c1, c2).ravel()

@@ -12,6 +12,11 @@ The suites call the certified functions through their modules
 than importing the names here. A caller that rebinds a module attribute,
 such as a tracer that wraps it, then sees every call the suites make; a
 name bound in this module would bypass the rebinding.
+
+``fockoracle`` loads with the first suite that needs it (``pdc-oracle`` or
+``dephasing``), so importing this module, and ``qkdrates.cli`` with it,
+does not compile the oracle for a ``rate``, ``sweep``, ``optimize`` or
+``cutoff`` run.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import math
 
 import numpy as np
 
-from . import fockoracle, ratecore, security, sources
+from . import ratecore, security, sources
 
 __all__ = ["VERIFY_SUITES", "run_verify_suite"]
 
@@ -39,11 +44,14 @@ def _suite_attack_bound() -> dict:
     worst_gap = 0.0
     for eps, value in zip(grid, values.tolist()):
         worst_gap = max(worst_gap, abs(value - ratecore.collision_bound(eps)))
-    # every (ratio, phi1, phi2) point of a 50^3 grid, one norm ratio at a time
+    # every (ratio, phi1, phi2) point of a 50^3 grid, in blocks of whole norm
+    # ratios of at most the search's _BLOCK_POINTS points: 3 of 50 x 50
     worst_violation = -math.inf
     cosines = np.array([math.cos(math.pi * i / 49.0) for i in range(50)])
-    for i in range(50):
-        eps, collision = security.attack_family_grid(10.0 ** (-3.0 + 6.0 * i / 49.0), cosines)
+    ratios = np.array([10.0 ** (-3.0 + 6.0 * i / 49.0) for i in range(50)])
+    block = security._BLOCK_POINTS // cosines.size**2
+    for lo in range(0, ratios.size, block):
+        eps, collision = security.attack_family_grid(ratios[lo : lo + block], cosines)
         bound = ratecore._collision_bound_array(eps)
         worst_violation = max(worst_violation, float(np.max(collision - bound)))
     return {
@@ -57,6 +65,8 @@ def _suite_attack_bound() -> dict:
 
 
 def _suite_pdc_oracle() -> dict:
+    from . import fockoracle
+
     worst_coeff = 0.0
     worst_residual = 0.0
     unreadable = False
@@ -101,6 +111,8 @@ def _suite_pdc_oracle() -> dict:
 
 
 def _suite_dephasing() -> dict:
+    from . import fockoracle
+
     half = 1.0 / math.sqrt(2.0)
     superposition = fockoracle.FockVector(amps={(0, 0, 0, 0): half, (1, 0, 0, 0): half})
     diagonal = fockoracle.FockVector(amps={(1, 0, 0, 1): 1.0})

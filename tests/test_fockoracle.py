@@ -10,6 +10,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdrates import fockoracle
 from qkdrates.fockoracle import (
@@ -313,6 +315,68 @@ class TestLossExpansion:
         numpy_state = FockVector(amps={tuple(np.int32(k) for k in occ): amp for occ, amp in state.amps.items()})
         for got, want in zip(_loss_expansion(numpy_state, 0.5), _loss_expansion(state, 0.5)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def joint_outcomes_by_group(codes, kept, amps):
+    """_joint_outcomes as a loop over kept occupations: per occupation, the
+    entries that keep it times both receivers' expansion tables, as four
+    outer products, a repeat and a tile, all concatenated at the end."""
+    i = kept[:, 0] + kept[:, 1]
+    j = kept[:, 2] + kept[:, 3]
+    radix = 1 + int(max(i.max(), j.max()))
+    powers = radix ** np.arange(3, -1, -1)
+    side = radix**4
+    component = np.unique(codes, return_inverse=True)[1]
+    tag = i * radix + j
+    occupation = kept @ powers
+    order = np.argsort(occupation, kind="stable")
+    bounds = np.flatnonzero(np.diff(occupation[order], prepend=-1, append=-1)).tolist()
+    keys, tags, terms, classes = [], [], [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sel = order[lo:hi]
+        kax, kay, kbx, kby = kept[sel[0]].tolist()
+        a_occ, a_cls, a_amp = _receiver_expansion(kax, kay)
+        b_occ, b_cls, b_amp = _receiver_expansion(kbx, kby)
+        joint = np.add.outer((a_occ @ powers) * side, b_occ @ powers).ravel()
+        keys.append(np.add.outer(component[sel] * side**2, joint).ravel() * radix**2)
+        tags.append(np.repeat(tag[sel], len(joint)))
+        terms.append(np.multiply.outer(np.multiply.outer(amps[sel], a_amp), b_amp).ravel())
+        classes.append(np.tile(np.add.outer(6 * a_cls, b_cls).ravel(), len(sel)))
+    return tuple(np.concatenate(parts) for parts in (keys, tags, terms, classes))
+
+
+def assert_joint_outcomes_match_by_group(state, alpha):
+    expansion = _loss_expansion(state, alpha)
+    got, want = _joint_outcomes(*expansion), joint_outcomes_by_group(*expansion)
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+OCCUPATIONS = st.tuples(*[st.integers(min_value=0, max_value=3)] * 4)
+REAL_AMPLITUDES = st.floats(min_value=-1.0, max_value=1.0)
+COMPLEX_AMPLITUDES = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+RANDOM_STATES = st.one_of(
+    *(st.dictionaries(OCCUPATIONS, amplitudes, min_size=1, max_size=8).map(lambda amps: FockVector(amps=amps))
+      for amplitudes in (REAL_AMPLITUDES, COMPLEX_AMPLITUDES))
+)
+TRANSMISSIONS = st.one_of(st.sampled_from([0.0, 1.0, 1e-300]), st.floats(min_value=0.0, max_value=1.0))
+PSI_PLUS = FockVector(amps={(1, 0, 0, 1): HALF, (0, 1, 1, 0): HALF})
+
+
+class TestJointOutcomes:
+    @pytest.mark.parametrize("state, alpha", [
+        *DEPHASING_CASES,
+        *(pytest.param(PSI_PLUS, alpha, id=f"psi+ alpha={alpha}") for alpha in ORACLE_ALPHAS),
+    ])
+    def test_suite_states_match_the_loop_over_occupations_bitwise(self, state, alpha):
+        assert_joint_outcomes_match_by_group(state, alpha)
+
+    @given(RANDOM_STATES, TRANSMISSIONS)
+    @settings(max_examples=300, deadline=None)
+    def test_random_states_match_the_loop_over_occupations_bitwise(self, state, alpha):
+        assert_joint_outcomes_match_by_group(state, alpha)
 
 
 def populated_columns(state, alpha):

@@ -57,3 +57,23 @@ def test_protocols_takes_only_the_entry_points_of_sources_and_ratecore():
         "ratecore._key_rate",
         "ratecore._key_rate_columns",
     }
+
+
+_LAZY_ORACLE = """
+import contextlib, io, json, sys
+import qkdrates.cli
+before = "qkdrates.fockoracle" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as report:
+    status = qkdrates.cli.main(["verify", "--suite", "dephasing"])
+print(json.dumps([before, status, json.loads(report.getvalue())["pass"], "qkdrates.fockoracle" in sys.modules]))
+"""
+
+
+def test_cli_import_leaves_the_oracle_unloaded_until_a_suite_needs_it():
+    # rate, sweep, optimize and cutoff runs start with this import and never
+    # use the oracle; verify loads it with the first suite that does
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", _LAZY_ORACLE], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == [False, 0, True, True]

@@ -120,7 +120,8 @@ class TestCollisionBoundArray:
         monkeypatch.setattr(security, "attack_family_grid", record)
         verify.VERIFY_SUITES["attack-bound"]()
         eps = np.concatenate(grids)
-        assert len(grids) == 50 and eps.shape == (125_000,)
+        # 50 norm ratios in blocks of 3: 16 blocks of 7,500 points and one of 5,000
+        assert len(grids) == 17 and eps.shape == (125_000,)
         for chunk in grids:
             bound = _collision_bound_array(chunk)
             assert bound.dtype == np.float64 and bound.shape == chunk.shape

@@ -262,6 +262,23 @@ class TestArrayForms:
             assert eps[k] == attack_epsilon(member)
             assert collision[k] == attack_collision(member)
 
+    @given(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=4),
+           st.lists(ANGLES, min_size=1, max_size=5))
+    @settings(max_examples=100)
+    def test_family_grid_of_ratios_is_the_one_ratio_grids_end_to_end(self, ratios, phis):
+        cosines = np.array([math.cos(p) for p in phis])
+        eps, collision = attack_family_grid(np.array(ratios), cosines)
+        singles = [attack_family_grid(ratio, cosines) for ratio in ratios]
+        for got, want in zip((eps, collision), (np.concatenate(parts) for parts in zip(*singles))):
+            assert got.dtype == want.dtype and got.shape == want.shape == (len(ratios) * len(phis) ** 2,)
+            assert got.tobytes() == want.tobytes()
+        # one float ratio: the members' arrays, from the closed forms at Python-float norms
+        for ratio, (one_eps, one_collision) in zip(ratios, singles):
+            x, y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
+            c1, c2 = cosines[:, None], cosines[None, :]
+            assert one_eps.tobytes() == _epsilon_from(x, y, c1, c2).ravel().tobytes()
+            assert one_collision.tobytes() == _collision_from(x, y, c1, c2).ravel().tobytes()
+
     def test_vanishing_denominators_are_masked(self):
         # n_xx = 0 with c2 = -1 zeroes both the numerator and the denominator of a term
         assert attack_collision(AttackParams(n_xx=0.0, n_xy=1.0, phi_xx_yy=0.0, phi_xy_yx=math.pi)) == 0.5

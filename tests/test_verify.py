@@ -7,7 +7,8 @@ import pytest
 from qkdrates import security, verify
 
 # The largest suite, pdc-oracle, peaks near 3.2 MiB with its four states'
-# shared loss expansion, and near 4.1 MiB on its first run in a process.
+# shared loss expansion, and near 4.2 MiB on its first run in a process, which
+# also loads fockoracle.
 # Evaluating a whole grid at once (a 50^3 attack meshgrid, every hash seed in
 # one histogram) would pass 5 MiB.
 PEAK_LIMIT = 5 * 2**20

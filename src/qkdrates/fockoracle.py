@@ -490,11 +490,12 @@ def _fit_pair_sector(rho: np.ndarray) -> tuple:
     """Fit rho_11 = A |psi+><psi+| + D I/4; returns (A, D, residual).
 
     A comes from the psi+ overlap and D from the trace; the residual is the
-    Frobenius norm of what the two-parameter form leaves unexplained.
+    Frobenius norm of what the two-parameter form leaves unexplained. All
+    three are Python floats, so a report that compares them holds bools.
     """
-    trace = np.trace(rho).real
+    trace = float(np.trace(rho).real)
     # basis order (xx, xy, yx, yy); psi+ = (|xy> + |yx>) / sqrt(2)
-    overlap = 0.5 * (rho[1, 1] + rho[2, 2] + rho[1, 2] + rho[2, 1]).real
+    overlap = float(0.5 * (rho[1, 1] + rho[2, 2] + rho[1, 2] + rho[2, 1]).real)
     A = (4.0 * overlap - trace) / 3.0
     D = trace - A
     psi_plus = np.zeros(4)

@@ -33,8 +33,8 @@ from .sources import (
     Poisson,
     SourceSpec,
     SwapChain,
-    _bb84_stats,
     _stats_columns,
+    bb84_stats,
     check_source,
     ekert_ideal_stats,
     pdc_stats,
@@ -205,7 +205,7 @@ def point_stats(
     if isinstance(src, SwapChain):
         return swap_stats_from_segment(src, t, p)
     if protocol == "bb84":
-        return _bb84_stats(src, t, p)
+        return bb84_stats(src, t, p)
     if isinstance(src, Pdc):
         return pdc_stats(src.chi, t, p)
     return ekert_ideal_stats(t, p)
@@ -277,8 +277,8 @@ class _Maths(NamedTuple):
 
 
 def _libm(f):
-    """The element map of a math function f over numpy arrays, which it
-    broadcasts, with any other argument taken as a scalar; on scalars alone
+    """The element map of a math function f over one numpy array, any other
+    argument taken as a scalar (two arrays fail to unpack); on scalars alone
     it is f. It has the scalar path's bits, libm's, where numpy's ufuncs
     can differ in the last place: 1 - exp(-alpha nbar) keeps only the
     absolute rounding of the exponential, so at small alpha nbar one ulp of
@@ -288,10 +288,9 @@ def _libm(f):
         arrays = [a for a in args if isinstance(a, np.ndarray)]
         if not arrays:
             return f(*args)
-        if len(arrays) > 1:
-            args = arrays = np.broadcast_arrays(*args)
-        columns = [a.ravel().tolist() if isinstance(a, np.ndarray) else repeat(a) for a in args]
-        return np.fromiter(map(f, *columns), float, arrays[0].size).reshape(arrays[0].shape)
+        (array,) = arrays
+        columns = [a.ravel().tolist() if a is array else repeat(a) for a in args]
+        return np.fromiter(map(f, *columns), float, array.size).reshape(array.shape)
 
     return apply
 

@@ -444,7 +444,8 @@ def bb84_stats(src: SourceSpec, alpha: float, p: ChannelParams) -> ClickStats:
     """Click statistics for a one-way protocol with a four-detector receiver.
 
     Args:
-        src: IdealSingle or Poisson source.
+        src: IdealSingle or Poisson source; any other source, or None,
+            raises ValueError.
         alpha: End-to-end arm detection probability.
         p: Channel parameters (dark counts and baseline error).
 
@@ -452,19 +453,13 @@ def bb84_stats(src: SourceSpec, alpha: float, p: ChannelParams) -> ClickStats:
         ClickStats with the click probability, error fraction, and the
         untagged fraction beta.
     """
-    check_source("bb84", src)
-    return _bb84_stats(src, alpha, p)
-
-
-def _bb84_stats(src: SourceSpec, alpha: float, p: ChannelParams) -> ClickStats:
-    """bb84_stats for a source already checked to serve bb84, as
-    protocols._check_request checks it on the rate path."""
-    a = checked_transmission(alpha)
     if isinstance(src, IdealSingle):
-        p_signal = a
-        p_m = 0.0
+        p_signal, p_m = checked_transmission(alpha), 0.0
+    elif isinstance(src, Poisson):
+        p_signal, p_m = _poisson_clicks(checked_transmission(alpha), src.nbar, math.exp)
     else:
-        p_signal, p_m = _poisson_clicks(a, src.nbar, math.exp)
+        check_source("bb84", src)
+        raise ValueError(f"bb84 statistics need an ideal-single or poisson source, got {src!r}")
     p_dark = dark_click_prob(p.d, BB84_DETECTORS)
     e = _sifted_error(p_signal, p_dark, p.mu, "click")
     p_click = p_signal + p_dark
@@ -527,6 +522,8 @@ def swap_stats_from_segment(
     unpolarized remainder feeds the false-coincidence rate alongside the
     dark-count terms.
     """
+    if not isinstance(src, SwapChain):
+        raise ValueError(f"swap statistics need a swap-chain source, got {src!r}")
     d = p.d
     alpha_bell = p.eta * checked_transmission(segment_transmission, "segment transmission")
     alpha_end = alpha_bell * db_to_transmission(receiver_arm_loss_db(p, 2))

@@ -33,8 +33,9 @@ __all__ = ["VERIFY_SUITES", "run_verify_suite"]
 
 def _property(name: str, tolerance: float, holds: bool, **measured) -> dict:
     """One checked property of a suite report: its tolerance, the measured
-    extreme under a named key, and whether the property holds."""
-    return {"name": name, "tolerance": tolerance, **measured, "pass": holds}
+    extreme under a named key, and whether the property holds (as a Python
+    bool, which JSON takes where a numpy bool is rejected)."""
+    return {"name": name, "tolerance": tolerance, **measured, "pass": bool(holds)}
 
 
 def _suite_attack_bound() -> dict:

@@ -674,6 +674,25 @@ class TestCoefficientExtraction:
         sectors = apply_loss_and_trace(build_pdc_state(0.3, 8), 0.7)
         assert pair_sector_residual(sectors) < 1e-10
 
+    def test_coefficients_are_python_floats(self):
+        # a report compares them with its tolerances and serializes the
+        # comparison: a numpy bool there is not JSON
+        oracle = extract_pdc_coefficients(apply_loss_and_trace(build_pdc_state(0.2, 4), 0.5))
+        assert all(type(value) is float for value in (oracle.A, oracle.B, oracle.C, oracle.D))
+
+    def test_disagreeing_one_photon_sectors_rejected(self):
+        sectors = {(0, 0): np.array([[0.7]]), (1, 0): 0.1 * np.eye(2), (0, 1): 0.05 * np.eye(2)}
+        with pytest.raises(ValueError, match="^one-photon sectors disagree: 0.2 vs 0.1$"):
+            extract_pdc_coefficients(sectors)
+
+    def test_no_pair_sector_means_no_pair_weights(self):
+        # total loss leaves only the vacuum sector
+        sectors = apply_loss_and_trace(build_pdc_state(0.2, 4), 0.0)
+        assert set(sectors) == {(0, 0)}
+        oracle = extract_pdc_coefficients(sectors)
+        assert (oracle.A, oracle.C, oracle.D) == (0.0, 0.0, 0.0)
+        assert oracle.B == pytest.approx(1.0, abs=1e-5)
+
 
 class TestDephasing:
     def test_number_superposition_is_invisible_to_counters(self):

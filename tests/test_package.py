@@ -50,9 +50,8 @@ def _private_names_taken(module: str, lenders: tuple) -> set:
 
 def test_protocols_takes_only_the_entry_points_of_sources_and_ratecore():
     # the closed forms, array forms included, stay inside the modules that own
-    # them; protocols drives evaluation through these four
+    # them; protocols drives evaluation through these three
     assert _private_names_taken("protocols", ("sources", "ratecore")) == {
-        "sources._bb84_stats",
         "sources._stats_columns",
         "ratecore._key_rate",
         "ratecore._key_rate_columns",

@@ -410,16 +410,14 @@ def _load_bench_tracing():
 
 class TestScalarPathLayers:
     """A fixed-source point_rate reaches each traced function of its chain
-    once, so the benchmark's per-layer counters see every layer. A bb84
-    point's statistics come from sources._bb84_stats, the body of
-    bb84_stats without its source check, which the request check has made."""
+    once, so the benchmark's per-layer counters see every layer."""
 
     RATE_CHAIN = ("ratecore.tau_multiphoton", "ratecore.tau", "ratecore.collision_bound",
                   "ratecore.binary_entropy", "ratecore.ec_efficiency")
 
     @pytest.mark.parametrize("protocol, src, chain", [
-        ("bb84", IdealSingle(), ("protocols.rate_bb84",)),
-        ("bb84", Poisson(0.05), ("protocols.rate_bb84",)),
+        ("bb84", IdealSingle(), ("sources.bb84_stats", "protocols.rate_bb84")),
+        ("bb84", Poisson(0.05), ("sources.bb84_stats", "protocols.rate_bb84")),
         ("ekert", IdealEpr(), ("sources.ekert_ideal_stats", "protocols.rate_ekert")),
         ("ekert", Pdc(0.3), ("sources.pdc_stats", "sources.pdc_coefficients", "protocols.rate_ekert")),
         ("ekert", SwapChain(1), ("sources.swap_stats_from_segment", "protocols.rate_ekert")),
@@ -453,14 +451,15 @@ class TestScalarPathLayers:
 
     @pytest.mark.parametrize("src", [IdealSingle(), Poisson(0.05)], ids=["ideal-single", "poisson"])
     def test_bb84_point_checks_its_source_once(self, src):
-        # point_stats' request check is the only one; bb84_stats checked again
+        # point_stats' request check is the only one; bb84_stats checks a
+        # source by its type and calls check_source only for a wrong one
         checked = mock.Mock(wraps=sources.check_source)
         with mock.patch.object(protocols, "check_source", checked), \
                 mock.patch.object(sources, "check_source", checked):
             point = point_rate("bb84", src, FIBER, 10.0)
             stats = bb84_stats(src, 0.05, FIBER)
         assert point.rate > 0.0 and stats.p_click > 0.0
-        assert checked.call_args_list == [mock.call("bb84", src)] * 2
+        assert checked.call_args_list == [mock.call("bb84", src)]
 
     @pytest.mark.parametrize("src", [IdealSingle(), Poisson(0.05)], ids=["ideal-single", "poisson"])
     def test_bb84_point_stats_equal_bb84_stats(self, src):
@@ -469,7 +468,46 @@ class TestScalarPathLayers:
             assert point_stats("bb84", src, FIBER, x) == bb84_stats(src, t, FIBER)
 
 
+class TestDetectorScaling:
+    """Scaling eta and d by one power of two k scales every signal and noise
+    term of an ideal source by k (IdealSingle) or k^2 (IdealEpr), exactly
+    while every product stays a normal float (hence the floors on d and mu),
+    so the error fraction, a ratio of such sums, keeps its bits. The other
+    sources do not obey the relation: Poisson's 1 - exp(-alpha nbar) and
+    PDC's weights are not linear in alpha, and almost every random case
+    differs. Swap chains obey it only up to an ulp of pow's rounding, and
+    not where a long literal-exponent chain underflows, so they are left
+    out."""
+
+    @given(
+        sigma=st.floats(0.0, 0.5),
+        eta=st.floats(1e-3, 0.25),  # p_click stays below 1 at k = 2
+        receiver_loss_db=st.floats(0.0, 10.0),
+        d=st.one_of(st.just(0.0), st.floats(1e-12, 1e-3)),
+        mu=st.one_of(st.just(0.0), st.floats(1e-6, 0.49)),
+        per_arm=st.booleans(),
+        distance=st.floats(0.0, 400.0),
+        k=st.sampled_from([0.5, 2.0, 0.25]),
+        case=st.sampled_from([("bb84", IdealSingle()), ("ekert", IdealEpr())]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_error_fraction_keeps_its_bits(self, sigma, eta, receiver_loss_db, d, mu, per_arm, distance, k, case):
+        protocol, src = case
+        device = dict(sigma=sigma, eta=eta, receiver_loss_db=receiver_loss_db, d=d, mu=mu,
+                      receiver_loss_per_arm=per_arm)
+        plain = ChannelParams(**device)
+        scaled = ChannelParams(**{**device, "eta": eta * k, "d": d * k})
+        e = point_stats(protocol, src, plain, distance).e
+        assert point_stats(protocol, src, scaled, distance).e.hex() == e.hex()
+
+
 class TestCutoff:
+    @pytest.mark.parametrize("search", [(200.0, 100.0), (100.0, 100.0)], ids=["reversed", "empty"])
+    @pytest.mark.parametrize("src", [None, IdealEpr()])
+    def test_bracket_must_rise(self, search, src):
+        with pytest.raises(ValueError, match="^search bracket must satisfy low < high$"):
+            cutoff_distance("ekert", FIBER, search, src=src)
+
     def test_ordering_of_ideal_sources(self):
         ekert_cut = cutoff_distance("ekert", FIBER, (1.0, 400.0), src=IdealEpr())
         bb84_cut = cutoff_distance("bb84", FIBER, (1.0, 400.0), src=IdealSingle())

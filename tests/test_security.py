@@ -14,6 +14,7 @@ from qkdrates.ratecore import collision_bound, tau, tau_multiphoton
 from qkdrates import security
 from qkdrates.security import (
     AttackParams,
+    KeyBudget,
     _collision_from,
     _epsilon_from,
     SecurityParams,
@@ -69,6 +70,21 @@ class TestKeyBudget:
             final_key_length(100, 0.1, -1, SecurityParams())
         with pytest.raises(ValueError):
             SecurityParams(-1, 0)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"r": 11}, "final key cannot exceed the reconciled key"),
+        ({"r": -1}, "key length and information bound must be non-negative"),
+        ({"eve_info": -1e-9}, "key length and information bound must be non-negative"),
+    ], ids=["r-past-n_rec", "negative-r", "negative-eve_info"])
+    def test_budget_rejects_inconsistent_counts(self, fields, message):
+        with pytest.raises(ValueError, match="^" + message + "$"):
+            KeyBudget(**{"n_rec": 10, "tau_bits": 0.5, "kappa": 0, "r": 5, "eve_info": 0.0, **fields})
+
+    def test_negative_bit_counts_rejected(self):
+        with pytest.raises(ValueError, match="^reconciled key length must be non-negative$"):
+            ec_leak_bits(-1, 0.1)
+        with pytest.raises(ValueError, match="^key length must be non-negative$"):
+            eve_info_bound(-1, SecurityParams())
 
     @pytest.mark.parametrize("value", [1.5, math.nan, True, np.True_, "30", None], ids=repr)
     def test_margins_must_be_integers(self, value):

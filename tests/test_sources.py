@@ -69,9 +69,18 @@ class TestBb84Stats:
         with pytest.raises(ValueError, match="beta must be finite"):
             ClickStats(p_click=2e-323, e=0.5, beta=beta)
 
-    def test_two_arm_sources_rejected(self):
-        with pytest.raises(ValueError):
-            bb84_stats(IdealEpr(), 0.5, ChannelParams())
+    @pytest.mark.parametrize("src", [IdealEpr(), Pdc(0.2), SwapChain(1)], ids=["ideal-epr", "pdc", "swap"])
+    @pytest.mark.parametrize("alpha", [0.5, 2.0], ids=["valid", "invalid"])
+    def test_two_arm_sources_rejected(self, src, alpha):
+        # the source is checked before the transmission
+        message = f"source {src.tag!r} does not serve protocol 'bb84'"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            bb84_stats(src, alpha, ChannelParams())
+
+    def test_missing_source_rejected(self):
+        message = "bb84 statistics need an ideal-single or poisson source, got None"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            bb84_stats(None, 0.5, ChannelParams())
 
 
 class TestEkertIdealStats:
@@ -284,6 +293,12 @@ class TestSwapChain:
             SwapChain(0)
         with pytest.raises(ValueError):
             swap_stats_from_segment(SwapChain(1), 0.0, ChannelParams())
+
+    @pytest.mark.parametrize("src", [IdealEpr(), Poisson(0.1), None], ids=repr)
+    def test_other_sources_rejected(self, src):
+        message = f"swap statistics need a swap-chain source, got {src!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            swap_stats_from_segment(src, 0.1, ChannelParams())
 
 
 class TestSourceParsing:

@@ -29,6 +29,7 @@ from .sources import (
     PROTOCOLS,
     ClickStats,
     CoincidenceStats,
+    IdealEpr,
     Pdc,
     Poisson,
     SourceSpec,
@@ -198,7 +199,7 @@ def point_stats(
     two-arm sources placed midway. In total-loss mode it is the summed
     channel loss in dB. Either is split equally over the arms or segments.
     _check_request checks the request, the statistics function the
-    transmission.
+    transmission; a free source (None) has none and raises ValueError.
     """
     _check_request(protocol, src, mode, abscissa)
     t = _transmissions(protocol, src, p, abscissa, mode)
@@ -208,7 +209,9 @@ def point_stats(
         return bb84_stats(src, t, p)
     if isinstance(src, Pdc):
         return pdc_stats(src.chi, t, p)
-    return ekert_ideal_stats(t, p)
+    if isinstance(src, IdealEpr):
+        return ekert_ideal_stats(t, p)
+    raise ValueError(f"ekert statistics need an ideal-epr, pdc or swap source, got {src!r}")
 
 
 def point_rate(
@@ -331,15 +334,15 @@ def _transmissions(protocol: str, src: SourceSpec | None, p: ChannelParams, x, m
 
 
 def _rate_columns(
-    protocol: str, src: SourceSpec | None, p: ChannelParams, t: np.ndarray, maths: _Maths, param=None, clamp=False
+    protocol: str, src: SourceSpec | None, p: ChannelParams, t: np.ndarray, maths: _Maths, param=None
 ) -> tuple[np.ndarray, tuple, np.ndarray]:
     """point_rate(protocol, src, p, x, mode) over the abscissas x whose
     transmissions (see _transmissions) are t, or with src None at the free
-    source of parameters param, as (raw, stats, ok): sources._stats_columns
-    and ratecore._key_rate_columns, with _ROW_MATHS bit for bit."""
+    source of parameters param, as (raw, stats, ok), raw 0 where not live:
+    _stats_columns and _key_rate_columns, with _ROW_MATHS bit for bit."""
     with np.errstate(all="ignore"):
         rate_args, stats, ok = _stats_columns(protocol, src, p, t, maths, param)
-        raw = _key_rate_columns(*rate_args, ok, maths.log2, clamp)
+        raw = _key_rate_columns(*rate_args, ok, maths.log2)
     return raw, stats, ok
 
 
@@ -351,10 +354,11 @@ def _free_rate_kernel(protocol: str, p: ChannelParams, alpha, param) -> np.ndarr
 
     The array form of point_rate(protocol, _free_source(protocol, param), p,
     x, mode).rate at the abscissa x whose arm transmission is alpha, to
-    rounding. Where the scalar path raises the rate is 0.
+    rounding, and +0.0 where the scalar path raises or rates 0 or less.
     """
     alpha, param = np.asarray(alpha, dtype=float), np.asarray(param, dtype=float)
-    return _rate_columns(protocol, None, p, alpha, _KERNEL_MATHS, param, clamp=True)[0]
+    raw = _rate_columns(protocol, None, p, alpha, _KERNEL_MATHS, param)[0]
+    return np.where(raw > 0.0, raw, 0.0)
 
 
 def optimize_source_param(
@@ -408,24 +412,19 @@ def optimize_source_param(
     return OptimizeResult(param=param, rate=rate)
 
 
-def _coarse_maxima(
-    protocol: str, p: ChannelParams, xs: list[float], mode: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each abscissa's arm transmission, and the first argmax and the maximum
-    of the free source's rate over optimize_source_param's coarse grid,
-    evaluated on _free_rate_kernel _ROW_BLOCK rows at a time. A row whose arm
-    transmission is out of range has maximum 0: point_stats raises the same
-    error at every parameter."""
-    alpha = _transmissions(protocol, None, p, np.array(xs, dtype=float), mode)
+def _coarse_maxima(protocol: str, p: ChannelParams, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first argmax and the maximum of the free source's rate over
+    optimize_source_param's coarse grid at each arm transmission of alpha,
+    _ROW_BLOCK rows per _free_rate_kernel call; a row out of range has
+    maximum 0, as point_stats raises there at every parameter."""
     grid = _coarse_grid(*_free_source_box(protocol)).array
-    best = np.zeros(len(xs), dtype=int)
-    top = np.zeros(len(xs))
-    for start in range(0, len(xs), _ROW_BLOCK):
+    best, top = np.zeros(len(alpha), dtype=int), np.zeros(len(alpha))
+    for start in range(0, len(alpha), _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
         values = _free_rate_kernel(protocol, p, alpha[block, None], grid)
         best[block] = values.argmax(axis=1)
         top[block] = values.max(axis=1)
-    return alpha, best, top
+    return best, top
 
 
 def _bisection_midpoints(lo: float, hi: float, depth: int) -> list[float]:
@@ -449,15 +448,15 @@ def cutoff_distance(
     A probe needs only the sign of the rate. With src None that is the sign
     of the maximum of optimize_source_param's coarse grid: the optimizer
     returns zero_rate when that maximum is 0, and otherwise a rate at or
-    above it. So one _coarse_maxima call evaluates the coarse grids at every
-    midpoint that the next _CUTOFF_DEPTH bisection steps could visit (the
-    first call: both edges and the next _CUTOFF_DEPTH - 1 steps), and the
-    bisection replays its path from their signs, calling again when it
-    leaves them. It probes the same distances, and returns the same bound,
-    as one optimize_source_param per step; the kernel rates a grid point as
-    point_rate does to rounding, so only a grid maximum that is 0 to
-    rounding could take the other sign. A fixed source probes one
-    point_rate per step.
+    above it. So one _coarse_maxima call evaluates the coarse grids at the
+    arm transmissions of every midpoint that the next _CUTOFF_DEPTH
+    bisection steps could visit (the first call: both edges and the next
+    _CUTOFF_DEPTH - 1 steps), and the bisection replays its path from their
+    signs, calling again when it leaves them. It probes the same distances,
+    and returns the same bound, as one optimize_source_param per step; the
+    kernel rates a grid point as point_rate does to rounding, so only a grid
+    maximum that is 0 to rounding could take the other sign. A fixed source
+    probes one point_rate per step.
 
     Args:
         protocol: Protocol tag.
@@ -471,7 +470,8 @@ def cutoff_distance(
     """
     def probe(kms: list[float]) -> dict[float, bool]:
         if src is None:
-            positive = (_coarse_maxima(protocol, p, kms, "distance")[2] > 0.0).tolist()
+            alpha = _transmissions(protocol, None, p, np.array(kms, dtype=float), "distance")
+            positive = (_coarse_maxima(protocol, p, alpha)[1] > 0.0).tolist()
         else:
             positive = [point_rate(protocol, src, p, km, "distance").rate > 0.0 for km in kms]
         return dict(zip(kms, positive))
@@ -499,16 +499,17 @@ def cutoff_distance(
     return lo
 
 
-def _optimal_params(protocol: str, p: ChannelParams, xs: list[float], mode: str) -> list[float]:
-    """optimize_source_param(protocol, p, x, mode).param for every abscissa,
-    with all rows optimized in lockstep on _free_rate_kernel.
+def _optimal_params(protocol: str, p: ChannelParams, alpha: np.ndarray) -> np.ndarray:
+    """optimize_source_param's param, as a float64 array, at each arm
+    transmission of alpha (see _transmissions), all rows in lockstep on
+    _free_rate_kernel.
 
     Each row takes optimize_source_param's steps: the coarse grid (see
     _coarse_maxima), the bracket around its first maximum, the
     golden-section updates until its own bracket is below _REL_TOL, and the
     fallback to the grid point when the bracket midpoint rates lower. A row
-    whose rate is 0 over the whole grid, or whose arm transmission cannot be
-    computed, gets the box midpoint. The kernel's numpy tanh, cosh, log2
+    whose rate is 0 over the whole grid, or whose arm transmission is out of
+    range, gets the box midpoint. The kernel's numpy tanh, cosh, log2
     and ** can differ from libm's in the last bit, so where two probes of a
     row rate the same to rounding, the row may take the other branch and end
     elsewhere inside _REL_TOL.
@@ -520,8 +521,8 @@ def _optimal_params(protocol: str, p: ChannelParams, xs: list[float], mode: str)
     takes the one-step-per-call loop's steps, with its bits.
     """
     lo, hi = _free_source_box(protocol)
-    params = [0.5 * (lo + hi)] * len(xs)
-    alpha, best, top = _coarse_maxima(protocol, p, xs, mode)
+    params = np.full(len(alpha), 0.5 * (lo + hi))
+    best, top = _coarse_maxima(protocol, p, alpha)
     found = np.flatnonzero(top > 0.0)
     if not found.size:
         return params
@@ -562,9 +563,7 @@ def _optimal_params(protocol: str, p: ChannelParams, xs: list[float], mode: str)
         f1, f2 = np.where(up, f2, f), np.where(up, f, f1)
     # math.exp, as optimize_source_param takes it, fixes the reported parameter
     param = np.array([math.exp(v) for v in (0.5 * (a + b)).tolist()])
-    param = np.where(rate(param) < top, grid.array[best], param)
-    for i, v in zip(found.tolist(), param.tolist()):
-        params[i] = v
+    params[found] = np.where(rate(param) < top, grid.array[best], param)
     return params
 
 
@@ -611,20 +610,20 @@ def sweep(spec: SweepSpec) -> SweepColumns:
 
     Points are independent; un-evaluable points (degenerate statistics)
     become zero-rate points carrying a diagnostic note rather than aborting
-    the sweep. A free source is optimized for all rows at once (see
-    _optimal_params), and each row carries its optimal parameter. Then all
-    rows are rated in one array pass, _rate_columns with libm's functions,
-    which gives each row the bits of point_rate at its source. A row whose
-    statistics the pass rejects is evaluated by point_rate itself, so its
-    note and zero rate are the scalar's; where a libm function raises (a
-    pump parameter whose cosh overflows), every row is.
+    the sweep. The rows' transmissions are computed once: a free source is
+    optimized on them for all rows at once (see _optimal_params), each row
+    carrying its optimal parameter, and then all rows are rated on them in
+    one array pass, _rate_columns with libm's functions, which gives each
+    row the bits of point_rate at its source. A row whose statistics the
+    pass rejects is evaluated by point_rate itself, so its note and zero
+    rate are the scalar's; where a libm function raises (a pump parameter
+    whose cosh overflows), every row is.
     """
     protocol, src, p, mode = spec.protocol, spec.source, spec.params, spec.mode
     xs = spec.grid()
-    params = None if src is not None else _optimal_params(protocol, p, xs, mode)
-    optimal_param = None if params is None else np.array(params)
     abscissa = np.array(xs, dtype=float)
     t = _transmissions(protocol, src, p, abscissa, mode)
+    optimal_param = None if src is not None else _optimal_params(protocol, p, t)
     try:
         raw, stats, ok = _rate_columns(protocol, src, p, t, _ROW_MATHS, optimal_param)
     except (ValueError, OverflowError):
@@ -633,7 +632,7 @@ def sweep(spec: SweepSpec) -> SweepColumns:
     stats = tuple(np.array(np.broadcast_to(column, abscissa.shape)) for column in stats)
     notes = {}
     for i in np.flatnonzero(~ok).tolist():
-        row_src = src if params is None else _free_source(protocol, params[i])
+        row_src = src if optimal_param is None else _free_source(protocol, optimal_param.item(i))
         point = point_rate(protocol, row_src, p, xs[i], mode)
         raw[i] = point.rate_raw
         if point.stats is None:

@@ -173,10 +173,10 @@ def _key_rate(p_sift: float, e: float, beta: float, clamp: bool) -> float:
     return raw
 
 
-def _key_rate_columns(p_sift, e, beta, ok, log2, clamp: bool) -> np.ndarray:
-    """_key_rate over numpy arrays, with log2 handed in, and 0 where ok is
-    false. f(e) is ec_efficiency's segment line, each element's segment
-    gathered by take from _EC_SEGMENT_COLUMNS."""
+def _key_rate_columns(p_sift, e, beta, ok, log2) -> np.ndarray:
+    """_key_rate unclamped over numpy arrays, with log2 handed in, and 0
+    where ok is false. f(e) is ec_efficiency's segment line, each element's
+    segment gathered by take from _EC_SEGMENT_COLUMNS."""
     live = ok & _live(e, beta)
     # A live row has e / beta <= 1/2, where collision_bound is the quadratic
     # (at 1/2 both are 1).
@@ -185,4 +185,4 @@ def _key_rate_columns(p_sift, e, beta, ok, log2, clamp: bool) -> np.ndarray:
     segment = np.searchsorted(_EC_KNOT_ARRAY, e)
     f = _ec_line(e, *(field.take(segment) for field in _EC_SEGMENT_COLUMNS))
     raw = 0.5 * p_sift * (secure - f * entropy)
-    return np.where(live & (raw > 0.0) if clamp else live, raw, 0.0)
+    return np.where(live, raw, 0.0)

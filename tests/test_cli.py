@@ -85,8 +85,22 @@ class TestConfigParsing:
         assert len(config.curves) == 1
 
     def test_round_trip_identity(self):
-        for name in ("fig3a_fiber.json", "fig3b_freespace.json", "fig5_swaps.json"):
-            config = load_config(shipped_config(name))
+        configs = [load_config(shipped_config(name))
+                   for name in ("fig3a_fiber.json", "fig3b_freespace.json", "fig5_swaps.json")]
+        # point configs, one in each mode; the shipped configs are all sweeps
+        configs += [
+            parse_config({
+                "curves": [{"protocol": "ekert", "source": "optimize"},
+                           {"label": "pair", "protocol": "ekert", "source": {"type": "pdc", "chi": 0.2}}],
+                "channel": BASE_CHANNEL,
+                "point": point,
+                "security": {"s_bits": 40, "n_tot_pulses": 10**6},
+                "cutoff": {"search_high_km": 300.0},
+            })
+            for point in ({"distance_km": 100.0}, {"total_loss_db": 20.0})
+        ]
+        assert [config.mode for config in configs[3:]] == ["distance", "total-loss"]
+        for config in configs:
             assert parse_config(config_to_dict(config)) == config
 
     def test_point_and_sweep_are_exclusive(self):
@@ -128,35 +142,49 @@ class TestConfigParsing:
                 }
             )
 
+    # Each row overrides keys of a valid config (None drops one) and gives the
+    # start of the error message.
     @pytest.mark.parametrize(
-        "override",
+        "override, message",
         [
-            {"channel": {**BASE_CHANNEL, "receiver_loss_per_arm": "false"}},
-            {"source": {"type": "swap", "n_swaps": 1, "literal_exponent": "false"}},
-            {"security": {"s_bits": 1.9}},
-            {"security": {"t_bits": 1.9}},
-            {"security": {"n_tot_pulses": 1.9}},
-            {"security": {"s_bits": True}},
-            {"channel": [1]},
-            {"security": "strict"},
-            {"cutoff": [1.0, 400.0]},
-            {"point": 100.0},
-            {"point": {"distance_km": float("nan")}},
-            {"channel": {**BASE_CHANNEL, "sigma_db_per_km": "0.2"}},
-            {"channel": {**BASE_CHANNEL, "sigma_db_per_km": 10**400}},
-            {"cutoff": {"search_high_km": float("nan")}},
-            {"source": {"type": "swap", "n_swaps": 1.9}},
-            {"protocol": "bb84", "source": {"type": "poisson", "nbar": "0.1"}},
-            {"curves": 5},
-            {"curves": [5]},
-            {"label": [1]},
-            {"channel": {**SIGMA_FREE_CHANNEL, "sigma_db_per_kn": 0.3}},
-            {"cutof": {"search_high_km": 400.0}},
-            {"point": {"distance_km": -1.0}},
-            {"point": {"total_loss_db": -3.0}},
-            {"curves": [{"protocol": "ekert", "source": {"type": "ideal-epr"}}]},
-            {"source": {"type": "ideal-epr", "source": "pdc", "chi": 0.1}},
-            {"source": {"source": "pdc", "chi": 0.1}},
+            ({"channel": {**BASE_CHANNEL, "receiver_loss_per_arm": "false"}},
+             "receiver_loss_per_arm must be true or false, got 'false'"),
+            ({"source": {"type": "swap", "n_swaps": 1, "literal_exponent": "false"}},
+             "literal_exponent must be true or false, got 'false'"),
+            ({"security": {"s_bits": 1.9}}, "s_bits must be an integer, got 1.9"),
+            ({"security": {"t_bits": 1.9}}, "t_bits must be an integer, got 1.9"),
+            ({"security": {"n_tot_pulses": 1.9}}, "n_tot_pulses must be an integer, got 1.9"),
+            ({"security": {"s_bits": True}}, "s_bits must be an integer, got True"),
+            ({"channel": [1]}, "channel must be a JSON object, got [1]"),
+            ({"security": "strict"}, "security must be a JSON object, got 'strict'"),
+            ({"cutoff": [1.0, 400.0]}, "cutoff must be a JSON object, got [1.0, 400.0]"),
+            ({"point": 100.0}, "point must be a JSON object, got 100.0"),
+            ({"point": {"distance_km": float("nan")}}, "distance_km must be a finite number, got nan"),
+            ({"channel": {**BASE_CHANNEL, "sigma_db_per_km": "0.2"}},
+             "sigma_db_per_km must be a finite number, got '0.2'"),
+            ({"channel": {**BASE_CHANNEL, "sigma_db_per_km": 10**400}},
+             "sigma_db_per_km must be a finite number, got 1000"),
+            ({"cutoff": {"search_high_km": float("nan")}}, "search_high_km must be a finite number, got nan"),
+            ({"source": {"type": "swap", "n_swaps": 1.9}}, "n_swaps must be an integer, got 1.9"),
+            ({"protocol": "bb84", "source": {"type": "poisson", "nbar": "0.1"}},
+             "nbar must be a finite number, got '0.1'"),
+            ({"curves": 5}, "curves must be an array, got 5"),
+            ({"protocol": None, "source": None, "curves": [5]}, "curve must be a JSON object, got 5"),
+            ({"label": [1]}, "label must be a string, got [1]"),
+            ({"channel": {**SIGMA_FREE_CHANNEL, "sigma_db_per_kn": 0.3}},
+             "unknown channel key(s) ['sigma_db_per_kn']"),
+            ({"cutof": {"search_high_km": 400.0}}, "unknown top-level key(s) ['cutof']"),
+            ({"point": {"distance_km": -1.0}}, "abscissa must be non-negative, got -1.0"),
+            ({"point": {"total_loss_db": -3.0}}, "abscissa must be non-negative, got -3.0"),
+            ({"curves": [{"protocol": "ekert", "source": {"type": "ideal-epr"}}]},
+             "top-level ['protocol', 'source'] cannot be given beside 'curves'"),
+            ({"source": {"type": "ideal-epr", "source": "pdc", "chi": 0.1}},
+             "a source block names its kind under 'type', not 'source'"),
+            ({"source": {"source": "pdc", "chi": 0.1}},
+             "a source block names its kind under 'type', not 'source'"),
+            ({"protocol": None, "source": None}, "config needs either 'curves' or a top-level 'protocol'"),
+            ({"protocol": None, "source": None, "curves": []}, "'curves' must not be empty"),
+            ({"security": {"n_tot_pulses": 0}}, "n_tot_pulses must be positive"),
         ],
         ids=[
             "receiver_loss_per_arm-string",
@@ -185,9 +213,12 @@ class TestConfigParsing:
             "curves-beside-top-level-curve",
             "source-key-beside-type",
             "source-key-without-type",
+            "no-protocol-or-curves",
+            "curves-empty",
+            "n_tot_pulses-zero",
         ],
     )
-    def test_mistyped_values_exit_2(self, tmp_path, capsys, override):
+    def test_mistyped_values_exit_2(self, tmp_path, capsys, override, message):
         cfg = {
             "protocol": "ekert",
             "source": {"type": "ideal-epr"},
@@ -195,8 +226,9 @@ class TestConfigParsing:
             "point": {"distance_km": 100.0},
             **override,
         }
+        cfg = {key: value for key, value in cfg.items() if value is not None}
         assert main(["rate", "--config", write_config(tmp_path, cfg)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_mistyped_sweep_block_exits_2(self, tmp_path, capsys):
         cfg = {"protocol": "ekert", "channel": BASE_CHANNEL, "sweep": [0.0, 10.0, 5.0]}
@@ -379,11 +411,16 @@ class TestRateCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    def test_malformed_config_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "config {path} is not valid JSON: "),
+        (None, "cannot read config {path}: "),
+    ], ids=["invalid-json", "unreadable"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        if text is not None:
+            path.write_text(text)
         assert main(["rate", "--config", str(path)]) == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
 
     def test_missing_point_exits_2(self, tmp_path, capsys):
         cfg = {
@@ -631,7 +668,8 @@ def scalar_curves(config):
         spec = cli._sweep_spec(config, curve)
         xs, p, mode = spec.grid(), config.channel, config.mode
         if curve.source is None:
-            params = protocols._optimal_params(curve.protocol, p, xs, mode)
+            alpha = protocols._transmissions(curve.protocol, None, p, np.array(xs), mode)
+            params = protocols._optimal_params(curve.protocol, p, alpha).tolist()
             points = [
                 dataclasses.replace(
                     point_rate(curve.protocol, protocols._free_source(curve.protocol, v), p, x, mode),
@@ -801,14 +839,19 @@ class TestPerCurveCommands:
         assert self.output(tmp_path, capsys, command, self.CURVES) == {key: alone}
         assert self.output(tmp_path, capsys, command, self.CURVES[::-1]) == {key: alone[::-1]}
 
-    @pytest.mark.parametrize("command", ["rate", "optimize"])
-    def test_sweep_config_exits_2(self, tmp_path, capsys, command):
-        grid = {"mode": "distance", "start_km": 0, "stop_km": 10, "step_km": 5}
-        cfg = {"curves": list(self.CURVES), "channel": BASE_CHANNEL, "sweep": grid}
+    @pytest.mark.parametrize(
+        "command, needed", [("rate", "point"), ("optimize", "point"), ("sweep", "sweep")]
+    )
+    def test_config_of_the_other_kind_exits_2(self, tmp_path, capsys, command, needed):
+        given = {
+            "point": {"sweep": {"mode": "distance", "start_km": 0, "stop_km": 10, "step_km": 5}},
+            "sweep": {"point": {"distance_km": 20.0}},
+        }[needed]
+        cfg = {"curves": list(self.CURVES), "channel": BASE_CHANNEL, **given}
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: the {command} command needs a 'point' config\n"
+        assert captured.err == f"error: the {command} command needs a '{needed}' config\n"
 
     def test_optimize_rejects_a_fixed_source(self, tmp_path, capsys):
         cfg = {

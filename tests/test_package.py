@@ -58,6 +58,13 @@ def test_protocols_takes_only_the_entry_points_of_sources_and_ratecore():
     }
 
 
+def test_cli_takes_only_two_private_names_of_the_library():
+    # the front end parses configs and writes reports; library logic stays in
+    # the library, which it reaches through these two helpers
+    lenders = ("protocols", "sources", "ratecore", "channel", "security", "verify", "fockoracle")
+    assert _private_names_taken("cli", lenders) == {"protocols._check_request", "protocols._free_source"}
+
+
 _LAZY_ORACLE = """
 import contextlib, io, json, sys
 import qkdrates.cli

@@ -158,6 +158,18 @@ class TestPointStats:
         with pytest.raises(ValueError):
             point_stats("bb84", IdealSingle(), FIBER, 10.0, mode="length")
 
+    @pytest.mark.parametrize("protocol, message", [
+        ("bb84", "bb84 statistics need an ideal-single or poisson source, got None"),
+        ("ekert", "ekert statistics need an ideal-epr, pdc or swap source, got None"),
+    ], ids=["bb84", "ekert"])
+    def test_free_source_has_no_statistics(self, protocol, message):
+        # None is the free source, which has no statistics of its own
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            point_stats(protocol, None, ChannelParams(eta=0.18, d=5e-5, mu=0.01), 10.0)
+        # point_rate optimizes the free source before it asks for statistics
+        point = point_rate(protocol, None, FIBER, 10.0)
+        assert point.rate > 0.0 and point.note == ""
+
     @pytest.mark.parametrize("abscissa", [True, False, "10", None, 1j, [10.0]], ids=repr)
     @pytest.mark.parametrize("src", [Poisson(0.1), IdealSingle()], ids=lambda src: src.tag)
     def test_non_real_abscissa_rejected(self, src, abscissa):
@@ -299,6 +311,8 @@ class TestFreeRateKernel:
                     where = f"{p} @ {x} {mode}, param {param}"
                     assert (got > 0.0) == (pt.rate > 0.0), where
                     assert abs(got - pt.rate) <= 1e-12 * scale, where
+                    # the clamp gives +0.0, never -0.0
+                    assert got > 0.0 or math.copysign(1.0, got) == 1.0, where
                     positive += got > 0.0
         assert positive > 400  # not a grid of zeros
 
@@ -728,6 +742,11 @@ def _outcome(rows):
         return type(err).__name__, str(err)
 
 
+def _arm(protocol, p, xs, mode="distance"):
+    """The free source's arm transmissions at the abscissas xs."""
+    return _transmissions(protocol, None, p, np.array(xs, dtype=float), mode)
+
+
 def _scalar_rows(spec):
     """The rows of a sweep one scalar call at a time: point_rate at a fixed
     source, or at the free source of the lockstep optimizer's parameter,
@@ -735,7 +754,8 @@ def _scalar_rows(spec):
     xs = spec.grid()
     if spec.source is not None:
         return [point_rate(spec.protocol, spec.source, spec.params, x, spec.mode) for x in xs]
-    params = _optimal_params(spec.protocol, spec.params, xs, spec.mode)
+    alpha = _arm(spec.protocol, spec.params, xs, spec.mode)
+    params = _optimal_params(spec.protocol, spec.params, alpha).tolist()
     return [
         dataclasses.replace(
             point_rate(spec.protocol, _free_source(spec.protocol, v), spec.params, x, spec.mode), optimal_param=v
@@ -803,14 +823,14 @@ class TestSweepRows:
         # rejects: the fallback hides a mask that is too strict
         xs = spec.grid()
         try:
-            params = None if src is not None else _optimal_params(protocol, p, xs, mode)
             t = _transmissions(protocol, src, p, np.array(xs), mode)
-            ok = _rate_columns(protocol, src, p, t, _ROW_MATHS, None if params is None else np.array(params))[2]
+            params = None if src is not None else _optimal_params(protocol, p, t)
+            ok = _rate_columns(protocol, src, p, t, _ROW_MATHS, params)[2]
         except (ArithmeticError, ValueError):
             return
         for i, x in enumerate(xs):
             try:
-                point_stats(protocol, src if params is None else _free_source(protocol, params[i]), p, x, mode)
+                point_stats(protocol, src if params is None else _free_source(protocol, params.item(i)), p, x, mode)
                 returns = True
             except (OverflowError, ValueError):
                 returns = False
@@ -845,6 +865,16 @@ class TestSweepRows:
         assert points[8].stats.e == 0.5
         assert points[8].rate_raw == 0.0
 
+    @pytest.mark.parametrize("protocol", ["bb84", "ekert"])
+    @pytest.mark.parametrize("mode", ["distance", "total-loss"])
+    def test_free_source_curve_computes_its_transmissions_once(self, protocol, mode):
+        # the optimizer and the row pass share them
+        spec = SweepSpec(protocol, FIBER, None, 0.0, 20.0, 2.0, mode)
+        with mock.patch.object(protocols, "_transmissions", wraps=_transmissions) as transmissions:
+            curve = sweep(spec)
+        assert not curve.notes  # no row fell back to point_rate, which computes its own
+        assert transmissions.call_count == 1
+
     def test_columns_are_the_points(self):
         spec = SweepSpec("bb84", ChannelParams(d=0.0, mu=0.0, sigma=20.0), Poisson(0.1), -0.0, 40.0, 4.0)
         curve = sweep(spec)
@@ -858,13 +888,13 @@ class TestSweepRows:
         assert [column.tolist()[2:] for column in curve.stats] == [[0.0] * 9] * 3
 
 
-def _one_step_params(protocol, p, xs, mode):
+def _one_step_params(protocol, p, alpha):
     """_optimal_params with one golden-section step per kernel call, the
     reference that the two-step loop must reproduce bit for bit; also the
     number of steps each row takes (None for a row at the box midpoint)."""
     lo, hi = NBAR_BOX if protocol == "bb84" else CHI_BOX
-    params, steps = [0.5 * (lo + hi)] * len(xs), [None] * len(xs)
-    alpha, best, top = protocols._coarse_maxima(protocol, p, xs, mode)
+    params, steps = [0.5 * (lo + hi)] * len(alpha), [None] * len(alpha)
+    best, top = protocols._coarse_maxima(protocol, p, alpha)
     found = np.flatnonzero(top > 0.0)
     if not found.size:
         return params, steps
@@ -920,8 +950,9 @@ class TestTwoStepGoldenSection:
     def test_equals_the_one_step_loop_bitwise(self, p, protocol, grid, mode):
         start, step, rows = grid
         xs = SweepSpec(protocol, p, None, start, start + step * rows, step, mode).grid()
-        want, _ = _one_step_params(protocol, p, xs, mode)
-        assert _hexes(_optimal_params(protocol, p, xs, mode)) == _hexes(want)
+        alpha = _arm(protocol, p, xs, mode)
+        want, _ = _one_step_params(protocol, p, alpha)
+        assert _hexes(_optimal_params(protocol, p, alpha).tolist()) == _hexes(want)
 
     # a bracket around an edge grid point is half as wide, so its row takes
     # fewer steps: rows close after an odd number of steps on a call, and
@@ -933,14 +964,15 @@ class TestTwoStepGoldenSection:
         ("ekert", FIBER, [10.0 * i for i in range(16)], {17}),
     ], ids=["edge-and-interior", "edge-only", "bb84-interior", "ekert-interior"])
     def test_rows_closing_after_odd_and_even_steps(self, protocol, p, xs, closing):
-        want, steps = _one_step_params(protocol, p, xs, "distance")
+        alpha = _arm(protocol, p, xs)
+        want, steps = _one_step_params(protocol, p, alpha)
         assert set(steps) - {None} == closing
-        assert _hexes(_optimal_params(protocol, p, xs, "distance")) == _hexes(want)
+        assert _hexes(_optimal_params(protocol, p, alpha).tolist()) == _hexes(want)
 
     def test_two_steps_per_kernel_call(self):
-        xs = [180.0 + i for i in range(31)]
+        alpha = _arm("bb84", _BOX_EDGE, [180.0 + i for i in range(31)])
         with mock.patch.object(protocols, "_free_rate_kernel", wraps=_free_rate_kernel) as kernel:
-            _optimal_params("bb84", _BOX_EDGE, xs, "distance")
+            _optimal_params("bb84", _BOX_EDGE, alpha)
         # one coarse block, the first two probes, 17 steps in 8 calls (no row
         # reads the last step's probe), and the midpoints; one step a call took 20
         assert kernel.call_count == 1 + 1 + 8 + 1

@@ -232,10 +232,21 @@ def config_to_dict(config: RunConfig) -> dict:
     return out
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json.load's object_pairs_hook: the object as a dict, or a ConfigError
+    naming a key that it repeats, which json.load would keep the last of."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r} in a config object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
@@ -316,6 +327,14 @@ def _reprs(column) -> list:
     return repr(column.tolist())[1:-1].split(", ")
 
 
+def _csv_field(text: str) -> str:
+    """The text as one CSV field: as it is, or quoted as RFC 4180 asks where
+    it holds a comma, a double quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _sweep_csv(config: RunConfig, curves: list[tuple[str, SweepColumns]]) -> str:
     """The CSV of a run's (label, SweepColumns) curves, every value in full
     repr. Each column is formatted in one pass, and each distinct value
@@ -325,7 +344,8 @@ def _sweep_csv(config: RunConfig, curves: list[tuple[str, SweepColumns]]) -> str
     (what repr(max(0.0, raw)) gives), and the bb84 dark-click column once
     per run, at the first curve with ClickStats rows: a sweep without one
     never asks the four-detector linear model about its dark-count
-    probability. A row without statistics leaves their columns empty."""
+    probability. A row without statistics leaves their columns empty. A
+    label is written by _csv_field."""
     lines = ["curve,abscissa,rate_raw,rate_clamped,optimal_param,p_true_or_signal,p_false_or_dark,e"]
     dark = None
     abscissas = _reprs(curves[0][1].abscissa)
@@ -348,7 +368,7 @@ def _sweep_csv(config: RunConfig, curves: list[tuple[str, SweepColumns]]) -> str
             for i in curve.notes:
                 for column in columns:
                     column[i] = ""
-        lines.extend(map(",".join, zip(repeat(label), abscissas, raw, clamped, params, *columns)))
+        lines.extend(map(",".join, zip(repeat(_csv_field(label)), abscissas, raw, clamped, params, *columns)))
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,11 @@
 """Rate evaluation over the closed forms of sources and ratecore: point
 rates, source-parameter optimization, cutoff-distance search and sweep
-curves, and the maths (libm's or numpy's) that each array pass takes."""
+curves, and the maths (libm's or numpy's) that each array pass takes.
+
+numpy loads with the first array pass (a sweep, an optimized cutoff, the
+free-source kernel), not with this module: a scalar point_rate,
+optimize_source_param or fixed-source cutoff_distance runs on math alone.
+"""
 
 from __future__ import annotations
 
@@ -10,8 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
-
-import numpy as np
 
 from .channel import (
     ChannelParams,
@@ -246,25 +249,34 @@ def _free_source_box(protocol: str) -> tuple[float, float]:
     return NBAR_BOX if protocol == "bb84" else CHI_BOX
 
 
-class _CoarseGrid(NamedTuple):
-    """The optimizer's _COARSE_POINTS log-spaced parameters over a box: as
-    floats, as a read-only array, and their math.log as a read-only array."""
+@lru_cache(maxsize=None)
+def _coarse_params(lo: float, hi: float) -> tuple:
+    """The optimizer's _COARSE_POINTS log-spaced parameters over [lo, hi],
+    as floats, computed once per box."""
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    return tuple(
+        math.exp(log_lo + i * (log_hi - log_lo) / (_COARSE_POINTS - 1)) for i in range(_COARSE_POINTS)
+    )
 
-    params: tuple
+
+class _CoarseGrid(NamedTuple):
+    """The coarse parameters over a box (see _coarse_params) as a read-only
+    array, and their math.log as a read-only array."""
+
     array: np.ndarray
     logs: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _coarse_grid(lo: float, hi: float) -> _CoarseGrid:
-    """The coarse grid over [lo, hi], computed once per box."""
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    params = tuple(
-        math.exp(log_lo + i * (log_hi - log_lo) / (_COARSE_POINTS - 1)) for i in range(_COARSE_POINTS)
-    )
+    """The coarse grid over [lo, hi] for the array passes, computed once per
+    box."""
+    import numpy as np
+
+    params = _coarse_params(lo, hi)
     array, logs = np.array(params), np.array([math.log(g) for g in params])
     array.flags.writeable = logs.flags.writeable = False
-    return _CoarseGrid(params, array, logs)
+    return _CoarseGrid(array, logs)
 
 
 class _Maths(NamedTuple):
@@ -288,6 +300,8 @@ def _libm(f):
     numpy's exp moves bb84_stats' signal far more than its relative
     rounding. Like f, the map raises where f raises."""
     def apply(*args):
+        import numpy as np
+
         arrays = [a for a in args if isinstance(a, np.ndarray)]
         if not arrays:
             return f(*args)
@@ -305,14 +319,23 @@ def _row_log2(x: np.ndarray) -> np.ndarray:
     """math.log2 of each element, and numpy's -inf or NaN at 0 and below,
     where math.log2 raises: a row's entropy at e = 0 and the rate of a row
     past the secure margin reach those, to be masked."""
+    import numpy as np
+
     out = np.log2(x)
     positive = x > 0.0
     out[positive] = _LIBM_LOG2(x[positive])
     return out
 
 
-# The free-source kernel's functions: numpy's, but libm's exp (see _libm).
-_KERNEL_MATHS = _Maths(_libm(math.exp), np.tanh, np.cosh, np.log2, operator.pow)
+@lru_cache(maxsize=None)
+def _kernel_maths() -> _Maths:
+    """The free-source kernel's functions: numpy's, but libm's exp (see
+    _libm); built on the first kernel call, which loads numpy."""
+    import numpy as np
+
+    return _Maths(_libm(math.exp), np.tanh, np.cosh, np.log2, operator.pow)
+
+
 # Sweep rows take libm's throughout, as the scalar path does (math.pow is the
 # pow that ** calls on floats), so every row has the scalar's bits.
 _ROW_MATHS = _Maths(*map(_libm, (math.exp, math.tanh, math.cosh)), _row_log2, _libm(math.pow))
@@ -325,7 +348,7 @@ def _transmissions(protocol: str, src: SourceSpec | None, p: ChannelParams, x, m
     the abscissa's loss split equally. An array's loss splits with + - * /
     as on floats and its pow is libm's, so every element has a float's bits.
     """
-    power = _ROW_MATHS.power if isinstance(x, np.ndarray) else pow
+    power = pow if _is_real(x) else _ROW_MATHS.power
     if isinstance(src, SwapChain):
         return power(10.0, -span_loss_db(p, x, mode, src.segments) / 10.0)
     arms = 1 if protocol == "bb84" else 2
@@ -340,6 +363,8 @@ def _rate_columns(
     transmissions (see _transmissions) are t, or with src None at the free
     source of parameters param, as (raw, stats, ok), raw 0 where not live:
     _stats_columns and _key_rate_columns, with _ROW_MATHS bit for bit."""
+    import numpy as np
+
     with np.errstate(all="ignore"):
         rate_args, stats, ok = _stats_columns(protocol, src, p, t, maths, param)
         raw = _key_rate_columns(*rate_args, ok, maths.log2)
@@ -356,8 +381,10 @@ def _free_rate_kernel(protocol: str, p: ChannelParams, alpha, param) -> np.ndarr
     x, mode).rate at the abscissa x whose arm transmission is alpha, to
     rounding, and +0.0 where the scalar path raises or rates 0 or less.
     """
+    import numpy as np
+
     alpha, param = np.asarray(alpha, dtype=float), np.asarray(param, dtype=float)
-    raw = _rate_columns(protocol, None, p, alpha, _KERNEL_MATHS, param)[0]
+    raw = _rate_columns(protocol, None, p, alpha, _kernel_maths(), param)[0]
     return np.where(raw > 0.0, raw, 0.0)
 
 
@@ -383,13 +410,13 @@ def optimize_source_param(
     def objective(param: float) -> float:
         return point_rate(protocol, _free_source(protocol, param), p, abscissa, mode).rate
 
-    grid = _coarse_grid(lo, hi)
-    values = [objective(g) for g in grid.params]
+    grid = _coarse_params(lo, hi)
+    values = [objective(g) for g in grid]
     best = max(range(_COARSE_POINTS), key=values.__getitem__)
     if values[best] == 0.0:
         return OptimizeResult(param=0.5 * (lo + hi), rate=0.0)
-    a = math.log(grid.params[max(best - 1, 0)])
-    b = math.log(grid.params[min(best + 1, _COARSE_POINTS - 1)])
+    a = math.log(grid[max(best - 1, 0)])
+    b = math.log(grid[min(best + 1, _COARSE_POINTS - 1)])
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = objective(math.exp(x1)), objective(math.exp(x2))
@@ -408,7 +435,7 @@ def optimize_source_param(
     param = math.exp(0.5 * (a + b))
     rate = objective(param)
     if rate < values[best]:
-        param, rate = grid.params[best], values[best]
+        param, rate = grid[best], values[best]
     return OptimizeResult(param=param, rate=rate)
 
 
@@ -417,6 +444,8 @@ def _coarse_maxima(protocol: str, p: ChannelParams, alpha: np.ndarray) -> tuple[
     optimize_source_param's coarse grid at each arm transmission of alpha,
     _ROW_BLOCK rows per _free_rate_kernel call; a row out of range has
     maximum 0, as point_stats raises there at every parameter."""
+    import numpy as np
+
     grid = _coarse_grid(*_free_source_box(protocol)).array
     best, top = np.zeros(len(alpha), dtype=int), np.zeros(len(alpha))
     for start in range(0, len(alpha), _ROW_BLOCK):
@@ -470,6 +499,8 @@ def cutoff_distance(
     """
     def probe(kms: list[float]) -> dict[float, bool]:
         if src is None:
+            import numpy as np
+
             alpha = _transmissions(protocol, None, p, np.array(kms, dtype=float), "distance")
             positive = (_coarse_maxima(protocol, p, alpha)[1] > 0.0).tolist()
         else:
@@ -520,6 +551,8 @@ def _optimal_params(protocol: str, p: ChannelParams, alpha: np.ndarray) -> np.nd
     comparison; that step then picks its probe and rate from them. Every row
     takes the one-step-per-call loop's steps, with its bits.
     """
+    import numpy as np
+
     lo, hi = _free_source_box(protocol)
     params = np.full(len(alpha), 0.5 * (lo + hi))
     best, top = _coarse_maxima(protocol, p, alpha)
@@ -619,6 +652,8 @@ def sweep(spec: SweepSpec) -> SweepColumns:
     rate are the scalar's; where a libm function raises (a pump parameter
     whose cosh overflows), every row is.
     """
+    import numpy as np
+
     protocol, src, p, mode = spec.protocol, spec.source, spec.params, spec.mode
     xs = spec.grid()
     abscissa = np.array(xs, dtype=float)

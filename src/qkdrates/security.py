@@ -5,6 +5,9 @@ of Eve's collision probability over a symmetric single-photon attack family,
 a closed-form lower bound on how strongly multi-photon splitting inflates
 dual-fire events, and an exhaustive small-block oracle for the
 privacy-amplification entropy bound over a concrete universal hash family.
+
+The key sizing is scalar. The verifiers work on numpy arrays and import
+numpy when they run, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .channel import _is_integer
 from .ratecore import binary_entropy, ec_efficiency, tau_multiphoton
@@ -188,6 +189,8 @@ def _collision_from(x, y, c1, c2):
     Each basis-dependent term drops out where its numerator vanishes; there
     its denominator may vanish too, so that division is masked, not taken.
     """
+    import numpy as np
+
     x, y, c1, c2 = (np.asarray(v, dtype=float) for v in (x, y, c1, c2))
     total = x + y
     value = 0.75 - (x * c1 * c1 + y * c2 * c2) / (4.0 * total)
@@ -235,6 +238,8 @@ def attack_family_grid(ratio, cosines: np.ndarray) -> tuple[np.ndarray, np.ndarr
         ratios gives the one-ratio arrays of each ratio end to end, bit for
         bit.
     """
+    import numpy as np
+
     ratio = np.asarray(ratio, dtype=float)[..., None, None]
     x, y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
     c1, c2 = cosines[:, None], cosines[None, :]
@@ -251,6 +256,8 @@ def _grid_collision(eps, c1: np.ndarray, c2: np.ndarray) -> tuple:
     at infeasible points, and the n_xx share ratio / (1 + ratio) of a unit
     total norm.
     """
+    import numpy as np
+
     den = c1 + 4.0 * eps - 1.0
     num = 3.0 - c2 - 4.0 * eps
     feasible = (den > 0.0) & (num >= 0.0)
@@ -270,6 +277,8 @@ _BLOCK_POINTS = 1 << 13
 def _linspace_rows(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     """Row e is np.linspace(lo[e], hi[e], n), bit for bit: a row takes
     linspace's zero-step path only when its own step is zero."""
+    import numpy as np
+
     delta = hi - lo
     step = delta / (n - 1)
     k = np.arange(n, dtype=float)
@@ -283,6 +292,8 @@ def _grid_best(eps: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> tuple:
     """Per disturbance eps[e], the first maximum in c1-major order of the
     collision probability over the grid c1[e] x c2[e], as arrays
     (value, c1, c2, n_xx share)."""
+    import numpy as np
+
     values, shares = _grid_collision(eps[:, None, None], c1[:, :, None], c2[:, None, :])
     values, shares = values.reshape(eps.size, -1), shares.reshape(eps.size, -1)
     rows = np.arange(eps.size)
@@ -302,6 +313,8 @@ def _maximize_collisions(eps: np.ndarray) -> tuple:
     better one. Python's max and min become np.where on the same comparison.
     Each level's grids run in blocks of at most _BLOCK_POINTS points.
     """
+    import numpy as np
+
     # the feasible c1 lie above 1 - 4 eps; the floor stays 1e-12 clear of that
     # and stops at 1, which it would pass for eps below about 2.5e-13
     c1_floor = 1.0 - 4.0 * eps
@@ -356,6 +369,8 @@ def maximize_attack_collision(eps: float) -> tuple[AttackParams, float]:
         raise ValueError("disturbance must lie strictly between 0 and 1/2")
     if not 1.0 + 4.0 * eps > 1.0:
         raise ValueError(f"disturbance {eps} is below the search's resolution: 1 + 4 eps rounds to 1")
+    import numpy as np
+
     maxima = _maximize_collisions(np.array([eps], dtype=float))
     value, c1, c2, x = (float(column[0]) for column in maxima)
     params = AttackParams(n_xx=x, n_xy=1.0 - x, phi_xx_yy=math.acos(c1), phi_xy_yx=math.acos(c2))
@@ -402,6 +417,8 @@ _BLOCK_INPUTS = 1 << 14
 
 def _toeplitz_matrices(n: int, r: int, seeds: np.ndarray) -> np.ndarray:
     """Stack of r x n binary Toeplitz matrices from seed rows of n + r - 1 bits."""
+    import numpy as np
+
     rows = np.arange(r)[:, None]
     cols = np.arange(n)[None, :]
     return seeds[:, (n - 1) + rows - cols]
@@ -409,6 +426,8 @@ def _toeplitz_matrices(n: int, r: int, seeds: np.ndarray) -> np.ndarray:
 
 def _input_bits(n: int) -> np.ndarray:
     """Rows of the n bits of every n-bit input, least significant first."""
+    import numpy as np
+
     xs = np.arange(1 << n, dtype=np.uint32)
     return ((xs[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
 
@@ -417,6 +436,8 @@ def _family_seeds(n: int, r: int) -> np.ndarray:
     """Seed rows of n + r - 1 bits: every seed for n <= _EXHAUSTIVE_N and,
     for larger n, 10,000 seeds sampled from random.Random(0), fixed for
     reproducibility."""
+    import numpy as np
+
     seed_len = n + r - 1
     if n <= _EXHAUSTIVE_N:
         return _input_bits(seed_len)
@@ -432,6 +453,8 @@ def _hash_key_blocks(n: int, r: int):
     Bit j of a key is the parity of the input ANDed with Toeplitz row j
     read as an n-bit mask, so no (seeds, 2^n, r) product is formed.
     """
+    import numpy as np
+
     seeds = _family_seeds(n, r)
     inputs = np.arange(1 << n, dtype=np.uint16)
     key_type = np.uint8 if r <= 8 else np.uint16
@@ -472,6 +495,8 @@ def pa_entropy_bound_check(n: int, per_bit_pc: float, r: int) -> tuple[float, fl
         (lhs, rhs, holds) where lhs is the average conditional entropy
         H(K|G), rhs is the bound, and holds reports lhs >= rhs.
     """
+    import numpy as np
+
     n = _integer(n, "block length")
     r = _integer(r, "output length")
     if not 1 <= n <= 12:

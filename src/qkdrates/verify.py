@@ -16,15 +16,14 @@ name bound in this module would bypass the rebinding.
 ``fockoracle`` loads with the first suite that needs it (``pdc-oracle`` or
 ``dephasing``), so importing this module, and ``qkdrates.cli`` with it,
 does not compile the oracle for a ``rate``, ``sweep``, ``optimize`` or
-``cutoff`` run.
+``cutoff`` run. numpy likewise loads with the first suite that works on
+arrays, which is every suite but ``multi-photon``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-
-import numpy as np
 
 from . import ratecore, security, sources
 
@@ -39,6 +38,8 @@ def _property(name: str, tolerance: float, holds: bool, **measured) -> dict:
 
 
 def _suite_attack_bound() -> dict:
+    import numpy as np
+
     # maximize_attack_collision's search, run once for all 49 disturbances
     grid = [k / 100.0 for k in range(1, 50)]
     values = security._maximize_collisions(np.array(grid))[0]

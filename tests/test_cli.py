@@ -1,5 +1,6 @@
 """Tests for the command-line interface and configuration handling."""
 
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -422,6 +423,21 @@ class TestRateCommand:
         assert main(["rate", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"protocol": "ekert", "protocol": "bb84", "source": {"type": "ideal-epr"},'
+         ' "point": {"distance_km": 100.0}}', "protocol"),
+        ('{"protocol": "ekert", "source": {"type": "ideal-epr"}, "point": {"distance_km": 100.0},'
+         ' "channel": {"sigma_db_per_km": 0.2, "sigma_db_per_km": 0.3}}', "sigma_db_per_km"),
+    ], ids=["top-level", "nested"])
+    def test_duplicate_key_exits_2(self, tmp_path, capsys, text, key):
+        # json.load alone keeps the last value: the nested case ran at 0.3 dB/km
+        path = tmp_path / "duplicate.json"
+        path.write_text(text)
+        assert main(["rate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: duplicate key {key!r} in a config object\n"
+
     def test_missing_point_exits_2(self, tmp_path, capsys):
         cfg = {
             "protocol": "bb84",
@@ -528,6 +544,24 @@ class TestSweepCommand:
         assert len(lines) == 4
         assert out.read_bytes().endswith(b"\n")
         assert b"\r" not in out.read_bytes()
+
+    def test_csv_quotes_labels_that_hold_separators(self, tmp_path):
+        labels = ["ideal, pair\nx", 'say "pair"', "carriage\rreturn", "plain"]
+        cfg = {
+            "curves": [
+                {"label": label, "protocol": "ekert", "source": {"type": "ideal-epr"}} for label in labels
+            ],
+            "channel": BASE_CHANNEL,
+            "sweep": {"mode": "distance", "start_km": 0.0, "stop_km": 20.0, "step_km": 10.0},
+        }
+        out = tmp_path / "curve.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [8] * (1 + 3 * len(labels))
+        assert [row[0] for row in rows[1:]] == [label for label in labels for _ in range(3)]
+        # a plain label is written as it is
+        assert out.read_text().endswith("\n".join(",".join(row) for row in rows[-3:]) + "\n")
 
     def test_json_output(self, tmp_path):
         cfg = {

@@ -7,7 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(code: str, *args: str) -> str:
+    """The stdout of a fresh interpreter that runs code with args, the
+    package's source on its path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    ).stdout
 
 # numpy is the one runtime dependency; these are test or oracle tools only
 TEST_ONLY = ("scipy", "mpmath", "sympy", "hypothesis")
@@ -23,11 +34,7 @@ print(json.dumps([names, [m for m in {TEST_ONLY!r} if m in sys.modules]]))
 
 
 def test_importing_every_module_loads_no_test_only_package():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_ALL], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    names, loaded = json.loads(out)
+    names, loaded = json.loads(_python(_IMPORT_ALL))
     assert {"cli", "protocols", "sources", "fockoracle", "verify"} <= set(names)
     assert loaded == []
 
@@ -78,8 +85,72 @@ print(json.dumps([before, status, json.loads(report.getvalue())["pass"], "qkdrat
 def test_cli_import_leaves_the_oracle_unloaded_until_a_suite_needs_it():
     # rate, sweep, optimize and cutoff runs start with this import and never
     # use the oracle; verify loads it with the first suite that does
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-c", _LAZY_ORACLE], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert json.loads(out) == [False, 0, True, True]
+    assert json.loads(_python(_LAZY_ORACLE)) == [False, 0, True, True]
+
+
+# Imports the package and its CLI, then runs each command line given as a
+# JSON list; prints, after each step, its name, the command's exit status
+# and whether numpy is loaded.
+_LAZY_NUMPY = """
+import contextlib, io, json, sys
+import qkdrates
+steps = [["import qkdrates", None, "numpy" in sys.modules]]
+import qkdrates.cli
+steps.append(["import qkdrates.cli", None, "numpy" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = qkdrates.cli.main(argv)
+    steps.append([argv[0], status, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+_CHANNEL = {"sigma_db_per_km": 0.2, "detector_efficiency": 0.18, "receiver_loss_db": 1.0,
+            "dark_count_prob": 5e-05, "baseline_error_fraction": 0.01}
+_CONFIGS = {
+    "fixed.json": {"protocol": "ekert", "source": {"type": "ideal-epr"}, "channel": _CHANNEL,
+                   "point": {"distance_km": 100.0}},
+    "optimized.json": {"curves": [{"label": "pdc", "protocol": "ekert", "source": "optimize"},
+                                  {"label": "poisson", "protocol": "bb84", "source": "optimize"}],
+                       "channel": _CHANNEL, "point": {"distance_km": 20.0}},
+    "sweep.json": {"protocol": "ekert", "source": {"type": "ideal-epr"}, "channel": _CHANNEL,
+                   "sweep": {"mode": "distance", "start_km": 0.0, "stop_km": 20.0, "step_km": 10.0}},
+}
+
+
+def _numpy_steps(tmp_path, commands: list) -> list:
+    """_LAZY_NUMPY's steps for the command lines, each a string whose
+    _CONFIGS names become paths of those configs written under tmp_path."""
+    for name, cfg in _CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(cfg))
+    argvs = [[str(tmp_path / arg) if arg in _CONFIGS else arg for arg in line.split()] for line in commands]
+    return json.loads(_python(_LAZY_NUMPY, json.dumps(argvs)))
+
+
+def test_import_and_scalar_commands_leave_numpy_unloaded(tmp_path):
+    # a point rate, a source optimization, a fixed-source cutoff and the
+    # multi-photon suite are answered by math; loading numpy for them would
+    # more than double the import time
+    steps = _numpy_steps(tmp_path, [
+        "rate --config fixed.json",
+        "rate --config optimized.json",
+        "optimize --config optimized.json",
+        "cutoff --config fixed.json",
+        "verify --suite multi-photon",
+    ])
+    assert steps == [
+        ["import qkdrates", None, False],
+        ["import qkdrates.cli", None, False],
+        ["rate", 0, False],
+        ["rate", 0, False],
+        ["optimize", 0, False],
+        ["cutoff", 0, False],
+        ["verify", 0, False],
+    ]
+
+
+@pytest.mark.parametrize("command", [
+    "sweep --config sweep.json", "cutoff --config optimized.json", "verify --suite attack-bound",
+], ids=["sweep", "optimized-cutoff", "verify"])
+def test_array_commands_load_numpy(tmp_path, command):
+    steps = _numpy_steps(tmp_path, [command])
+    assert [step[1:] for step in steps] == [[None, False], [None, False], [0, True]]

@@ -550,6 +550,14 @@ class TestCutoff:
         assert point_rate("ekert", IdealEpr(), FIBER, root - 1e-3).rate_raw > 0.0
         assert point_rate("ekert", IdealEpr(), FIBER, root + 1e-3).rate_raw < 0.0
 
+    @given(lo=st.floats(1.0, 150.0), hi=st.floats(200.0, 5000.0))
+    @settings(derandomize=True, deadline=None)
+    def test_ideal_pair_cutoff_on_random_brackets(self, lo, hi):
+        # L* from test_ideal_pair_cutoff_against_its_closed_form_root: the
+        # bisection ends within its 0.5 km resolution below it from any bracket
+        root = 187.1390641741037
+        assert root - 0.5 <= cutoff_distance("ekert", FIBER, (lo, hi), IdealEpr()) <= root
+
     def test_no_dark_counts_means_no_cutoff(self):
         clean = ChannelParams(sigma=0.2, eta=0.18, receiver_loss_db=1.0, d=0.0, mu=0.01)
         with pytest.raises(ValueError, match="still positive"):

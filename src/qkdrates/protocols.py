@@ -1,16 +1,15 @@
 """Rate evaluation over the closed forms of sources and ratecore: point
 rates, source-parameter optimization, cutoff-distance search and sweep
-curves, and the maths (libm's or numpy's) that each array pass takes.
+curves.
 
-numpy loads with the first array pass (a sweep, an optimized cutoff, the
-free-source kernel), not with this module: a scalar point_rate,
+The array passes (a sweep, an optimized cutoff) are in grid, which loads
+numpy and is loaded by their first call: a scalar point_rate,
 optimize_source_param or fixed-source cutoff_distance runs on math alone.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -25,7 +24,6 @@ from .channel import (
 )
 from .ratecore import (
     _key_rate,
-    _key_rate_columns,
     tau,  # unused here; bench/tests checks that tracing wraps this binding
 )
 from .sources import (
@@ -37,7 +35,6 @@ from .sources import (
     Poisson,
     SourceSpec,
     SwapChain,
-    _stats_columns,
     bb84_stats,
     check_source,
     ekert_ideal_stats,
@@ -75,9 +72,6 @@ _COARSE_POINTS = 64
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REL_TOL = 1e-4
 _CUTOFF_RESOLUTION_KM = 0.5
-# Sweep rows whose coarse grids are evaluated together: a block's temporaries
-# stay near 16 KiB each, where a whole 300-row grid would add megabytes.
-_ROW_BLOCK = 32
 # Bisection steps that an optimized cutoff probes in one kernel call. A call
 # costs about 80 us plus 5-10 us per row, so deeper rounds pay for midpoints
 # the path skips and shallower ones pay for more calls: per cutoff, depths 3
@@ -259,133 +253,19 @@ def _coarse_params(lo: float, hi: float) -> tuple:
     )
 
 
-class _CoarseGrid(NamedTuple):
-    """The coarse parameters over a box (see _coarse_params) as a read-only
-    array, and their math.log as a read-only array."""
-
-    array: np.ndarray
-    logs: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def _coarse_grid(lo: float, hi: float) -> _CoarseGrid:
-    """The coarse grid over [lo, hi] for the array passes, computed once per
-    box."""
-    import numpy as np
-
-    params = _coarse_params(lo, hi)
-    array, logs = np.array(params), np.array([math.log(g) for g in params])
-    array.flags.writeable = logs.flags.writeable = False
-    return _CoarseGrid(array, logs)
-
-
-class _Maths(NamedTuple):
-    """The transcendental functions that _rate_columns hands to the
-    closed-form bodies: each takes floats or arrays, power as (base,
-    exponent)."""
-
-    exp: object
-    tanh: object
-    cosh: object
-    log2: object
-    power: object
-
-
-def _libm(f):
-    """The element map of a math function f over one numpy array, any other
-    argument taken as a scalar (two arrays fail to unpack); on scalars alone
-    it is f. It has the scalar path's bits, libm's, where numpy's ufuncs
-    can differ in the last place: 1 - exp(-alpha nbar) keeps only the
-    absolute rounding of the exponential, so at small alpha nbar one ulp of
-    numpy's exp moves bb84_stats' signal far more than its relative
-    rounding. Like f, the map raises where f raises."""
-    def apply(*args):
-        import numpy as np
-
-        arrays = [a for a in args if isinstance(a, np.ndarray)]
-        if not arrays:
-            return f(*args)
-        (array,) = arrays
-        columns = [a.ravel().tolist() if a is array else repeat(a) for a in args]
-        return np.fromiter(map(f, *columns), float, array.size).reshape(array.shape)
-
-    return apply
-
-
-_LIBM_LOG2 = _libm(math.log2)
-
-
-def _row_log2(x: np.ndarray) -> np.ndarray:
-    """math.log2 of each element, and numpy's -inf or NaN at 0 and below,
-    where math.log2 raises: a row's entropy at e = 0 and the rate of a row
-    past the secure margin reach those, to be masked."""
-    import numpy as np
-
-    out = np.log2(x)
-    positive = x > 0.0
-    out[positive] = _LIBM_LOG2(x[positive])
-    return out
-
-
-@lru_cache(maxsize=None)
-def _kernel_maths() -> _Maths:
-    """The free-source kernel's functions: numpy's, but libm's exp (see
-    _libm); built on the first kernel call, which loads numpy."""
-    import numpy as np
-
-    return _Maths(_libm(math.exp), np.tanh, np.cosh, np.log2, operator.pow)
-
-
-# Sweep rows take libm's throughout, as the scalar path does (math.pow is the
-# pow that ** calls on floats), so every row has the scalar's bits.
-_ROW_MATHS = _Maths(*map(_libm, (math.exp, math.tanh, math.cosh)), _row_log2, _libm(math.pow))
-
-
-def _transmissions(protocol: str, src: SourceSpec | None, p: ChannelParams, x, mode: str):
+def _transmissions(protocol: str, src: SourceSpec | None, p: ChannelParams, x, mode: str, power=pow):
     """The unchecked transmission at an abscissa x, a float or an array: a
     swap chain's per segment, 10^(-loss/10), or else per arm of a bb84 link
     or a midway two-arm one, eta 10^(-receiver dB/10) 10^(-loss/10), with
     the abscissa's loss split equally. An array's loss splits with + - * /
-    as on floats and its pow is libm's, so every element has a float's bits.
+    as on floats, and its caller hands in libm's pow for each element
+    (grid._ROW_MATHS.power), so every element has a float's bits.
     """
-    power = pow if _is_real(x) else _ROW_MATHS.power
     if isinstance(src, SwapChain):
         return power(10.0, -span_loss_db(p, x, mode, src.segments) / 10.0)
     arms = 1 if protocol == "bb84" else 2
     loss = power(10.0, -span_loss_db(p, x, mode, arms) / 10.0)
     return p.eta * db_to_transmission(receiver_arm_loss_db(p, arms)) * loss
-
-
-def _rate_columns(
-    protocol: str, src: SourceSpec | None, p: ChannelParams, t: np.ndarray, maths: _Maths, param=None
-) -> tuple[np.ndarray, tuple, np.ndarray]:
-    """point_rate(protocol, src, p, x, mode) over the abscissas x whose
-    transmissions (see _transmissions) are t, or with src None at the free
-    source of parameters param, as (raw, stats, ok), raw 0 where not live:
-    _stats_columns and _key_rate_columns, with _ROW_MATHS bit for bit."""
-    import numpy as np
-
-    with np.errstate(all="ignore"):
-        rate_args, stats, ok = _stats_columns(protocol, src, p, t, maths, param)
-        raw = _key_rate_columns(*rate_args, ok, maths.log2)
-    return raw, stats, ok
-
-
-def _free_rate_kernel(protocol: str, p: ChannelParams, alpha, param) -> np.ndarray:
-    """Clamped rate of the free source over broadcast arrays of arm
-    transmission and source parameter (Poisson nbar for bb84, PDC chi for
-    ekert): _rate_columns with numpy's tanh, cosh, log2 and power, which can
-    differ from libm's in the last bit, and libm's exp.
-
-    The array form of point_rate(protocol, _free_source(protocol, param), p,
-    x, mode).rate at the abscissa x whose arm transmission is alpha, to
-    rounding, and +0.0 where the scalar path raises or rates 0 or less.
-    """
-    import numpy as np
-
-    alpha, param = np.asarray(alpha, dtype=float), np.asarray(param, dtype=float)
-    raw = _rate_columns(protocol, None, p, alpha, _kernel_maths(), param)[0]
-    return np.where(raw > 0.0, raw, 0.0)
 
 
 def optimize_source_param(
@@ -439,23 +319,6 @@ def optimize_source_param(
     return OptimizeResult(param=param, rate=rate)
 
 
-def _coarse_maxima(protocol: str, p: ChannelParams, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first argmax and the maximum of the free source's rate over
-    optimize_source_param's coarse grid at each arm transmission of alpha,
-    _ROW_BLOCK rows per _free_rate_kernel call; a row out of range has
-    maximum 0, as point_stats raises there at every parameter."""
-    import numpy as np
-
-    grid = _coarse_grid(*_free_source_box(protocol)).array
-    best, top = np.zeros(len(alpha), dtype=int), np.zeros(len(alpha))
-    for start in range(0, len(alpha), _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        values = _free_rate_kernel(protocol, p, alpha[block, None], grid)
-        best[block] = values.argmax(axis=1)
-        top[block] = values.max(axis=1)
-    return best, top
-
-
 def _bisection_midpoints(lo: float, hi: float, depth: int) -> list[float]:
     """Every midpoint that the next depth steps of cutoff_distance's
     bisection from (lo, hi) could probe, computed as the bisection does."""
@@ -477,7 +340,7 @@ def cutoff_distance(
     A probe needs only the sign of the rate. With src None that is the sign
     of the maximum of optimize_source_param's coarse grid: the optimizer
     returns zero_rate when that maximum is 0, and otherwise a rate at or
-    above it. So one _coarse_maxima call evaluates the coarse grids at the
+    above it. So one grid._coarse_positive call rates the coarse grids at the
     arm transmissions of every midpoint that the next _CUTOFF_DEPTH
     bisection steps could visit (the first call: both edges and the next
     _CUTOFF_DEPTH - 1 steps), and the bisection replays its path from their
@@ -499,10 +362,9 @@ def cutoff_distance(
     """
     def probe(kms: list[float]) -> dict[float, bool]:
         if src is None:
-            import numpy as np
+            from .grid import _coarse_positive
 
-            alpha = _transmissions(protocol, None, p, np.array(kms, dtype=float), "distance")
-            positive = (_coarse_maxima(protocol, p, alpha)[1] > 0.0).tolist()
+            positive = _coarse_positive(protocol, p, kms)
         else:
             positive = [point_rate(protocol, src, p, km, "distance").rate > 0.0 for km in kms]
         return dict(zip(kms, positive))
@@ -528,76 +390,6 @@ def cutoff_distance(
         else:
             hi = mid
     return lo
-
-
-def _optimal_params(protocol: str, p: ChannelParams, alpha: np.ndarray) -> np.ndarray:
-    """optimize_source_param's param, as a float64 array, at each arm
-    transmission of alpha (see _transmissions), all rows in lockstep on
-    _free_rate_kernel.
-
-    Each row takes optimize_source_param's steps: the coarse grid (see
-    _coarse_maxima), the bracket around its first maximum, the
-    golden-section updates until its own bracket is below _REL_TOL, and the
-    fallback to the grid point when the bracket midpoint rates lower. A row
-    whose rate is 0 over the whole grid, or whose arm transmission is out of
-    range, gets the box midpoint. The kernel's numpy tanh, cosh, log2
-    and ** can differ from libm's in the last bit, so where two probes of a
-    row rate the same to rounding, the row may take the other branch and end
-    elsewhere inside _REL_TOL.
-
-    The golden-section updates go two to a kernel call. A step's probe is
-    known before its rate is, so one call rates it together with the two
-    probes the step after it could take, one for each outcome of its
-    comparison; that step then picks its probe and rate from them. Every row
-    takes the one-step-per-call loop's steps, with its bits.
-    """
-    import numpy as np
-
-    lo, hi = _free_source_box(protocol)
-    params = np.full(len(alpha), 0.5 * (lo + hi))
-    best, top = _coarse_maxima(protocol, p, alpha)
-    found = np.flatnonzero(top > 0.0)
-    if not found.size:
-        return params
-    alpha, best, top = alpha[found], best[found], top[found]
-    grid = _coarse_grid(lo, hi)
-
-    def rate(param: np.ndarray) -> np.ndarray:
-        return _free_rate_kernel(protocol, p, alpha, param)
-
-    def probes(a, b, x1, x2):
-        # the next step's probe if the rate rises from x1 to x2 (a becomes x1,
-        # and the probe is a + G (b - a)), and if it does not (b becomes x2,
-        # and the probe is b - G (b - a))
-        return x1 + _GOLDEN * (b - x1), x2 - _GOLDEN * (x2 - a)
-
-    a = grid.logs[np.maximum(best - 1, 0)]
-    b = grid.logs[np.minimum(best + 1, _COARSE_POINTS - 1)]
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = rate(np.exp(np.stack([x1, x2])))
-    active = b - a > _REL_TOL
-    step_probes, foreseen = probes(a, b, x1, x2), None
-    while active.any():
-        up = f1 < f2
-        probe = np.where(up, *step_probes)
-        a = np.where(active & up, x1, a)
-        b = np.where(active & ~up, x2, b)
-        x1, x2 = np.where(up, x2, probe), np.where(up, probe, x1)
-        active = b - a > _REL_TOL
-        step_probes = probes(a, b, x1, x2)
-        if foreseen is not None:
-            f, foreseen = np.where(up, *foreseen), None
-        elif active.any():
-            # this step's probe, and both that the next step could take
-            f, *foreseen = rate(np.exp(np.stack([probe, *step_probes])))
-        else:
-            break  # no row reads this probe's rate
-        f1, f2 = np.where(up, f2, f), np.where(up, f, f1)
-    # math.exp, as optimize_source_param takes it, fixes the reported parameter
-    param = np.array([math.exp(v) for v in (0.5 * (a + b)).tolist()])
-    params[found] = np.where(rate(param) < top, grid.array[best], param)
-    return params
 
 
 class SweepColumns(NamedTuple):
@@ -644,34 +436,14 @@ def sweep(spec: SweepSpec) -> SweepColumns:
     Points are independent; un-evaluable points (degenerate statistics)
     become zero-rate points carrying a diagnostic note rather than aborting
     the sweep. The rows' transmissions are computed once: a free source is
-    optimized on them for all rows at once (see _optimal_params), each row
-    carrying its optimal parameter, and then all rows are rated on them in
-    one array pass, _rate_columns with libm's functions, which gives each
-    row the bits of point_rate at its source. A row whose statistics the
-    pass rejects is evaluated by point_rate itself, so its note and zero
+    optimized on them for all rows at once (see grid._optimal_params), each
+    row carrying its optimal parameter, and then all rows are rated on them
+    in one array pass, grid._rate_columns with libm's functions, which gives
+    each row the bits of point_rate at its source. A row whose statistics
+    the pass rejects is evaluated by point_rate itself, so its note and zero
     rate are the scalar's; where a libm function raises (a pump parameter
     whose cosh overflows), every row is.
     """
-    import numpy as np
+    from .grid import _sweep_columns
 
-    protocol, src, p, mode = spec.protocol, spec.source, spec.params, spec.mode
-    xs = spec.grid()
-    abscissa = np.array(xs, dtype=float)
-    t = _transmissions(protocol, src, p, abscissa, mode)
-    optimal_param = None if src is not None else _optimal_params(protocol, p, t)
-    try:
-        raw, stats, ok = _rate_columns(protocol, src, p, t, _ROW_MATHS, optimal_param)
-    except (ValueError, OverflowError):
-        # a libm function raised where the scalar path raises: every row falls back
-        raw, stats, ok = np.zeros(len(xs)), (0.0, 0.0, 0.0), np.zeros(len(xs), dtype=bool)
-    stats = tuple(np.array(np.broadcast_to(column, abscissa.shape)) for column in stats)
-    notes = {}
-    for i in np.flatnonzero(~ok).tolist():
-        row_src = src if optimal_param is None else _free_source(protocol, optimal_param.item(i))
-        point = point_rate(protocol, row_src, p, xs[i], mode)
-        raw[i] = point.rate_raw
-        if point.stats is None:
-            notes[i] = point.note
-        for column, value in zip(stats, repeat(0.0) if point.stats is None else vars(point.stats).values()):
-            column[i] = value
-    return SweepColumns(protocol, abscissa, raw, optimal_param, stats, notes)
+    return _sweep_columns(spec)

@@ -4,16 +4,13 @@ Binary entropy, benchmark error-correction efficiency, the
 individual-attack collision-probability bound, and the secure fraction tau
 derived from it. Each function raises ValueError for an argument outside
 its domain, NaN included. The key rate 0.5 p_sift (tau - f h) built from
-them is here too, as a scalar (_key_rate) and as columns
-(_key_rate_columns), which protocols calls. Only the column forms use
-numpy, and they import it when they run.
+them is here too (_key_rate); its array form is grid._key_rate_columns.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import lru_cache
 
 __all__ = [
     "binary_entropy",
@@ -45,20 +42,9 @@ _EC_SEGMENTS = (
 )
 
 
-@lru_cache(maxsize=None)
-def _ec_arrays() -> tuple:
-    """The lookup as arrays for _key_rate_columns, built on its first call
-    so that the scalar path never loads numpy: the knots, and one array per
-    segment field, as take gathers the fields of a 32x64 block in 5 us, where
-    a fancy index into one (4, segments) array took 17 us."""
-    import numpy as np
-
-    return np.array(_EC_KNOTS), tuple(np.array(field) for field in zip(*_EC_SEGMENTS))
-
-
 # The closed forms below are plain arithmetic, so they take floats or numpy
-# arrays; the scalar functions call them with math's log2, the free-source
-# rate kernel with numpy's.
+# arrays; the scalar functions call them with math's log2, the array passes
+# of grid and verifiers with what they hand in.
 def _entropy(e, log2):
     return -e * log2(e) - (1.0 - e) * log2(1.0 - e)
 
@@ -119,20 +105,6 @@ def collision_bound(eps: float) -> float:
     return _quadratic_bound(eps)
 
 
-def _collision_bound_array(eps: np.ndarray) -> np.ndarray:
-    """collision_bound of every element of a float array, bit for bit.
-
-    Raises the scalar's ValueError, naming the first negative or NaN
-    element.
-    """
-    import numpy as np
-
-    valid = eps >= 0.0
-    if not np.all(valid):
-        raise ValueError(f"disturbance must be non-negative, got {float(eps[~valid][0])}")
-    return np.where(eps >= 0.5, 1.0, _quadratic_bound(eps))
-
-
 def tau(eps: float) -> float:
     """Secure fraction per reconciled bit, -log2 of the collision bound."""
     return -math.log2(collision_bound(eps))
@@ -179,21 +151,3 @@ def _key_rate(p_sift: float, e: float, beta: float, clamp: bool) -> float:
     if clamp and raw < 0.0:
         return 0.0
     return raw
-
-
-def _key_rate_columns(p_sift, e, beta, ok, log2) -> np.ndarray:
-    """_key_rate unclamped over numpy arrays, with log2 handed in, and 0
-    where ok is false. f(e) is ec_efficiency's segment line, each element's
-    segment gathered by take from the _ec_arrays columns."""
-    import numpy as np
-
-    knots, segment_columns = _ec_arrays()
-    live = ok & _live(e, beta)
-    # A live row has e / beta <= 1/2, where collision_bound is the quadratic
-    # (at 1/2 both are 1).
-    secure = beta * -log2(_quadratic_bound(e / beta))
-    entropy = np.where(e > 0.0, _entropy(e, log2), 0.0)
-    segment = np.searchsorted(knots, e)
-    f = _ec_line(e, *(field.take(segment) for field in segment_columns))
-    raw = 0.5 * p_sift * (secure - f * entropy)
-    return np.where(live, raw, 0.0)

@@ -6,18 +6,16 @@ a closed-form lower bound on how strongly multi-photon splitting inflates
 dual-fire events, and an exhaustive small-block oracle for the
 privacy-amplification entropy bound over a concrete universal hash family.
 
-The key sizing is scalar. The verifiers work on numpy arrays and import
-numpy when they run, so importing this module does not load it.
+The key sizing is scalar. The verifiers work on numpy arrays in verifiers,
+which their first call loads, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import random
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .channel import _is_integer
 from .ratecore import binary_entropy, ec_efficiency, tau_multiphoton
@@ -182,26 +180,6 @@ def _epsilon_from(x, y, c1, c2):
     return (x * (1.0 - c1) + y * (3.0 - c2)) / (4.0 * (x + y))
 
 
-def _collision_from(x, y, c1, c2):
-    """Collision probability of the attack with norms x, y and overlap
-    cosines c1, c2, as floats or broadcastable numpy arrays.
-
-    Each basis-dependent term drops out where its numerator vanishes; there
-    its denominator may vanish too, so that division is masked, not taken.
-    """
-    import numpy as np
-
-    x, y, c1, c2 = (np.asarray(v, dtype=float) for v in (x, y, c1, c2))
-    total = x + y
-    value = 0.75 - (x * c1 * c1 + y * c2 * c2) / (4.0 * total)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for s in (1.0, -1.0):
-            num = x * y * (1.0 + s * c1) * (1.0 + s * c2)
-            den = 2.0 * total * (x * (1.0 + s * c1) + y * (1.0 + s * c2))
-            value = value + np.where(num != 0.0, num / den, 0.0)
-    return value
-
-
 def attack_epsilon(a: AttackParams) -> float:
     """Disturbance caused by an attack-family member.
 
@@ -217,19 +195,20 @@ def attack_collision(a: AttackParams) -> float:
     Closed form in the two norms and two overlap angles; the two
     basis-dependent terms drop out when their numerators vanish.
     """
-    return float(
-        _collision_from(a.n_xx, a.n_xy, math.cos(a.phi_xx_yy), math.cos(a.phi_xy_yx))
-    )
+    from .verifiers import _collision_from
+
+    return float(_collision_from(a.n_xx, a.n_xy, math.cos(a.phi_xx_yy), math.cos(a.phi_xy_yx)))
 
 
-def attack_family_grid(ratio, cosines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def attack_family_grid(ratio, cosines) -> tuple[np.ndarray, np.ndarray]:
     """Disturbance and collision probability over a grid of attack-family
     members sharing one norm ratio, or for each of a 1-D array of them.
 
     Args:
         ratio: Norm ratio n_xx / n_xy, positive, or a 1-D array of them.
-        cosines: Overlap cosines; every pair (cos phi_xx_yy, cos phi_xy_yx)
-            drawn from cosines x cosines is one member.
+        cosines: Overlap cosines, an array or a sequence; every pair
+            (cos phi_xx_yy, cos phi_xy_yx) drawn from cosines x cosines is
+            one member.
 
     Returns:
         (eps, collision) as flat arrays over the members, ratio major, then
@@ -238,113 +217,9 @@ def attack_family_grid(ratio, cosines: np.ndarray) -> tuple[np.ndarray, np.ndarr
         ratios gives the one-ratio arrays of each ratio end to end, bit for
         bit.
     """
-    import numpy as np
+    from .verifiers import _family_grid
 
-    ratio = np.asarray(ratio, dtype=float)[..., None, None]
-    x, y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
-    c1, c2 = cosines[:, None], cosines[None, :]
-    return _epsilon_from(x, y, c1, c2).ravel(), _collision_from(x, y, c1, c2).ravel()
-
-
-def _grid_collision(eps, c1: np.ndarray, c2: np.ndarray) -> tuple:
-    """Attack collision probability over a (c1, c2) grid at disturbance eps,
-    a float or an array that broadcasts with the grid.
-
-    The disturbance constraint pins the norm ratio n_xx / n_xy to
-    (3 - c2 - 4 eps) / (c1 + 4 eps - 1); grid points where no non-negative
-    ratio exists are infeasible. Returns the collision probabilities, -inf
-    at infeasible points, and the n_xx share ratio / (1 + ratio) of a unit
-    total norm.
-    """
-    import numpy as np
-
-    den = c1 + 4.0 * eps - 1.0
-    num = 3.0 - c2 - 4.0 * eps
-    feasible = (den > 0.0) & (num >= 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = num / den
-        x = np.where(feasible, ratio / (1.0 + ratio), 0.5)
-    return np.where(feasible, _collision_from(x, 1.0 - x, c1, c2), -np.inf), x
-
-
-# Grid points per block of _maximize_collisions: 2 disturbances of 61 x 61,
-# or 18 of 21 x 21, so that each of a block's arrays stays under 64 KiB. With
-# 8 or 74 disturbances (over 128 KiB, where glibc's malloc switches to mmap)
-# the 49-disturbance search of the attack-bound suite took 9.5 ms, not 5.9.
-_BLOCK_POINTS = 1 << 13
-
-
-def _linspace_rows(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """Row e is np.linspace(lo[e], hi[e], n), bit for bit: a row takes
-    linspace's zero-step path only when its own step is zero."""
-    import numpy as np
-
-    delta = hi - lo
-    step = delta / (n - 1)
-    k = np.arange(n, dtype=float)
-    rows = np.where((step == 0.0)[:, None], k / (n - 1) * delta[:, None], k * step[:, None])
-    rows += lo[:, None]
-    rows[:, -1] = hi
-    return rows
-
-
-def _grid_best(eps: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> tuple:
-    """Per disturbance eps[e], the first maximum in c1-major order of the
-    collision probability over the grid c1[e] x c2[e], as arrays
-    (value, c1, c2, n_xx share)."""
-    import numpy as np
-
-    values, shares = _grid_collision(eps[:, None, None], c1[:, :, None], c2[:, None, :])
-    values, shares = values.reshape(eps.size, -1), shares.reshape(eps.size, -1)
-    rows = np.arange(eps.size)
-    k = np.argmax(values, axis=1)
-    k1, k2 = np.divmod(k, c2.shape[1])
-    return values[rows, k], c1[rows, k1], c2[rows, k2], shares[rows, k]
-
-
-def _maximize_collisions(eps: np.ndarray) -> tuple:
-    """maximize_attack_collision's search run for every disturbance of a
-    non-empty 1-D array at once, each in (2^-55, 1/2); returns the arrays
-    (collision probability, c1, c2, n_xx share) of the maxima.
-
-    Every disturbance follows its own search, with the scalar search's
-    arithmetic element for element: its own linspace per level, the first
-    argmax in c1-major order, and a best point replaced only by a strictly
-    better one. Python's max and min become np.where on the same comparison.
-    Each level's grids run in blocks of at most _BLOCK_POINTS points.
-    """
-    import numpy as np
-
-    # the feasible c1 lie above 1 - 4 eps; the floor stays 1e-12 clear of that
-    # and stops at 1, which it would pass for eps below about 2.5e-13
-    c1_floor = 1.0 - 4.0 * eps
-    c1_floor = np.where(c1_floor > -1.0, c1_floor, -1.0) + 1e-12
-    c1_floor = np.where(c1_floor < 1.0, c1_floor, 1.0)
-    c1_lo, c1_hi = c1_floor, np.ones_like(eps)
-    c2_lo, c2_hi = np.full_like(eps, -1.0), np.ones_like(eps)
-    best = None  # (value, c1, c2, n_xx share); c1 = c2 = 1 is always feasible
-    for level in range(4):
-        n_pts = 61 if level == 0 else 21
-        c1_grid = _linspace_rows(c1_lo, c1_hi, n_pts)
-        c2_grid = _linspace_rows(c2_lo, c2_hi, n_pts)
-        block = _BLOCK_POINTS // n_pts**2
-        found = [_grid_best(eps[i : i + block], c1_grid[i : i + block], c2_grid[i : i + block])
-                 for i in range(0, eps.size, block)]
-        found = [np.concatenate(parts) for parts in zip(*found)]
-        if best is None:
-            best = found
-        else:
-            better = found[0] > best[0]
-            best = [np.where(better, new, old) for new, old in zip(found, best)]
-        span1 = (c1_hi - c1_lo) / (n_pts - 1)
-        span2 = (c2_hi - c2_lo) / (n_pts - 1)
-        c1_lo, c1_hi = best[1] - span1, best[1] + span1
-        c1_lo = np.where(c1_lo > c1_floor, c1_lo, c1_floor)
-        c1_hi = np.where(c1_hi < 1.0, c1_hi, 1.0)
-        c2_lo, c2_hi = best[2] - span2, best[2] + span2
-        c2_lo = np.where(c2_lo > -1.0, c2_lo, -1.0)
-        c2_hi = np.where(c2_hi < 1.0, c2_hi, 1.0)
-    return tuple(best)
+    return _family_grid(ratio, cosines)
 
 
 def maximize_attack_collision(eps: float) -> tuple[AttackParams, float]:
@@ -355,7 +230,7 @@ def maximize_attack_collision(eps: float) -> tuple[AttackParams, float]:
     the first point in c1-major order, and a zoom level replaces the best
     point only if it beats it strictly. The result must reproduce the
     closed-form bound 1/2 + 2 eps - 2 eps^2. This is the one-disturbance
-    case of _maximize_collisions, which searches many at once.
+    case of verifiers._maximize_collisions, which searches many at once.
 
     Args:
         eps: Target disturbance in (0, 1/2), with 1 + 4 eps above 1 in
@@ -369,9 +244,9 @@ def maximize_attack_collision(eps: float) -> tuple[AttackParams, float]:
         raise ValueError("disturbance must lie strictly between 0 and 1/2")
     if not 1.0 + 4.0 * eps > 1.0:
         raise ValueError(f"disturbance {eps} is below the search's resolution: 1 + 4 eps rounds to 1")
-    import numpy as np
+    from .verifiers import _maximize_collisions
 
-    maxima = _maximize_collisions(np.array([eps], dtype=float))
+    maxima = _maximize_collisions([eps])
     value, c1, c2, x = (float(column[0]) for column in maxima)
     params = AttackParams(n_xx=x, n_xy=1.0 - x, phi_xx_yy=math.acos(c1), phi_xy_yx=math.acos(c2))
     return params, value
@@ -402,81 +277,6 @@ def multiphoton_ratio_bound(i: int, j: int) -> float:
     raise ValueError(f"photon counts ({i}, {j}) give a ratio bound past float range")
 
 
-# Block lengths whose hash family is every seed; longer blocks sample seeds.
-_EXHAUSTIVE_N = 6
-# Hashed inputs per block of keys: a block of n-bit keys covers
-# _BLOCK_INPUTS >> n seeds, so the block, and its offset histogram, stays
-# well under a mebibyte for every n. At 2^15 inputs a block's float64
-# temporaries took 256 KiB, past glibc malloc's first mmap threshold of
-# 128 KiB, so each cost an mmap and page faults: run alone in process, the
-# privacy-amp suite took 12.6 ms at 2^15 and 9.8 ms at 2^14 (medians of 7 on
-# a 2-core host). Within verify --suite all the two take the same time,
-# since glibc raises that threshold after the first large free.
-_BLOCK_INPUTS = 1 << 14
-
-
-def _toeplitz_matrices(n: int, r: int, seeds: np.ndarray) -> np.ndarray:
-    """Stack of r x n binary Toeplitz matrices from seed rows of n + r - 1 bits."""
-    import numpy as np
-
-    rows = np.arange(r)[:, None]
-    cols = np.arange(n)[None, :]
-    return seeds[:, (n - 1) + rows - cols]
-
-
-def _input_bits(n: int) -> np.ndarray:
-    """Rows of the n bits of every n-bit input, least significant first."""
-    import numpy as np
-
-    xs = np.arange(1 << n, dtype=np.uint32)
-    return ((xs[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
-
-
-def _family_seeds(n: int, r: int) -> np.ndarray:
-    """Seed rows of n + r - 1 bits: every seed for n <= _EXHAUSTIVE_N and,
-    for larger n, 10,000 seeds sampled from random.Random(0), fixed for
-    reproducibility."""
-    import numpy as np
-
-    seed_len = n + r - 1
-    if n <= _EXHAUSTIVE_N:
-        return _input_bits(seed_len)
-    gen = random.Random(0)
-    draws = bytes(gen.randrange(2) for _ in range(10_000 * seed_len))
-    return np.frombuffer(draws, dtype=np.uint8).reshape(10_000, seed_len)
-
-
-def _hash_key_blocks(n: int, r: int):
-    """Yield the r-bit hash of every n-bit input under each seed of the
-    family, as (seeds, 2^n) key arrays of at most _BLOCK_INPUTS >> n seeds.
-
-    Bit j of a key is the parity of the input ANDed with Toeplitz row j
-    read as an n-bit mask, so no (seeds, 2^n, r) product is formed.
-    """
-    import numpy as np
-
-    seeds = _family_seeds(n, r)
-    inputs = np.arange(1 << n, dtype=np.uint16)
-    key_type = np.uint8 if r <= 8 else np.uint16
-    per_block = _BLOCK_INPUTS >> n
-    for start in range(0, seeds.shape[0], per_block):
-        rows = _toeplitz_matrices(n, r, seeds[start : start + per_block])
-        masks = (rows @ (1 << np.arange(n))).astype(np.uint16)
-        keys = np.zeros((masks.shape[0], 1 << n), dtype=key_type)
-        for j in range(r):
-            parity = np.bitwise_count(inputs & masks[:, j, None]) & 1
-            keys |= parity.astype(key_type) << j
-        yield keys
-
-
-@lru_cache(maxsize=None)
-def _exhaustive_key_blocks(n: int, r: int) -> tuple:
-    """_hash_key_blocks of an exhaustive family (n <= _EXHAUSTIVE_N), kept
-    so that each per-bit collision probability reuses them; all of them
-    together take about 0.3 MiB."""
-    return tuple(_hash_key_blocks(n, r))
-
-
 def pa_entropy_bound_check(n: int, per_bit_pc: float, r: int) -> tuple[float, float, bool]:
     """Check the hashed-key entropy bound H(K|G) >= r - 2^r pc^n / ln 2.
 
@@ -495,8 +295,6 @@ def pa_entropy_bound_check(n: int, per_bit_pc: float, r: int) -> tuple[float, fl
         (lhs, rhs, holds) where lhs is the average conditional entropy
         H(K|G), rhs is the bound, and holds reports lhs >= rhs.
     """
-    import numpy as np
-
     n = _integer(n, "block length")
     r = _integer(r, "output length")
     if not 1 <= n <= 12:
@@ -509,18 +307,7 @@ def pa_entropy_bound_check(n: int, per_bit_pc: float, r: int) -> tuple[float, fl
     if r == 0:
         return 0.0, rhs, True
 
-    p = 0.5 * (1.0 + math.sqrt(2.0 * per_bit_pc - 1.0))
-    ones = _input_bits(n).sum(axis=1)
-    probs = p**ones * (1.0 - p) ** (n - ones) if p < 1.0 else (ones == n).astype(float)
+    from .verifiers import _hashed_entropy
 
-    blocks = _exhaustive_key_blocks(n, r) if n <= _EXHAUSTIVE_N else _hash_key_blocks(n, r)
-    entropies = []
-    for keys in blocks:
-        # one histogram per seed: seed k's keys land in bins k 2^r .. (k+1) 2^r - 1
-        n_seeds = keys.shape[0]
-        offset = keys + (np.arange(n_seeds, dtype=np.int64)[:, None] << r)
-        q = np.bincount(offset.ravel(), weights=np.tile(probs, n_seeds), minlength=n_seeds << r)
-        log_q = np.log2(q, out=np.zeros_like(q), where=q > 0)
-        entropies.extend((-(q * log_q).reshape(n_seeds, 1 << r).sum(axis=1)).tolist())
-    lhs = math.fsum(entropies) / len(entropies)
+    lhs = _hashed_entropy(n, per_bit_pc, r)
     return lhs, rhs, lhs >= rhs - 1e-12

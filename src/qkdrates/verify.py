@@ -7,17 +7,16 @@ suite names to the functions that build these reports; ``run_verify_suite``
 runs one or all by name for the CLI, each report with its name as ``suite``.
 
 The suites call the certified functions through their modules
-(``ratecore.collision_bound``, ``ratecore._collision_bound_array``,
+(``ratecore.collision_bound``, ``verifiers._collision_bound_array``,
 ``sources.pdc_coefficients``, ``security.*``, ``fockoracle.*``) rather
 than importing the names here. A caller that rebinds a module attribute,
 such as a tracer that wraps it, then sees every call the suites make; a
 name bound in this module would bypass the rebinding.
 
-``fockoracle`` loads with the first suite that needs it (``pdc-oracle`` or
-``dephasing``), so importing this module, and ``qkdrates.cli`` with it,
-does not compile the oracle for a ``rate``, ``sweep``, ``optimize`` or
-``cutoff`` run. numpy likewise loads with the first suite that works on
-arrays, which is every suite but ``multi-photon``.
+``fockoracle`` (``pdc-oracle``, ``dephasing``) and ``verifiers``
+(``attack-bound``, ``privacy-amp``) load with the first suite that needs
+them, so importing this module, and ``qkdrates.cli`` with it, loads
+neither, nor numpy.
 """
 
 from __future__ import annotations
@@ -38,24 +37,24 @@ def _property(name: str, tolerance: float, holds: bool, **measured) -> dict:
 
 
 def _suite_attack_bound() -> dict:
-    import numpy as np
+    from . import verifiers
 
     # maximize_attack_collision's search, run once for all 49 disturbances
     grid = [k / 100.0 for k in range(1, 50)]
-    values = security._maximize_collisions(np.array(grid))[0]
+    values = verifiers._maximize_collisions(grid)[0]
     worst_gap = 0.0
     for eps, value in zip(grid, values.tolist()):
         worst_gap = max(worst_gap, abs(value - ratecore.collision_bound(eps)))
     # every (ratio, phi1, phi2) point of a 50^3 grid, in blocks of whole norm
     # ratios of at most the search's _BLOCK_POINTS points: 3 of 50 x 50
     worst_violation = -math.inf
-    cosines = np.array([math.cos(math.pi * i / 49.0) for i in range(50)])
-    ratios = np.array([10.0 ** (-3.0 + 6.0 * i / 49.0) for i in range(50)])
-    block = security._BLOCK_POINTS // cosines.size**2
-    for lo in range(0, ratios.size, block):
+    cosines = [math.cos(math.pi * i / 49.0) for i in range(50)]
+    ratios = [10.0 ** (-3.0 + 6.0 * i / 49.0) for i in range(50)]
+    block = verifiers._BLOCK_POINTS // len(cosines) ** 2
+    for lo in range(0, len(ratios), block):
         eps, collision = security.attack_family_grid(ratios[lo : lo + block], cosines)
-        bound = ratecore._collision_bound_array(eps)
-        worst_violation = max(worst_violation, float(np.max(collision - bound)))
+        bound = verifiers._collision_bound_array(eps)
+        worst_violation = max(worst_violation, float((collision - bound).max()))
     return {
         "properties": [
             _property("constrained maximum matches 1/2 + 2e - 2e^2", 1e-6, worst_gap <= 1e-6,

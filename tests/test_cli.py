@@ -21,6 +21,7 @@ from qkdrates.cli import (
     run_verify_suite,
 )
 from qkdrates.channel import dark_click_prob
+from qkdrates.grid import _ROW_MATHS, _optimal_params
 from qkdrates.protocols import OptimizeResult, RatePoint, SweepColumns, point_rate, sweep
 from qkdrates.ratecore import tau_multiphoton
 from qkdrates.sources import BB84_DETECTORS, ClickStats, CoincidenceStats
@@ -702,8 +703,8 @@ def scalar_curves(config):
         spec = cli._sweep_spec(config, curve)
         xs, p, mode = spec.grid(), config.channel, config.mode
         if curve.source is None:
-            alpha = protocols._transmissions(curve.protocol, None, p, np.array(xs), mode)
-            params = protocols._optimal_params(curve.protocol, p, alpha).tolist()
+            alpha = protocols._transmissions(curve.protocol, None, p, np.array(xs), mode, _ROW_MATHS.power)
+            params = _optimal_params(curve.protocol, p, alpha).tolist()
             points = [
                 dataclasses.replace(
                     point_rate(curve.protocol, protocols._free_source(curve.protocol, v), p, x, mode),

@@ -1,6 +1,7 @@
 """Tests of the package as installed code: what importing it pulls in."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -56,12 +57,18 @@ def _private_names_taken(module: str, lenders: tuple) -> set:
 
 
 def test_protocols_takes_only_the_entry_points_of_sources_and_ratecore():
-    # the closed forms, array forms included, stay inside the modules that own
-    # them; protocols drives evaluation through these three
-    assert _private_names_taken("protocols", ("sources", "ratecore")) == {
+    # the closed forms stay inside the modules that own them; protocols drives
+    # scalar evaluation through _key_rate, and its array passes in grid run
+    # the same bodies through _stats_columns and ratecore's closed forms
+    assert _private_names_taken("protocols", ("sources", "ratecore")) == {"ratecore._key_rate"}
+    assert _private_names_taken("grid", ("sources", "ratecore")) == {
         "sources._stats_columns",
-        "ratecore._key_rate",
-        "ratecore._key_rate_columns",
+        "ratecore._EC_KNOTS",
+        "ratecore._EC_SEGMENTS",
+        "ratecore._ec_line",
+        "ratecore._entropy",
+        "ratecore._live",
+        "ratecore._quadratic_bound",
     }
 
 
@@ -88,19 +95,23 @@ def test_cli_import_leaves_the_oracle_unloaded_until_a_suite_needs_it():
     assert json.loads(_python(_LAZY_ORACLE)) == [False, 0, True, True]
 
 
+# numpy and the two modules that import it at the top for the array passes
+_ARRAY_MODULES = ("numpy", "qkdrates.grid", "qkdrates.verifiers")
 # Imports the package and its CLI, then runs each command line given as a
 # JSON list; prints, after each step, its name, the command's exit status
-# and whether numpy is loaded.
-_LAZY_NUMPY = """
+# and which _ARRAY_MODULES are loaded.
+_LAZY_NUMPY = f"""
 import contextlib, io, json, sys
+def loaded():
+    return [name for name in {_ARRAY_MODULES!r} if name in sys.modules]
 import qkdrates
-steps = [["import qkdrates", None, "numpy" in sys.modules]]
+steps = [["import qkdrates", None, loaded()]]
 import qkdrates.cli
-steps.append(["import qkdrates.cli", None, "numpy" in sys.modules])
+steps.append(["import qkdrates.cli", None, loaded()])
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         status = qkdrates.cli.main(argv)
-    steps.append([argv[0], status, "numpy" in sys.modules])
+    steps.append([argv[0], status, loaded()])
 print(json.dumps(steps))
 """
 
@@ -128,8 +139,8 @@ def _numpy_steps(tmp_path, commands: list) -> list:
 
 def test_import_and_scalar_commands_leave_numpy_unloaded(tmp_path):
     # a point rate, a source optimization, a fixed-source cutoff and the
-    # multi-photon suite are answered by math; loading numpy for them would
-    # more than double the import time
+    # multi-photon suite are answered by math; loading numpy, or the array
+    # modules that import it, for them would more than double the import time
     steps = _numpy_steps(tmp_path, [
         "rate --config fixed.json",
         "rate --config optimized.json",
@@ -138,19 +149,92 @@ def test_import_and_scalar_commands_leave_numpy_unloaded(tmp_path):
         "verify --suite multi-photon",
     ])
     assert steps == [
-        ["import qkdrates", None, False],
-        ["import qkdrates.cli", None, False],
-        ["rate", 0, False],
-        ["rate", 0, False],
-        ["optimize", 0, False],
-        ["cutoff", 0, False],
-        ["verify", 0, False],
+        ["import qkdrates", None, []],
+        ["import qkdrates.cli", None, []],
+        ["rate", 0, []],
+        ["rate", 0, []],
+        ["optimize", 0, []],
+        ["cutoff", 0, []],
+        ["verify", 0, []],
     ]
 
 
-@pytest.mark.parametrize("command", [
-    "sweep --config sweep.json", "cutoff --config optimized.json", "verify --suite attack-bound",
-], ids=["sweep", "optimized-cutoff", "verify"])
-def test_array_commands_load_numpy(tmp_path, command):
+@pytest.mark.parametrize("command, loaded", [
+    ("sweep --config sweep.json", ["numpy", "qkdrates.grid"]),
+    ("cutoff --config optimized.json", ["numpy", "qkdrates.grid"]),
+    ("verify --suite attack-bound", ["numpy", "qkdrates.verifiers"]),
+    ("verify --suite privacy-amp", ["numpy", "qkdrates.verifiers"]),
+], ids=["sweep", "optimized-cutoff", "verify", "verify-privacy-amp"])
+def test_array_commands_load_numpy(tmp_path, command, loaded):
     steps = _numpy_steps(tmp_path, [command])
-    assert [step[1:] for step in steps] == [[None, False], [None, False], [0, True]]
+    assert [step[1:] for step in steps] == [[None, []], [None, []], [0, loaded]]
+
+
+def _load_bench_tracing():
+    """bench/tracing.py, loaded by path; nothing in it is changed."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", SRC.parent / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _modules() -> dict:
+    """The parsed source of every qkdrates module, by module name."""
+    return {path.stem: ast.parse(path.read_text()) for path in sorted((SRC / "qkdrates").glob("*.py"))}
+
+
+def _own_nodes(function):
+    """The nodes of a function's body, without those of functions or
+    classes defined inside it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "numpy"
+
+
+def test_numpy_is_imported_at_the_top_of_the_array_modules():
+    # the array passes live in modules that import numpy at the top (grid,
+    # verifiers, fockoracle), and the scalar modules reach them through a
+    # function-level import of that module, never of numpy
+    inside = [
+        f"{module}.{function.name}"
+        for module, tree in _modules().items()
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in _own_nodes(function)
+        if _imports_numpy(node)
+    ]
+    assert inside == []
+    at_the_top = [module for module, tree in _modules().items() if any(map(_imports_numpy, tree.body))]
+    assert at_the_top == ["fockoracle", "grid", "verifiers"]
+
+
+def test_no_untraced_module_binds_a_traced_function():
+    # the tracer wraps each LAYERS function at the module attributes of the
+    # namespaces it searches; a traced function bound by a from-import in any
+    # other module would run unwrapped there, its calls uncounted, and no
+    # error would say so
+    tracing = _load_bench_tracing()
+    traced = {(module, function) for module, function, _ in tracing.LAYERS}
+    searched = {"__init__" if name == "qkdrates" else name for name in tracing.namespaces()}
+    assert set(tracing.MODULES) < searched
+    modules = _modules()
+    bindings = [
+        f"{module}: from {node.module} import {alias.name}"
+        for module, tree in modules.items()
+        if module not in searched
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or node.module.startswith("qkdrates."))
+        for alias in node.names
+        if ((node.module or "").rpartition(".")[2], alias.name) in traced
+    ]
+    assert bindings == []
+    assert set(modules) - searched == {"grid", "verifiers", "verify"}

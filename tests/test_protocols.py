@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qkdrates import channel, protocols, sources
+from qkdrates import channel, grid, protocols, sources
 from qkdrates.channel import ChannelParams
 from qkdrates.ratecore import _EC_KNOTS, _EC_SEGMENTS, _ec_line, _quadratic_bound, binary_entropy, ec_efficiency, tau
 from qkdrates.protocols import (
@@ -32,13 +32,16 @@ from qkdrates.protocols import (
     rate_bb84,
     rate_ekert,
     sweep,
-    _ROW_MATHS,
-    _free_rate_kernel,
     _free_source,
+    _transmissions,
+)
+from qkdrates.grid import (
+    _ROW_MATHS,
+    _coarse_maxima,
+    _free_rate_kernel,
     _libm,
     _optimal_params,
     _rate_columns,
-    _transmissions,
 )
 from qkdrates.sources import (
     ClickStats,
@@ -515,6 +518,15 @@ class TestDetectorScaling:
         assert point_stats(protocol, src, scaled, distance).e.hex() == e.hex()
 
 
+def _zero_rate_error():
+    """e*, where tau(e) = f(e) h(e): at beta = 1 the rate changes sign there,
+    whatever p_sift is. Bisected to the last bit on the rate's sign."""
+    lo, hi = 0.05, 0.15
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if tau(mid) > ec_efficiency(mid) * binary_entropy(mid) else (lo, mid)
+    return lo
+
+
 class TestCutoff:
     @pytest.mark.parametrize("search", [(200.0, 100.0), (100.0, 100.0)], ids=["reversed", "empty"])
     @pytest.mark.parametrize("src", [None, IdealEpr()])
@@ -534,10 +546,7 @@ class TestCutoff:
         # 16 d^2, e = e* is the quadratic 2 (e* - mu) alpha^2 - 8 d (1 - 2e*)
         # alpha - 16 d^2 (1 - 2e*) = 0 in the arm transmission alpha, and the
         # loss budget of the two arms maps its root alpha* to the distance L*.
-        lo, hi = 0.05, 0.15
-        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-            lo, hi = (mid, hi) if tau(mid) > ec_efficiency(mid) * binary_entropy(mid) else (lo, mid)
-        e, d, mu = lo, FIBER.d, FIBER.mu
+        e, d, mu = _zero_rate_error(), FIBER.d, FIBER.mu
         a, b, c = 2.0 * (e - mu), -8.0 * d * (1.0 - 2.0 * e), -16.0 * d * d * (1.0 - 2.0 * e)
         alpha = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
         arm_db = -10.0 * math.log10(alpha / (FIBER.eta * 10.0 ** (-FIBER.receiver_loss_db / 10.0)))
@@ -549,6 +558,22 @@ class TestCutoff:
         assert root - 0.5 <= cutoff_distance("ekert", FIBER, search, IdealEpr()) <= root
         assert point_rate("ekert", IdealEpr(), FIBER, root - 1e-3).rate_raw > 0.0
         assert point_rate("ekert", IdealEpr(), FIBER, root + 1e-3).rate_raw < 0.0
+
+    @pytest.mark.parametrize("search", [(1.0, 1000.0), (1.0, 400.0), (5.0, 300.0)])
+    def test_ideal_single_photon_cutoff_against_its_closed_form_root(self, search):
+        # With p_click = alpha + 4d, e = (4d + 2 mu alpha) / (2 (alpha + 4d)),
+        # which is linear in alpha at e = e*: alpha* = 2d (1 - 2e*) / (e* - mu),
+        # and the loss budget of the one arm maps it to the distance L*.
+        e, d, mu = _zero_rate_error(), FIBER.d, FIBER.mu
+        alpha = 2.0 * d * (1.0 - 2.0 * e) / (e - mu)
+        arm_db = -10.0 * math.log10(alpha / (FIBER.eta * 10.0 ** (-FIBER.receiver_loss_db / 10.0)))
+        root = arm_db / FIBER.sigma
+        assert alpha == pytest.approx(9.1376e-4, rel=1e-4)
+        assert root == pytest.approx(109.72210260572406, abs=1e-9)
+        # the bisection stops at a 0.5 km bracket: 109.290, 109.712 and 109.575 km
+        assert root - 0.5 <= cutoff_distance("bb84", FIBER, search, IdealSingle()) <= root
+        assert point_rate("bb84", IdealSingle(), FIBER, root - 1e-3).rate_raw > 0.0
+        assert point_rate("bb84", IdealSingle(), FIBER, root + 1e-3).rate_raw < 0.0
 
     @given(lo=st.floats(1.0, 150.0), hi=st.floats(200.0, 5000.0))
     @settings(derandomize=True, deadline=None)
@@ -638,17 +663,18 @@ class TestCutoff:
     def test_probe_counts(self, monkeypatch):
         calls = {}
 
-        def count(name):
-            inner = getattr(protocols, name)
+        def count(module, name):
+            inner = getattr(module, name)
 
             def counted(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
                 return inner(*args, **kwargs)
 
-            monkeypatch.setattr(protocols, name, counted)
+            monkeypatch.setattr(module, name, counted)
 
-        for name in ("_free_rate_kernel", "optimize_source_param", "point_rate"):
-            count(name)
+        for module, name in ((grid, "_free_rate_kernel"), (protocols, "optimize_source_param"),
+                             (protocols, "point_rate")):
+            count(module, name)
         cutoff_distance("ekert", FIBER, (1.0, 1000.0))
         assert calls.get("_free_rate_kernel", 0) <= 3
         assert "optimize_source_param" not in calls and "point_rate" not in calls
@@ -752,7 +778,7 @@ def _outcome(rows):
 
 def _arm(protocol, p, xs, mode="distance"):
     """The free source's arm transmissions at the abscissas xs."""
-    return _transmissions(protocol, None, p, np.array(xs, dtype=float), mode)
+    return _transmissions(protocol, None, p, np.array(xs, dtype=float), mode, _ROW_MATHS.power)
 
 
 def _scalar_rows(spec):
@@ -831,7 +857,7 @@ class TestSweepRows:
         # rejects: the fallback hides a mask that is too strict
         xs = spec.grid()
         try:
-            t = _transmissions(protocol, src, p, np.array(xs), mode)
+            t = _transmissions(protocol, src, p, np.array(xs), mode, _ROW_MATHS.power)
             params = None if src is not None else _optimal_params(protocol, p, t)
             ok = _rate_columns(protocol, src, p, t, _ROW_MATHS, params)[2]
         except (ArithmeticError, ValueError):
@@ -878,7 +904,7 @@ class TestSweepRows:
     def test_free_source_curve_computes_its_transmissions_once(self, protocol, mode):
         # the optimizer and the row pass share them
         spec = SweepSpec(protocol, FIBER, None, 0.0, 20.0, 2.0, mode)
-        with mock.patch.object(protocols, "_transmissions", wraps=_transmissions) as transmissions:
+        with mock.patch("qkdrates.grid._transmissions", wraps=_transmissions) as transmissions:
             curve = sweep(spec)
         assert not curve.notes  # no row fell back to point_rate, which computes its own
         assert transmissions.call_count == 1
@@ -902,19 +928,20 @@ def _one_step_params(protocol, p, alpha):
     number of steps each row takes (None for a row at the box midpoint)."""
     lo, hi = NBAR_BOX if protocol == "bb84" else CHI_BOX
     params, steps = [0.5 * (lo + hi)] * len(alpha), [None] * len(alpha)
-    best, top = protocols._coarse_maxima(protocol, p, alpha)
+    best, top = _coarse_maxima(protocol, p, alpha)
     found = np.flatnonzero(top > 0.0)
     if not found.size:
         return params, steps
     alpha, best, top = alpha[found], best[found], top[found]
-    grid = protocols._coarse_grid(lo, hi)
+    grid = protocols._coarse_params(lo, hi)
+    logs = np.array([math.log(g) for g in grid])
 
     def rate(param):
         return _free_rate_kernel(protocol, p, alpha, param)
 
     golden = protocols._GOLDEN
-    a = grid.logs[np.maximum(best - 1, 0)]
-    b = grid.logs[np.minimum(best + 1, protocols._COARSE_POINTS - 1)]
+    a = logs[np.maximum(best - 1, 0)]
+    b = logs[np.minimum(best + 1, protocols._COARSE_POINTS - 1)]
     x1 = b - golden * (b - a)
     x2 = a + golden * (b - a)
     f1, f2 = rate(np.exp(np.stack([x1, x2])))
@@ -931,7 +958,7 @@ def _one_step_params(protocol, p, alpha):
         f1, f2 = np.where(up, f2, f), np.where(up, f, f1)
         active = b - a > protocols._REL_TOL
     param = np.array([math.exp(v) for v in (0.5 * (a + b)).tolist()])
-    param = np.where(rate(param) < top, grid.array[best], param)
+    param = np.where(rate(param) < top, np.take(grid, best), param)
     for i, v, n in zip(found.tolist(), param.tolist(), taken.tolist()):
         params[i], steps[i] = v, n
     return params, steps
@@ -979,7 +1006,7 @@ class TestTwoStepGoldenSection:
 
     def test_two_steps_per_kernel_call(self):
         alpha = _arm("bb84", _BOX_EDGE, [180.0 + i for i in range(31)])
-        with mock.patch.object(protocols, "_free_rate_kernel", wraps=_free_rate_kernel) as kernel:
+        with mock.patch("qkdrates.grid._free_rate_kernel", wraps=_free_rate_kernel) as kernel:
             _optimal_params("bb84", _BOX_EDGE, alpha)
         # one coarse block, the first two probes, 17 steps in 8 calls (no row
         # reads the last step's probe), and the midpoints; one step a call took 20

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from qkdrates import security, verify
 from qkdrates.ratecore import (
-    _collision_bound_array,
     binary_entropy,
     collision_bound,
     ec_efficiency,
     tau,
     tau_multiphoton,
 )
+from qkdrates.verifiers import _collision_bound_array
 
 
 class TestBinaryEntropy:

@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdrates.ratecore import collision_bound, tau, tau_multiphoton
-from qkdrates import security
+from qkdrates import verifiers
 from qkdrates.security import (
     AttackParams,
     KeyBudget,
-    _collision_from,
     _epsilon_from,
     SecurityParams,
     attack_collision,
@@ -29,6 +28,7 @@ from qkdrates.security import (
     multiphoton_ratio_bound,
     pa_entropy_bound_check,
 )
+from qkdrates.verifiers import _collision_from
 
 
 class TestKeyBudget:
@@ -373,7 +373,7 @@ def scalar_search(eps):
         n_pts = 61 if level == 0 else 21
         c1_grid = np.linspace(c1_lo, c1_hi, n_pts)
         c2_grid = np.linspace(c2_lo, c2_hi, n_pts)
-        values, shares = security._grid_collision(eps, c1_grid[:, None], c2_grid[None, :])
+        values, shares = verifiers._grid_collision(eps, c1_grid[:, None], c2_grid[None, :])
         k1, k2 = np.unravel_index(np.argmax(values), values.shape)
         if best is None or values[k1, k2] > best[0]:
             best = (float(values[k1, k2]), float(c1_grid[k1]), float(c2_grid[k2]), float(shares[k1, k2]))
@@ -398,7 +398,7 @@ def hexes(values):
 class TestBatchedSearch:
     def test_batch_equals_one_disturbance_calls_bitwise(self):
         assert (1.0 - 4.0 * SEARCH_EPS[-1]) + 1e-12 == 1.0
-        batch = security._maximize_collisions(np.array(SEARCH_EPS))
+        batch = verifiers._maximize_collisions(np.array(SEARCH_EPS))
         for i, eps in enumerate(SEARCH_EPS):
             params, value = maximize_attack_collision(eps)
             value_b, c1, c2, x = (column[i] for column in batch)
@@ -415,10 +415,10 @@ class TestBatchedSearch:
 
     def test_batch_order_and_blocks_do_not_matter(self, monkeypatch):
         eps = np.array(SEARCH_EPS)
-        whole = security._maximize_collisions(eps)
-        reverse = security._maximize_collisions(eps[::-1].copy())
-        monkeypatch.setattr(security, "_BLOCK_POINTS", 61 * 61)  # one disturbance per first-level block
-        single = security._maximize_collisions(eps)
+        whole = verifiers._maximize_collisions(eps)
+        reverse = verifiers._maximize_collisions(eps[::-1].copy())
+        monkeypatch.setattr(verifiers, "_BLOCK_POINTS", 61 * 61)  # one disturbance per first-level block
+        single = verifiers._maximize_collisions(eps)
         for a, b, c in zip(whole, reverse, single):
             assert hexes(a) == hexes(b[::-1]) == hexes(c)
 
@@ -426,7 +426,7 @@ class TestBatchedSearch:
         # a zero-step row takes linspace's own zero-step path beside ordinary rows
         lo = np.array([-1.0, 0.3, 0.25, 5e-324, 0.7])
         hi = np.array([1.0, 0.3000000000000001, 0.25, 1e-323, 0.1])
-        rows = security._linspace_rows(lo, hi, 21)
+        rows = verifiers._linspace_rows(lo, hi, 21)
         for row, a, b in zip(rows, lo, hi):
             assert row.tobytes() == np.linspace(a, b, 21).tobytes()
 
@@ -538,7 +538,7 @@ class TestPaEntropyOracle:
 def matmul_keys(n, r, seeds):
     """Keys as the Toeplitz product: input bits times each r x n matrix, mod 2."""
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1
-    matrices = security._toeplitz_matrices(n, r, seeds).astype(np.int64)
+    matrices = verifiers._toeplitz_matrices(n, r, seeds).astype(np.int64)
     return ((bits @ matrices.transpose(0, 2, 1)) % 2) @ (1 << np.arange(r))
 
 
@@ -550,10 +550,10 @@ class TestSampledHashKeys:
         drawn = np.array(
             [[gen.randrange(2) for _ in range(seed_len)] for _ in range(10_000)], dtype=np.uint8
         )
-        seeds = security._family_seeds(n, n)
+        seeds = verifiers._family_seeds(n, n)
         assert np.array_equal(seeds, drawn)
         start = 0
-        for keys in security._hash_key_blocks(n, n):
+        for keys in verifiers._hash_key_blocks(n, n):
             block = seeds[start : start + keys.shape[0]]
             assert np.array_equal(keys, matmul_keys(n, n, block))
             start += keys.shape[0]
@@ -562,8 +562,8 @@ class TestSampledHashKeys:
     def test_exhaustive_keys_equal_the_toeplitz_product(self):
         for n in range(1, 7):
             for r in range(1, n + 1):
-                keys = np.concatenate(security._exhaustive_key_blocks(n, r))
-                assert np.array_equal(keys, matmul_keys(n, r, security._family_seeds(n, r)))
+                keys = np.concatenate(verifiers._exhaustive_key_blocks(n, r))
+                assert np.array_equal(keys, matmul_keys(n, r, verifiers._family_seeds(n, r)))
 
     def test_memory_peak_at_nine_bits(self):
         # a (seeds, 2^n, r) product per seed block peaked at 34 MiB here

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qkdrates import cli, ratecore, security, sources, verify
+from qkdrates import cli, ratecore, security, sources, verifiers, verify
 
 # The largest suite, pdc-oracle, peaks near 3.2 MiB with its four states'
 # shared loss expansion, and near 4.2 MiB on its first run in a process, which
@@ -22,7 +22,7 @@ PEAK_LIMIT = 5 * 2**20
 def test_suite_memory_peak(name):
     # measure the cold path: privacy-amp builds its hash keys only when the
     # cache is empty, and an earlier test may have filled it
-    security._exhaustive_key_blocks.cache_clear()
+    verifiers._exhaustive_key_blocks.cache_clear()
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -66,7 +66,7 @@ def _one_zero_seed(seeds):
 COEFFICIENTS = "closed-form coefficients match brute force"
 MAXIMUM = "constrained maximum matches 1/2 + 2e - 2e^2"
 GRID = "no grid point exceeds the collision bound"
-BOUNDS = ("collision_bound", "_collision_bound_array")
+BOUNDS = ((ratecore, "collision_bound"), (verifiers, "_collision_bound_array"))
 
 # (suite, {module attribute the suite calls through: mutation, which maps
 # the attribute to its stand-in}, the properties that must turn false).
@@ -78,11 +78,11 @@ MUTATIONS = [
     ("pdc-oracle", {(sources, "_pdc_weights"): _scaled_weight(1, 1 - 1e-5)}, {COEFFICIENTS}),
     ("pdc-oracle", {(sources, "_pdc_weights"): _scaled_weight(2, 1 - 1e-4)}, {COEFFICIENTS}),
     ("pdc-oracle", {(sources, "_pdc_weights"): _scaled_weight(3, 1 - 1e-3)}, {COEFFICIENTS}),
-    ("attack-bound", {(ratecore, name): _lowered(1e-7) for name in BOUNDS}, {GRID}),
-    ("attack-bound", {(ratecore, name): _lowered(1e-5) for name in BOUNDS}, {MAXIMUM, GRID}),
+    ("attack-bound", {bound: _lowered(1e-7) for bound in BOUNDS}, {GRID}),
+    ("attack-bound", {bound: _lowered(1e-5) for bound in BOUNDS}, {MAXIMUM, GRID}),
     ("multi-photon", {(security, "multiphoton_ratio_bound"): _halved_ratio_bound},
      {"dual-fire ratio bound >= 1 for i, j in 2..10"}),
-    ("privacy-amp", {(security, "_family_seeds"): _one_zero_seed},
+    ("privacy-amp", {(verifiers, "_family_seeds"): _one_zero_seed},
      {"H(K|G) >= r - 2^r pc^n / ln 2, exhaustive n <= 6"}),
 ]
 MUTATION_IDS = [
@@ -108,8 +108,8 @@ def test_mutated_suite_fails_through_the_cli(suite, mutations, failing, tmp_path
         # privacy-amp's hash keys are cached per block length: a run on
         # cached keys would not see a mutated seed family, and keys built
         # from it must not outlive the mutation
-        security._exhaustive_key_blocks.cache_clear()
-        stack.callback(security._exhaustive_key_blocks.cache_clear)
+        verifiers._exhaustive_key_blocks.cache_clear()
+        stack.callback(verifiers._exhaustive_key_blocks.cache_clear)
         status = cli.main(["verify", "--suite", suite, "--out", str(out)])
     report = json.loads(out.read_text())
     assert status == 1 and report["pass"] is False

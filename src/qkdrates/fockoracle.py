@@ -5,9 +5,9 @@ pushes every photon through a beamsplitter loss channel, and reconstructs
 the polarization density matrices of the kept photons as a dict from each
 kept-photon sector (i, j) to its matrix. sector_densities lays the
 expansion out once per ket set, for every state that shares it, and yields
-one such dict per (state, transmission); every matrix is checked to be a
-density matrix on the blocks of its connected components, where two columns
-are joined when one loss occupation populates both.
+one such dict per (state, transmission). Every matrix is V^T conj(V), a Gram
+matrix, so it is Hermitian and positive semidefinite by construction; only
+its finiteness is checked, since large amplitudes can overflow the product.
 This is an independent check of the closed-form source coefficients and of
 the claim that erasing coherences between photon-number sectors cannot
 change any detection statistics.
@@ -246,8 +246,7 @@ class _SectorLayout(NamedTuple):
     every sector's V, row-major one after another. sectors lists, per
     sector, (key, V offset, rows, dim, density offset): its (dim, dim)
     density matrix sits row-major at that offset of a buffer of
-    density_size. blocks holds, per block size s, an (n, s, s) array of
-    flat indices into the density buffer: one block per connected component.
+    density_size.
     """
 
     source: np.ndarray
@@ -255,7 +254,6 @@ class _SectorLayout(NamedTuple):
     v_size: int
     sectors: list
     density_size: int
-    blocks: list
 
 
 def _sector_layout(expansion: _Expansion, nonzero: np.ndarray) -> _SectorLayout:
@@ -284,48 +282,10 @@ def _sector_layout(expansion: _Expansion, nonzero: np.ndarray) -> _SectorLayout:
     v_offsets = np.cumsum(rows * dims) - rows * dims
     scatter = v_offsets[owner] + (run - first_run[owner]) * dims[owner] + cols
     offsets = np.cumsum(dims * dims) - dims * dims
-    # the populated columns, numbered 0..G - 1 in (sector, column) order
-    width = int(dims.max())
-    ids, column = np.unique(owner * width + cols, return_inverse=True)
-    column_sector, column_index = np.divmod(ids, width)
-    label = _column_components(run, column)
-    members = np.argsort(label, kind="stable")  # columns grouped by component, ascending within
-    edges = np.flatnonzero(np.diff(label[members], prepend=-1, append=-1))
-    sizes = np.diff(edges)
-    blocks = []
-    for size in np.unique(sizes).tolist():
-        block = members[edges[:-1][sizes == size, None] + np.arange(size)]
-        owner_of_block = column_sector[block[:, 0]]
-        offset = offsets[owner_of_block][:, None, None]
-        dim = dims[owner_of_block][:, None, None]
-        col = column_index[block]
-        blocks.append(offset + col[:, :, None] * dim + col[:, None, :])
     sectors = list(zip(zip(si.tolist(), sj.tolist()), v_offsets.tolist(), rows.tolist(),
                        dims.tolist(), offsets.tolist()))
     return _SectorLayout(nonzero[order], scatter, int((rows * dims).sum()), sectors,
-                         int((dims * dims).sum()), blocks)
-
-
-def _column_components(run: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """Connected components of the columns of V: two columns are joined when
-    some row of V occupies both.
-
-    run numbers each entry's row, nondecreasing; column numbers its column,
-    0..G - 1 with none missing. Returns each column's label, the smallest
-    column joined to it. The labels spread as minima, over every row and then
-    over every column, until a pass changes none.
-    """
-    row_starts = np.flatnonzero(np.diff(run, prepend=-1))
-    row_lengths = np.diff(row_starts, append=run.size)
-    by_column = np.argsort(column, kind="stable")
-    column_starts = np.flatnonzero(np.diff(column[by_column], prepend=-1))
-    label = np.arange(column_starts.size)
-    while True:
-        row_min = np.repeat(np.minimum.reduceat(label[column], row_starts), row_lengths)
-        spread = np.minimum.reduceat(row_min[by_column], column_starts)
-        if np.array_equal(spread, label):
-            return label
-        label = spread
+                         int((dims * dims).sum()))
 
 
 def sector_densities(states, alphas) -> Iterator[dict]:
@@ -342,7 +302,7 @@ def sector_densities(states, alphas) -> Iterator[dict]:
     alpha 0, alpha 1 and an alpha whose factors underflow each drop other
     entries. Nothing outlives the call, and only one (state, transmission)'s
     densities are built at a time. Each costs its amplitudes, one scatter
-    into V, one matmul per sector and one density check per block size.
+    into V, one matmul per sector and one finiteness check of all of them.
 
     Args:
         states: FockVectors on one ket set, e.g. (state,) for one state.
@@ -350,7 +310,9 @@ def sector_densities(states, alphas) -> Iterator[dict]:
 
     Raises:
         ValueError: Before anything is yielded, if a transmission is not a
-            real number in [0, 1] or the states' ket sets differ.
+            real number in [0, 1] or the states' ket sets differ; before a
+            (state, transmission) is yielded, if one of its densities is not
+            finite, as when amplitudes of 1e154 or more overflow the matmul.
     """
     states = tuple(states)
     alphas = [checked_transmission(alpha) for alpha in alphas]
@@ -383,7 +345,8 @@ def sector_densities(states, alphas) -> Iterator[dict]:
                 v = v_flat[v_offset : v_offset + rows * dim].reshape(rows, dim)
                 rho = density_flat[offset : offset + dim * dim].reshape(dim, dim)
                 out[key] = np.matmul(v.T, v.conj(), out=rho)
-            _check_blocks(density_flat, layout.blocks)
+            if not np.isfinite(density_flat).all():
+                raise ValueError("sector density must be finite")
             yield out
 
 
@@ -400,45 +363,15 @@ def apply_loss_and_trace(state: FockVector, alpha: float) -> dict:
 
     Each sector's density matrix is V^T conj(V), where row g of V holds the
     sector's amplitudes of one lost occupation: the sum of the pure
-    components that the trace leaves. The matrices are real when every
+    components that the trace leaves. As a Gram matrix it is Hermitian and
+    positive semidefinite by construction. The matrices are real when every
     amplitude of the state is.
-
-    Every matrix gets the density checks once per call, on the blocks of
-    its connected components (_check_blocks): two columns of V are joined
-    when some row occupies both. rho is exactly zero between components and
-    on a column of V without amplitude, so its spectrum is the blocks'
-    spectra plus zeros, and the blocks pass exactly when the whole matrix
-    does.
 
     Args:
         state: Input FockVector.
         alpha: Shared arm transmission.
     """
     return next(sector_densities((state,), (alpha,)))
-
-
-def _check_densities(stack: np.ndarray) -> None:
-    """The density checks on an (n, d, d) stack: finite, Hermitian and
-    positive semidefinite within 1e-12, with one eigvalsh for the stack."""
-    if not np.all(np.isfinite(stack)):
-        raise ValueError("sector density must be finite")
-    if np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) > 1e-12:
-        raise ValueError("sector density must be Hermitian")
-    if float(np.min(np.linalg.eigvalsh(stack))) < -1e-12:
-        raise ValueError("sector density must be positive semidefinite")
-
-
-def _check_blocks(flat: np.ndarray, blocks: list) -> None:
-    """Check the blocks that each (n, s, s) index array of blocks gathers
-    from the flat density buffer, one _check_densities call per array.
-
-    _sector_layout gives one block per connected component of a sector's
-    columns, so every populated entry of every density matrix is checked
-    once. The largest block of the pdc-oracle suite is 9 columns wide where
-    its largest matrix is 81.
-    """
-    for index in blocks:
-        _check_densities(flat[index])
 
 
 def _weight(matrix: np.ndarray) -> float:

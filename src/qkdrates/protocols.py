@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .channel import (
     ChannelParams,
@@ -392,6 +392,10 @@ def cutoff_distance(
     return lo
 
 
+# a numpy array, named without importing numpy, which loads with grid
+_Array = Any
+
+
 class SweepColumns(NamedTuple):
     """A sweep curve as columns, one entry per grid abscissa: what sweep
     returns, and what the CLI writes as CSV; points() gives its RatePoints.
@@ -409,9 +413,9 @@ class SweepColumns(NamedTuple):
     """
 
     protocol: str
-    abscissa: np.ndarray
-    rate_raw: np.ndarray
-    optimal_param: np.ndarray | None
+    abscissa: _Array
+    rate_raw: _Array
+    optimal_param: _Array | None
     stats: tuple
     notes: dict
 

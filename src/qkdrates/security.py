@@ -200,7 +200,7 @@ def attack_collision(a: AttackParams) -> float:
     return float(_collision_from(a.n_xx, a.n_xy, math.cos(a.phi_xx_yy), math.cos(a.phi_xy_yx)))
 
 
-def attack_family_grid(ratio, cosines) -> tuple[np.ndarray, np.ndarray]:
+def attack_family_grid(ratio, cosines) -> tuple:
     """Disturbance and collision probability over a grid of attack-family
     members sharing one norm ratio, or for each of a 1-D array of them.
 

@@ -13,12 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdrates import fockoracle
 from qkdrates.fockoracle import (
     FockVector,
-    _check_blocks,
-    _check_densities,
-    _column_components,
     _joint_outcomes,
     _loss_expansion,
     _outcome_probabilities,
@@ -379,6 +375,13 @@ class TestJointOutcomes:
         assert_joint_outcomes_match_by_group(state, alpha)
 
 
+# the transmissions of one sector_densities call: total loss, one whose
+# factors underflow past one photon per mode, a generic one, and no loss
+MIXED_ALPHAS = [0.0, 1e-200, 0.5, 1.0]
+# psi+ on the same kets, its amplitudes past the square root of the largest float
+OVERFLOWING = FockVector(amps={(1, 0, 0, 1): 1e200, (0, 1, 1, 0): 1e200})
+
+
 def populated_columns(state, alpha):
     """(i, j) -> sorted sector-basis columns that some kept ket occupies."""
     used = defaultdict(set)
@@ -420,16 +423,15 @@ def reference_components(state, alpha):
     return components
 
 
-def assert_component_contract(state, alpha, sectors, checked):
-    """The component contract of one transmission's sectors: each sector's
-    components cover exactly its populated columns, its matrix is exactly
-    zero off their blocks, the blocks' spectra make up its own, and checked,
-    the bytes of every matrix handed to _check_densities, holds each
-    component's block exactly once."""
+def assert_gram_blocks(state, alpha, sectors):
+    """One transmission's sectors hold the structure of a sum of Gram
+    matrices: each sector's components cover exactly its populated columns,
+    its matrix is exactly zero off their blocks, every block is Hermitian
+    and positive semidefinite within 1e-13 of the matrix's largest entry,
+    and the blocks' spectra make up its own."""
     components = reference_components(state, alpha)
     columns = populated_columns(state, alpha)
     assert list(sectors) == sorted(columns)
-    blocks = []
     for key, matrix in sectors.items():
         comps = components[key]
         assert sorted(col for comp in comps for col in comp) == columns[key]
@@ -437,120 +439,50 @@ def assert_component_contract(state, alpha, sectors, checked):
         for comp in comps:
             inside[np.ix_(comp, comp)] = True
         assert np.all(matrix[~inside] == 0.0)
-        block_min = min(np.linalg.eigvalsh(matrix[np.ix_(comp, comp)]).min() for comp in comps)
+        bound = 1e-13 * np.abs(matrix).max()
+        block_min = math.inf
+        for comp in comps:
+            block = matrix[np.ix_(comp, comp)]
+            assert np.abs(block - block.conj().T).max() <= bound
+            block_min = min(block_min, np.linalg.eigvalsh(block).min())
+        assert block_min >= -bound
         if len(columns[key]) < len(matrix):
             block_min = min(block_min, 0.0)
         assert abs(block_min - np.linalg.eigvalsh(matrix).min()) <= 1e-15
-        blocks.extend(matrix[np.ix_(comp, comp)].tobytes() for comp in comps)
-    assert sorted(checked) == sorted(blocks)
 
 
-@pytest.fixture
-def checked(monkeypatch):
-    """The bytes of every matrix that reaches _check_densities."""
-    seen = []
-
-    def record(stack):
-        seen.extend(m.tobytes() for m in stack)
-        return _check_densities(stack)
-
-    monkeypatch.setattr(fockoracle, "_check_densities", record)
-    return seen
-
-
-def block_index(offset, dim, cols):
-    """Flat indices of the block at cols of a (dim, dim) matrix stored at offset."""
-    cols = np.asarray(cols)
-    return offset + cols[:, None] * dim + cols
-
-
-# the transmissions of one sector_densities call: total loss, one whose
-# factors underflow past one photon per mode, a generic one, and no loss
-MIXED_ALPHAS = [0.0, 1e-200, 0.5, 1.0]
-
-
-class TestSectorChecks:
-    def test_sector_density_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="sector density must be Hermitian"):
-            _check_densities(np.array([[1.0, 0.5], [0.0, 1.0]])[None])
-
-    def test_sector_density_rejects_non_psd(self):
-        with pytest.raises(ValueError, match="sector density must be positive semidefinite"):
-            _check_densities(np.diag([1.0, -1e-9])[None])
-
-    @pytest.mark.parametrize("matrix", [
-        pytest.param(np.full((2, 2), np.nan), id="nan"),
-        pytest.param(np.array([[np.inf, 0.0], [0.0, 1.0]]), id="inf"),
-        pytest.param(np.array([[complex(np.nan, np.nan), 0.0], [0.0, 1.0]]), id="complex nan"),
-    ])
-    def test_sector_density_rejects_non_finite(self, matrix):
-        # the finite check runs first, so no inf - inf warning reaches the others
-        with pytest.raises(ValueError, match="sector density must be finite"):
-            _check_densities(matrix[None])
-
-    def test_stack_with_one_bad_matrix_is_rejected(self):
-        good = np.stack([np.eye(3), np.full((3, 3), 0.25), np.diag([0.5, 0.0, 0.1])])
-        _check_densities(good)
-        skewed = good.copy()
-        skewed[1, 0, 2] += 1e-9
-        with pytest.raises(ValueError, match="must be Hermitian"):
-            _check_densities(skewed)
-        negative = good.copy()
-        negative[2, 1, 1] = -1e-9
-        with pytest.raises(ValueError, match="must be positive semidefinite"):
-            _check_densities(negative)
-
-    def test_stack_with_one_non_finite_matrix_is_rejected(self):
-        stack = np.stack([np.eye(3), np.diag([0.5, np.inf, 0.1])])
-        with pytest.raises(ValueError, match="sector density must be finite"):
-            _check_densities(stack)
-
-    def test_block_keyed_on_columns_not_diagonal(self):
-        # [[0, 1], [1, 0]] has eigenvalue -1 but a zero diagonal, so a block
-        # chosen by nonzero diagonal entries would be empty and miss it
-        matrix = np.zeros((5, 5))
-        matrix[1, 3] = matrix[3, 1] = 1.0
-        flat = np.concatenate([np.eye(2).ravel(), matrix.ravel()])
-        blocks = [np.stack([block_index(0, 2, [0, 1]), block_index(4, 5, [1, 3])])]
-        with pytest.raises(ValueError, match="must be positive semidefinite"):
-            _check_blocks(flat, blocks)
-
-    def test_labels_spread_along_a_chain(self):
-        # rows join columns 3-2, 2-1 and 1-0, so label 0 needs three passes to reach column 3
-        run = np.array([0, 0, 1, 1, 2, 2, 3])
-        column = np.array([3, 2, 2, 1, 1, 0, 4])
-        assert _column_components(run, column).tolist() == [0, 0, 0, 0, 4]
-
-    @pytest.mark.parametrize("state, alpha", CHECK_CASES)
-    def test_block_check_matches_full_check(self, state, alpha, checked):
-        assert_component_contract(state, alpha, apply_loss_and_trace(state, alpha), checked)
+class TestSectorStructure:
+    @pytest.mark.parametrize("state, alpha", EXPANSION_CASES)
+    def test_sectors_are_gram_blocks_of_their_components(self, state, alpha):
+        assert_gram_blocks(state, alpha, apply_loss_and_trace(state, alpha))
 
     @pytest.mark.parametrize("state", [
         *(pytest.param(state, id=name) for name, state in EQUIVALENCE_STATES.items()),
         pytest.param(build_pdc_state(0.3, 8), id="pdc n=8"),
     ])
-    def test_every_component_is_checked_once(self, state, checked):
-        # one call over transmissions of different nonzero patterns checks
-        # each transmission's components before it yields that transmission
+    def test_every_transmission_of_one_call_is_gram_blocks(self, state):
+        # one call over transmissions of different nonzero patterns
         for alpha, sectors in zip(MIXED_ALPHAS, sector_densities((state,), MIXED_ALPHAS)):
-            assert_component_contract(state, alpha, sectors, checked)
-            checked.clear()
+            assert_gram_blocks(state, alpha, sectors)
 
-    def test_splitting_labeler_breaks_the_contract(self, checked, monkeypatch):
-        labeler = fockoracle._column_components
+    def test_every_state_of_one_call_is_gram_blocks(self):
+        # the states share one layout, and each (state, alpha) keeps its own structure
+        states = [build_pdc_state(chi, 4) for chi in ORACLE_CHIS]
+        pairs = [(state, alpha) for state in states for alpha in MIXED_ALPHAS]
+        for (state, alpha), sectors in zip(pairs, sector_densities(states, MIXED_ALPHAS)):
+            assert_gram_blocks(state, alpha, sectors)
 
-        def split_first_component(run, column):
-            # give the last column of the first multi-column component a label of its own
-            label = labeler(run, column).copy()
-            values, counts = np.unique(label, return_counts=True)
-            label[np.flatnonzero(label == values[counts > 1][0])[-1]] = label.size
-            return label
-
-        monkeypatch.setattr(fockoracle, "_column_components", split_first_component)
+    def test_entry_between_components_breaks_the_structure(self):
+        # a symmetric entry joining two components keeps the matrix Hermitian
         state = build_pdc_state(0.3, 3)
-        sectors = apply_loss_and_trace(state, 0.5)  # the split blocks still pass the density checks
+        sectors = apply_loss_and_trace(state, 0.5)
+        key, comps = next((key, comps) for key, comps in reference_components(state, 0.5).items()
+                          if len(comps) > 1)
+        a, b = comps[0][0], comps[1][0]
+        sectors[key] = sectors[key].copy()
+        sectors[key][a, b] = sectors[key][b, a] = 1e-3
         with pytest.raises(AssertionError):
-            assert_component_contract(state, 0.5, sectors, checked)
+            assert_gram_blocks(state, 0.5, sectors)
 
 
 SWEEP_CASES = [
@@ -635,13 +567,27 @@ class TestSectorDensities:
         with pytest.raises(ValueError, match="arm transmission must lie in"):
             next(sector_densities(states, [0.5, -0.1]))
 
-    def test_every_component_of_every_state_is_checked(self, checked):
-        # the shared layout still hands every block of every (state, alpha) to the checks
-        states = [build_pdc_state(chi, 4) for chi in ORACLE_CHIS]
-        pairs = [(state, alpha) for state in states for alpha in MIXED_ALPHAS]
-        for (state, alpha), sectors in zip(pairs, sector_densities(states, MIXED_ALPHAS)):
-            assert_component_contract(state, alpha, sectors, checked)
-            checked.clear()
+    def test_overflowing_density_raises(self):
+        # finite amplitudes whose squares pass float range
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^sector density must be finite$"):
+            apply_loss_and_trace(OVERFLOWING, 0.5)
+
+    def test_overflowing_state_raises_before_its_densities_are_yielded(self):
+        densities = sector_densities((PSI_PLUS, OVERFLOWING), [0.5])
+        assert list(next(densities)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^sector density must be finite$"):
+            next(densities)
+
+    def test_large_amplitudes_scale_the_densities(self):
+        # each density is scaled by 1e300 and stays finite; its rounding
+        # errors scale with it, past any absolute Hermitian or eigenvalue bound
+        state = build_pdc_state(0.3, 6)
+        scaled = FockVector(amps={occ: amp * 1e150 for occ, amp in state.amps.items()})
+        want = apply_loss_and_trace(state, 0.37)
+        got = apply_loss_and_trace(scaled, 0.37)
+        assert list(got) == list(want)
+        for key, matrix in want.items():
+            np.testing.assert_allclose(got[key], matrix * 1e300, rtol=1e-12, atol=0.0)
 
 
 class TestCoefficientExtraction:

@@ -1,11 +1,15 @@
 """Tests of the package as installed code: what importing it pulls in."""
 
 import ast
+import importlib
 import importlib.util
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -38,6 +42,25 @@ def test_importing_every_module_loads_no_test_only_package():
     names, loaded = json.loads(_python(_IMPORT_ALL))
     assert {"cli", "protocols", "sources", "fockoracle", "verify"} <= set(names)
     assert loaded == []
+
+
+def test_every_public_annotation_resolves():
+    # documentation generators and other tools evaluate annotations in the
+    # defining module's namespace, where a name the module never imports fails
+    import qkdrates
+
+    unresolved = []
+    for info in pkgutil.iter_modules(qkdrates.__path__):
+        module = importlib.import_module(f"qkdrates.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                try:
+                    typing.get_type_hints(obj)
+                except NameError as error:
+                    unresolved.append(f"{info.name}.{name}: {error}")
+    assert unresolved == []
 
 
 def _private_names_taken(module: str, lenders: tuple) -> set:

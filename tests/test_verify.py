@@ -8,10 +8,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qkdrates import cli, ratecore, security, sources, verifiers, verify
+from qkdrates import cli, fockoracle, ratecore, security, sources, verifiers, verify
 
-# The largest suite, pdc-oracle, peaks near 3.2 MiB with its four states'
-# shared loss expansion, and near 4.2 MiB on its first run in a process, which
+# The largest suite, pdc-oracle, peaks near 3.1 MiB with its four states'
+# shared loss expansion, and near 3.3 MiB on its first run in a process, which
 # also loads fockoracle.
 # Evaluating a whole grid at once (a 50^3 attack meshgrid, every hash seed in
 # one histogram) would pass 5 MiB.
@@ -49,6 +49,16 @@ def _scaled_weight(index, factor):
     return mutate
 
 
+def _swapped_ports(split):
+    """Mutate the beamsplitter: index its amplitudes by the reflected count."""
+    return lambda n, alpha: split(n, 1.0 - alpha)
+
+
+def _squared(factors):
+    """Mutate the loss factors: square each entry's beamsplitter factor."""
+    return lambda expansion, alpha: factors(expansion, alpha) ** 2
+
+
 def _lowered(delta):
     """Mutate a collision bound, scalar or array: lower it by delta."""
     return lambda bound: lambda eps: bound(eps) - delta
@@ -64,6 +74,7 @@ def _one_zero_seed(seeds):
 
 
 COEFFICIENTS = "closed-form coefficients match brute force"
+PAIR_SECTOR = "(1,1) sector decomposes as A psi+ + D I/4"
 MAXIMUM = "constrained maximum matches 1/2 + 2e - 2e^2"
 GRID = "no grid point exceeds the collision bound"
 BOUNDS = ((ratecore, "collision_bound"), (verifiers, "_collision_bound_array"))
@@ -72,12 +83,15 @@ BOUNDS = ((ratecore, "collision_bound"), (verifiers, "_collision_bound_array"))
 # the attribute to its stand-in}, the properties that must turn false).
 # pdc-oracle's resolution, with its 1e-6 tolerance against a 3.1e-10
 # truncation deviation: C scaled by 1 - 1e-5 and D by 1 - 1e-4 still pass,
-# so those rows use 1e-4 and 1e-3.
+# so those rows use 1e-4 and 1e-3. The two fockoracle rows break the brute
+# force instead; every density it builds is still a Gram matrix.
 MUTATIONS = [
     ("pdc-oracle", {(sources, "_pdc_weights"): _scaled_weight(0, 1 - 1e-5)}, {COEFFICIENTS}),
     ("pdc-oracle", {(sources, "_pdc_weights"): _scaled_weight(1, 1 - 1e-5)}, {COEFFICIENTS}),
     ("pdc-oracle", {(sources, "_pdc_weights"): _scaled_weight(2, 1 - 1e-4)}, {COEFFICIENTS}),
     ("pdc-oracle", {(sources, "_pdc_weights"): _scaled_weight(3, 1 - 1e-3)}, {COEFFICIENTS}),
+    ("pdc-oracle", {(fockoracle, "_split_amplitudes"): _swapped_ports}, {COEFFICIENTS}),
+    ("pdc-oracle", {(fockoracle, "_loss_factors"): _squared}, {COEFFICIENTS, PAIR_SECTOR}),
     ("attack-bound", {bound: _lowered(1e-7) for bound in BOUNDS}, {GRID}),
     ("attack-bound", {bound: _lowered(1e-5) for bound in BOUNDS}, {MAXIMUM, GRID}),
     ("multi-photon", {(security, "multiphoton_ratio_bound"): _halved_ratio_bound},
@@ -86,7 +100,8 @@ MUTATIONS = [
      {"H(K|G) >= r - 2^r pc^n / ln 2, exhaustive n <= 6"}),
 ]
 MUTATION_IDS = [
-    "pdc-A", "pdc-B", "pdc-C", "pdc-D", "bound-1e-7", "bound-1e-5", "ratio-2^(i-2)", "zero-seed",
+    "pdc-A", "pdc-B", "pdc-C", "pdc-D", "pdc-swapped-ports", "pdc-squared-loss",
+    "bound-1e-7", "bound-1e-5", "ratio-2^(i-2)", "zero-seed",
 ]
 
 # dephasing groups the same amplitudes twice, by tags that the detector

@@ -310,4 +310,4 @@ def pa_entropy_bound_check(n: int, per_bit_pc: float, r: int) -> tuple[float, fl
     from .verifiers import _hashed_entropy
 
     lhs = _hashed_entropy(n, per_bit_pc, r)
-    return lhs, rhs, lhs >= rhs - 1e-12
+    return lhs, rhs, lhs >= rhs

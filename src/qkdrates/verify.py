@@ -2,7 +2,12 @@
 they certify.
 
 Each suite returns a JSON-ready report whose ``properties`` each carry a
-tolerance, the measured extreme and a ``pass`` flag. ``VERIFY_SUITES`` maps
+tolerance, the measured extreme and a ``pass`` flag decided from those two
+alone: a ``max_deviation`` passes up to its tolerance, a minimum down to its
+bound less its tolerance, so privacy-amp's ``min_margin`` must be >= 0
+exactly. A pdc-oracle point that fails ``fockoracle.extract_pdc_coefficients``'
+structure checks (``_PAIR_TOL`` 1e-12, ``_RESIDUAL_TOL`` 1e-10) is an
+``error`` row, and fails the coefficient property. ``VERIFY_SUITES`` maps
 suite names to the functions that build these reports; ``run_verify_suite``
 runs one or all by name for the CLI, each report with its name as ``suite``.
 
@@ -29,11 +34,17 @@ from . import ratecore, security, sources
 __all__ = ["VERIFY_SUITES", "run_verify_suite"]
 
 
-def _property(name: str, tolerance: float, holds: bool, **measured) -> dict:
+def _property(name: str, tolerance: float, excess: float, **measured) -> dict:
     """One checked property of a suite report: its tolerance, the measured
-    extreme under a named key, and whether the property holds (as a Python
-    bool, which JSON takes where a numpy bool is rejected)."""
-    return {"name": name, "tolerance": tolerance, **measured, "pass": bool(holds)}
+    extreme under a named key, and ``pass``, which holds when the extreme
+    lies at most the tolerance past the property's bound (its excess; a
+    Python bool, which JSON takes where a numpy bool is rejected)."""
+    return {"name": name, "tolerance": tolerance, **measured, "pass": bool(excess <= tolerance)}
+
+
+def _within(name: str, tolerance: float, deviation: float, readable: bool = True) -> dict:
+    """A max_deviation property; an oracle point that could not be read fails it."""
+    return _property(name, tolerance, deviation if readable else math.inf, max_deviation=deviation)
 
 
 def _suite_attack_bound() -> dict:
@@ -57,10 +68,8 @@ def _suite_attack_bound() -> dict:
         worst_violation = max(worst_violation, float((collision - bound).max()))
     return {
         "properties": [
-            _property("constrained maximum matches 1/2 + 2e - 2e^2", 1e-6, worst_gap <= 1e-6,
-                      max_deviation=worst_gap),
-            _property("no grid point exceeds the collision bound", 1e-9, worst_violation <= 1e-9,
-                      max_deviation=max(worst_violation, 0.0)),
+            _within("constrained maximum matches 1/2 + 2e - 2e^2", 1e-6, worst_gap),
+            _within("no grid point exceeds the collision bound", 1e-9, max(worst_violation, 0.0)),
         ],
     }
 
@@ -91,21 +100,12 @@ def _suite_pdc_oracle() -> dict:
         oracle = [brute.A, brute.B, brute.C, brute.D]
         deviation = max(abs(x - y) for x, y in zip(closed, oracle))
         worst_coeff = max(worst_coeff, deviation)
-        table.append(
-            {
-                "chi": chi,
-                "alpha": alpha,
-                "closed_form": closed,
-                "oracle": oracle,
-                "deviation": deviation,
-            }
-        )
+        table.append({"chi": chi, "alpha": alpha, "closed_form": closed, "oracle": oracle,
+                      "deviation": deviation})
     return {
         "properties": [
-            _property("closed-form coefficients match brute force", 1e-6,
-                      worst_coeff <= 1e-6 and not unreadable, max_deviation=worst_coeff),
-            _property("(1,1) sector decomposes as A psi+ + D I/4", 1e-10, worst_residual <= 1e-10,
-                      max_deviation=worst_residual),
+            _within("closed-form coefficients match brute force", 1e-6, worst_coeff, not unreadable),
+            _within("(1,1) sector decomposes as A psi+ + D I/4", fockoracle._RESIDUAL_TOL, worst_residual),
         ],
         "grid": table,
     }
@@ -133,8 +133,7 @@ def _suite_dephasing() -> dict:
         detail.append({"state": name, "deviation": deviation})
     return {
         "properties": [
-            _property("sector dephasing leaves detection statistics unchanged", 1e-12, worst <= 1e-12,
-                      max_deviation=worst)
+            _within("sector dephasing leaves detection statistics unchanged", 1e-12, worst)
         ],
         "states": detail,
     }
@@ -142,16 +141,14 @@ def _suite_dephasing() -> dict:
 
 def _suite_privacy_amp() -> dict:
     min_margin = math.inf
-    all_hold = True
     for n in range(1, 7):
         for pc in (0.5, 0.595, 0.75, 0.875, 1.0):
             for r in range(n + 1):
-                lhs, rhs, holds = security.pa_entropy_bound_check(n, pc, r)
-                all_hold = all_hold and holds
+                lhs, rhs, _ = security.pa_entropy_bound_check(n, pc, r)
                 min_margin = min(min_margin, lhs - rhs)
     return {
         "properties": [
-            _property("H(K|G) >= r - 2^r pc^n / ln 2, exhaustive n <= 6", 0.0, all_hold,
+            _property("H(K|G) >= r - 2^r pc^n / ln 2, exhaustive n <= 6", 0.0, -min_margin,
                       min_margin=min_margin)
         ],
     }
@@ -167,7 +164,7 @@ def _suite_multi_photon() -> dict:
     ]
     return {
         "properties": [
-            _property("dual-fire ratio bound >= 1 for i, j in 2..10", 0.0, worst >= 1.0,
+            _property("dual-fire ratio bound >= 1 for i, j in 2..10", 0.0, 1.0 - worst,
                       min_value=worst)
         ],
         "single_photon_anomaly": {
@@ -189,18 +186,13 @@ VERIFY_SUITES = {
 
 def run_verify_suite(name: str) -> dict:
     """Run one named verification suite, or all of them; each report's
-    ``suite`` is its VERIFY_SUITES name."""
-    if name == "all":
-        reports = [{"suite": suite, **run()} for suite, run in VERIFY_SUITES.items()]
-        return {
-            "suite": "all",
-            "reports": reports,
-            "pass": all(p["pass"] for rep in reports for p in rep["properties"]),
-        }
-    if name not in VERIFY_SUITES:
+    ``suite`` is its VERIFY_SUITES name, and ``pass`` ANDs their properties'."""
+    if name != "all" and name not in VERIFY_SUITES:
         raise sources.ConfigError(
             f"unknown suite {name!r}; expected one of {sorted(VERIFY_SUITES)} or 'all'"
         )
-    report = {"suite": name, **VERIFY_SUITES[name]()}
-    report["pass"] = all(p["pass"] for p in report["properties"])
-    return report
+    reports = [{"suite": suite, **run()} for suite, run in VERIFY_SUITES.items() if name in ("all", suite)]
+    holds = all(p["pass"] for report in reports for p in report["properties"])
+    if name == "all":
+        return {"suite": "all", "reports": reports, "pass": holds}
+    return {**reports[0], "pass": holds}

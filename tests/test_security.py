@@ -4,6 +4,7 @@ import math
 import random
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -533,6 +534,18 @@ class TestPaEntropyOracle:
 
     def test_numpy_lengths_accepted(self):
         assert pa_entropy_bound_check(np.int64(3), 0.75, np.int8(1)) == pa_entropy_bound_check(3, 0.75, 1)
+
+
+@pytest.mark.parametrize("shift", [-5e-13, 0.0, 5e-13])
+def test_pa_entropy_bound_check_applies_no_slack(shift):
+    # an entropy short of the bound by any margin fails, one on it holds
+    def entropy(n, pc, r):
+        return r - math.ldexp(pc**n, r) / math.log(2.0) + shift
+
+    with mock.patch.object(verifiers, "_hashed_entropy", entropy):
+        lhs, rhs, holds = pa_entropy_bound_check(4, 0.75, 2)
+    assert lhs - rhs == pytest.approx(shift, abs=1e-15)
+    assert holds is (shift >= 0.0)
 
 
 def matmul_keys(n, r, seeds):

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 import tracemalloc
 from unittest import mock
 
@@ -73,10 +74,16 @@ def _one_zero_seed(seeds):
     return lambda n, r: np.zeros((1, n + r - 1), dtype=np.uint8)
 
 
+def _shaved_margin(entropy):
+    """Mutate the hashed-key entropy: the bound itself, less 5e-13."""
+    return lambda n, pc, r: r - math.ldexp(pc**n, r) / math.log(2.0) - 5e-13
+
+
 COEFFICIENTS = "closed-form coefficients match brute force"
 PAIR_SECTOR = "(1,1) sector decomposes as A psi+ + D I/4"
 MAXIMUM = "constrained maximum matches 1/2 + 2e - 2e^2"
 GRID = "no grid point exceeds the collision bound"
+PA_BOUND = "H(K|G) >= r - 2^r pc^n / ln 2, exhaustive n <= 6"
 BOUNDS = ((ratecore, "collision_bound"), (verifiers, "_collision_bound_array"))
 
 # (suite, {module attribute the suite calls through: mutation, which maps
@@ -84,7 +91,9 @@ BOUNDS = ((ratecore, "collision_bound"), (verifiers, "_collision_bound_array"))
 # pdc-oracle's resolution, with its 1e-6 tolerance against a 3.1e-10
 # truncation deviation: C scaled by 1 - 1e-5 and D by 1 - 1e-4 still pass,
 # so those rows use 1e-4 and 1e-3. The two fockoracle rows break the brute
-# force instead; every density it builds is still a Gram matrix.
+# force instead; every density it builds is still a Gram matrix. The last
+# row leaves every margin 5e-13 short of the bound, so it fails only on a
+# verdict that applies no slack below the reported tolerance of 0.
 MUTATIONS = [
     ("pdc-oracle", {(sources, "_pdc_weights"): _scaled_weight(0, 1 - 1e-5)}, {COEFFICIENTS}),
     ("pdc-oracle", {(sources, "_pdc_weights"): _scaled_weight(1, 1 - 1e-5)}, {COEFFICIENTS}),
@@ -96,12 +105,12 @@ MUTATIONS = [
     ("attack-bound", {bound: _lowered(1e-5) for bound in BOUNDS}, {MAXIMUM, GRID}),
     ("multi-photon", {(security, "multiphoton_ratio_bound"): _halved_ratio_bound},
      {"dual-fire ratio bound >= 1 for i, j in 2..10"}),
-    ("privacy-amp", {(verifiers, "_family_seeds"): _one_zero_seed},
-     {"H(K|G) >= r - 2^r pc^n / ln 2, exhaustive n <= 6"}),
+    ("privacy-amp", {(verifiers, "_family_seeds"): _one_zero_seed}, {PA_BOUND}),
+    ("privacy-amp", {(verifiers, "_hashed_entropy"): _shaved_margin}, {PA_BOUND}),
 ]
 MUTATION_IDS = [
     "pdc-A", "pdc-B", "pdc-C", "pdc-D", "pdc-swapped-ports", "pdc-squared-loss",
-    "bound-1e-7", "bound-1e-5", "ratio-2^(i-2)", "zero-seed",
+    "bound-1e-7", "bound-1e-5", "ratio-2^(i-2)", "zero-seed", "pa-shaved-margin",
 ]
 
 # dephasing groups the same amplitudes twice, by tags that the detector

@@ -29,7 +29,6 @@ from .protocols import (
 )
 from .sources import (
     BB84_DETECTORS,
-    ClickStats,
     CoincidenceStats,
     ConfigError,
     SourceSpec,
@@ -300,25 +299,16 @@ def _point_report(config: RunConfig, curve: CurveSpec) -> dict:
     }
     if pt.rate == 0.0:
         report.setdefault("note", "no secure key at this point")
-    else:
-        if isinstance(pt.stats, ClickStats):
-            p_sift, beta = pt.stats.p_click, pt.stats.beta
-        else:
-            p_sift, beta = pt.stats.p_coin, 1.0
-        n_rec = int(config.n_tot * p_sift / 2.0)
-        if n_rec > 0 and pt.stats.e < 0.5:
-            kappa = security.ec_leak_bits(n_rec, pt.stats.e)
-            # sized from the secure fraction of the rate, beta tau(e / beta)
-            budget = security.final_key_length(n_rec, pt.stats.e, kappa, config.security, beta)
-            report["key_budget"] = {
-                "n_tot_pulses": config.n_tot,
-                "n_rec_bits": budget.n_rec,
-                "secure_fraction": budget.tau_bits,
-                "ec_leak_bits": budget.kappa,
-                "final_key_bits": budget.r,
-                "eve_info_bits": budget.eve_info,
-                "markov_leak_probability": security.markov_leak_probability(budget.eve_info, 1.0),
-            }
+    elif (budget := pt.key_budget(config.n_tot, config.security)) is not None:
+        report["key_budget"] = {
+            "n_tot_pulses": config.n_tot,
+            "n_rec_bits": budget.n_rec,
+            "secure_fraction": budget.tau_bits,
+            "ec_leak_bits": budget.kappa,
+            "final_key_bits": budget.r,
+            "eve_info_bits": budget.eve_info,
+            "markov_leak_probability": security.markov_leak_probability(budget.eve_info, 1.0),
+        }
     return report
 
 

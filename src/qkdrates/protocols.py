@@ -26,6 +26,7 @@ from .ratecore import (
     _key_rate,
     tau,  # unused here; bench/tests checks that tracing wraps this binding
 )
+from .security import KeyBudget, SecurityParams, ec_leak_bits, final_key_length
 from .sources import (
     PROTOCOLS,
     ClickStats,
@@ -119,6 +120,16 @@ class RatePoint:
     def rate(self) -> float:
         """Clamped secret bits per clock pulse, never negative."""
         return max(0.0, self.rate_raw)
+
+    def key_budget(self, n_tot: int, sec: SecurityParams) -> KeyBudget | None:
+        """final_key_length on n_tot pulses' int(n_tot p_sift / 2) sifted bits at the rate's
+        secure fraction, beta tau(e / beta) (beta 1 for ekert); None at rate 0 or no bit sifted."""
+        if self.rate == 0.0:
+            return None
+        s = self.stats
+        p_sift, beta = (s.p_click, s.beta) if isinstance(s, ClickStats) else (s.p_coin, 1.0)
+        n_rec = int(n_tot * p_sift / 2.0)
+        return final_key_length(n_rec, s.e, ec_leak_bits(n_rec, s.e), sec, beta) if n_rec else None
 
 
 @dataclass(frozen=True)

@@ -418,10 +418,10 @@ def _error_fraction(signal, noise, mu):
     return (noise + 2.0 * mu * signal) / (2.0 * (signal + noise))
 
 
-# Zero totals that the closed forms would divide by, as predicates: the
-# scalar functions raise where they are false, and _stats_columns ANDs them.
+# Totals the closed forms divide by, as predicates that the scalar functions
+# raise on and _stats_columns ANDs; a subnormal sift total leaves e to rounding.
 def _sift_ok(p_sift):
-    return p_sift != 0.0
+    return p_sift >= sys.float_info.min
 
 
 def _swap_ok(p_swap):
@@ -432,7 +432,8 @@ def _sifted_error(signal: float, noise: float, mu: float, events: str = "coincid
     """Error fraction among sifted events: a noise event (dark count or
     accidental coincidence) errs half the time, a signal event at rate mu."""
     if not _sift_ok(signal + noise):
-        raise ValueError(f"degenerate statistics: {events} probability is zero")
+        floor = "zero" if signal + noise == 0.0 else "below the smallest normal float"
+        raise ValueError(f"degenerate statistics: {events} probability is {floor}")
     return _error_fraction(signal, noise, mu)
 
 

@@ -382,7 +382,8 @@ class TestRateCommand:
         ids=["rate", "sweep"],
     )
     def test_non_finite_beta_is_a_zero_rate_point(self, tmp_path, capsys, argv, abscissae):
-        # a subnormal click probability makes beta = (p_click - p_m) / p_click overflow
+        # a subnormal click probability, where beta = (p_click - p_m) / p_click
+        # overflowed to -inf, gives no statistics: the point notes the floor
         cfg = {
             "protocol": "bb84",
             "source": {"type": "poisson", "nbar": 0.5},
@@ -398,7 +399,7 @@ class TestRateCommand:
         for point in doc if isinstance(doc, list) else [doc]:
             assert point["rate_raw"] == 0.0
             assert "stats" not in point
-            assert point["note"] == "beta must be finite, got -inf"
+            assert point["note"] == "degenerate statistics: click probability is below the smallest normal float"
 
     def test_non_finite_output_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "optimize_source_param", lambda *args: OptimizeResult(0.1, math.nan))
@@ -798,10 +799,10 @@ class TestSweepCsv:
 
     def test_rows_the_array_pass_rejects(self, tmp_path):
         # every row of the chi = 200 curve overflows cosh(chi)**4 and falls
-        # back to point_rate; without dark counts the ideal-single curve has
-        # no click left past about 16,100 km, where its transmission
-        # underflows; d = 0.26 puts the bb84 curve past the linear model at
-        # every row
+        # back to point_rate; without dark counts the ideal-single curve's
+        # click probability falls below the smallest normal float past about
+        # 15,340 km (the 16,000 km row is subnormal, not zero); d = 0.26 puts
+        # the bb84 curve past the linear model at every row
         cfg = {
             "curves": [
                 {"label": "hot", "protocol": "ekert", "source": {"type": "pdc", "chi": 200.0}},
@@ -811,7 +812,7 @@ class TestSweepCsv:
             "channel": {**BASE_CHANNEL, "dark_count_prob": 0.0},
             "sweep": {"mode": "distance", "start_km": 0.0, "stop_km": 40000.0, "step_km": 4000.0},
         }
-        for d, blank in ((0.0, 6), (0.26, 11)):
+        for d, blank in ((0.0, 7), (0.26, 11)):
             cfg["channel"]["dark_count_prob"] = d
             path = write_config(tmp_path, cfg)
             out = tmp_path / "curve.csv"

@@ -261,3 +261,43 @@ def test_no_untraced_module_binds_a_traced_function():
     ]
     assert bindings == []
     assert set(modules) - searched == {"grid", "verifiers", "verify"}
+
+
+def _library_use() -> tuple[str, str]:
+    """The README's "Library use" section up to its first subsection, as
+    (its python code block, the prose after that block)."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## Library use\n"):text.index("### Where numpy loads")]
+    head, code, prose = section.split("```")[:3]
+    assert code.startswith("python\n")
+    return code[len("python\n"):], prose
+
+
+def test_readme_library_example_runs_and_gives_the_numbers_it_quotes():
+    from qkdrates import Poisson, SecurityParams, ec_leak_bits, final_key_length, point_rate
+
+    code, prose = _library_use()
+    ns: dict = {}
+    exec(compile(code, "README.md", "exec"), ns)
+    assert "# 7.228e-05 secret bits" in code and f"{ns['pt'].rate:.4g}" == "7.228e-05"
+    assert "# 0.0234 error fraction" in code and f"{ns['pt'].stats.e:.3g}" == "0.0234"
+    assert "about 0.229 here" in code and f"{ns['opt'].param:.3f}" == "0.229"
+    assert ns["best"].optimal_param == ns["opt"].param
+    assert "the 21 rows'" in code and len(ns["curve"].rate_raw) == 21 == len(ns["points"])
+    assert ns["budget"] == ns["pt"].key_budget(10**9, SecurityParams(s=30, t=30))
+    assert ns["budget"].n_rec == int(10**9 * ns["pt"].stats.p_coin / 2)
+    assert 0 < ns["budget"].r < ns["budget"].n_rec
+
+    # the BB84 sizing figures: key_budget against the four-argument form
+    sec = SecurityParams(s=30, t=30)
+    figures = []
+    for km in (10.0, 18.0):
+        pt = point_rate("bb84", Poisson(0.1), ns["fiber"], km)
+        n_rec = int(10**9 * pt.stats.p_click / 2)
+        four = final_key_length(n_rec, pt.stats.e, ec_leak_bits(n_rec, pt.stats.e), sec)
+        figures.append((pt.key_budget(10**9, sec), four))
+    (budget, four), (none, four_at_zero) = figures
+    assert none is None
+    quoted = [f"{four.tau_bits:.3f}", f"{budget.tau_bits:.3f}", f"{four.r:,}", f"{budget.r:,}", f"{four_at_zero.r:,}"]
+    assert quoted == ["0.888", "0.384", "3,301,376", "991,407", "2,142,381"]
+    assert [figure for figure in quoted if figure not in prose] == []

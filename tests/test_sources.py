@@ -1,7 +1,9 @@
 """Unit tests for per-pulse source statistics."""
 
+import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -103,6 +105,28 @@ class TestEkertIdealStats:
     def test_degenerate_statistics(self):
         with pytest.raises(ValueError):
             ekert_ideal_stats(0.0, ChannelParams())
+
+    def test_sift_total_below_the_smallest_normal_float_is_rejected(self):
+        # p_true is 5 subnormal units, so mu * p_true rounds: e came out 0.5
+        # where the model gives mu
+        p = ChannelParams(d=0.0, mu=0.4815)
+        message = "degenerate statistics: coincidence probability is below the smallest normal float"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ekert_ideal_stats(math.sqrt(2.5e-323), p)
+        # a sweep's rows fall back to the same notes: 1e-306 is normal, the
+        # rows from 3080 dB on are subnormal, and from 3240 dB on zero
+        spec = SweepSpec("ekert", dataclasses.replace(p, eta=1.0, receiver_loss_db=0.0),
+                         IdealEpr(), 3060.0, 3260.0, 20.0, "total-loss")
+        points = sweep(spec).points()
+        assert [pt.note for pt in points] == [point_rate("ekert", IdealEpr(), spec.params, x, "total-loss").note
+                                              for x in spec.grid()]
+        assert [pt.note.rpartition(" is ")[2] for pt in points] == (
+            [""] + ["below the smallest normal float"] * 8 + ["zero"] * 2
+        )
+        # at the floor itself the error fraction is mu to 14 digits
+        floor = bb84_stats(IdealSingle(), sys.float_info.min, p)
+        assert floor.p_click == sys.float_info.min
+        assert floor.e == pytest.approx(0.4815, rel=1e-14)
 
     @given(
         st.floats(min_value=1e-6, max_value=1.0),
@@ -380,6 +404,10 @@ _FUNCTION_VIOLATIONS = [
     ),
     (lambda: dark_click_prob(0.25, 4), "4 detectors at d=0.25 exceed the linear model's validity"),
     (lambda: _sifted_error(0.0, 0.0, 0.01, "click"), "degenerate statistics: click probability is zero"),
+    (
+        lambda: _sifted_error(5e-324, 5e-324, 0.01, "click"),
+        "degenerate statistics: click probability is below the smallest normal float",
+    ),
     (lambda: pdc_coefficients(25.0, 0.0), "degenerate statistics: tanh^2(chi) (1 - alpha)^2 rounds to 1"),
     (
         lambda: swap_stats_from_segment(SwapChain(1), 0.0, ChannelParams()),

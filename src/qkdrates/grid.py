@@ -144,7 +144,8 @@ def _coarse_maxima(protocol: str, p: ChannelParams, alpha: np.ndarray) -> tuple[
 def _coarse_positive(protocol: str, p: ChannelParams, kms: list[float]) -> list[bool]:
     """Whether the free source's coarse-grid maximum (see _coarse_maxima)
     is positive at each distance of kms: an optimized cutoff's probes."""
-    alpha = _transmissions(protocol, None, p, np.array(kms, dtype=float), "distance", _ROW_MATHS.power)
+    with np.errstate(over="ignore"):  # a loss past float range is inf, as on floats
+        alpha = _transmissions(protocol, None, p, np.array(kms, dtype=float), "distance", _ROW_MATHS.power)
     return (_coarse_maxima(protocol, p, alpha)[1] > 0.0).tolist()
 
 
@@ -217,27 +218,32 @@ def _optimal_params(protocol: str, p: ChannelParams, alpha: np.ndarray) -> np.nd
 
 
 def _sweep_columns(spec: SweepSpec) -> SweepColumns:
-    """protocols.sweep's row pass (see there). A failed row is rated by
-    protocols.point_rate, looked up on the module, so that a tracer that
-    wraps it there counts the call."""
+    """protocols.sweep's row pass (see there). A row that the pass rejects
+    keeps its zeros and takes the note of protocols.point_rate, looked up on
+    the module, so that a tracer that wraps it there counts the call."""
     protocol, src, p, mode = spec.protocol, spec.source, spec.params, spec.mode
     xs = spec.grid()
     abscissa = np.array(xs, dtype=float)
-    t = _transmissions(protocol, src, p, abscissa, mode, _ROW_MATHS.power)
-    optimal_param = None if src is not None else _optimal_params(protocol, p, t)
+    optimal_param = None
     try:
+        with np.errstate(over="ignore"):  # a loss past float range is inf, as on floats
+            t = _transmissions(protocol, src, p, abscissa, mode, _ROW_MATHS.power)
+        if src is None:
+            optimal_param = _optimal_params(protocol, p, t)
         raw, stats, ok = _rate_columns(protocol, src, p, t, _ROW_MATHS, optimal_param)
     except (ValueError, OverflowError):
-        # a libm function raised where the scalar path raises: every row falls back
+        # a swap count past float range, or a libm function at some row, raised
+        # where the scalar path raises: the pass rates no row
         raw, stats, ok = np.zeros(len(xs)), (0.0, 0.0, 0.0), np.zeros(len(xs), dtype=bool)
-    stats = tuple(np.array(np.broadcast_to(column, abscissa.shape)) for column in stats)
+    stats = tuple(np.where(ok, column, 0.0) for column in stats)
     notes = {}
     for i in np.flatnonzero(~ok).tolist():
         row_src = src if optimal_param is None else _free_source(protocol, optimal_param.item(i))
         point = protocols.point_rate(protocol, row_src, p, xs[i], mode)
-        raw[i] = point.rate_raw
         if point.stats is None:
             notes[i] = point.note
-        for column, value in zip(stats, repeat(0.0) if point.stats is None else vars(point.stats).values()):
-            column[i] = value
+        else:  # the pass raised at another row, and point_rate rates this one
+            raw[i] = point.rate_raw
+            for column, value in zip(stats, vars(point.stats).values()):
+                column[i] = value
     return SweepColumns(protocol, abscissa, raw, optimal_param, stats, notes)

@@ -448,16 +448,15 @@ def sweep(spec: SweepSpec) -> SweepColumns:
     """Evaluate a full rate curve as columns, one row per grid abscissa;
     sweep(spec).points() gives the rows as RatePoints.
 
-    Points are independent; un-evaluable points (degenerate statistics)
-    become zero-rate points carrying a diagnostic note rather than aborting
-    the sweep. The rows' transmissions are computed once: a free source is
-    optimized on them for all rows at once (see grid._optimal_params), each
-    row carrying its optimal parameter, and then all rows are rated on them
-    in one array pass, grid._rate_columns with libm's functions, which gives
-    each row the bits of point_rate at its source. A row whose statistics
-    the pass rejects is evaluated by point_rate itself, so its note and zero
-    rate are the scalar's; where a libm function raises (a pump parameter
-    whose cosh overflows), every row is.
+    The rows' transmissions are computed once: a free source is optimized
+    on them for all rows at once (see grid._optimal_params), each row
+    carrying its optimal parameter, and then all rows are rated on them in
+    one array pass, grid._rate_columns with libm's functions, which gives
+    each row the bits of point_rate at its source. A row that the pass
+    rejects (degenerate statistics) keeps the pass's zeros as its rate and
+    statistics, and its note is point_rate's message there. Where the pass
+    raises (a pump parameter whose cosh overflows, a swap count past float
+    range, or a swap chain's p_swap^n at some row), point_rate rates each row.
     """
     from .grid import _sweep_columns
 

@@ -492,7 +492,7 @@ def pdc_coefficients(chi: float, alpha_half: float) -> PdcCoefficients:
     """
     _check_chi(chi)
     a = checked_transmission(alpha_half)
-    t2, c4 = math.tanh(chi) ** 2, math.cosh(chi) ** 4
+    t2, c4 = math.tanh(chi) ** 2, math.pow(math.cosh(chi), 4)
     if _pdc_loss_terms(a, t2, pow)[2] == 0.0:
         raise ValueError("degenerate statistics: tanh^2(chi) (1 - alpha)^2 rounds to 1")
     A, B, C, D = _pdc_weights(a, t2, c4, pow)

@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import importlib.util
 import json
 import math
 from importlib import resources
@@ -60,16 +59,6 @@ def shipped_config(name):
 
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
-
-
-def bench_module(name):
-    """A module of the benchmark, such as bench/check.py, loaded by path and read only."""
-    spec = importlib.util.spec_from_file_location(
-        f"bench_{name}", REFERENCE_DIR.parent / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestConfigParsing:
@@ -334,10 +323,11 @@ class TestRateCommand:
     @pytest.mark.parametrize(
         "source, note",
         [
+            ({"type": "pdc", "chi": 200.0}, "math range error"),
             ({"type": "pdc", "chi": 1e300}, "math range error"),
             ({"type": "swap", "n_swaps": 10**308}, "int too large to convert to float"),
         ],
-        ids=["chi-overflow", "n_swaps-overflow"],
+        ids=["cosh4-overflow", "chi-overflow", "n_swaps-overflow"],
     )
     def test_overflowing_source_is_a_zero_rate_point(self, tmp_path, capsys, source, note):
         cfg = {
@@ -581,6 +571,32 @@ class TestSweepCommand:
         assert len(rows) == 3
         assert all(row["curve"] == "bb84" for row in rows)
 
+    @pytest.mark.parametrize(
+        "source, note",
+        [
+            ({"type": "pdc", "chi": 200.0}, "math range error"),
+            ({"type": "pdc", "chi": 1e300}, "math range error"),
+            ({"type": "swap", "n_swaps": 10**308}, "int too large to convert to float"),
+        ],
+        ids=["cosh4-overflow", "chi-overflow", "n_swaps-overflow"],
+    )
+    def test_overflowing_source_is_a_curve_of_notes(self, tmp_path, capsys, source, note):
+        # a swap count past float range once raised out of the sweep's
+        # transmissions, where rate gives a zero-rate point with this note
+        cfg = {
+            "protocol": "ekert",
+            "source": source,
+            "channel": BASE_CHANNEL,
+            "sweep": {"mode": "distance", "start_km": 0.0, "stop_km": 20.0, "step_km": 10.0},
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["sweep", "--config", path, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [(row["rate_raw"], row.get("stats"), row["note"]) for row in rows] == [(0.0, None, note)] * 3
+        assert main(["sweep", "--config", path]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split(",", 1)[1] for line in lines] == [f"{x},0.0,0.0,,,," for x in ("0.0", "10.0", "20.0")]
+
     def test_mismatched_curve_exits_2(self, tmp_path, capsys):
         cfg = {
             "curves": [
@@ -617,7 +633,7 @@ class TestSweepCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["fig3a_fiber", "fig3b_freespace", "fig5_swaps"])
-    def test_shipped_sweep_matches_reference(self, tmp_path, name):
+    def test_shipped_sweep_matches_reference(self, tmp_path, name, bench_module):
         out = tmp_path / f"{name}.csv"
         assert main(["sweep", "--config", shipped_config(f"{name}.json"), "--out", str(out)]) == 0
         reference = (REFERENCE_DIR / f"{name}.csv").read_text()
@@ -654,7 +670,7 @@ class TestSweepCommand:
             assert values + columns == line.split(","), line
 
     @pytest.mark.parametrize("name", ["fig3a_fiber", "fig3b_freespace"])
-    def test_optimized_rows_match_point_rate(self, name):
+    def test_optimized_rows_match_point_rate(self, name, bench_module):
         # sweep optimizes all rows in lockstep; point_rate(src=None) runs the
         # scalar optimizer for one abscissa
         config = load_config(shipped_config(f"{name}.json"))
@@ -996,13 +1012,13 @@ class TestVerifyCommand:
         assert cli.run_verify_suite is verify.run_verify_suite
         assert cli.ConfigError is sources.ConfigError
 
-    def test_all_matches_reference(self):
+    def test_all_matches_reference(self, bench_module):
         # bench/run.py traces cli.VERIFY_SUITES; it must be the dict the suites live in
         assert cli.VERIFY_SUITES is verify.VERIFY_SUITES
         reference = json.loads((REFERENCE_DIR / "verify.json").read_text())
         assert bench_module("check").compare_tree(run_verify_suite("all"), reference) == []
 
-    def test_suites_call_traced_functions_through_their_modules(self):
+    def test_suites_call_traced_functions_through_their_modules(self, bench_module):
         # the tracer rebinds these names only inside the modules it knows, so a
         # copy bound in qkdrates.verify would escape the per-layer counts
         tracing = bench_module("tracing")

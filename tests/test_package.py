@@ -2,7 +2,6 @@
 
 import ast
 import importlib
-import importlib.util
 import inspect
 import json
 import os
@@ -193,14 +192,6 @@ def test_array_commands_load_numpy(tmp_path, command, loaded):
     assert [step[1:] for step in steps] == [[None, []], [None, []], [0, loaded]]
 
 
-def _load_bench_tracing():
-    """bench/tracing.py, loaded by path; nothing in it is changed."""
-    spec = importlib.util.spec_from_file_location("bench_tracing", SRC.parent / "bench" / "tracing.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _modules() -> dict:
     """The parsed source of every qkdrates module, by module name."""
     return {path.stem: ast.parse(path.read_text()) for path in sorted((SRC / "qkdrates").glob("*.py"))}
@@ -240,12 +231,12 @@ def test_numpy_is_imported_at_the_top_of_the_array_modules():
     assert at_the_top == ["fockoracle", "grid", "verifiers"]
 
 
-def test_no_untraced_module_binds_a_traced_function():
+def test_no_untraced_module_binds_a_traced_function(bench_module):
     # the tracer wraps each LAYERS function at the module attributes of the
     # namespaces it searches; a traced function bound by a from-import in any
     # other module would run unwrapped there, its calls uncounted, and no
     # error would say so
-    tracing = _load_bench_tracing()
+    tracing = bench_module("tracing")
     traced = {(module, function) for module, function, _ in tracing.LAYERS}
     searched = {"__init__" if name == "qkdrates" else name for name in tracing.namespaces()}
     assert set(tracing.MODULES) < searched

@@ -2,7 +2,6 @@
 
 import dataclasses
 import fractions
-import importlib.util
 import json
 import math
 import operator
@@ -11,7 +10,6 @@ import re
 import signal
 import tracemalloc
 from importlib import resources
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -422,14 +420,6 @@ class TestClosedFormBodies:
         assert [[v.hex() for v in row] for row in on_arrays] == [[v.hex() for v in row] for row in on_floats]
 
 
-def _load_bench_tracing():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestScalarPathLayers:
     """A fixed-source point_rate reaches each traced function of its chain
     once, so the benchmark's per-layer counters see every layer."""
@@ -444,8 +434,8 @@ class TestScalarPathLayers:
         ("ekert", Pdc(0.3), ("sources.pdc_stats", "sources.pdc_coefficients", "protocols.rate_ekert")),
         ("ekert", SwapChain(1), ("sources.swap_stats_from_segment", "protocols.rate_ekert")),
     ])
-    def test_point_rate_counts_each_layer_once(self, protocol, src, chain):
-        tracing = _load_bench_tracing()
+    def test_point_rate_counts_each_layer_once(self, protocol, src, chain, bench_module):
+        tracing = bench_module("tracing")
         tracer = tracing.Tracer()
         tracer.install(tracing.namespaces())
         try:
@@ -1075,6 +1065,31 @@ class TestSweep:
             assert pt.optimal_param is not None
             assert 0.0 < pt.optimal_param < 1.5
 
+    @pytest.mark.parametrize("protocol, src", [
+        ("bb84", None), ("ekert", None), ("bb84", IdealSingle()), ("ekert", SwapChain(1)),
+    ])
+    def test_loss_past_float_range_leaves_no_transmission(self, protocol, src):
+        # sigma x passes the float range and is inf, as on floats; the array
+        # passes once warned of the overflow, which pytest makes an error
+        p = ChannelParams(sigma=1e308, d=5e-5, mu=0.01)
+        points = sweep(SweepSpec(protocol, p, src, 4.0, 12.0, 4.0)).points()
+        assert [_bits(pt) for pt in points] == [_bits(point_rate(protocol, src, p, x)) for x in (4.0, 8.0, 12.0)]
+        assert [pt.rate for pt in points] == [0.0] * 3
+        with pytest.raises(ValueError, match="rate is zero at the lower search edge"):
+            cutoff_distance(protocol, p, (1.0, 500.0), src)
+
+    def test_rows_rate_where_the_pass_raises_at_another_row(self):
+        # at d = 0.168 a Bell analyzer near the source fires with p_swap > 1,
+        # where p_swap^2000 overflows and the pass raises for the whole curve;
+        # the far rows, which the scalar path rates, keep their statistics
+        p = ChannelParams(sigma=0.0, eta=0.78125, receiver_loss_db=0.0, d=0.16796875, mu=0.0,
+                          receiver_loss_per_arm=False)
+        spec = SweepSpec("ekert", p, SwapChain(2000), 0.0, 24 * 293.0, 293.0, "total-loss")
+        points = sweep(spec).points()
+        assert [_bits(pt) for pt in points] == [_bits(pt) for pt in _scalar_rows(spec)]
+        assert points[0].stats is None and points[0].note
+        assert points[-1].stats is not None and not points[-1].note
+
     def test_optimum_at_the_box_edge(self):
         # without dark counts the bb84 optimum falls below NBAR_BOX from about
         # 197 km on; those rows bracket the edge grid point, stop their search
@@ -1197,6 +1212,13 @@ _SHIPPED_POINTS = [
 ]
 
 
+def _seeded_device(rng):
+    """A device whose sigma, eta, receiver loss, d and mu are drawn from rng."""
+    return ChannelParams(sigma=rng.uniform(0.15, 0.35), eta=rng.uniform(0.05, 0.8),
+                         receiver_loss_db=rng.uniform(0.0, 3.0), d=10.0 ** rng.uniform(-8.0, -3.0),
+                         mu=rng.uniform(0.0, 0.05))
+
+
 class TestKeyBudget:
     @pytest.mark.parametrize("name, key, x", _SHIPPED_POINTS)
     def test_shipped_points_match_the_inline_sizing(self, name, key, x):
@@ -1243,9 +1265,7 @@ class TestKeyBudget:
         sec = SecurityParams(s=30, t=30)
         sized = zero = 0
         for _ in range(80):
-            p = ChannelParams(sigma=rng.uniform(0.15, 0.35), eta=rng.uniform(0.05, 0.8),
-                              receiver_loss_db=rng.uniform(0.0, 3.0), d=10.0 ** rng.uniform(-8.0, -3.0),
-                              mu=rng.uniform(0.0, 0.05))
+            p = _seeded_device(rng)
             x = rng.choice([rng.uniform(0.0, 100.0), rng.uniform(0.0, 300.0), rng.uniform(300.0, 2000.0), 1e5])
             n_tot = rng.choice([10, 10**6, 10**9, 10**12])
             for protocol, srcs in sources.items():
@@ -1308,3 +1328,52 @@ class TestCutoffMonotone:
                     violations.append((p, protocol, src, "eta", base, better))
         assert pairs == 420
         assert violations == []
+
+
+class TestRateRelations:
+    """Relations between rates that hold on any device: a distance is its
+    loss, a fixed source's rate falls with distance, and the optimizer finds
+    at least what a dense grid of its box finds."""
+
+    FIXED = [("bb84", IdealSingle()), ("bb84", Poisson(0.1)), ("bb84", Poisson(0.6)), ("ekert", IdealEpr()),
+             ("ekert", Pdc(0.2)), ("ekert", Pdc(0.9)), ("ekert", SwapChain(1)),
+             ("ekert", SwapChain(2, literal_exponent=True))]
+
+    def test_distance_is_its_loss_and_rates_fall_with_it(self):
+        rng = random.Random(35)
+        kms = [2.5 * i for i in range(1, 241)]
+        mismatches, rises, positive = [], [], 0
+        for _ in range(40):
+            p = _seeded_device(rng)
+            for protocol, src in self.FIXED:
+                previous = math.inf
+                for km in kms:
+                    by_distance = point_rate(protocol, src, p, km)
+                    by_loss = point_rate(protocol, src, p, p.sigma * km, "total-loss")
+                    if by_distance.note != by_loss.note or not math.isclose(
+                            by_distance.rate_raw, by_loss.rate_raw, rel_tol=1e-12):
+                        mismatches.append((p, src, km, by_distance, by_loss))
+                    if by_distance.rate > previous:
+                        rises.append((p, src, km, previous, by_distance.rate))
+                    previous = by_distance.rate
+                    positive += previous > 0.0
+        assert mismatches == [] and rises == []
+        assert positive > 10_000, positive
+
+    def test_optimum_is_at_least_a_dense_grid_maximum(self):
+        rng = random.Random(35)
+        grids = {"bb84": np.geomspace(*NBAR_BOX, 4001), "ekert": np.geomspace(*CHI_BOX, 4001)}
+        shortfalls, positive = [], 0
+        for _ in range(40):
+            p = _seeded_device(rng)
+            for protocol, grid in grids.items():
+                for km in (1.0, 100.0, rng.uniform(0.0, 50.0), rng.uniform(0.0, 150.0), rng.uniform(50.0, 300.0),
+                           rng.uniform(0.0, 600.0)):
+                    best = optimize_source_param(protocol, p, km).rate
+                    alpha = _transmissions(protocol, None, p, km, "distance")
+                    top = _free_rate_kernel(protocol, p, alpha, grid).max().item()
+                    positive += top > 0.0
+                    if best < top * (1.0 - 1e-6):
+                        shortfalls.append((p, protocol, km, best, top))
+        assert shortfalls == []
+        assert positive > 200, positive

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qkdrates import sources
 from qkdrates.channel import ChannelParams, checked_transmission, dark_click_prob
-from qkdrates.protocols import SweepSpec, point_rate, point_stats, sweep
+from qkdrates.protocols import RatePoint, SweepSpec, point_rate, point_stats, sweep
 from qkdrates.sources import (
     ClickStats,
     CoincidenceStats,
@@ -191,6 +191,27 @@ class TestPdc:
         # inf once gave all-zero weights, and NaN failed on coefficient A
         with pytest.raises(ValueError, match="^pump parameter must be positive and finite$"):
             pdc_coefficients(chi, 0.5)
+
+    @pytest.mark.parametrize("chi", [178.2, 200.0, 710.0, 711.0, 1e300])
+    def test_overflowing_pump_notes_a_range_error(self, chi):
+        # cosh(chi)^4 overflows above chi = 178.14 and cosh(chi) itself above
+        # 710.48; float ** once noted the first as an errno tuple,
+        # "(34, 'Numerical result out of range')"
+        with pytest.raises(OverflowError, match="^math range error$"):
+            pdc_coefficients(chi, 0.5)
+        p = ChannelParams(d=5e-5, mu=0.01)
+        assert point_rate("ekert", Pdc(chi), p, 10.0) == RatePoint(10.0, 0.0, note="math range error")
+        points = sweep(SweepSpec("ekert", p, Pdc(chi), 0.0, 20.0, 5.0)).points()
+        assert [(point.rate_raw, point.stats, point.note) for point in points] == [
+            (0.0, None, "math range error")
+        ] * 5
+
+    def test_pump_below_the_overflow_keeps_its_bits(self):
+        # math.pow takes the power that ** took, bit for bit
+        for chi in (0.2, 1.5, 25.0, 100.0, 178.1):
+            c = pdc_coefficients(chi, 0.5)
+            t2, c4 = math.tanh(chi) ** 2, math.cosh(chi) ** 4
+            assert c == PdcCoefficients(*sources._pdc_weights(0.5, t2, c4, pow))
 
     def test_saturated_pump_at_zero_transmission_is_a_zero_rate_point(self):
         # tanh(25)**2 rounds to 1, so at zero transmission 1 - z is 0, which

@@ -266,8 +266,9 @@ def _sector_layout(expansion: _Expansion, nonzero: np.ndarray) -> _SectorLayout:
     kept, codes = expansion.kept[nonzero], expansion.codes[nonzero]
     i = kept[:, 0] + kept[:, 1]
     j = kept[:, 2] + kept[:, 3]
-    sector = i * (1 + int(j.max())) + j
-    key = sector * (1 + int(codes.max())) + codes
+    # initial=0: a restricted expansion may leave no entry, and then no sector
+    sector = i * (1 + int(j.max(initial=0))) + j
+    key = sector * (1 + int(codes.max(initial=0))) + codes
     order = np.argsort(key, kind="stable")
     bounds = np.flatnonzero(np.diff(sector[order], prepend=-1, append=-1))
     starts = bounds[:-1]
@@ -288,11 +289,26 @@ def _sector_layout(expansion: _Expansion, nonzero: np.ndarray) -> _SectorLayout:
                          int((dims * dims).sum()))
 
 
-def sector_densities(states, alphas) -> Iterator[dict]:
+def _keep_sectors(expansion: _Expansion, sectors) -> _Expansion:
+    """The entries of an expansion whose kept occupation lies in one of the
+    given (i, j) sectors, in their order."""
+    i = expansion.kept[:, 0] + expansion.kept[:, 1]
+    j = expansion.kept[:, 2] + expansion.kept[:, 3]
+    keep = np.zeros(i.size, dtype=bool)
+    for a, b in sectors:
+        keep |= (i == a) & (j == b)
+    return _Expansion(expansion.ket[keep], expansion.split[:, keep], expansion.codes[keep],
+                      expansion.kept[keep], expansion.radix)
+
+
+def sector_densities(states, alphas, sectors=None) -> Iterator[dict]:
     """Push each state through equal per-arm loss at each transmission in
     turn and trace out the lost photons; yields one apply_loss_and_trace dict
     per (state, transmission), state-major: every transmission of the first
-    state in order, then of the next.
+    state in order, then of the next. Given sectors, an iterable of (i, j)
+    keys, each dict holds only those of them that the full dict holds, each
+    matrix byte for byte the full build's: the expansion keeps only their
+    entries, so no other sector costs a factor, a layout or a matmul.
 
     The states must share one ket set, as build_pdc_state gives at one
     n_max for any pump parameter; only their amplitudes differ. The
@@ -307,6 +323,7 @@ def sector_densities(states, alphas) -> Iterator[dict]:
     Args:
         states: FockVectors on one ket set, e.g. (state,) for one state.
         alphas: Shared arm transmissions.
+        sectors: The kept-photon sectors (i, j) to build; None builds all.
 
     Raises:
         ValueError: Before anything is yielded, if a transmission is not a
@@ -322,6 +339,8 @@ def sector_densities(states, alphas) -> Iterator[dict]:
     if any(state.amps.keys() != states[0].amps.keys() for state in states[1:]):
         raise ValueError("states must share one ket set")
     expansion = _expand_kets(kets)
+    if sectors is not None:
+        expansion = _keep_sectors(expansion, sectors)
     layouts = {}  # per pattern: its layout, and the ket of each entry it places
     plans = []  # per transmission: its layout and ket, and the factor of each entry
     for alpha in alphas:

@@ -361,7 +361,9 @@ class PdcCoefficients:
 
 # The closed forms below are plain arithmetic, so they take floats or numpy
 # arrays, and their exp and power are arguments: the scalar functions pass
-# math.exp and pow (the libm call that ** makes on floats), and _stats_columns
+# math.exp and math.pow or pow (both the libm call that ** makes on floats;
+# where the power can overflow, math.pow notes "math range error" and pow
+# the errno tuple "(34, 'Numerical result out of range')"), and _stats_columns
 # what its caller hands it: libm maps for sweep rows, numpy's power for the
 # free-source rate kernel. a is an arm transmission, d the dark count
 # probability, and B, C, D the weights of PdcCoefficients.
@@ -532,7 +534,7 @@ def swap_stats_from_segment(
     if not _swap_ok(p_swap):
         raise ValueError("degenerate statistics: no Bell analyzer can fire")
     p_true, p_false = _swap_coincidences(
-        p_swap_true, p_swap, alpha_end, d, src.n_swaps, src.literal_exponent, pow
+        p_swap_true, p_swap, alpha_end, d, src.n_swaps, src.literal_exponent, math.pow
     )
     return _coincidence_stats(p_true, p_false, p)
 

@@ -153,10 +153,10 @@ _EXHAUSTIVE_N = 6
 # _BLOCK_INPUTS >> n seeds, so the block, and its offset histogram, stays
 # well under a mebibyte for every n. At 2^15 inputs a block's float64
 # temporaries took 256 KiB, past glibc malloc's first mmap threshold of
-# 128 KiB, so each cost an mmap and page faults: run alone in process, the
-# privacy-amp suite took 12.6 ms at 2^15 and 9.8 ms at 2^14 (medians of 7 on
-# a 2-core host). Within verify --suite all the two take the same time,
-# since glibc raises that threshold after the first large free.
+# 128 KiB, so each cost an mmap and page faults: hashing and summing every
+# block of the privacy-amp grid once per collision probability, run alone in
+# process, took 12.6 ms at 2^15 and 9.8 ms at 2^14 (medians of 7 on a 2-core
+# host).
 _BLOCK_INPUTS = 1 << 14
 
 
@@ -206,29 +206,76 @@ def _hash_key_blocks(n: int, r: int):
         yield keys
 
 
+def _seed_bins(keys: np.ndarray, r: int, weights: np.ndarray) -> np.ndarray:
+    """Each seed's histogram of a (seeds, 2^n) key block, the inputs counted
+    with the given weights: seed k's keys land in bins k 2^r .. (k+1) 2^r - 1."""
+    n_seeds = keys.shape[0]
+    offset = keys + (np.arange(n_seeds, dtype=np.int64)[:, None] << r)
+    return np.bincount(offset.ravel(), weights=np.tile(weights, n_seeds), minlength=n_seeds << r)
+
+
 @lru_cache(maxsize=None)
-def _exhaustive_key_blocks(n: int, r: int) -> tuple:
-    """_hash_key_blocks of an exhaustive family (n <= _EXHAUSTIVE_N), kept
-    so that each per-bit collision probability reuses them; all of them
-    together take about 0.3 MiB."""
-    return tuple(_hash_key_blocks(n, r))
+def _bin_histograms(n: int, r: int) -> tuple:
+    """The distinct bin histograms of an exhaustive family (n <=
+    _EXHAUSTIVE_N) as (rows, multiplicities, number of seeds): a bin's row
+    counts the inputs of each popcount w = 0..n that its seed hashes to its
+    key, and a row's multiplicity is the number of (seed, bin) pairs, empty
+    bins included, that have it. At most 129 rows (n = 6).
+
+    A bin's code is its row read as digits of radix 2^n + 1, below
+    (2^n + 2)^n <= 66^6 < 2^53, so the float sums of _seed_bins are exact.
+    Each key block is reduced to its distinct codes before the next is built.
+    """
+    radix = (1 << n) + 1
+    powers = radix ** np.arange(n + 1)
+    weights = powers[np.bitwise_count(np.arange(1 << n))].astype(float)
+    codes, counts = [], []
+    for keys in _hash_key_blocks(n, r):
+        block_codes, block_counts = np.unique(_seed_bins(keys, r, weights).astype(np.int64),
+                                              return_counts=True)
+        codes.append(block_codes)
+        counts.append(block_counts)
+    distinct, slot = np.unique(np.concatenate(codes), return_inverse=True)
+    multiplicity = np.bincount(slot, weights=np.concatenate(counts))
+    rows = distinct[:, None] // powers % radix
+    return rows.astype(float), multiplicity, int(multiplicity.sum()) >> r
+
+
+def _popcount_probabilities(n: int, per_bit_pc: float) -> np.ndarray:
+    """Probability of one n-bit input of each popcount w = 0..n, its bits
+    i.i.d. with single-bit collision probability per_bit_pc."""
+    p = 0.5 * (1.0 + math.sqrt(2.0 * per_bit_pc - 1.0))
+    w = np.arange(n + 1)
+    return p**w * (1.0 - p) ** (n - w) if p < 1.0 else (w == n).astype(float)
+
+
+def _seed_entropy(n: int, per_bit_pc: float, r: int) -> float:
+    """_hashed_entropy one seed at a time: the mean of the entropies of each
+    seed's histogram of the inputs' probabilities."""
+    probs = _popcount_probabilities(n, per_bit_pc)[np.bitwise_count(np.arange(1 << n))]
+    entropies = []
+    for keys in _hash_key_blocks(n, r):
+        q = _seed_bins(keys, r, probs)
+        log_q = np.log2(q, out=np.zeros_like(q), where=q > 0)
+        entropies.extend((-(q * log_q).reshape(keys.shape[0], 1 << r).sum(axis=1)).tolist())
+    return math.fsum(entropies) / len(entropies)
 
 
 def _hashed_entropy(n: int, per_bit_pc: float, r: int) -> float:
     """security.pa_entropy_bound_check's H(K|G), for r >= 1: the exact
     entropy of the r-bit hash of the i.i.d. n-bit input whose single-bit
-    collision probability is per_bit_pc, averaged over the seeds."""
-    p = 0.5 * (1.0 + math.sqrt(2.0 * per_bit_pc - 1.0))
-    ones = _input_bits(n).sum(axis=1)
-    probs = p**ones * (1.0 - p) ** (n - ones) if p < 1.0 else (ones == n).astype(float)
+    collision probability is per_bit_pc, averaged over the seeds.
 
-    blocks = _exhaustive_key_blocks(n, r) if n <= _EXHAUSTIVE_N else _hash_key_blocks(n, r)
-    entropies = []
-    for keys in blocks:
-        # one histogram per seed: seed k's keys land in bins k 2^r .. (k+1) 2^r - 1
-        n_seeds = keys.shape[0]
-        offset = keys + (np.arange(n_seeds, dtype=np.int64)[:, None] << r)
-        q = np.bincount(offset.ravel(), weights=np.tile(probs, n_seeds), minlength=n_seeds << r)
-        log_q = np.log2(q, out=np.zeros_like(q), where=q > 0)
-        entropies.extend((-(q * log_q).reshape(n_seeds, 1 << r).sum(axis=1)).tolist())
-    return math.fsum(entropies) / len(entropies)
+    For an exhaustive family the mean over its S seeds is (1/S) times the
+    sum over all bins of -q log2 q, where a bin's q is its _bin_histograms
+    row times the popcount probabilities: one product and one log2 per
+    distinct row. It agrees with _seed_entropy to a few ulp. A sampled
+    family (n > _EXHAUSTIVE_N) takes _seed_entropy, uncached: from n = 8 a
+    row no longer fits one int64 code.
+    """
+    if n > _EXHAUSTIVE_N:
+        return _seed_entropy(n, per_bit_pc, r)
+    rows, multiplicity, n_seeds = _bin_histograms(n, r)
+    q = rows @ _popcount_probabilities(n, per_bit_pc)
+    log_q = np.log2(q, out=np.zeros_like(q), where=q > 0)
+    return math.fsum((multiplicity * -(q * log_q)).tolist()) / n_seeds

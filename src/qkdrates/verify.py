@@ -83,9 +83,10 @@ def _suite_pdc_oracle() -> dict:
     table = []
     chis = (0.05, 0.1, 0.2, 0.3)
     alphas = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
-    # the four states share one ket set, so one call expands it for all of them
+    # the four states share one ket set, so one call expands it for all of
+    # them; the coefficients and the residual read only these four sectors
     states = [fockoracle.build_pdc_state(chi, 8) for chi in chis]
-    densities = fockoracle.sector_densities(states, alphas)
+    densities = fockoracle.sector_densities(states, alphas, ((0, 0), (1, 0), (0, 1), (1, 1)))
     for (chi, alpha), sectors in zip(itertools.product(chis, alphas), densities):
         formula = sources.pdc_coefficients(chi, alpha)
         closed = [formula.A, formula.B, formula.C, formula.D]

@@ -378,6 +378,8 @@ class TestJointOutcomes:
 # the transmissions of one sector_densities call: total loss, one whose
 # factors underflow past one photon per mode, a generic one, and no loss
 MIXED_ALPHAS = [0.0, 1e-200, 0.5, 1.0]
+# the sectors that the pdc-oracle suite reads
+PDC_ORACLE_SECTORS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 # psi+ on the same kets, its amplitudes past the square root of the largest float
 OVERFLOWING = FockVector(amps={(1, 0, 0, 1): 1e200, (0, 1, 1, 0): 1e200})
 
@@ -566,6 +568,46 @@ class TestSectorDensities:
         states = [build_pdc_state(chi, 2) for chi in (0.1, 0.2)]
         with pytest.raises(ValueError, match="arm transmission must lie in"):
             next(sector_densities(states, [0.5, -0.1]))
+
+    @pytest.mark.parametrize("sectors", [
+        pytest.param(PDC_ORACLE_SECTORS, id="pdc-oracle's four"),
+        pytest.param([(1, 1)], id="(1,1)"),
+        pytest.param([(2, 0), (0, 0), (3, 4), (9, 9)], id="unordered, one never built"),
+    ])
+    @pytest.mark.parametrize("state, alphas", SWEEP_CASES)
+    def test_restricted_sectors_equal_the_full_build(self, state, alphas, sectors):
+        # ORACLE_ALPHAS and MIXED_ALPHAS: 0, 1 and the underflow pattern included
+        full = list(sector_densities((state,), alphas))
+        restricted = list(sector_densities((state,), alphas, sectors))
+        assert len(restricted) == len(full) == len(alphas)
+        for whole, part in zip(full, restricted):
+            assert list(part) == [key for key in whole if key in sectors]
+            for key, matrix in part.items():
+                assert (matrix.dtype, matrix.shape) == (whole[key].dtype, whole[key].shape)
+                assert matrix.tobytes() == whole[key].tobytes()
+
+    def test_pdc_oracle_call_equals_the_full_build(self):
+        states = [build_pdc_state(chi, 8) for chi in ORACLE_CHIS]
+        full = list(sector_densities(states, ORACLE_ALPHAS))
+        restricted = list(sector_densities(states, ORACLE_ALPHAS, PDC_ORACLE_SECTORS))
+        assert len(restricted) == len(full) == len(ORACLE_GRID)
+        for whole, part in zip(full, restricted):
+            assert list(part) == [key for key in whole if key in PDC_ORACLE_SECTORS]
+            assert all(part[key].tobytes() == whole[key].tobytes() for key in part)
+
+    def test_sector_absent_from_the_full_build_is_absent(self):
+        # total loss leaves only the vacuum, so a request without (0, 0) keeps no entry
+        state = build_pdc_state(0.2, 3)
+        assert list(next(sector_densities((state,), [0.0]))) == [(0, 0)]
+        assert [list(part) for part in sector_densities((state,), [0.0, 0.5], [(1, 1)])] == [[], [(1, 1)]]
+        assert list(sector_densities((state,), [0.0, 1.0], [(4, 4), (1, 0)])) == [{}, {}]
+
+    @pytest.mark.parametrize("sectors", [[(1, 1)], [(0, 0)]], ids=repr)
+    def test_overflowing_restricted_sector_raises(self, sectors):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^sector density must be finite$"):
+            next(sector_densities((OVERFLOWING,), [0.5], sectors))
+        # a request that builds no sector computes no product to overflow
+        assert next(sector_densities((OVERFLOWING,), [0.5], [(2, 2)])) == {}
 
     def test_overflowing_density_raises(self):
         # finite amplitudes whose squares pass float range

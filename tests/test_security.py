@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -575,7 +576,7 @@ class TestSampledHashKeys:
     def test_exhaustive_keys_equal_the_toeplitz_product(self):
         for n in range(1, 7):
             for r in range(1, n + 1):
-                keys = np.concatenate(verifiers._exhaustive_key_blocks(n, r))
+                keys = np.concatenate(list(verifiers._hash_key_blocks(n, r)))
                 assert np.array_equal(keys, matmul_keys(n, r, verifiers._family_seeds(n, r)))
 
     def test_memory_peak_at_nine_bits(self):
@@ -593,3 +594,35 @@ class TestSampledHashKeys:
                 tracemalloc.stop()
         assert holds
         assert peak <= 3 * 2**20, f"peaked at {peak / 2**20:.2f} MiB"
+
+
+# every hashed (n, pc, r) of the privacy-amp suite
+PA_SUITE_CASES = [(n, pc, r) for n in range(1, 7) for pc in (0.5, 0.595, 0.75, 0.875, 1.0)
+                  for r in range(1, n + 1)]
+
+
+class TestBinHistograms:
+    def test_table_matches_the_per_seed_route(self):
+        # 2.1e-16 relative at most, measured; the routes round the bins'
+        # probabilities and the entropy sums in different orders
+        for n, pc, r in PA_SUITE_CASES:
+            table = verifiers._hashed_entropy(n, pc, r)
+            per_seed = verifiers._seed_entropy(n, pc, r)
+            assert abs(table - per_seed) <= 4 * sys.float_info.epsilon * abs(per_seed), (n, pc, r)
+
+    def test_table_holds_each_bins_histogram(self):
+        # the table against the histograms of every (seed, bin), built apart
+        for n in range(1, 7):
+            weight = np.bitwise_count(np.arange(1 << n))
+            for r in range(1, n + 1):
+                keys = np.concatenate(list(verifiers._hash_key_blocks(n, r))).astype(np.int64)
+                n_seeds = keys.shape[0]
+                bins = (np.arange(n_seeds)[:, None] << r) + keys
+                hist = np.zeros((n_seeds << r, n + 1), dtype=np.int64)
+                np.add.at(hist, (bins.ravel(), np.tile(weight, n_seeds)), 1)
+                want_rows, want_counts = np.unique(hist, axis=0, return_counts=True)
+                rows, multiplicity, seeds = verifiers._bin_histograms(n, r)
+                assert seeds == n_seeds == 1 << (n + r - 1)
+                order = np.lexsort(rows.T[::-1])
+                assert np.array_equal(rows[order], want_rows)
+                assert np.array_equal(multiplicity[order], want_counts)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import re
 import sys
 
@@ -332,6 +333,36 @@ class TestSwapChain:
         b = swap_stats_from_segment(SwapChain(1), 0.5, with_rec)
         # only the two end photons see the 3 dB, so p_true scales by 10^(-0.6)
         assert b.p_true == pytest.approx(a.p_true * 10 ** (-0.6), rel=1e-12)
+
+    def test_overflowing_chain_notes_a_range_error(self):
+        # at d = 0.168 a Bell analyzer near the source fires with p_swap = 1.43,
+        # so p_swap^2000 overflows; the builtin pow once noted the errno tuple
+        # "(34, 'Numerical result out of range')"
+        p = ChannelParams(sigma=0.0, eta=0.78125, receiver_loss_db=0.0, d=0.16796875, mu=0.0,
+                          receiver_loss_per_arm=False)
+        with pytest.raises(OverflowError, match="^math range error$"):
+            point_stats("ekert", SwapChain(2000), p, 0.0, "total-loss")
+        assert point_rate("ekert", SwapChain(2000), p, 0.0, "total-loss") == RatePoint(
+            0.0, 0.0, note="math range error"
+        )
+
+    def test_chain_below_the_overflow_keeps_its_bits(self):
+        # math.pow takes the power that the builtin pow took, bit for bit,
+        # and overflows where it did
+        def outcome(args, power):
+            try:
+                return sources._swap_coincidences(*args, power)
+            except OverflowError:
+                return OverflowError
+
+        gen = random.Random(36)
+        outcomes = set()
+        for _ in range(2000):
+            x, n = gen.uniform(0.0, 1.5), gen.randint(1, 50)
+            args = (x * 0.5, x, 0.3, 1e-5, n, gen.random() < 0.5)
+            outcomes.add(outcome(args, math.pow) is OverflowError)
+            assert outcome(args, math.pow) == outcome(args, pow)
+        assert outcomes == {False, True}
 
     def test_validation(self):
         with pytest.raises(ValueError):

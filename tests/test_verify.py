@@ -11,9 +11,9 @@ import pytest
 
 from qkdrates import cli, fockoracle, ratecore, security, sources, verifiers, verify
 
-# The largest suite, pdc-oracle, peaks near 3.1 MiB with its four states'
-# shared loss expansion, and near 3.3 MiB on its first run in a process, which
-# also loads fockoracle.
+# The largest suite, dephasing, peaks near 1.9 MiB, and near 2.1 MiB on its
+# first run in a process, which also loads fockoracle; pdc-oracle, which
+# builds only the four sectors it reads, peaks near 1.2 MiB.
 # Evaluating a whole grid at once (a 50^3 attack meshgrid, every hash seed in
 # one histogram) would pass 5 MiB.
 PEAK_LIMIT = 5 * 2**20
@@ -21,9 +21,9 @@ PEAK_LIMIT = 5 * 2**20
 
 @pytest.mark.parametrize("name", list(verify.VERIFY_SUITES))
 def test_suite_memory_peak(name):
-    # measure the cold path: privacy-amp builds its hash keys only when the
-    # cache is empty, and an earlier test may have filled it
-    verifiers._exhaustive_key_blocks.cache_clear()
+    # measure the cold path: privacy-amp hashes its keys into bin histograms
+    # only when the cache is empty, and an earlier test may have filled it
+    verifiers._bin_histograms.cache_clear()
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -129,11 +129,11 @@ def test_mutated_suite_fails_through_the_cli(suite, mutations, failing, tmp_path
     with contextlib.ExitStack() as stack:
         for (module, name), mutate in mutations.items():
             stack.enter_context(mock.patch.object(module, name, mutate(getattr(module, name))))
-        # privacy-amp's hash keys are cached per block length: a run on
-        # cached keys would not see a mutated seed family, and keys built
-        # from it must not outlive the mutation
-        verifiers._exhaustive_key_blocks.cache_clear()
-        stack.callback(verifiers._exhaustive_key_blocks.cache_clear)
+        # privacy-amp's bin histograms are cached per (n, r): a run on cached
+        # histograms would not see a mutated seed family, and histograms
+        # built from it must not outlive the mutation
+        verifiers._bin_histograms.cache_clear()
+        stack.callback(verifiers._bin_histograms.cache_clear)
         status = cli.main(["verify", "--suite", suite, "--out", str(out)])
     report = json.loads(out.read_text())
     assert status == 1 and report["pass"] is False

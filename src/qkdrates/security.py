@@ -17,7 +17,7 @@ import operator
 import sys
 from dataclasses import dataclass
 
-from .channel import _is_integer
+from .channel import _is_integer, _is_real
 from .ratecore import binary_entropy, ec_efficiency, tau_multiphoton
 
 __all__ = [
@@ -94,6 +94,8 @@ class AttackParams:
     are parameterized by two squared norms and two relative angles; the
     same-polarization and crossed-polarization overlaps are
     n_xx * cos(phi_xx_yy) and n_xy * cos(phi_xy_yx), all projections real.
+    Each field is a finite real number (a bool or str is not); the norms
+    are non-negative and not both zero.
     """
 
     n_xx: float
@@ -102,6 +104,9 @@ class AttackParams:
     phi_xy_yx: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (_is_real(value) and abs(value) <= sys.float_info.max):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.n_xx < 0 or self.n_xy < 0:
             raise ValueError("probe norms must be non-negative")
         if self.n_xx + self.n_xy == 0:
@@ -180,13 +185,23 @@ def _epsilon_from(x, y, c1, c2):
     return (x * (1.0 - c1) + y * (3.0 - c2)) / (4.0 * (x + y))
 
 
+def _member_terms(a: AttackParams) -> tuple:
+    """(n_xx, n_xy, cos phi_xx_yy, cos phi_xy_yx) of a member, its norms
+    scaled by the power of two that puts the larger in [1/2, 1). Both closed
+    forms depend on the norms' ratio alone, and a power-of-two scaling
+    changes none of their bits, except that it keeps norms near the ends of
+    the float range from overflowing or underflowing their products."""
+    k = math.frexp(max(a.n_xx, a.n_xy))[1]
+    return math.ldexp(a.n_xx, -k), math.ldexp(a.n_xy, -k), math.cos(a.phi_xx_yy), math.cos(a.phi_xy_yx)
+
+
 def attack_epsilon(a: AttackParams) -> float:
     """Disturbance caused by an attack-family member.
 
     eps = [n_xx (1 - cos phi_xx_yy) + n_xy (3 - cos phi_xy_yx)]
           / (4 (n_xx + n_xy)).
     """
-    return _epsilon_from(a.n_xx, a.n_xy, math.cos(a.phi_xx_yy), math.cos(a.phi_xy_yx))
+    return _epsilon_from(*_member_terms(a))
 
 
 def attack_collision(a: AttackParams) -> float:
@@ -197,7 +212,7 @@ def attack_collision(a: AttackParams) -> float:
     """
     from .verifiers import _collision_from
 
-    return float(_collision_from(a.n_xx, a.n_xy, math.cos(a.phi_xx_yy), math.cos(a.phi_xy_yx)))
+    return float(_collision_from(*_member_terms(a)))
 
 
 def attack_family_grid(ratio, cosines) -> tuple:
@@ -205,10 +220,11 @@ def attack_family_grid(ratio, cosines) -> tuple:
     members sharing one norm ratio, or for each of a 1-D array of them.
 
     Args:
-        ratio: Norm ratio n_xx / n_xy, positive, or a 1-D array of them.
-        cosines: Overlap cosines, an array or a sequence; every pair
-            (cos phi_xx_yy, cos phi_xy_yx) drawn from cosines x cosines is
-            one member.
+        ratio: Norm ratio n_xx / n_xy, non-negative and finite, or a 1-D
+            array or sequence of them.
+        cosines: Overlap cosines in [-1, 1], a 1-D array or sequence; every
+            pair (cos phi_xx_yy, cos phi_xy_yx) drawn from cosines x cosines
+            is one member.
 
     Returns:
         (eps, collision) as flat arrays over the members, ratio major, then
@@ -216,6 +232,10 @@ def attack_family_grid(ratio, cosines) -> tuple:
         attack_collision of that member at unit total norm. An array of
         ratios gives the one-ratio arrays of each ratio end to end, bit for
         bit.
+
+    Raises:
+        ValueError: naming the first ratio or cosine that is not a real
+            number (a str, bool or complex number is not) in its range.
     """
     from .verifiers import _family_grid
 
@@ -233,15 +253,15 @@ def maximize_attack_collision(eps: float) -> tuple[AttackParams, float]:
     case of verifiers._maximize_collisions, which searches many at once.
 
     Args:
-        eps: Target disturbance in (0, 1/2), with 1 + 4 eps above 1 in
-            float64 (eps above 2^-55): below that no grid point meets the
-            constraint.
+        eps: Target disturbance, a real number in (0, 1/2), with 1 + 4 eps
+            above 1 in float64 (eps above 2^-55): below that no grid point
+            meets the constraint.
 
     Returns:
         (maximizing AttackParams with unit total norm, collision probability).
     """
-    if not 0.0 < eps < 0.5:
-        raise ValueError("disturbance must lie strictly between 0 and 1/2")
+    if not (_is_real(eps) and 0.0 < eps < 0.5):
+        raise ValueError(f"disturbance must lie strictly between 0 and 1/2, got {eps!r}")
     if not 1.0 + 4.0 * eps > 1.0:
         raise ValueError(f"disturbance {eps} is below the search's resolution: 1 + 4 eps rounds to 1")
     from .verifiers import _maximize_collisions

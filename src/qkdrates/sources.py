@@ -285,12 +285,14 @@ class ClickStats:
 @_checks(
     "p_true must lie in [0, 1]",
     "p_false must lie in [0, 1]",
+    "p_true + p_false = {p_coin} exceeds 1, outside the first-order dark-count model",
     "coincidence error fraction must lie in [0, 1/2]",
 )
 def _coincidence_checks(p_true, p_false, e):
     return (
         (0.0 <= p_true) & (p_true <= 1.0),
         (0.0 <= p_false) & (p_false <= 1.0),
+        p_true + p_false <= 1.0,
         (0.0 <= e) & (e <= 0.5 + _WEIGHT_TOL),
     )
 
@@ -306,7 +308,7 @@ class CoincidenceStats:
 
     def __post_init__(self):
         if False in (holds := _coincidence_checks(self.p_true, self.p_false, self.e)):
-            raise _failure(_coincidence_checks, holds, **vars(self))
+            raise _failure(_coincidence_checks, holds, **vars(self), p_coin=self.p_coin)
 
     @property
     def p_coin(self) -> float:
@@ -420,14 +422,21 @@ def _error_fraction(signal, noise, mu):
     return (noise + 2.0 * mu * signal) / (2.0 * (signal + noise))
 
 
-# Totals the closed forms divide by, as predicates that the scalar functions
-# raise on and _stats_columns ANDs; a subnormal sift total leaves e to rounding.
+# The sift total the closed forms divide by, as a predicate that the scalar
+# functions raise on and _stats_columns ANDs; a subnormal one leaves e to
+# rounding.
 def _sift_ok(p_sift):
     return p_sift >= sys.float_info.min
 
 
-def _swap_ok(p_swap):
-    return p_swap != 0.0
+# A Bell analyzer's firing probability, which the chain's fidelity weight
+# divides by, and which the first-order dark-count model keeps at most 1.
+@_checks(
+    "degenerate statistics: no Bell analyzer can fire",
+    "p_swap = {p_swap} exceeds 1, outside the first-order dark-count model",
+)
+def _swap_checks(p_swap):
+    return (p_swap != 0.0, p_swap <= 1.0)
 
 
 def _sifted_error(signal: float, noise: float, mu: float, events: str = "coincidence") -> float:
@@ -531,8 +540,8 @@ def swap_stats_from_segment(
     alpha_bell = p.eta * checked_transmission(segment_transmission, "segment transmission")
     alpha_end = alpha_bell * db_to_transmission(receiver_arm_loss_db(p, 2))
     p_swap_true, p_swap = _swap_success(alpha_bell, d)
-    if not _swap_ok(p_swap):
-        raise ValueError("degenerate statistics: no Bell analyzer can fire")
+    if False in (holds := _swap_checks(p_swap)):
+        raise _failure(_swap_checks, holds, p_swap=p_swap)
     p_true, p_false = _swap_coincidences(
         p_swap_true, p_swap, alpha_end, d, src.n_swaps, src.literal_exponent, math.pow
     )
@@ -568,7 +577,7 @@ def _stats_columns(protocol: str, src: SourceSpec | None, p: ChannelParams, t, m
         signal, noise = _swap_coincidences(
             p_swap_true, p_swap, alpha_end, d, src.n_swaps, src.literal_exponent, maths.power
         )
-        checks.append(_swap_ok(p_swap))
+        checks.extend(_swap_checks(p_swap))
     else:
         chi = param if src is None else src.chi
         signal, vacuum, single, double = _pdc_weights(

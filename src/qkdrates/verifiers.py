@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from functools import lru_cache
 
 import numpy as np
 
+from .channel import _is_real
 from .ratecore import _quadratic_bound
 from .security import _epsilon_from
 
@@ -34,47 +36,93 @@ def _collision_from(x, y, c1, c2):
     """
     x, y, c1, c2 = (np.asarray(v, dtype=float) for v in (x, y, c1, c2))
     total = x + y
-    value = 0.75 - (x * c1 * c1 + y * c2 * c2) / (4.0 * total)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for s in (1.0, -1.0):
-            num = x * y * (1.0 + s * c1) * (1.0 + s * c2)
-            den = 2.0 * total * (x * (1.0 + s * c1) + y * (1.0 + s * c2))
-            value = value + np.where(num != 0.0, num / den, 0.0)
+    xy, twice = x * y, 2.0 * total
+    # scalar inputs give numpy scalars; asarray makes them 0-d arrays, which
+    # the in-place operations below can write to
+    value = np.asarray(x * c1 * c1 + y * c2 * c2)
+    value /= 4.0 * total
+    np.subtract(0.75, value, out=value)
+    for s in (1.0, -1.0):
+        p1, p2 = 1.0 + s * c1, 1.0 + s * c2
+        num = np.asarray(xy * p1 * p2)
+        den = x * p1 + y * p2
+        den *= twice
+        value += np.divide(num, den, out=num, where=num != 0.0)
     return value
+
+
+def _checked_reals(values, rule: str, lo: float, hi: float, scalar_ok: bool) -> np.ndarray:
+    """values, a 1-D array or sequence of real numbers in [lo, hi], or with
+    scalar_ok also a single such number, as a float array; a ValueError
+    names the first value that breaks the rule, or the values if they are
+    neither. A str, bytes, bool or complex number is not real."""
+    items = values.tolist() if isinstance(values, np.ndarray) else values
+    if not isinstance(items, (list, tuple)):
+        if not (scalar_ok and _is_real(items)):
+            raise ValueError(f"{rule}, got {values!r}")
+        items = (items,)
+    for value in items:
+        if not (_is_real(value) and lo <= value <= hi):
+            raise ValueError(f"{rule}, got {value!r}")
+    return np.asarray(values, dtype=float)
 
 
 def _family_grid(ratio, cosines) -> tuple[np.ndarray, np.ndarray]:
     """security.attack_family_grid (see there)."""
-    ratio = np.asarray(ratio, dtype=float)[..., None, None]
+    ratio = _checked_reals(ratio, "norm ratio must be a non-negative finite real number",
+                           0.0, sys.float_info.max, scalar_ok=True)[..., None, None]
+    cosines = _checked_reals(cosines, "overlap cosines must be a 1-D sequence of reals in [-1, 1]",
+                             -1.0, 1.0, scalar_ok=False)
     x, y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
-    cosines = np.asarray(cosines, dtype=float)
     c1, c2 = cosines[:, None], cosines[None, :]
     return _epsilon_from(x, y, c1, c2).ravel(), _collision_from(x, y, c1, c2).ravel()
 
 
-def _grid_collision(eps, c1: np.ndarray, c2: np.ndarray) -> tuple:
-    """Attack collision probability over a (c1, c2) grid at disturbance eps,
-    a float or an array that broadcasts with the grid.
+def _unit_norm_collision(num, den, c1, c2) -> tuple:
+    """_collision_from over the (c1, c2) grid of one search block, at the
+    norms the disturbance constraint pins: the n_xx share x = ratio / (1 +
+    ratio) of a unit total norm, ratio = num / den, and y = 1 - x. Returns
+    the full-size arrays (collision probabilities, x).
 
-    The disturbance constraint pins the norm ratio n_xx / n_xy to
-    (3 - c2 - 4 eps) / (c1 + 4 eps - 1); grid points where no non-negative
-    ratio exists are infeasible. Returns the collision probabilities, -inf
-    at infeasible points, and the n_xx share ratio / (1 + ratio) of a unit
-    total norm.
+    For x in [0, 1], x + y rounds to exactly 1, so _collision_from's
+    division by 4 total and its 2 total are the powers of two 4 and 2,
+    folded into the 1-D factors 0.25 c1, 0.25 c2 and 0.5 (1 + s c2): a
+    power-of-two scaling is exact, so every value keeps _collision_from's
+    bits. x y is formed once and the temporaries are written in place.
     """
-    den = c1 + 4.0 * eps - 1.0
-    num = 3.0 - c2 - 4.0 * eps
-    feasible = (den > 0.0) & (num >= 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = num / den
-        x = np.where(feasible, ratio / (1.0 + ratio), 0.5)
-    return np.where(feasible, _collision_from(x, 1.0 - x, c1, c2), -np.inf), x
+    x = num / den
+    y = x + 1.0
+    x /= y
+    np.subtract(1.0, x, out=y)
+    xy = x * y
+    value = x * (0.25 * c1)
+    value *= c1
+    part = y * (0.25 * c2)
+    part *= c2
+    value += part
+    np.subtract(0.75, value, out=value)
+    term, half_den = np.empty_like(value), np.empty_like(value)
+    for s in (1.0, -1.0):
+        p1, p2 = 1.0 + s * c1, 1.0 + s * c2
+        np.multiply(xy, p1, out=term)
+        term *= 0.5 * p2
+        np.multiply(x, p1, out=half_den)
+        np.multiply(y, p2, out=part)
+        half_den += part
+        np.divide(term, half_den, out=term, where=term != 0.0)
+        value += term
+    return value, x
 
 
 # Grid points per block of _maximize_collisions: 2 disturbances of 61 x 61,
-# or 18 of 21 x 21, so that each of a block's arrays stays under 64 KiB. With
-# 8 or 74 disturbances (over 128 KiB, where glibc's malloc switches to mmap)
-# the 49-disturbance search of the attack-bound suite took 9.5 ms, not 5.9.
+# or 18 of 21 x 21, so that each of a block's arrays stays under 64 KiB; the
+# attack-bound suite sizes its family-grid blocks by it too (3 norm ratios).
+# Measured with the unit-norm kernel, the suite alone in a fresh process for
+# each size (process CPU time, minimum of 40 runs, 2-core Xeon): 2^12 points
+# 11.8 ms, 2^13 8.6 ms, 2^14 10.6 ms, 2^15 11.2 ms. Smaller blocks pay
+# numpy's call overhead more often; from 2^14 on an array reaches 128 KiB,
+# where glibc's malloc switches to mmap, and 12,000 or 16,000 points, still
+# under it, were also slower than 2^13.
 _BLOCK_POINTS = 1 << 13
 
 
@@ -93,13 +141,29 @@ def _linspace_rows(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
 def _grid_best(eps: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> tuple:
     """Per disturbance eps[e], the first maximum in c1-major order of the
     collision probability over the grid c1[e] x c2[e], as arrays
-    (value, c1, c2, n_xx share)."""
-    values, shares = _grid_collision(eps[:, None, None], c1[:, :, None], c2[:, None, :])
-    values, shares = values.reshape(eps.size, -1), shares.reshape(eps.size, -1)
-    rows = np.arange(eps.size)
+    (value, c1, c2, n_xx share).
+
+    The disturbance constraint pins the norm ratio n_xx / n_xy to
+    (3 - c2 - 4 eps) / (c1 + 4 eps - 1). The search's grids lie above the
+    c1 floor, where every point has a non-negative ratio, so the check runs
+    on the 1-D factors. Should it ever fail, the points with no
+    non-negative ratio are masked: collision probability -inf, share 0.5.
+    """
+    eps, c1, c2 = eps[:, None, None], c1[:, :, None], c2[:, None, :]
+    den = c1 + 4.0 * eps - 1.0
+    num = 3.0 - c2 - 4.0 * eps
+    if (den > 0.0).all() and (num >= 0.0).all():
+        values, shares = _unit_norm_collision(num, den, c1, c2)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values, shares = _unit_norm_collision(num, den, c1, c2)
+        infeasible = ~((den > 0.0) & (num >= 0.0))
+        values[infeasible], shares[infeasible] = -np.inf, 0.5
+    values, shares = values.reshape(len(eps), -1), shares.reshape(len(eps), -1)
+    rows = np.arange(len(eps))
     k = np.argmax(values, axis=1)
-    k1, k2 = np.divmod(k, c2.shape[1])
-    return values[rows, k], c1[rows, k1], c2[rows, k2], shares[rows, k]
+    k1, k2 = np.divmod(k, c2.shape[2])
+    return values[rows, k], c1[rows, k1, 0], c2[rows, 0, k2], shares[rows, k]
 
 
 def _maximize_collisions(eps) -> tuple:

@@ -842,6 +842,14 @@ class TestSweepRows:
     @example(FIBER, ("ekert", SwapChain(3, literal_exponent=True)), (-0.0, 20.0, 12), "distance")
     @example(ChannelParams(sigma=0.2, eta=1.0, d=5e-324), ("bb84", None), (0.0, 700.0, 8), "total-loss")
     @example(ChannelParams(sigma=1.0, d=0.25), ("bb84", IdealSingle()), (0.0, 2000.0, 5), "distance")
+    # lossless devices whose first rows leave the first-order dark-count
+    # model: the pair's p_true + p_false, and a Bell analyzer's p_swap, past 1
+    @example(ChannelParams(sigma=0.2, eta=1.0, d=5e-5, mu=0.01), ("ekert", IdealEpr()), (0.0, 0.005, 5), "distance")
+    @example(ChannelParams(sigma=0.0, eta=0.78125, receiver_loss_db=0.0, d=0.16796875, mu=0.0,
+                           receiver_loss_per_arm=False), ("ekert", SwapChain(2)), (0.0, 1.0, 5), "total-loss")
+    # here p_swap alone passes 1, on the first three rows; the rest are rated
+    @example(ChannelParams(sigma=0.0, eta=1.0, receiver_loss_db=30.0, d=0.08, mu=0.0), ("ekert", SwapChain(1)),
+             (0.0, 0.2, 6), "total-loss")
     @settings(max_examples=150, deadline=None)
     def test_rows_match_the_scalar_path(self, p, curve, grid, mode):
         protocol, src = curve

@@ -1,5 +1,6 @@
 """Unit tests for key sizing, the attack family, and the hash-family oracle."""
 
+import functools
 import math
 import random
 import re
@@ -364,21 +365,42 @@ class TestMaximizer:
             maximize_attack_collision(eps)
 
 
+def scalar_grid_best(eps, c1_grid, c2_grid):
+    """The first maximum in c1-major order over c1_grid x c2_grid, scored
+    point by point in Python floats: the disturbance constraint's ratio,
+    where it is non-negative, and scalar_collision at the n_xx share of a
+    unit total norm. (value, c1, c2, share); -inf and 0.5 where no point
+    meets the constraint."""
+    best = (-math.inf, c1_grid[0], c2_grid[0], 0.5)
+    for c1 in c1_grid:
+        for c2 in c2_grid:
+            den = c1 + 4.0 * eps - 1.0
+            num = 3.0 - c2 - 4.0 * eps
+            if den > 0.0 and num >= 0.0:
+                ratio = num / den
+                x = ratio / (1.0 + ratio)
+                value = scalar_collision(x, 1.0 - x, c1, c2)
+                if value > best[0]:
+                    best = (value, c1, c2, x)
+    return best
+
+
+@functools.lru_cache(maxsize=None)
 def scalar_search(eps):
-    """The one-disturbance grid search written with Python scalars and
+    """The one-disturbance grid search written with Python floats and
     np.linspace, as maximize_attack_collision was before its search took a
-    vector: (value, c1, c2, n_xx share)."""
+    vector, each grid scored by scalar_grid_best: (value, c1, c2, n_xx
+    share)."""
     c1_floor = min(1.0, max(-1.0, 1.0 - 4.0 * eps) + 1e-12)
     c1_lo, c1_hi, c2_lo, c2_hi = c1_floor, 1.0, -1.0, 1.0
     best = None
     for level in range(4):
         n_pts = 61 if level == 0 else 21
-        c1_grid = np.linspace(c1_lo, c1_hi, n_pts)
-        c2_grid = np.linspace(c2_lo, c2_hi, n_pts)
-        values, shares = verifiers._grid_collision(eps, c1_grid[:, None], c2_grid[None, :])
-        k1, k2 = np.unravel_index(np.argmax(values), values.shape)
-        if best is None or values[k1, k2] > best[0]:
-            best = (float(values[k1, k2]), float(c1_grid[k1]), float(c2_grid[k2]), float(shares[k1, k2]))
+        c1_grid = np.linspace(c1_lo, c1_hi, n_pts).tolist()
+        c2_grid = np.linspace(c2_lo, c2_hi, n_pts).tolist()
+        found = scalar_grid_best(eps, c1_grid, c2_grid)
+        if best is None or found[0] > best[0]:
+            best = found
         span1 = (c1_hi - c1_lo) / (n_pts - 1)
         span2 = (c2_hi - c2_lo) / (n_pts - 1)
         c1_lo, c1_hi = max(c1_floor, best[1] - span1), min(1.0, best[1] + span1)
@@ -391,6 +413,17 @@ def scalar_search(eps):
 # rounds to 1, so that its first c1 grid has a zero step beside the other
 # rows' nonzero ones
 SEARCH_EPS = [k / 100.0 for k in range(1, 50)] + [1e-4, math.nextafter(0.5, 0.0), 1e-13, 2.4e-13, 2.4998075e-13]
+
+
+def _seeded_disturbances(count):
+    """Disturbances in (2^-55, 1/2) from random.Random(37): half uniform, half
+    log-uniform, so that small ones, where the c1 floor nears 1, appear."""
+    gen = random.Random(37)
+    low = math.log(2.0**-55)
+    draws = [gen.uniform(0.0, 0.5) for _ in range(count // 2)]
+    draws += [math.exp(gen.uniform(low, math.log(0.5))) for _ in range(count - count // 2)]
+    assert all(2.0**-55 < eps < 0.5 for eps in draws)
+    return draws
 
 
 def hexes(values):
@@ -415,6 +448,40 @@ class TestBatchedSearch:
             want = (want_value, x, 1.0 - x, math.acos(c1), math.acos(c2))
             assert hexes((value, params.n_xx, params.n_xy, params.phi_xx_yy, params.phi_xy_yx)) == hexes(want), eps
 
+    def test_batch_equals_the_scalar_search_bitwise(self):
+        # the unit-norm kernel against code it shares nothing with
+        eps = SEARCH_EPS + _seeded_disturbances(20)
+        batch = verifiers._maximize_collisions(np.array(eps))
+        for i, one in enumerate(eps):
+            assert hexes(column[i] for column in batch) == hexes(scalar_search(one)), one
+
+    def test_infeasible_points_are_masked(self):
+        # grids that reach below the c1 floor and past c2 = 3 - 4 eps take the
+        # masked path: -inf and share 0.5 where the constraint has no ratio
+        eps = np.array([0.05, 0.3, 0.45])
+        c1 = np.array([np.linspace(-1.0, 1.0, 31)] * 3)
+        c2 = np.array([np.linspace(-1.0, 1.0, 29)] * 3)
+        c2[2, -1] = 1.3  # 3 - c2 - 4 eps < 0
+        found = verifiers._grid_best(eps, c1, c2)
+        for i, one in enumerate(eps.tolist()):
+            assert hexes(column[i] for column in found) == hexes(scalar_grid_best(one, c1[i].tolist(), c2[i].tolist()))
+        nowhere = verifiers._grid_best(np.array([0.1]), np.array([[-1.0, 0.5]]), np.array([[-1.0, 1.0]]))
+        assert hexes(column[0] for column in nowhere) == hexes((-math.inf, -1.0, -1.0, 0.5))
+
+    def test_family_grid_equals_the_scalar_collision_bitwise(self):
+        # every (ratio, c1, c2) point of the attack-bound suite's 50^3 grid
+        cosines = [math.cos(math.pi * i / 49.0) for i in range(50)]
+        ratios = [10.0 ** (-3.0 + 6.0 * i / 49.0) for i in range(50)]
+        shares = [(r / (1.0 + r), 1.0 / (1.0 + r)) for r in ratios]
+        x = np.array([sx for sx, _ in shares])[:, None, None]
+        y = np.array([sy for _, sy in shares])[:, None, None]
+        got = _collision_from(x, y, np.array(cosines)[:, None], np.array(cosines)[None, :])
+        want = np.array([[[scalar_collision(sx, sy, c1, c2) for c2 in cosines] for c1 in cosines]
+                         for sx, sy in shares])
+        assert got.shape == (50, 50, 50)
+        assert got.tobytes() == want.tobytes()
+        assert attack_family_grid(ratios, cosines)[1].tobytes() == want.tobytes()
+
     def test_batch_order_and_blocks_do_not_matter(self, monkeypatch):
         eps = np.array(SEARCH_EPS)
         whole = verifiers._maximize_collisions(eps)
@@ -431,6 +498,114 @@ class TestBatchedSearch:
         rows = verifiers._linspace_rows(lo, hi, 21)
         for row, a, b in zip(rows, lo, hi):
             assert row.tobytes() == np.linspace(a, b, 21).tobytes()
+
+
+# Inputs of every kind a library caller might pass: finite and non-finite
+# floats, integers past float range, numpy scalars, and values that are not
+# real numbers at all (a bool, None, a str, bytes, a complex number, a list)
+_NOT_REAL = st.one_of(
+    st.booleans(), st.none(), st.sampled_from(["0.1", "", b"0.1", [0.1]]),
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+)
+_NUMBER = st.one_of(
+    st.floats(),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=-1.0, max_value=1.0).map(np.float64),
+    st.integers(min_value=-(2**1100), max_value=2**1100),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 2.2e-308, 1e308, 10**400]),
+)
+_ANYTHING = st.one_of(_NUMBER, _NUMBER, _NUMBER, _NOT_REAL)
+
+
+def _finite_in_unit_range(*values):
+    return all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values)
+
+
+class TestMalformedInput:
+    """Each attack-family entry point returns finite values in range or
+    raises ValueError; nothing else (no TypeError, NaN or numpy warning)."""
+
+    @given(_ANYTHING, _ANYTHING, _ANYTHING, _ANYTHING)
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    def test_members_are_finite_or_rejected(self, n_xx, n_xy, phi1, phi2):
+        try:
+            member = AttackParams(n_xx=n_xx, n_xy=n_xy, phi_xx_yy=phi1, phi_xy_yx=phi2)
+        except ValueError:
+            return
+        eps, collision = attack_epsilon(member), attack_collision(member)
+        assert type(eps) is float and type(collision) is float
+        assert _finite_in_unit_range(eps, collision)
+        assert collision <= collision_bound(eps) + 1e-9
+
+    @given(
+        st.one_of(_ANYTHING, st.lists(_ANYTHING, max_size=3),
+                  st.lists(st.floats(min_value=0.0, max_value=1e3), max_size=3).map(np.array)),
+        st.one_of(st.lists(_ANYTHING, max_size=4), st.lists(_NUMBER, max_size=4).map(np.array), _ANYTHING,
+                  st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=4)),
+    )
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    def test_family_grid_is_finite_or_rejected(self, ratio, cosines):
+        try:
+            eps, collision = attack_family_grid(ratio, cosines)
+        except ValueError:
+            return
+        assert eps.shape == collision.shape
+        assert _finite_in_unit_range(*eps.tolist(), *collision.tolist())
+
+    @given(st.one_of(_ANYTHING, st.floats(min_value=0.0, max_value=0.5)))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_search_is_finite_or_rejected(self, eps):
+        try:
+            params, value = maximize_attack_collision(eps)
+        except ValueError:
+            return
+        assert type(value) is float and 0.5 <= value <= 1.0
+        assert all(math.isfinite(v) for v in vars(params).values())
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: maximize_attack_collision("0.1"), "disturbance must lie strictly between 0 and 1/2, got '0.1'"),
+        (lambda: maximize_attack_collision(None), "disturbance must lie strictly between 0 and 1/2, got None"),
+        (lambda: maximize_attack_collision([0.1]), "disturbance must lie strictly between 0 and 1/2, got [0.1]"),
+        (lambda: maximize_attack_collision(0.1j), "disturbance must lie strictly between 0 and 1/2, got 0.1j"),
+        (lambda: maximize_attack_collision(True), "disturbance must lie strictly between 0 and 1/2, got True"),
+        (lambda: AttackParams(math.nan, 1.0, 0.0, 0.0), "n_xx must be a finite real number, got nan"),
+        (lambda: AttackParams(1.0, math.inf, 0.0, 0.0), "n_xy must be a finite real number, got inf"),
+        (lambda: AttackParams(1.0, 1.0, -math.inf, 0.0), "phi_xx_yy must be a finite real number, got -inf"),
+        (lambda: AttackParams(1.0, 1.0, 0.0, math.nan), "phi_xy_yx must be a finite real number, got nan"),
+        (lambda: AttackParams(True, 1.0, 0.0, 0.0), "n_xx must be a finite real number, got True"),
+        (lambda: AttackParams(1.0, 1.0, "0", 0.0), "phi_xx_yy must be a finite real number, got '0'"),
+        (lambda: AttackParams(1.0, 2**1024, 0.0, 0.0), f"n_xy must be a finite real number, got {2**1024}"),
+        (lambda: attack_family_grid("0.1", [0.5]), "norm ratio must be a non-negative finite real number, got '0.1'"),
+        (lambda: attack_family_grid(None, [0.5]), "norm ratio must be a non-negative finite real number, got None"),
+        (lambda: attack_family_grid(-1.0, [0.5]), "norm ratio must be a non-negative finite real number, got -1.0"),
+        (lambda: attack_family_grid(math.inf, [0.5]), "norm ratio must be a non-negative finite real number, got inf"),
+        (lambda: attack_family_grid([1.0, True], [0.5]),
+         "norm ratio must be a non-negative finite real number, got True"),
+        (lambda: attack_family_grid(1.0, [0.5, 2.0]),
+         "overlap cosines must be a 1-D sequence of reals in [-1, 1], got 2.0"),
+        (lambda: attack_family_grid(1.0, np.array([0.5, math.nan])),
+         "overlap cosines must be a 1-D sequence of reals in [-1, 1], got nan"),
+        (lambda: attack_family_grid(1.0, 0.5), "overlap cosines must be a 1-D sequence of reals in [-1, 1], got 0.5"),
+    ], ids=lambda value: value.split()[0] + "-" + value.rpartition("got ")[2][:12] if isinstance(value, str) else "")
+    def test_malformed_input_is_named(self, call, message):
+        # each of these once returned NaN or (0, 0), converted a str, warned,
+        # or raised TypeError
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("k", [-1074, -1000, -600, 600, 1000, 1022])
+    def test_norms_near_the_float_range_ends_keep_the_ratio_value(self, k):
+        # both closed forms depend on the norms' ratio alone, and a power-of-two
+        # scaling of the norms changes none of their bits: products of norms
+        # near either end of the float range once overflowed to NaN or
+        # underflowed to a wrong value
+        scale = math.ldexp(1.0, k)
+        for n_xx, n_xy in ((1.0, 1.0), (3.0, 1.0), (0.0, 1.0)):
+            one = AttackParams(n_xx=n_xx, n_xy=n_xy, phi_xx_yy=1.0, phi_xy_yx=2.0)
+            scaled = AttackParams(n_xx=n_xx * scale, n_xy=n_xy * scale, phi_xx_yy=1.0, phi_xy_yx=2.0)
+            assert attack_collision(scaled) == attack_collision(one)
+            assert attack_epsilon(scaled) == attack_epsilon(one)
 
 
 class TestMultiphotonBound:

@@ -28,6 +28,7 @@ from qkdrates.sources import (
     _error_fraction,
     _pdc_coefficient_checks,
     _sifted_error,
+    _swap_checks,
     bb84_stats,
     ekert_ideal_stats,
     parse_source,
@@ -135,8 +136,28 @@ class TestEkertIdealStats:
     )
     @settings(max_examples=200)
     def test_error_below_half(self, alpha, d):
+        # where the coincidences sum past 1, the first-order model ends
+        if alpha * alpha + sources._pair_false(alpha, d) > 1.0:
+            with pytest.raises(ValueError, match=r"^p_true \+ p_false = .* exceeds 1, outside"):
+                ekert_ideal_stats(alpha, ChannelParams(d=d))
+            return
         st_ = ekert_ideal_stats(alpha, ChannelParams(d=d))
         assert 0.0 <= st_.e < 0.5
+
+    def test_lossless_pair_is_outside_the_first_order_model(self):
+        # at zero loss the pair sums to (1 + 4d)^2 > 1; the pair once rated
+        # 0.4240 here, where BB84's ideal single photon already rated 0
+        p = ChannelParams(sigma=0.2, eta=1.0, d=5e-5, mu=0.01)
+        pair = point_rate("ekert", IdealEpr(), p, 0.0)
+        assert pair == RatePoint(
+            0.0, 0.0, note="p_true + p_false = 1.00040004 exceeds 1, outside the first-order dark-count model"
+        )
+        assert point_rate("bb84", IdealSingle(), p, 0.0) == RatePoint(0.0, 0.0, note="p_click must lie in [0, 1]")
+        # the sweep's array pass rejects the same rows, with the same notes
+        spec = SweepSpec("ekert", p, IdealEpr(), 0.0, 0.02, 0.005)
+        points = sweep(spec).points()
+        assert points == [point_rate("ekert", IdealEpr(), p, x) for x in spec.grid()]
+        assert points[0] == pair and points[-1].rate > 0.0
 
 
 class TestPdc:
@@ -290,6 +311,18 @@ class TestSourceValidation:
             pdc_coefficients(0.2, alpha)
 
 
+# A device whose Bell analyzers fire with p_swap = 1.43 at zero loss.
+_ANALYZER_PAST_ONE = ChannelParams(sigma=0.0, eta=0.78125, receiver_loss_db=0.0, d=0.16796875, mu=0.0,
+                                   receiver_loss_per_arm=False)
+
+
+def _analyzer_firing(p_swap):
+    """swap_stats_from_segment on a device whose Bell analyzers fire with
+    p_swap, 0 or 1.43."""
+    segment, p = {0.0: (0.0, ChannelParams()), 1.43109130859375: (1.0, _ANALYZER_PAST_ONE)}[p_swap]
+    return swap_stats_from_segment(SwapChain(1), segment, p)
+
+
 class TestSwapChain:
     def test_frozen_bell_analyzer_terms(self):
         p = ChannelParams(eta=1.0, d=1e-5)
@@ -334,17 +367,23 @@ class TestSwapChain:
         # only the two end photons see the 3 dB, so p_true scales by 10^(-0.6)
         assert b.p_true == pytest.approx(a.p_true * 10 ** (-0.6), rel=1e-12)
 
-    def test_overflowing_chain_notes_a_range_error(self):
+    def test_analyzer_past_one_is_rejected(self):
         # at d = 0.168 a Bell analyzer near the source fires with p_swap = 1.43,
-        # so p_swap^2000 overflows; the builtin pow once noted the errno tuple
-        # "(34, 'Numerical result out of range')"
-        p = ChannelParams(sigma=0.0, eta=0.78125, receiver_loss_db=0.0, d=0.16796875, mu=0.0,
-                          receiver_loss_per_arm=False)
-        with pytest.raises(OverflowError, match="^math range error$"):
-            point_stats("ekert", SwapChain(2000), p, 0.0, "total-loss")
-        assert point_rate("ekert", SwapChain(2000), p, 0.0, "total-loss") == RatePoint(
-            0.0, 0.0, note="math range error"
-        )
+        # outside the first-order dark-count model; one swap was once rejected
+        # only when p_false passed 1, and 2000 swaps overflowed p_swap^2000
+        note = "p_swap = 1.43109130859375 exceeds 1, outside the first-order dark-count model"
+        for n_swaps in (1, 2000):
+            with pytest.raises(ValueError, match="^" + re.escape(note) + "$"):
+                point_stats("ekert", SwapChain(n_swaps), _ANALYZER_PAST_ONE, 0.0, "total-loss")
+            assert point_rate("ekert", SwapChain(n_swaps), _ANALYZER_PAST_ONE, 0.0, "total-loss") == RatePoint(
+                0.0, 0.0, note=note
+            )
+        # here only p_swap passes 1: p_true, p_false and e are in range, and
+        # the chain was once rated with them
+        p = ChannelParams(sigma=0.0, eta=1.0, receiver_loss_db=30.0, d=0.08, mu=0.0)
+        with pytest.raises(ValueError, match=r"^p_swap = 1\.0568 exceeds 1, outside"):
+            point_stats("ekert", SwapChain(1), p, 0.0, "total-loss")
+        assert point_stats("ekert", SwapChain(1), p, 1.0, "total-loss").p_false < 1.0
 
     def test_chain_below_the_overflow_keeps_its_bits(self):
         # math.pow takes the power that the builtin pow took, bit for bit,
@@ -438,9 +477,18 @@ _VIOLATIONS = [
     (_click_checks, (0.5, -0.1, 0.9), ClickStats, "error fraction must lie in [0, 1]"),
     (_click_checks, (0.5, 0.1, -math.inf), ClickStats, "beta must be finite, got -inf"),
     (_click_checks, (0.5, 0.1, 1.5), ClickStats, "beta cannot exceed 1"),
-    (_coincidence_checks, (1.5, 0.1, 0.1), CoincidenceStats, "p_true must lie in [0, 1]"),
+    (_coincidence_checks, (-0.5, 0.1, 0.1), CoincidenceStats, "p_true must lie in [0, 1]"),
     (_coincidence_checks, (0.2, -0.1, 0.1), CoincidenceStats, "p_false must lie in [0, 1]"),
+    (
+        _coincidence_checks, (0.6, 0.5, 0.1), CoincidenceStats,
+        "p_true + p_false = 1.1 exceeds 1, outside the first-order dark-count model",
+    ),
     (_coincidence_checks, (0.2, 0.1, 0.6), CoincidenceStats, "coincidence error fraction must lie in [0, 1/2]"),
+    (_swap_checks, (0.0,), _analyzer_firing, "degenerate statistics: no Bell analyzer can fire"),
+    (
+        _swap_checks, (1.43109130859375,), _analyzer_firing,
+        "p_swap = 1.43109130859375 exceeds 1, outside the first-order dark-count model",
+    ),
     (_pdc_coefficient_checks, (-0.5, 0.5, 0.1, 0.1), PdcCoefficients, "coefficient A must lie in [0, 1], got -0.5"),
     (_pdc_coefficient_checks, (0.1, -0.5, 0.1, 0.1), PdcCoefficients, "coefficient B must lie in [0, 1], got -0.5"),
     (_pdc_coefficient_checks, (0.1, 0.5, -0.25, 0.1), PdcCoefficients, "coefficient C must lie in [0, 1], got -0.25"),
@@ -461,10 +509,6 @@ _FUNCTION_VIOLATIONS = [
         "degenerate statistics: click probability is below the smallest normal float",
     ),
     (lambda: pdc_coefficients(25.0, 0.0), "degenerate statistics: tanh^2(chi) (1 - alpha)^2 rounds to 1"),
-    (
-        lambda: swap_stats_from_segment(SwapChain(1), 0.0, ChannelParams()),
-        "degenerate statistics: no Bell analyzer can fire",
-    ),
 ]
 
 

@@ -65,6 +65,15 @@ def _lowered(delta):
     return lambda bound: lambda eps: bound(eps) - delta
 
 
+def _shrunk_values(kernel):
+    """Mutate the search's unit-norm kernel: scale its collision
+    probabilities by 1 - 1e-5, leaving the shares as they are."""
+    def mutant(*args):
+        values, shares = kernel(*args)
+        return values * (1.0 - 1e-5), shares
+    return mutant
+
+
 def _halved_ratio_bound(bound):
     # 2^(i-2) in place of 2^(i-1)
     return lambda i, j: 0.0 if i == 1 or j == 1 else float((2 ** (i - 2) - 1) * (2 ** (j - 1) - 1))
@@ -93,7 +102,9 @@ BOUNDS = ((ratecore, "collision_bound"), (verifiers, "_collision_bound_array"))
 # so those rows use 1e-4 and 1e-3. The two fockoracle rows break the brute
 # force instead; every density it builds is still a Gram matrix. The last
 # row leaves every margin 5e-13 short of the bound, so it fails only on a
-# verdict that applies no slack below the reported tolerance of 0.
+# verdict that applies no slack below the reported tolerance of 0. The bound
+# rows lower the bound; the search-shrunk row breaks the search instead,
+# whose kernel the family grid does not share, so only the maximum fails.
 MUTATIONS = [
     ("pdc-oracle", {(sources, "_pdc_weights"): _scaled_weight(0, 1 - 1e-5)}, {COEFFICIENTS}),
     ("pdc-oracle", {(sources, "_pdc_weights"): _scaled_weight(1, 1 - 1e-5)}, {COEFFICIENTS}),
@@ -103,6 +114,7 @@ MUTATIONS = [
     ("pdc-oracle", {(fockoracle, "_loss_factors"): _squared}, {COEFFICIENTS, PAIR_SECTOR}),
     ("attack-bound", {bound: _lowered(1e-7) for bound in BOUNDS}, {GRID}),
     ("attack-bound", {bound: _lowered(1e-5) for bound in BOUNDS}, {MAXIMUM, GRID}),
+    ("attack-bound", {(verifiers, "_unit_norm_collision"): _shrunk_values}, {MAXIMUM}),
     ("multi-photon", {(security, "multiphoton_ratio_bound"): _halved_ratio_bound},
      {"dual-fire ratio bound >= 1 for i, j in 2..10"}),
     ("privacy-amp", {(verifiers, "_family_seeds"): _one_zero_seed}, {PA_BOUND}),
@@ -110,7 +122,7 @@ MUTATIONS = [
 ]
 MUTATION_IDS = [
     "pdc-A", "pdc-B", "pdc-C", "pdc-D", "pdc-swapped-ports", "pdc-squared-loss",
-    "bound-1e-7", "bound-1e-5", "ratio-2^(i-2)", "zero-seed", "pa-shaved-margin",
+    "bound-1e-7", "bound-1e-5", "search-shrunk-1e-5", "ratio-2^(i-2)", "zero-seed", "pa-shaved-margin",
 ]
 
 # dephasing groups the same amplitudes twice, by tags that the detector

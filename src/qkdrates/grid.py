@@ -218,9 +218,10 @@ def _optimal_params(protocol: str, p: ChannelParams, alpha: np.ndarray) -> np.nd
 
 
 def _sweep_columns(spec: SweepSpec) -> SweepColumns:
-    """protocols.sweep's row pass (see there). A row that the pass rejects
-    keeps its zeros and takes the note of protocols.point_rate, looked up on
-    the module, so that a tracer that wraps it there counts the call."""
+    """protocols.sweep's row pass (see there). A row that the pass rejects,
+    and every row where it raises, keeps its zeros and takes only the note
+    of protocols.point_rate, looked up on the module, so that a tracer that
+    wraps it there counts the call."""
     protocol, src, p, mode = spec.protocol, spec.source, spec.params, spec.mode
     xs = spec.grid()
     abscissa = np.array(xs, dtype=float)
@@ -232,18 +233,12 @@ def _sweep_columns(spec: SweepSpec) -> SweepColumns:
             optimal_param = _optimal_params(protocol, p, t)
         raw, stats, ok = _rate_columns(protocol, src, p, t, _ROW_MATHS, optimal_param)
     except (ValueError, OverflowError):
-        # a swap count past float range, or a libm function at some row, raised
-        # where the scalar path raises: the pass rates no row
+        # a pump whose cosh overflows, or a swap count past float range, raised
+        # at every row, as on the scalar path: the pass rates no row
         raw, stats, ok = np.zeros(len(xs)), (0.0, 0.0, 0.0), np.zeros(len(xs), dtype=bool)
     stats = tuple(np.where(ok, column, 0.0) for column in stats)
     notes = {}
     for i in np.flatnonzero(~ok).tolist():
         row_src = src if optimal_param is None else _free_source(protocol, optimal_param.item(i))
-        point = protocols.point_rate(protocol, row_src, p, xs[i], mode)
-        if point.stats is None:
-            notes[i] = point.note
-        else:  # the pass raised at another row, and point_rate rates this one
-            raw[i] = point.rate_raw
-            for column, value in zip(stats, vars(point.stats).values()):
-                column[i] = value
+        notes[i] = protocols.point_rate(protocol, row_src, p, xs[i], mode).note
     return SweepColumns(protocol, abscissa, raw, optimal_param, stats, notes)

@@ -454,9 +454,9 @@ def sweep(spec: SweepSpec) -> SweepColumns:
     one array pass, grid._rate_columns with libm's functions, which gives
     each row the bits of point_rate at its source. A row that the pass
     rejects (degenerate statistics) keeps the pass's zeros as its rate and
-    statistics, and its note is point_rate's message there. Where the pass
-    raises (a pump parameter whose cosh overflows, a swap count past float
-    range, or a swap chain's p_swap^n at some row), point_rate rates each row.
+    statistics, and its note is point_rate's message there. The pass raises
+    only where the whole curve's source fails (a pump parameter whose cosh
+    overflows, a swap count past float range); then every row is rejected.
     """
     from .grid import _sweep_columns
 

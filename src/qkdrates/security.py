@@ -40,11 +40,24 @@ _LN2 = math.log(2.0)
 
 
 def _integer(value, name: str) -> int:
-    """The value as a Python int, for an integer, numpy's included, but not
-    a bool; a ValueError naming the value for anything else."""
+    """The value as a Python int, for an integer in float range, numpy's
+    included, but not a bool; a ValueError naming the value otherwise."""
     if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    if abs(value := operator.index(value)) > sys.float_info.max:
+        raise ValueError(f"{name} {value} lies past float range")
+    return value
+
+
+def _real(value, rule: str, holds) -> float:
+    """The value as a float, for a real number (not a str, bool or complex)
+    on which holds is true; else a ValueError with the rule, naming it."""
+    if not (_is_real(value) and holds(value)):
+        raise ValueError(f"{rule}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{rule} within float range, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -105,8 +118,7 @@ class AttackParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not (_is_real(value) and abs(value) <= sys.float_info.max):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            _real(value, f"{name} must be a finite real number", lambda v: abs(v) <= sys.float_info.max)
         if self.n_xx < 0 or self.n_xy < 0:
             raise ValueError("probe norms must be non-negative")
         if self.n_xx + self.n_xy == 0:
@@ -114,13 +126,17 @@ class AttackParams:
 
 
 def ec_leak_bits(n_rec: int, e: float) -> int:
-    """Bits leaked by error correction: ceil(f(e) * n_rec * h(e))."""
+    """Bits leaked by error correction, ceil(f(e) n_rec h(e)), e in [0, 1/2)."""
     n_rec = _integer(n_rec, "reconciled key length")
     if n_rec < 0:
         raise ValueError("reconciled key length must be non-negative")
+    e = _real(e, "error fraction must lie in [0, 0.5)", lambda v: 0.0 <= v < 0.5)
     if e == 0.0 or n_rec == 0:
         return 0
-    return math.ceil(ec_efficiency(e) * n_rec * binary_entropy(e))
+    leak = ec_efficiency(e) * n_rec * binary_entropy(e)
+    if leak == math.inf:
+        raise ValueError(f"reconciled key length {n_rec} leaks past float range")
+    return math.ceil(leak)
 
 
 def final_key_length(
@@ -150,8 +166,13 @@ def final_key_length(
         raise ValueError("reconciled key length must be positive")
     if kappa < 0:
         raise ValueError("error-correction leakage must be non-negative")
+    if not isinstance(sec, SecurityParams):
+        raise ValueError(f"security margins must be a SecurityParams, got {sec!r}")
+    beta = _real(beta, "beta must be positive", lambda v: v > 0.0)
+    eps = _real(eps, "error fraction must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
     t_bits = tau_multiphoton(eps, beta)
-    r = max(0, math.floor(n_rec * t_bits - kappa - sec.s - sec.t))
+    # clamped before the floor: margins near float range take the sum to -inf
+    r = math.floor(max(0.0, n_rec * t_bits - kappa - sec.s - sec.t))
     return KeyBudget(
         n_rec=n_rec, tau_bits=t_bits, kappa=kappa, r=r, eve_info=eve_info_bound(r, sec)
     )
@@ -162,6 +183,8 @@ def eve_info_bound(r: int, sec: SecurityParams) -> float:
     r = _integer(r, "key length")
     if r < 0:
         raise ValueError("key length must be non-negative")
+    if not isinstance(sec, SecurityParams):
+        raise ValueError(f"security margins must be a SecurityParams, got {sec!r}")
     return math.ldexp(float(r), -sec.t) + math.ldexp(1.0 / _LN2, -sec.s)
 
 
@@ -170,10 +193,8 @@ def markov_leak_probability(i_e: float, threshold: float) -> float:
 
     P(I >= threshold) <= i_e / threshold, clamped to 1.
     """
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    if not i_e >= 0:
-        raise ValueError(f"information bound must be non-negative, got {i_e}")
+    threshold = _real(threshold, "threshold must be positive", lambda v: v > 0.0)
+    i_e = _real(i_e, "information bound must be non-negative", lambda v: v >= 0.0)
     return min(1.0, i_e / threshold)
 
 
@@ -207,12 +228,13 @@ def attack_epsilon(a: AttackParams) -> float:
 def attack_collision(a: AttackParams) -> float:
     """Eve's collision probability for an attack-family member.
 
-    Closed form in the two norms and two overlap angles; the two
-    basis-dependent terms drop out when their numerators vanish.
+    Closed form in the two overlap angles and the n_xx share n_xx / (n_xx
+    + n_xy) of the norms (verifiers._unit_norm_collision).
     """
-    from .verifiers import _collision_from
+    from .verifiers import _unit_norm_collision
 
-    return float(_collision_from(*_member_terms(a)))
+    n_xx, n_xy, c1, c2 = _member_terms(a)
+    return float(_unit_norm_collision(n_xx / (n_xx + n_xy), c1, c2))
 
 
 def attack_family_grid(ratio, cosines) -> tuple:
@@ -229,9 +251,9 @@ def attack_family_grid(ratio, cosines) -> tuple:
     Returns:
         (eps, collision) as flat arrays over the members, ratio major, then
         cos phi_xx_yy; each element equals attack_epsilon and
-        attack_collision of that member at unit total norm. An array of
-        ratios gives the one-ratio arrays of each ratio end to end, bit for
-        bit.
+        attack_collision of that member at n_xx = ratio / (1 + ratio) and
+        n_xy = 1 - n_xx. An array of ratios gives the one-ratio arrays of
+        each ratio end to end, bit for bit.
 
     Raises:
         ValueError: naming the first ratio or cosine that is not a real
@@ -260,8 +282,7 @@ def maximize_attack_collision(eps: float) -> tuple[AttackParams, float]:
     Returns:
         (maximizing AttackParams with unit total norm, collision probability).
     """
-    if not (_is_real(eps) and 0.0 < eps < 0.5):
-        raise ValueError(f"disturbance must lie strictly between 0 and 1/2, got {eps!r}")
+    eps = _real(eps, "disturbance must lie strictly between 0 and 1/2", lambda v: 0.0 < v < 0.5)
     if not 1.0 + 4.0 * eps > 1.0:
         raise ValueError(f"disturbance {eps} is below the search's resolution: 1 + 4 eps rounds to 1")
     from .verifiers import _maximize_collisions
@@ -319,8 +340,8 @@ def pa_entropy_bound_check(n: int, per_bit_pc: float, r: int) -> tuple[float, fl
     r = _integer(r, "output length")
     if not 1 <= n <= 12:
         raise ValueError("block length must lie in 1..12 (exhaustive oracle)")
-    if not 0.5 <= per_bit_pc <= 1.0:
-        raise ValueError("per-bit collision probability must lie in [1/2, 1]")
+    per_bit_pc = _real(per_bit_pc, "per-bit collision probability must lie in [1/2, 1]",
+                       lambda v: 0.5 <= v <= 1.0)
     if not 0 <= r <= n:
         raise ValueError("output length must lie in 0..n")
     rhs = r - math.ldexp(per_bit_pc**n, r) / _LN2

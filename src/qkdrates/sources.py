@@ -245,14 +245,16 @@ def _failure(table, holds, **values) -> ValueError:
 
 
 @_checks(
-    "p_click must lie in [0, 1]",
+    "p_click must be non-negative",
+    "p_click = {p_click} exceeds 1, outside the first-order dark-count model",
     "error fraction must lie in [0, 1]",
     "beta must be finite, got {beta}",
     "beta cannot exceed 1",
 )
 def _click_checks(p_click, e, beta):
     return (
-        (0.0 <= p_click) & (p_click <= 1.0),
+        0.0 <= p_click,
+        p_click <= 1.0,
         (0.0 <= e) & (e <= 1.0),
         (-math.inf < beta) & (beta < math.inf),
         beta <= 1.0 + _WEIGHT_TOL,
@@ -574,8 +576,9 @@ def _stats_columns(protocol: str, src: SourceSpec | None, p: ChannelParams, t, m
         alpha_bell = p.eta * t
         alpha_end = alpha_bell * db_to_transmission(receiver_arm_loss_db(p, 2))
         p_swap_true, p_swap = _swap_success(alpha_bell, d)
+        base = p_swap * (p_swap <= 1.0)  # 0 where _swap_checks rejects p_swap > 1: p_swap^n cannot overflow
         signal, noise = _swap_coincidences(
-            p_swap_true, p_swap, alpha_end, d, src.n_swaps, src.literal_exponent, maths.power
+            p_swap_true, base, alpha_end, d, src.n_swaps, src.literal_exponent, maths.power
         )
         checks.extend(_swap_checks(p_swap))
     else:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import _is_real
 from .ratecore import _quadratic_bound
-from .security import _epsilon_from
+from .security import _epsilon_from, _real
 
 
 def _collision_bound_array(eps: np.ndarray) -> np.ndarray:
@@ -25,30 +25,6 @@ def _collision_bound_array(eps: np.ndarray) -> np.ndarray:
     if not np.all(valid):
         raise ValueError(f"disturbance must be non-negative, got {float(eps[~valid][0])}")
     return np.where(eps >= 0.5, 1.0, _quadratic_bound(eps))
-
-
-def _collision_from(x, y, c1, c2):
-    """Collision probability of the attack with norms x, y and overlap
-    cosines c1, c2, as floats or broadcastable numpy arrays.
-
-    Each basis-dependent term drops out where its numerator vanishes; there
-    its denominator may vanish too, so that division is masked, not taken.
-    """
-    x, y, c1, c2 = (np.asarray(v, dtype=float) for v in (x, y, c1, c2))
-    total = x + y
-    xy, twice = x * y, 2.0 * total
-    # scalar inputs give numpy scalars; asarray makes them 0-d arrays, which
-    # the in-place operations below can write to
-    value = np.asarray(x * c1 * c1 + y * c2 * c2)
-    value /= 4.0 * total
-    np.subtract(0.75, value, out=value)
-    for s in (1.0, -1.0):
-        p1, p2 = 1.0 + s * c1, 1.0 + s * c2
-        num = np.asarray(xy * p1 * p2)
-        den = x * p1 + y * p2
-        den *= twice
-        value += np.divide(num, den, out=num, where=num != 0.0)
-    return value
 
 
 def _checked_reals(values, rule: str, lo: float, hi: float, scalar_ok: bool) -> np.ndarray:
@@ -62,8 +38,7 @@ def _checked_reals(values, rule: str, lo: float, hi: float, scalar_ok: bool) -> 
             raise ValueError(f"{rule}, got {values!r}")
         items = (items,)
     for value in items:
-        if not (_is_real(value) and lo <= value <= hi):
-            raise ValueError(f"{rule}, got {value!r}")
+        _real(value, rule, lambda v: lo <= v <= hi)
     return np.asarray(values, dtype=float)
 
 
@@ -73,45 +48,27 @@ def _family_grid(ratio, cosines) -> tuple[np.ndarray, np.ndarray]:
                            0.0, sys.float_info.max, scalar_ok=True)[..., None, None]
     cosines = _checked_reals(cosines, "overlap cosines must be a 1-D sequence of reals in [-1, 1]",
                              -1.0, 1.0, scalar_ok=False)
-    x, y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
+    x = ratio / (1.0 + ratio)
     c1, c2 = cosines[:, None], cosines[None, :]
-    return _epsilon_from(x, y, c1, c2).ravel(), _collision_from(x, y, c1, c2).ravel()
+    return _epsilon_from(x, 1.0 - x, c1, c2).ravel(), _unit_norm_collision(x, c1, c2).ravel()
 
 
-def _unit_norm_collision(num, den, c1, c2) -> tuple:
-    """_collision_from over the (c1, c2) grid of one search block, at the
-    norms the disturbance constraint pins: the n_xx share x = ratio / (1 +
-    ratio) of a unit total norm, ratio = num / den, and y = 1 - x. Returns
-    the full-size arrays (collision probabilities, x).
-
-    For x in [0, 1], x + y rounds to exactly 1, so _collision_from's
-    division by 4 total and its 2 total are the powers of two 4 and 2,
-    folded into the 1-D factors 0.25 c1, 0.25 c2 and 0.5 (1 + s c2): a
-    power-of-two scaling is exact, so every value keeps _collision_from's
-    bits. x y is formed once and the temporaries are written in place.
-    """
-    x = num / den
-    y = x + 1.0
-    x /= y
-    np.subtract(1.0, x, out=y)
+def _unit_norm_collision(x, c1, c2) -> np.ndarray:
+    """Collision probability of the attack with norms x, the n_xx share of a
+    unit total norm, and y = 1 - x, and overlap cosines c1, c2 (floats or
+    broadcastable arrays). For x in [0, 1], x + y rounds to exactly 1, so the
+    closed form's division by 4 (x + y) and factor 2 (x + y) are powers of
+    two, folded exactly into 0.25 c1, 0.25 c2 and 0.5 (1 + s c2). A basis
+    term drops out where its numerator vanishes; there its denominator may
+    vanish too, so that division is masked, not taken."""
+    y = 1.0 - x
     xy = x * y
-    value = x * (0.25 * c1)
-    value *= c1
-    part = y * (0.25 * c2)
-    part *= c2
-    value += part
-    np.subtract(0.75, value, out=value)
-    term, half_den = np.empty_like(value), np.empty_like(value)
+    value = np.asarray(0.75 - (x * (0.25 * c1) * c1 + y * (0.25 * c2) * c2))
     for s in (1.0, -1.0):
         p1, p2 = 1.0 + s * c1, 1.0 + s * c2
-        np.multiply(xy, p1, out=term)
-        term *= 0.5 * p2
-        np.multiply(x, p1, out=half_den)
-        np.multiply(y, p2, out=part)
-        half_den += part
-        np.divide(term, half_den, out=term, where=term != 0.0)
-        value += term
-    return value, x
+        term = np.asarray(xy * p1 * (0.5 * p2))
+        value += np.divide(term, x * p1 + y * p2, out=term, where=term != 0.0)
+    return value
 
 
 # Grid points per block of _maximize_collisions: 2 disturbances of 61 x 61,
@@ -143,23 +100,21 @@ def _grid_best(eps: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> tuple:
     collision probability over the grid c1[e] x c2[e], as arrays
     (value, c1, c2, n_xx share).
 
-    The disturbance constraint pins the norm ratio n_xx / n_xy to
-    (3 - c2 - 4 eps) / (c1 + 4 eps - 1). The search's grids lie above the
-    c1 floor, where every point has a non-negative ratio, so the check runs
-    on the 1-D factors. Should it ever fail, the points with no
-    non-negative ratio are masked: collision probability -inf, share 0.5.
+    The disturbance constraint pins the norm ratio to (3 - c2 - 4 eps) /
+    (c1 + 4 eps - 1), and a point scores at the n_xx share ratio / (1 +
+    ratio). The search's grids lie above the c1 floor, where every ratio is
+    non-negative; a ValueError names a disturbance whose grid is not.
     """
     eps, c1, c2 = eps[:, None, None], c1[:, :, None], c2[:, None, :]
     den = c1 + 4.0 * eps - 1.0
     num = 3.0 - c2 - 4.0 * eps
-    if (den > 0.0).all() and (num >= 0.0).all():
-        values, shares = _unit_norm_collision(num, den, c1, c2)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values, shares = _unit_norm_collision(num, den, c1, c2)
-        infeasible = ~((den > 0.0) & (num >= 0.0))
-        values[infeasible], shares[infeasible] = -np.inf, 0.5
-    values, shares = values.reshape(len(eps), -1), shares.reshape(len(eps), -1)
+    feasible = (den > 0.0).all(axis=(1, 2)) & (num >= 0.0).all(axis=(1, 2))
+    if not feasible.all():
+        raise ValueError(f"disturbance {eps[~feasible][0, 0, 0]} has grid points with no non-negative ratio")
+    x = num / den
+    x /= x + 1.0
+    values = _unit_norm_collision(x, c1, c2).reshape(len(eps), -1)
+    shares = x.reshape(len(eps), -1)
     rows = np.arange(len(eps))
     k = np.argmax(values, axis=1)
     k1, k2 = np.divmod(k, c2.shape[2])

@@ -1086,10 +1086,10 @@ class TestSweep:
         with pytest.raises(ValueError, match="rate is zero at the lower search edge"):
             cutoff_distance(protocol, p, (1.0, 500.0), src)
 
-    def test_rows_rate_where_the_pass_raises_at_another_row(self):
+    def test_rows_past_the_analyzer_limit_leave_the_pass_rating_the_rest(self):
         # at d = 0.168 a Bell analyzer near the source fires with p_swap > 1,
-        # where p_swap^2000 overflows and the pass raises for the whole curve;
-        # the far rows, which the scalar path rates, keep their statistics
+        # where p_swap^2000 would overflow; the pass takes a base of 0 there
+        # and rejects those rows, and the far rows keep the pass's statistics
         p = ChannelParams(sigma=0.0, eta=0.78125, receiver_loss_db=0.0, d=0.16796875, mu=0.0,
                           receiver_loss_per_arm=False)
         spec = SweepSpec("ekert", p, SwapChain(2000), 0.0, 24 * 293.0, 293.0, "total-loss")
@@ -1367,6 +1367,28 @@ class TestRateRelations:
                     positive += previous > 0.0
         assert mismatches == [] and rises == []
         assert positive > 10_000, positive
+
+    def test_lossless_devices_leave_the_model_only_at_the_near_end(self):
+        # at eta = 1 with no receiver loss, the nearest points can lie outside
+        # the first-order dark-count model: they come first, each carries the
+        # domain note, and from the first rated point on no rate rises
+        rng = random.Random(38)
+        kms = [0.0] + [10.0 ** (k / 4.0) for k in range(-24, 0)] + [2.5 * i for i in range(1, 121)]
+        faults, outside = [], 0
+        for _ in range(40):
+            p = ChannelParams(sigma=rng.uniform(0.15, 0.35), eta=1.0, receiver_loss_db=0.0,
+                              d=10.0 ** rng.uniform(-8.0, -2.0), mu=rng.uniform(0.0, 0.05))
+            for protocol, src in self.FIXED:
+                points = [point_rate(protocol, src, p, km) for km in kms]
+                first = next(i for i, pt in enumerate(points) if pt.stats is not None)
+                noted = [(pt.note or "").endswith(", outside the first-order dark-count model") for pt in points]
+                rates = [pt.rate for pt in points[first:]]
+                outside += first
+                if noted != [True] * first + [False] * (len(kms) - first) or any(
+                        b > a for a, b in zip(rates, rates[1:])):
+                    faults.append((p, src, first, points[:first + 1]))
+        assert faults == []
+        assert outside > 100, outside
 
     def test_optimum_is_at_least_a_dense_grid_maximum(self):
         rng = random.Random(35)

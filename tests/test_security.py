@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdrates.channel import _is_integer
 from qkdrates.ratecore import collision_bound, tau, tau_multiphoton
 from qkdrates import verifiers
 from qkdrates.security import (
@@ -31,7 +32,7 @@ from qkdrates.security import (
     multiphoton_ratio_bound,
     pa_entropy_bound_check,
 )
-from qkdrates.verifiers import _collision_from
+from qkdrates.verifiers import _unit_norm_collision
 
 
 class TestKeyBudget:
@@ -253,21 +254,25 @@ class TestArrayForms:
     )
     @settings(max_examples=300)
     def test_grid_matches_scalar_members(self, norms, phis1, phis2):
+        # each member's collision probability at its unit n_xx share
         x = np.array([n[0] for n in norms])[:, None, None]
         y = np.array([n[1] for n in norms])[:, None, None]
+        share = x / (x + y)
         c1 = np.array([math.cos(p) for p in phis1])[None, :, None]
         c2 = np.array([math.cos(p) for p in phis2])[None, None, :]
-        collision = _collision_from(x, y, c1, c2)
+        collision = _unit_norm_collision(share, c1, c2)
         eps = _epsilon_from(x, y, c1, c2)
         assert collision.shape == eps.shape == (len(norms), len(phis1), len(phis2))
         for k, (n_xx, n_xy) in enumerate(norms):
             for a, phi1 in enumerate(phis1):
                 for b, phi2 in enumerate(phis2):
                     member = AttackParams(n_xx=n_xx, n_xy=n_xy, phi_xx_yy=phi1, phi_xy_yx=phi2)
+                    one_c1, one_c2, one_x = c1[0, a, 0], c2[0, 0, b], share[k, 0, 0]
                     assert collision[k, a, b] == attack_collision(member)
                     assert eps[k, a, b] == attack_epsilon(member)
+                    assert attack_collision(member) == scalar_collision(one_x, 1.0 - one_x, one_c1, one_c2)
                     assert attack_collision(member) == pytest.approx(
-                        scalar_collision(n_xx, n_xy, c1[0, a, 0], c2[0, 0, b]), rel=1e-15
+                        scalar_collision(n_xx, n_xy, one_c1, one_c2), rel=1e-15
                     )
 
     @given(st.floats(min_value=1e-3, max_value=1e3), st.lists(ANGLES, min_size=1, max_size=5))
@@ -277,7 +282,7 @@ class TestArrayForms:
         assert eps.shape == collision.shape == (len(phis) ** 2,)
         x = ratio / (1.0 + ratio)
         for k, (phi1, phi2) in enumerate((a, b) for a in phis for b in phis):
-            member = AttackParams(n_xx=x, n_xy=1.0 / (1.0 + ratio), phi_xx_yy=phi1, phi_xy_yx=phi2)
+            member = AttackParams(n_xx=x, n_xy=1.0 - x, phi_xx_yy=phi1, phi_xy_yx=phi2)
             assert eps[k] == attack_epsilon(member)
             assert collision[k] == attack_collision(member)
 
@@ -291,17 +296,18 @@ class TestArrayForms:
         for got, want in zip((eps, collision), (np.concatenate(parts) for parts in zip(*singles))):
             assert got.dtype == want.dtype and got.shape == want.shape == (len(ratios) * len(phis) ** 2,)
             assert got.tobytes() == want.tobytes()
-        # one float ratio: the members' arrays, from the closed forms at Python-float norms
+        # one float ratio: the members' arrays, from the closed forms at the
+        # Python-float unit share
         for ratio, (one_eps, one_collision) in zip(ratios, singles):
-            x, y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
+            x = ratio / (1.0 + ratio)
             c1, c2 = cosines[:, None], cosines[None, :]
-            assert one_eps.tobytes() == _epsilon_from(x, y, c1, c2).ravel().tobytes()
-            assert one_collision.tobytes() == _collision_from(x, y, c1, c2).ravel().tobytes()
+            assert one_eps.tobytes() == _epsilon_from(x, 1.0 - x, c1, c2).ravel().tobytes()
+            assert one_collision.tobytes() == _unit_norm_collision(x, c1, c2).ravel().tobytes()
 
     def test_vanishing_denominators_are_masked(self):
         # n_xx = 0 with c2 = -1 zeroes both the numerator and the denominator of a term
         assert attack_collision(AttackParams(n_xx=0.0, n_xy=1.0, phi_xx_yy=0.0, phi_xy_yx=math.pi)) == 0.5
-        grid = _collision_from(0.0, 1.0, np.array([1.0, -1.0]), np.array([[1.0], [-1.0]]))
+        grid = _unit_norm_collision(0.0, np.array([1.0, -1.0]), np.array([[1.0], [-1.0]]))
         assert np.all(np.isfinite(grid))
 
     def test_scalar_forms_return_floats(self):
@@ -455,29 +461,30 @@ class TestBatchedSearch:
         for i, one in enumerate(eps):
             assert hexes(column[i] for column in batch) == hexes(scalar_search(one)), one
 
-    def test_infeasible_points_are_masked(self):
-        # grids that reach below the c1 floor and past c2 = 3 - 4 eps take the
-        # masked path: -inf and share 0.5 where the constraint has no ratio
-        eps = np.array([0.05, 0.3, 0.45])
+    def test_infeasible_points_are_rejected(self):
+        # the search's grids lie above the c1 floor; a grid that reaches below
+        # it, or past c2 = 3 - 4 eps, is named by its first such disturbance
         c1 = np.array([np.linspace(-1.0, 1.0, 31)] * 3)
         c2 = np.array([np.linspace(-1.0, 1.0, 29)] * 3)
-        c2[2, -1] = 1.3  # 3 - c2 - 4 eps < 0
-        found = verifiers._grid_best(eps, c1, c2)
-        for i, one in enumerate(eps.tolist()):
-            assert hexes(column[i] for column in found) == hexes(scalar_grid_best(one, c1[i].tolist(), c2[i].tolist()))
-        nowhere = verifiers._grid_best(np.array([0.1]), np.array([[-1.0, 0.5]]), np.array([[-1.0, 1.0]]))
-        assert hexes(column[0] for column in nowhere) == hexes((-math.inf, -1.0, -1.0, 0.5))
+        below_floor = np.array([0.05, 0.3, 0.45])
+        with pytest.raises(ValueError, match="^disturbance 0.05 has grid points with no non-negative ratio$"):
+            verifiers._grid_best(below_floor, c1, c2)
+        c1[:] = np.linspace(0.9, 1.0, 31)  # above every floor
+        c2[2, -1] = 1.3  # 3 - c2 - 4 eps < 0 at the last disturbance only
+        with pytest.raises(ValueError, match="^disturbance 0.45 has grid points"):
+            verifiers._grid_best(below_floor, c1, c2)
+        with pytest.raises(ValueError, match="^disturbance 0.1 has grid points"):
+            verifiers._grid_best(np.array([0.1]), np.array([[-1.0, 0.5]]), np.array([[-1.0, 1.0]]))
 
     def test_family_grid_equals_the_scalar_collision_bitwise(self):
         # every (ratio, c1, c2) point of the attack-bound suite's 50^3 grid
         cosines = [math.cos(math.pi * i / 49.0) for i in range(50)]
         ratios = [10.0 ** (-3.0 + 6.0 * i / 49.0) for i in range(50)]
-        shares = [(r / (1.0 + r), 1.0 / (1.0 + r)) for r in ratios]
-        x = np.array([sx for sx, _ in shares])[:, None, None]
-        y = np.array([sy for _, sy in shares])[:, None, None]
-        got = _collision_from(x, y, np.array(cosines)[:, None], np.array(cosines)[None, :])
-        want = np.array([[[scalar_collision(sx, sy, c1, c2) for c2 in cosines] for c1 in cosines]
-                         for sx, sy in shares])
+        shares = [r / (1.0 + r) for r in ratios]
+        x = np.array(shares)[:, None, None]
+        got = _unit_norm_collision(x, np.array(cosines)[:, None], np.array(cosines)[None, :])
+        want = np.array([[[scalar_collision(sx, 1.0 - sx, c1, c2) for c2 in cosines] for c1 in cosines]
+                         for sx in shares])
         assert got.shape == (50, 50, 50)
         assert got.tobytes() == want.tobytes()
         assert attack_family_grid(ratios, cosines)[1].tobytes() == want.tobytes()
@@ -517,13 +524,27 @@ _NUMBER = st.one_of(
 _ANYTHING = st.one_of(_NUMBER, _NUMBER, _NUMBER, _NOT_REAL)
 
 
+# Bit counts and block lengths: small ones, ones near and past the float
+# range's end, and anything else
+_COUNT = st.one_of(
+    st.integers(min_value=-2, max_value=10**6), st.integers(min_value=-(2**1100), max_value=2**1100),
+    st.sampled_from([int(sys.float_info.max), 2**1024]), _ANYTHING,
+)
+_MARGINS = st.one_of(
+    st.builds(SecurityParams, st.integers(0, 64), st.integers(0, 64)),
+    st.builds(SecurityParams, st.integers(0, int(sys.float_info.max)), st.integers(0, int(sys.float_info.max))),
+    _ANYTHING,
+)
+
+
 def _finite_in_unit_range(*values):
     return all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values)
 
 
 class TestMalformedInput:
-    """Each attack-family entry point returns finite values in range or
-    raises ValueError; nothing else (no TypeError, NaN or numpy warning)."""
+    """Each attack-family, key-sizing and hash-oracle entry point returns
+    finite values in range or raises ValueError; nothing else (no TypeError,
+    OverflowError, NaN or numpy warning)."""
 
     @given(_ANYTHING, _ANYTHING, _ANYTHING, _ANYTHING)
     @settings(max_examples=600, derandomize=True, deadline=None)
@@ -562,6 +583,35 @@ class TestMalformedInput:
         assert type(value) is float and 0.5 <= value <= 1.0
         assert all(math.isfinite(v) for v in vars(params).values())
 
+    @given(_COUNT, st.one_of(_ANYTHING, st.floats(0.0, 0.5)), _COUNT, _MARGINS,
+           st.one_of(_ANYTHING, st.floats(0.0, 1.0)))
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    def test_key_sizing_is_finite_or_rejected(self, n_rec, e, kappa, sec, beta):
+        for call in (lambda: ec_leak_bits(n_rec, e), lambda: final_key_length(n_rec, e, kappa, sec, beta),
+                     lambda: eve_info_bound(kappa, sec), lambda: markov_leak_probability(e, beta)):
+            try:
+                result = call()
+            except ValueError:
+                continue
+            if isinstance(result, KeyBudget):
+                assert _finite_in_unit_range(result.tau_bits) and math.isfinite(result.eve_info)
+                assert type(result.r) is int and 0 <= result.r <= result.n_rec
+            else:
+                assert type(result) in (int, float) and 0 <= result < math.inf
+
+    @given(st.one_of(st.integers(-2, 6), _COUNT), st.one_of(_ANYTHING, st.floats(0.5, 1.0)),
+           st.one_of(st.integers(-2, 6), _COUNT))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_hash_oracle_is_finite_or_rejected(self, n, per_bit_pc, r):
+        if _is_integer(n) and 6 < n <= 12:
+            return  # a valid sampled family: correct, and too slow to fuzz
+        try:
+            lhs, rhs, holds = pa_entropy_bound_check(n, per_bit_pc, r)
+        except ValueError:
+            return
+        assert type(lhs) is float and type(rhs) is float and math.isfinite(lhs) and math.isfinite(rhs)
+        assert holds is (lhs >= rhs)
+
     @pytest.mark.parametrize("call, message", [
         (lambda: maximize_attack_collision("0.1"), "disturbance must lie strictly between 0 and 1/2, got '0.1'"),
         (lambda: maximize_attack_collision(None), "disturbance must lie strictly between 0 and 1/2, got None"),
@@ -586,6 +636,18 @@ class TestMalformedInput:
         (lambda: attack_family_grid(1.0, np.array([0.5, math.nan])),
          "overlap cosines must be a 1-D sequence of reals in [-1, 1], got nan"),
         (lambda: attack_family_grid(1.0, 0.5), "overlap cosines must be a 1-D sequence of reals in [-1, 1], got 0.5"),
+        (lambda: pa_entropy_bound_check(2, "0.5", 1), "per-bit collision probability must lie in [1/2, 1], got '0.5'"),
+        (lambda: markov_leak_probability("1", 1.0), "information bound must be non-negative, got '1'"),
+        (lambda: markov_leak_probability(0.1, None), "threshold must be positive, got None"),
+        (lambda: markov_leak_probability(0.1, 2**1100),
+         f"threshold must be positive within float range, got {2**1100}"),
+        (lambda: final_key_length(1000, "0.05", 10, SecurityParams()), "error fraction must lie in [0, 1], got '0.05'"),
+        (lambda: final_key_length(1000, 0.05, 10, SecurityParams(), beta="1"), "beta must be positive, got '1'"),
+        (lambda: final_key_length(1000, 0.05, 10, None), "security margins must be a SecurityParams, got None"),
+        (lambda: ec_leak_bits(1000, "0.05"), "error fraction must lie in [0, 0.5), got '0.05'"),
+        (lambda: ec_leak_bits(2**1024, 0.05), f"reconciled key length {2**1024} lies past float range"),
+        (lambda: ec_leak_bits(int(1.7e308), 0.4), f"reconciled key length {int(1.7e308)} leaks past float range"),
+        (lambda: eve_info_bound(3, None), "security margins must be a SecurityParams, got None"),
     ], ids=lambda value: value.split()[0] + "-" + value.rpartition("got ")[2][:12] if isinstance(value, str) else "")
     def test_malformed_input_is_named(self, call, message):
         # each of these once returned NaN or (0, 0), converted a str, warned,

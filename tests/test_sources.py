@@ -152,7 +152,9 @@ class TestEkertIdealStats:
         assert pair == RatePoint(
             0.0, 0.0, note="p_true + p_false = 1.00040004 exceeds 1, outside the first-order dark-count model"
         )
-        assert point_rate("bb84", IdealSingle(), p, 0.0) == RatePoint(0.0, 0.0, note="p_click must lie in [0, 1]")
+        assert point_rate("bb84", IdealSingle(), p, 0.0) == RatePoint(
+            0.0, 0.0, note="p_click = 1.0002 exceeds 1, outside the first-order dark-count model"
+        )
         # the sweep's array pass rejects the same rows, with the same notes
         spec = SweepSpec("ekert", p, IdealEpr(), 0.0, 0.02, 0.005)
         points = sweep(spec).points()
@@ -473,7 +475,8 @@ class TestSourceParsing:
 # Each entry of each check table, violated alone: (table, the arguments that
 # violate only that entry, the call that raises on them, its message).
 _VIOLATIONS = [
-    (_click_checks, (1.5, 0.1, 0.9), ClickStats, "p_click must lie in [0, 1]"),
+    (_click_checks, (-0.5, 0.1, 0.9), ClickStats, "p_click must be non-negative"),
+    (_click_checks, (1.5, 0.1, 0.9), ClickStats, "p_click = 1.5 exceeds 1, outside the first-order dark-count model"),
     (_click_checks, (0.5, -0.1, 0.9), ClickStats, "error fraction must lie in [0, 1]"),
     (_click_checks, (0.5, 0.1, -math.inf), ClickStats, "beta must be finite, got -inf"),
     (_click_checks, (0.5, 0.1, 1.5), ClickStats, "beta cannot exceed 1"),
@@ -538,7 +541,7 @@ class TestCheckTables:
     @pytest.mark.parametrize(
         "build, args, message",
         [
-            (ClickStats, (1.5, -0.1, math.nan), "p_click must lie in [0, 1]"),
+            (ClickStats, (1.5, -0.1, math.nan), "p_click = 1.5 exceeds 1, outside the first-order dark-count model"),
             (ClickStats, (0.5, 2.0, 2.0), "error fraction must lie in [0, 1]"),
             (ClickStats, (0.5, 0.1, math.inf), "beta must be finite, got inf"),
             (CoincidenceStats, (0.2, 1.5, 0.9), "p_false must lie in [0, 1]"),

@@ -65,13 +65,10 @@ def _lowered(delta):
     return lambda bound: lambda eps: bound(eps) - delta
 
 
-def _shrunk_values(kernel):
-    """Mutate the search's unit-norm kernel: scale its collision
-    probabilities by 1 - 1e-5, leaving the shares as they are."""
-    def mutant(*args):
-        values, shares = kernel(*args)
-        return values * (1.0 - 1e-5), shares
-    return mutant
+def _scaled_kernel(factor):
+    """Mutate the attack family's collision kernel: scale its collision
+    probabilities by factor."""
+    return lambda kernel: lambda *args: kernel(*args) * factor
 
 
 def _halved_ratio_bound(bound):
@@ -103,8 +100,10 @@ BOUNDS = ((ratecore, "collision_bound"), (verifiers, "_collision_bound_array"))
 # force instead; every density it builds is still a Gram matrix. The last
 # row leaves every margin 5e-13 short of the bound, so it fails only on a
 # verdict that applies no slack below the reported tolerance of 0. The bound
-# rows lower the bound; the search-shrunk row breaks the search instead,
-# whose kernel the family grid does not share, so only the maximum fails.
+# rows lower the bound. The kernel rows scale the one collision kernel that
+# the search and the family grid share: shrunk, the grid stays below the
+# bound and only the maximum fails; raised, the points nearest the bound
+# (3.6e-10 below it) pass it, and both fail.
 MUTATIONS = [
     ("pdc-oracle", {(sources, "_pdc_weights"): _scaled_weight(0, 1 - 1e-5)}, {COEFFICIENTS}),
     ("pdc-oracle", {(sources, "_pdc_weights"): _scaled_weight(1, 1 - 1e-5)}, {COEFFICIENTS}),
@@ -114,7 +113,8 @@ MUTATIONS = [
     ("pdc-oracle", {(fockoracle, "_loss_factors"): _squared}, {COEFFICIENTS, PAIR_SECTOR}),
     ("attack-bound", {bound: _lowered(1e-7) for bound in BOUNDS}, {GRID}),
     ("attack-bound", {bound: _lowered(1e-5) for bound in BOUNDS}, {MAXIMUM, GRID}),
-    ("attack-bound", {(verifiers, "_unit_norm_collision"): _shrunk_values}, {MAXIMUM}),
+    ("attack-bound", {(verifiers, "_unit_norm_collision"): _scaled_kernel(1.0 - 1e-5)}, {MAXIMUM}),
+    ("attack-bound", {(verifiers, "_unit_norm_collision"): _scaled_kernel(1.0 + 1e-5)}, {MAXIMUM, GRID}),
     ("multi-photon", {(security, "multiphoton_ratio_bound"): _halved_ratio_bound},
      {"dual-fire ratio bound >= 1 for i, j in 2..10"}),
     ("privacy-amp", {(verifiers, "_family_seeds"): _one_zero_seed}, {PA_BOUND}),
@@ -122,7 +122,7 @@ MUTATIONS = [
 ]
 MUTATION_IDS = [
     "pdc-A", "pdc-B", "pdc-C", "pdc-D", "pdc-swapped-ports", "pdc-squared-loss",
-    "bound-1e-7", "bound-1e-5", "search-shrunk-1e-5", "ratio-2^(i-2)", "zero-seed", "pa-shaved-margin",
+    "bound-1e-7", "bound-1e-5", "search-shrunk-1e-5", "kernel-raised-1e-5", "ratio-2^(i-2)", "zero-seed", "pa-shaved-margin",
 ]
 
 # dephasing groups the same amplitudes twice, by tags that the detector
